@@ -17,10 +17,9 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
-from .evidence import export_evidence_log
-from .gridmap import LayerPriority, export_pgm, import_pgm
+from .evidence import RebuildParams
+from .gridmap import DEFAULT_PRIORITY, LayerPriority, import_pgm
 from .pipeline import (
-    COMBINATIONS,
     PipelineParams,
     RunConfig,
     build_combo_map,
@@ -28,8 +27,9 @@ from .pipeline import (
     combo_layers,
     run_ablation,
     run_pipeline,
+    write_map_artifacts,
 )
-from .quality import QualityReport, ReportRow, evaluate_map, sample_queries
+from .quality import COMBINATION_ORDER, QualityReport, ReportRow, evaluate_map, sample_queries
 from .scenario import load_scenario
 from .scenesim import ground_truth_map, simulate_sequence
 
@@ -43,24 +43,20 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega-max", type=float, default=0.3, help="turning-frame cutoff (rad/s)")
-    p.add_argument("--gate", type=float, default=80.0, help="association gate (px)")
-    p.add_argument("--priority", default="sfm,ho3,pfh", help="layer priority, lowest first")
-    p.add_argument("--trail-half-width", type=float, default=0.2)
-    p.add_argument("--passage-half-width", type=float, default=0.3)
+    p.add_argument("--omega-max", type=float, default=PipelineParams.omega_max, help="turning-frame cutoff (rad/s)")
+    p.add_argument("--gate", type=float, default=PipelineParams.gate_px, help="association gate (px)")
+    p.add_argument("--priority", default=",".join(DEFAULT_PRIORITY.order), help="layer priority, lowest first")
+    p.add_argument("--trail-half-width", type=float, default=RebuildParams.trail_half_width)
+    p.add_argument("--passage-half-width", type=float, default=RebuildParams.passage_half_width)
 
 
 def _params_from_args(args) -> PipelineParams:
-    params = PipelineParams()
-    params.omega_max = args.omega_max
-    params.gate_px = args.gate
-    params.priority = LayerPriority(tuple(s.strip().lower() for s in args.priority.split(",")))
-    params.rebuild = dataclasses.replace(
-        params.rebuild,
-        trail_half_width=args.trail_half_width,
-        passage_half_width=args.passage_half_width,
+    return PipelineParams(
+        omega_max=args.omega_max,
+        gate_px=args.gate,
+        priority=LayerPriority(tuple(s.strip().lower() for s in args.priority.split(","))),
+        rebuild=RebuildParams(trail_half_width=args.trail_half_width, passage_half_width=args.passage_half_width),
     )
-    return params
 
 
 def _cmd_simulate(args) -> int:
@@ -83,15 +79,12 @@ def _cmd_build(args) -> int:
     scene = dataclasses.replace(scene, rng_seed=args.seed)
     params = _params_from_args(args)
     result = run_pipeline(scene, params)
-    out = pathlib.Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ground_truth.pgm").write_bytes(export_pgm(ground_truth_map(scene)))
     rebuild = dataclasses.replace(params.rebuild, robot_radius=scene.robot_radius)
+    maps = {}
     for label in args.combos.split(","):
         layers = combo_layers(label)
-        m = build_combo_map(result, layers, priority=params.priority, params=rebuild)
-        (out / f"{scene.name}_{combo_label(layers)}.pgm").write_bytes(export_pgm(m))
-    (out / "evidence.log").write_text(export_evidence_log(result.store), encoding="ascii")
+        maps[combo_label(layers)] = build_combo_map(result, layers, priority=params.priority, params=rebuild)
+    out = write_map_artifacts(args.out, result, ground_truth_map(scene), maps)
     print(f"wrote maps and evidence log to {out}")
     return 0
 
@@ -117,10 +110,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_ablate(args) -> int:
     params = _params_from_args(args)
-    combos = tuple(combo_label(combo_layers(label)) for label in args.combos.split(","))
     run_cfg = RunConfig(
         scenario=args.scenario,
-        combos=combos,
+        combos=tuple(args.combos.split(",")),
         seed=args.seed,
         out_dir=args.out,
         n_queries=args.queries,
@@ -141,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.set_defaults(func=_cmd_simulate)
 
-    all_combos = ",".join(combo_label(c) for c in COMBINATIONS)
+    all_combos = ",".join(COMBINATION_ORDER)
 
     p = sub.add_parser("build", help="build per-combination maps without scoring")
     _add_scenario_args(p)

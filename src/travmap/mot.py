@@ -27,6 +27,7 @@ __all__ = [
 CONFIRM_HITS = 3
 DEFAULT_GATE_PX = 80.0
 DEFAULT_MAX_MISSED = 15  # 0.5 s at 30 fps
+DEFAULT_OMEGA_MAX = 0.3  # rad/s
 
 
 class TrackState(Enum):
@@ -138,7 +139,7 @@ def prune(tracks: list[HumanTrack], max_missed: int = DEFAULT_MAX_MISSED) -> lis
     return tracks
 
 
-def filter_turning_frames(frames: Sequence[FrameObservation], omega_max: float = 0.3) -> list[bool]:
+def filter_turning_frames(frames: Sequence[FrameObservation], omega_max: float = DEFAULT_OMEGA_MAX) -> list[bool]:
     """Mask of frames steady enough for evidence (|angular speed| <= omega_max)."""
     if not omega_max > 0:
         raise ValueError("omega_max must be positive")

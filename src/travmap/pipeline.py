@@ -1,11 +1,25 @@
 """End-to-end mapping pipeline and the ablation harness.
 
-One pass over a simulated sequence feeds four consumers: the pose graph
-(keyframes every ``keyframe_stride`` frames plus configured loop closures),
-the human tracker, the landmark table, and the evidence store.  Maps for any
-module combination are then regenerated from the evidence at the current pose
-snapshot and scored against the ground-truth map with a shared query set, so
-combination scores differ only because of the modules, not sampling.
+One pass over a simulated sequence (``run_pipeline``) runs five ingest stages
+on each frame, in order:
+
+1. keyframes and loop closure: every ``keyframe_stride`` frames (keyframe k
+   is frame k * stride) a pose-graph keyframe is added, and each closure it
+   ends is added and optimized at once;
+2. tracking: human detections, with depth and position estimates, go to the
+   tracker;
+3. landmarks (keyframes only): new features are anchored, and every visible
+   feature is logged as SfM evidence;
+4. trails (kept frames): each matched confirmed track is logged as PfH
+   evidence relative to the newest keyframe;
+5. pass-between (kept frames after a kept frame): landmarks are ordered
+   against each tracked human, and straddling pairs are logged as HO3
+   evidence.  Turning frames are not kept.
+
+Maps for any module combination are then regenerated from the evidence at the
+current pose snapshot and scored against the ground-truth map with a shared
+query set, so combination scores differ only because of the modules, not
+sampling.
 
 Loop-closure *detection* is out of scope: closures come from the simulator's
 ground truth (a keyframe revisiting a previously mapped spot) or from an
@@ -15,6 +29,7 @@ explicit list, and each closure triggers an immediate optimization event.
 from __future__ import annotations
 
 import math
+import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -32,14 +47,16 @@ from .evidence import (
     calibrate_scale,
     classify_occlusion,
     estimate_depth,
+    export_evidence_log,
     human_map_position,
     infer_pass_pair,
     rebuild_map,
 )
 from .gridmap import DEFAULT_PRIORITY, LayerPriority, TraversabilityMap, export_pgm, new_map
 from .posegraph import OptimizationEvent, Pose2, PoseGraph, se2_compose, se2_inverse, se2_transform
-from .quality import EvaluationResult, JourneyQuery, QualityReport, ReportRow, evaluate_map, sample_queries
-from .scenesim import FrameObservation, GroundTruth, SceneConfig, ground_truth_map, simulate_sequence
+from .quality import COMBINATION_ORDER, EvaluationResult, JourneyQuery, QualityReport, ReportRow, evaluate_map, sample_queries
+from .scenario import load_scenario
+from .scenesim import FrameObservation, GroundTruth, HumanDetection, SceneConfig, ground_truth_map, simulate_sequence
 
 __all__ = [
     "PipelineParams",
@@ -50,19 +67,9 @@ __all__ = [
     "combo_layers",
     "run_pipeline",
     "build_combo_map",
+    "write_map_artifacts",
     "run_ablation",
 ]
-
-#: Canonical module combinations in report order.
-COMBINATIONS = (
-    ("sfm", "pfh", "ho3"),
-    ("sfm", "pfh"),
-    ("sfm", "ho3"),
-    ("pfh", "ho3"),
-    ("sfm",),
-    ("pfh",),
-    ("ho3",),
-)
 
 _LABELS = {"sfm": "SfM", "pfh": "PfH", "ho3": "HO3"}
 _LAYERS_BY_LABEL = {label.lower(): layer for layer, label in _LABELS.items()}
@@ -71,10 +78,15 @@ _LAYERS_BY_LABEL = {label.lower(): layer for layer, label in _LABELS.items()}
 #: column is where a sight line merely grazes the body, which orders nothing.
 _REGION_MARGIN_PX = 1.0
 
+#: Body height (m) assumed when turning a box's apparent height into depth.
+_BODY_HEIGHT = 1.70
+
+#: Ranged detections the offline scale calibration takes.
+_CALIBRATION_SAMPLES = 25
+
 
 def combo_label(layers: Sequence[str]) -> str:
-    ordered = [layer for layer in ("sfm", "pfh", "ho3") if layer in layers]
-    return "+".join(_LABELS[layer] for layer in ordered)
+    return "+".join(label for layer, label in _LABELS.items() if layer in layers)
 
 
 def combo_layers(label: str) -> tuple[str, ...]:
@@ -86,17 +98,19 @@ def combo_layers(label: str) -> tuple[str, ...]:
         layers.append(layer)
     if not layers or len(set(layers)) != len(layers):
         raise ValueError(f"bad combination {label!r}")
-    return tuple(layer for layer in ("sfm", "pfh", "ho3") if layer in layers)
+    return tuple(layer for layer in _LABELS if layer in layers)
+
+
+#: Canonical module combinations in report order.
+COMBINATIONS = tuple(combo_layers(label) for label in COMBINATION_ORDER)
 
 
 @dataclass
 class PipelineParams:
     keyframe_stride: int = 10
-    omega_max: float = 0.3
-    gate_px: float = 80.0
-    max_missed: int = 15
-    assumed_body_height: float = 1.70
-    calibration_samples: int = 25
+    omega_max: float = mot.DEFAULT_OMEGA_MAX
+    gate_px: float = mot.DEFAULT_GATE_PX
+    max_missed: int = mot.DEFAULT_MAX_MISSED
     enable_closures: bool = True
     closure_radius: float = 0.5
     closure_min_gap: int = 20  # keyframes
@@ -157,13 +171,12 @@ class PipelineResult:
     tracks: list[mot.HumanTrack]
     calibration: ScaleCalibration
     events: list[OptimizationEvent]
-    keyframe_frames: dict[int, int]  # keyframe id -> frame index
     position_diags: list[PositionDiag]
     occlusion_diags: list[OcclusionDiag]
     pair_diags: list[PairDiag]
 
 
-def _calibrate_from_frames(frames: Sequence[FrameObservation], cfg: SceneConfig, params: PipelineParams) -> ScaleCalibration:
+def _calibrate_from_frames(frames: Sequence[FrameObservation], cfg: SceneConfig) -> ScaleCalibration:
     """Offline scale calibration against ranged detections, as a pre-step.
 
     The simulator's true range plays the role of the externally measured
@@ -172,255 +185,259 @@ def _calibrate_from_frames(frames: Sequence[FrameObservation], cfg: SceneConfig,
     samples = []
     for frame in frames:
         for det in frame.detections:
-            h_px = apparent_height_px(det.y_min, cfg.intrinsics, params.assumed_body_height)
+            h_px = apparent_height_px(det.y_min, cfg.intrinsics, _BODY_HEIGHT)
             if h_px is None:
                 continue
-            samples.append((det.depth, cfg.intrinsics.f, h_px, params.assumed_body_height))
-            if len(samples) >= params.calibration_samples:
+            samples.append((det.depth, cfg.intrinsics.f, h_px, _BODY_HEIGHT))
+            if len(samples) >= _CALIBRATION_SAMPLES:
                 return calibrate_scale(samples)
     if not samples:
         return ScaleCalibration(1.0)
     return calibrate_scale(samples)
 
 
+def _close_loops(result: PipelineResult, kf: int, params: PipelineParams, last_closure_kf: int) -> bool:
+    """Loop-closure stage: close and optimize every loop the new keyframe ``kf`` ends; True if any.
+
+    Explicit closures win.  Otherwise, when closures are enabled and the last
+    one is ``closure_min_gap`` keyframes back, the oldest keyframe at least
+    that far back whose true position lies within ``closure_radius``.
+    """
+    poses, stride = result.truth.camera_poses, params.keyframe_stride
+    partners = [older for older, newer in params.closures or () if newer == kf]
+    px, py, _ = poses[kf * stride]
+    if params.enable_closures and not partners and kf - last_closure_kf >= params.closure_min_gap:
+        for older in range(kf + 1):
+            if kf - older < params.closure_min_gap:
+                break
+            ox, oy, _ = poses[older * stride]
+            if math.hypot(px - ox, py - oy) <= params.closure_radius:
+                partners = [older]
+                break
+    for older in partners:
+        rel = se2_compose(se2_inverse(Pose2(*poses[older * stride])), Pose2(*poses[kf * stride]))
+        result.graph.add_loop_closure(older, kf, rel)
+        result.events.append(result.graph.optimize())
+    return bool(partners)
+
+
+def _track_humans(
+    result: PipelineResult, frame: FrameObservation, pose_est: Pose2, params: PipelineParams
+) -> tuple[list[mot.HumanTrack], dict[tuple, HumanDetection]]:
+    """Tracking stage: feed the frame's detections, with position estimates, to the tracker.
+
+    Returns the confirmed tracks matched in this frame, and the simulated
+    detection behind each tracker box (the ground truth the diagnostics use).
+    """
+    intr, fi = result.config.intrinsics, frame.frame_index
+    dets = []
+    for det in frame.detections:
+        bbox = (det.x_min, det.x_max, det.y_min, det.y_max)
+        depth_est = None
+        world_est = None
+        h_px = apparent_height_px(det.y_min, intr, _BODY_HEIGHT)
+        if h_px is not None:
+            depth_est = estimate_depth(result.calibration, intr.f, _BODY_HEIGHT, h_px)
+            world_est = human_map_position(pose_est.as_tuple(), intr, bbox, depth_est)
+        dets.append(mot.TrackedDetection(bbox, depth_est, world_est))
+    mot.step(result.tracks, dets, fi, params.gate_px)
+    mot.prune(result.tracks, params.max_missed)
+
+    source = {d.bbox: det for d, det in zip(dets, frame.detections)}
+    matched = [t for t in result.tracks if t.state is mot.TrackState.CONFIRMED and t.matched_at(fi)]
+    for track in matched:
+        tp = track.last
+        src = source.get(tp.bbox)
+        if tp.world is not None and src is not None:
+            result.position_diags.append(
+                PositionDiag(fi, track.track_id, src.agent_index, tp.world, src.world, tp.depth, src.depth)
+            )
+    return matched, source
+
+
+def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> bool:
+    """Landmark stage: anchor newly seen features to keyframe ``kf``, log SfM evidence; True if any is new.
+
+    Not gated by turning: the turning filter only withholds human-derived evidence.
+    """
+    intr = result.config.intrinsics
+    added = False
+    for fobs in frame.features:
+        if not fobs.visible:
+            continue
+        if fobs.feature_id not in result.landmarks:
+            lateral = (fobs.u - intr.cx) * fobs.depth / intr.f
+            result.landmarks[fobs.feature_id] = Landmark(fobs.feature_id, kf, (fobs.depth, -lateral))
+            added = True
+        result.store.add_sfm(fobs.feature_id)
+    return added
+
+
+def _add_trails(result: PipelineResult, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
+    """Trail stage: each matched track's position as PfH evidence relative to keyframe ``kf``."""
+    to_kf = se2_inverse(result.graph.pose(kf))
+    for track in matched:
+        if track.last.world is not None:
+            result.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
+
+
+def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, dict[int, int]]:
+    """World positions of all landmarks at the current poses, and each landmark's row."""
+    worlds = np.array([lm.world(result.graph.nodes) for lm in result.landmarks.values()])
+    return worlds, {fid: k for k, fid in enumerate(result.landmarks)}
+
+
+def _pass_between(
+    result: PipelineResult,
+    frame: FrameObservation,
+    prev_frame: FrameObservation,
+    matched: list[mot.HumanTrack],
+    source: dict[tuple, HumanDetection],
+    cam: Pose2,
+    table: tuple[np.ndarray, dict[int, int]],
+) -> None:
+    """Pass-between stage: order landmarks against each matched human, log straddling pairs as HO3.
+
+    A landmark seen in ``frame`` inside the human's box is in front; one seen
+    in ``prev_frame``, unseen now and predicted inside the box is behind.
+    """
+    intr, fi = result.config.intrinsics, frame.frame_index
+    worlds, row = table
+    c, s = math.cos(cam.theta), math.sin(cam.theta)
+    dx = worlds[:, 0] - cam.x
+    dy = worlds[:, 1] - cam.y
+    depth_pred = c * dx + s * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_pred = intr.cx + intr.f * (s * dx - c * dy) / depth_pred
+
+    # (feature id, column, predicted depth, image row when last seen), seen
+    # candidates first.  Seen features get no row (None) and so no row gate:
+    # one occluding the human sits at the visible-region boundary, so only
+    # the column test is binding.
+    visible = {f.feature_id: f for f in frame.features if f.visible}
+    candidates = [(fid, f.u, float(depth_pred[row[fid]]), None) for fid, f in visible.items() if fid in row]
+    for f in prev_frame.features:
+        k = row.get(f.feature_id)
+        if f.visible and k is not None and f.feature_id not in visible and depth_pred[k] > 0:
+            candidates.append((f.feature_id, float(u_pred[k]), float(depth_pred[k]), f.v))
+
+    for track in matched:
+        tp = track.last
+        if tp.depth is None:
+            continue
+        bbox = tp.bbox
+        inner = (bbox[0] + _REGION_MARGIN_PX, bbox[1] - _REGION_MARGIN_PX, bbox[2], bbox[3])
+        if inner[0] >= inner[1]:
+            continue
+        src = source.get(bbox)
+        agent_index = src.agent_index if src is not None else -1
+        classified: list[ClassifiedFeature] = []
+        for fid, u, depth, v in candidates:
+            if v is not None and not (bbox[2] <= v <= bbox[3]):
+                continue
+            label = classify_occlusion(u, v is None, inner)
+            if label is OcclusionClass.UNRELATED:
+                continue
+            classified.append(ClassifiedFeature(fid, label, u, depth))
+            result.occlusion_diags.append(OcclusionDiag(fi, track.track_id, agent_index, fid, label, u, depth, tp.depth))
+        pair = infer_pass_pair(classified, tp.depth, 0.5 * (bbox[0] + bbox[1]))
+        if pair is None:
+            continue
+        front_id, behind_id = pair
+        by_id = {c.feature_id: c for c in classified}
+        front_d = by_id[front_id].depth
+        behind_d = by_id[behind_id].depth
+        assert front_d < tp.depth < behind_d, "pass-between pair must straddle the human"
+        result.store.add_ho3(front_id, behind_id, track.track_id)
+        result.pair_diags.append(PairDiag(fi, track.track_id, front_id, behind_id, front_d, behind_d, tp.depth))
+
+
 def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:
     """Simulate a scene and ingest it end to end; returns everything rebuildable."""
     params = params or PipelineParams()
-    intr = cfg.intrinsics
     frames, truth = simulate_sequence(cfg)
     keep = mot.filter_turning_frames(frames, params.omega_max)
-    cal = _calibrate_from_frames(frames, cfg, params)
-
     graph = PoseGraph(Pose2(*frames[0].camera_pose))
-    events: list[OptimizationEvent] = []
-    keyframe_frames = {0: 0}
-    kf_true_pose = {0: truth.camera_poses[0]}
-    landmarks: dict[int, Landmark] = {}
-    store = EvidenceStore()
-    tracks: list[mot.HumanTrack] = []
-
-    position_diags: list[PositionDiag] = []
-    occlusion_diags: list[OcclusionDiag] = []
-    pair_diags: list[PairDiag] = []
-
-    explicit_closures: dict[int, list[int]] = {}
-    if params.closures:
-        for older, newer in params.closures:
-            explicit_closures.setdefault(newer, []).append(older)
-
-    # Landmark worlds cache, refreshed on new landmarks or optimization events.
-    lm_ids: list[int] = []
-    lm_worlds = np.zeros((0, 2))
-    worlds_dirty = False
-
-    def refresh_worlds():
-        nonlocal lm_worlds, worlds_dirty
-        snapshot = graph.nodes
-        lm_worlds = np.array([landmarks[fid].world(snapshot) for fid in lm_ids]) if lm_ids else np.zeros((0, 2))
-        worlds_dirty = False
+    cal = _calibrate_from_frames(frames, cfg)
+    result = PipelineResult(cfg, frames, truth, keep, graph, {}, EvidenceStore(), [], cal, [], [], [], [])
 
     last_closure_kf = -10**9
-
-    def maybe_close_loop(kf: int) -> None:
-        nonlocal worlds_dirty, last_closure_kf
-        partners: list[int] = list(explicit_closures.get(kf, ()))
-        if params.enable_closures and not partners and kf - last_closure_kf >= params.closure_min_gap:
-            px, py, _ = kf_true_pose[kf]
-            for older in sorted(kf_true_pose):
-                if kf - older < params.closure_min_gap:
-                    break
-                ox, oy, _ = kf_true_pose[older]
-                if math.hypot(px - ox, py - oy) <= params.closure_radius:
-                    partners.append(older)
-                    break
-        for older in partners:
-            rel = se2_compose(se2_inverse(Pose2(*kf_true_pose[older])), Pose2(*kf_true_pose[kf]))
-            graph.add_loop_closure(older, kf, rel)
-            events.append(graph.optimize())
-            last_closure_kf = kf
-            worlds_dirty = True
-
     odom_acc = Pose2()
-    current_kf = 0
-    prev_kept: dict[int, tuple[float, float]] = {}
-    prev_kept_frame = -10
+    kf = 0
+    table = None  # landmark worlds and rows; None once landmarks or poses change
+    prev_kept = None  # the previous frame, if it was kept
 
     for frame in frames:
         fi = frame.frame_index
+        at_keyframe = fi % params.keyframe_stride == 0
         if fi > 0:
             odom_acc = se2_compose(odom_acc, Pose2(*frame.odometry))
-            if fi % params.keyframe_stride == 0:
-                current_kf = graph.add_keyframe(odom_acc)
+            if at_keyframe:
+                kf = graph.add_keyframe(odom_acc)
                 odom_acc = Pose2()
-                keyframe_frames[current_kf] = fi
-                kf_true_pose[current_kf] = truth.camera_poses[fi]
-                maybe_close_loop(current_kf)
-        pose_est = se2_compose(graph.pose(current_kf), odom_acc)
-        at_keyframe = keyframe_frames.get(current_kf) == fi
-
-        # -- track humans (every frame, estimates attached when available)
-        dets = []
-        for det in frame.detections:
-            depth_est = None
-            world_est = None
-            h_px = apparent_height_px(det.y_min, intr, params.assumed_body_height)
-            if h_px is not None:
-                depth_est = estimate_depth(cal, intr.f, params.assumed_body_height, h_px)
-                world_est = human_map_position(pose_est.as_tuple(), intr, (det.x_min, det.x_max, det.y_min, det.y_max), depth_est)
-            dets.append(mot.TrackedDetection((det.x_min, det.x_max, det.y_min, det.y_max), depth_est, world_est))
-        mot.step(tracks, dets, fi, params.gate_px)
-        mot.prune(tracks, params.max_missed)
-
-        det_of_bbox = {d.bbox: det for d, det in zip(dets, frame.detections)}
-        matched = [t for t in tracks if t.state is mot.TrackState.CONFIRMED and t.matched_at(fi)]
-        for track in matched:
-            tp = track.last
-            if tp.world is None:
-                continue
-            src = det_of_bbox.get(tp.bbox)
-            if src is not None:
-                position_diags.append(
-                    PositionDiag(fi, track.track_id, src.agent_index, tp.world, src.world, tp.depth, src.depth)
-                )
-
-        # -- landmarks and feature evidence at keyframes (not gated by turning:
-        #    the turning filter only withholds human-derived evidence)
-        if at_keyframe:
-            for fobs in frame.features:
-                if not fobs.visible:
-                    continue
-                if fobs.feature_id not in landmarks:
-                    lateral = (fobs.u - intr.cx) * fobs.depth / intr.f
-                    offset = (fobs.depth, -lateral)
-                    landmarks[fobs.feature_id] = Landmark(fobs.feature_id, current_kf, offset)
-                    lm_ids.append(fobs.feature_id)
-                    worlds_dirty = True
-                store.add_sfm(fobs.feature_id)
-
+                if _close_loops(result, kf, params, last_closure_kf):
+                    last_closure_kf = kf
+                    table = None
+        pose_est = se2_compose(graph.pose(kf), odom_acc)
+        matched, source = _track_humans(result, frame, pose_est, params)
+        if at_keyframe and _add_landmarks(result, frame, kf):
+            table = None
         if not keep[fi]:
             # Turning frame: feeds the pose graph and the feature map, but
             # contributes no trail or pass-between evidence.
+            prev_kept = None
             continue
-
-        # -- trail evidence every kept frame, anchored to the newest keyframe
-        for track in matched:
-            tp = track.last
-            if tp.world is None:
-                continue
-            offset = se2_transform(se2_inverse(graph.pose(current_kf)), tp.world)
-            store.add_pfh(current_kf, offset, track.track_id)
-
-        # -- pass-between inference (every kept frame with fresh visibility memory)
-        if worlds_dirty:
-            refresh_worlds()
-        visible_now = {f.feature_id: f for f in frame.features if f.visible}
-        if lm_ids and prev_kept_frame == fi - 1 and matched:
-            cam = pose_est.as_tuple()
-            c, s = math.cos(cam[2]), math.sin(cam[2])
-            dx = lm_worlds[:, 0] - cam[0]
-            dy = lm_worlds[:, 1] - cam[1]
-            depth_pred = c * dx + s * dy
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u_pred = intr.cx + intr.f * (s * dx - c * dy) / depth_pred
-            lm_index = {fid: k for k, fid in enumerate(lm_ids)}
-            for track in matched:
-                tp = track.last
-                if tp.depth is None:
-                    continue
-                bbox = tp.bbox
-                src = det_of_bbox.get(tp.bbox)
-                agent_index = src.agent_index if src is not None else -1
-                inner = (bbox[0] + _REGION_MARGIN_PX, bbox[1] - _REGION_MARGIN_PX, bbox[2], bbox[3])
-                if inner[0] >= inner[1]:
-                    continue
-                classified: list[ClassifiedFeature] = []
-                for fid, fobs in visible_now.items():
-                    # No row gate here: a feature occluding the human sits at the
-                    # visible-region boundary, so only the column test is binding.
-                    k = lm_index.get(fid)
-                    if k is None:
-                        continue
-                    label = classify_occlusion(fobs.u, True, inner)
-                    if label is OcclusionClass.UNRELATED:
-                        continue
-                    classified.append(ClassifiedFeature(fid, label, fobs.u, float(depth_pred[k])))
-                    occlusion_diags.append(
-                        OcclusionDiag(fi, track.track_id, agent_index, fid, label, fobs.u, float(depth_pred[k]), tp.depth)
-                    )
-                for fid, (pu, pv) in prev_kept.items():
-                    k = lm_index.get(fid)
-                    if k is None or fid in visible_now:
-                        continue
-                    if depth_pred[k] <= 0 or not (bbox[2] <= pv <= bbox[3]):
-                        continue
-                    label = classify_occlusion(float(u_pred[k]), False, inner)
-                    if label is OcclusionClass.UNRELATED:
-                        continue
-                    classified.append(ClassifiedFeature(fid, label, float(u_pred[k]), float(depth_pred[k])))
-                    occlusion_diags.append(
-                        OcclusionDiag(fi, track.track_id, agent_index, fid, label, float(u_pred[k]), float(depth_pred[k]), tp.depth)
-                    )
-                pair = infer_pass_pair(classified, tp.depth, 0.5 * (bbox[0] + bbox[1]))
-                if pair is not None:
-                    front_id, behind_id = pair
-                    by_id = {c.feature_id: c for c in classified}
-                    front_d = by_id[front_id].depth
-                    behind_d = by_id[behind_id].depth
-                    assert front_d < tp.depth < behind_d, "pass-between pair must straddle the human"
-                    store.add_ho3(front_id, behind_id, track.track_id)
-                    pair_diags.append(PairDiag(fi, track.track_id, front_id, behind_id, front_d, behind_d, tp.depth))
-        prev_kept = {fid: (f.u, f.v) for fid, f in visible_now.items()}
-        prev_kept_frame = fi
-
-    return PipelineResult(
-        cfg,
-        frames,
-        truth,
-        keep,
-        graph,
-        landmarks,
-        store,
-        tracks,
-        cal,
-        events,
-        keyframe_frames,
-        position_diags,
-        occlusion_diags,
-        pair_diags,
-    )
+        _add_trails(result, kf, matched)
+        if result.landmarks and prev_kept is not None and matched:
+            if table is None:
+                table = _landmark_table(result)
+            _pass_between(result, frame, prev_kept, matched, source, pose_est, table)
+        prev_kept = frame
+    return result
 
 
 def build_combo_map(
     result: PipelineResult,
     layers: Sequence[str],
-    base: Optional[TraversabilityMap] = None,
     priority: Optional[LayerPriority] = None,
     params: Optional[RebuildParams] = None,
 ) -> TraversabilityMap:
     """Regenerate the map for one module combination at the current poses."""
-    if base is None:
-        x_min, y_min, x_max, y_max = result.config.bounds
-        base = new_map(x_min, y_min, x_max, y_max)
     return rebuild_map(
         result.store,
         result.graph.snapshot(),
         result.landmarks,
-        base,
+        new_map(*result.config.bounds),
         layers,
         priority or DEFAULT_PRIORITY,
         params or RebuildParams(robot_radius=result.config.robot_radius),
     )
 
 
+def write_map_artifacts(
+    out_dir, result: PipelineResult, ground_truth: TraversabilityMap, maps: dict[str, TraversabilityMap]
+) -> pathlib.Path:
+    """Write ``ground_truth.pgm``, ``<scene>_<combo>.pgm`` for each of ``maps`` and ``evidence.log``.
+
+    Returns the output directory, created if missing.
+    """
+    out = pathlib.Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "ground_truth.pgm").write_bytes(export_pgm(ground_truth))
+    for label, combo_map in maps.items():
+        (out / f"{result.config.name}_{label}.pgm").write_bytes(export_pgm(combo_map))
+    (out / "evidence.log").write_text(export_evidence_log(result.store), encoding="ascii")
+    return out
+
+
 @dataclass
 class RunConfig:
     scenario: str = "I"
-    combos: tuple[str, ...] = tuple(combo_label(c) for c in COMBINATIONS)
+    combos: tuple[str, ...] = COMBINATION_ORDER
     seed: int = 0
     out_dir: Optional[str] = None
     n_queries: int = 20
     min_separation: float = 2.0
-    failure_penalty: Optional[float] = None
     params: PipelineParams = field(default_factory=PipelineParams)
 
     def __post_init__(self):
@@ -441,12 +458,9 @@ class AblationOutput:
 def run_ablation(run_cfg: RunConfig, scene: Optional[SceneConfig] = None) -> AblationOutput:
     """Full ablation pass: one simulation, one query set, one map per combination.
 
-    When ``out_dir`` is set, writes ``ground_truth.pgm``, one
-    ``<scenario>_<combo>.pgm`` per combination, ``report.csv`` and
-    ``evidence.log``; all outputs are byte-reproducible for a fixed seed.
+    When ``out_dir`` is set, writes the map artifacts (``write_map_artifacts``)
+    and ``report.csv``; all outputs are byte-reproducible for a fixed seed.
     """
-    from .scenario import load_scenario  # local import to avoid a cycle
-
     if scene is None:
         scene = load_scenario(run_cfg.scenario)
     scene = replace(scene, rng_seed=run_cfg.seed)
@@ -463,22 +477,13 @@ def run_ablation(run_cfg: RunConfig, scene: Optional[SceneConfig] = None) -> Abl
     for layers in combos:
         label = combo_label(layers)
         combo_map = build_combo_map(result, layers, priority=run_cfg.params.priority, params=rebuild_params)
-        ev = evaluate_map(combo_map, gt, queries, run_cfg.failure_penalty)
+        ev = evaluate_map(combo_map, gt, queries)
         maps[label] = combo_map
         evaluations[label] = ev
         rows.append(ReportRow(label, scene.name, ev.score, ev.n_queries, ev.n_failed))
     report = QualityReport(rows)
 
     if run_cfg.out_dir is not None:
-        import pathlib
-
-        from .evidence import export_evidence_log
-
-        out = pathlib.Path(run_cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ground_truth.pgm").write_bytes(export_pgm(gt))
-        for label, combo_map in maps.items():
-            (out / f"{scene.name}_{label}.pgm").write_bytes(export_pgm(combo_map))
+        out = write_map_artifacts(run_cfg.out_dir, result, gt, maps)
         (out / "report.csv").write_text(report.to_csv(), encoding="ascii")
-        (out / "evidence.log").write_text(export_evidence_log(result.store), encoding="ascii")
     return AblationOutput(report, gt, maps, queries, evaluations, result)

@@ -284,7 +284,7 @@ class PoseGraph:
             upper = (m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
             vals = " ".join(repr(float(v)) for v in upper)
             r = edge.rel
-            lines.append(f"EDGE_SE2 {edge.i} {edge.j} {r.x!r} {r.y!r} {r.theta!r} {vals}")
+            lines.append(f"EDGE_SE2 {edge.i} {edge.j} {float(r.x)!r} {float(r.y)!r} {float(r.theta)!r} {vals}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -326,12 +326,3 @@ class PoseGraph:
                     raise ValueError(f"edge references unknown node {node_id}")
         graph.next_id = max(graph.nodes) + 1
         return graph
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.dumps())
-
-    @classmethod
-    def load(cls, path) -> "PoseGraph":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.loads(fh.read())

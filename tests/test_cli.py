@@ -84,3 +84,14 @@ def test_ablate_report_shape(tmp_path, capsys):
 def test_ablate_rejects_bad_combo(tmp_path):
     with pytest.raises(ValueError):
         main(["ablate", "--scenario", "I", "--combos", "SfM+Nope", "--out", str(tmp_path)])
+
+
+def test_build_and_ablate_write_identical_maps(tmp_path, scene_file):
+    built, ablated = tmp_path / "build", tmp_path / "ablate"
+    assert main(["build", "--scenario", scene_file, "--seed", "5", "--out", str(built)]) == 0
+    assert main(["ablate", "--scenario", scene_file, "--seed", "5", "--out", str(ablated)]) == 0
+    names = sorted(p.name for p in built.iterdir())
+    assert len(names) == 9  # ground truth, 7 combinations, evidence log
+    assert sorted(p.name for p in ablated.iterdir()) == sorted(names + ["report.csv"])
+    for name in names:
+        assert (built / name).read_bytes() == (ablated / name).read_bytes(), name

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from travmap import pipeline
-from travmap.evidence import PfhEvidence, SfmEvidence
+from travmap.evidence import Ho3Evidence, PfhEvidence, SfmEvidence
 from travmap.gridmap import CellState, export_pgm
 from travmap.quality import plan_path
+from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
 from travmap.scenesim import builtin_config, ground_truth_map
 
 
@@ -138,3 +139,26 @@ waypoints = 0, 0.25, 0.5, 0; 10, 0.25, 5.5, 0
     assert row.n_failed == 5
     oracle_costs = [plan_path(out.ground_truth, q.start, q.goal).cost for q in out.queries]
     assert row.score == pytest.approx(float(np.mean(oracle_costs)))
+
+
+@pytest.mark.parametrize("scene", [parse_scenario(EXAMPLE_SCENARIO), builtin_config("I")], ids=["example", "I"])
+def test_non_default_keyframe_stride(scene):
+    stride = 7
+    res = pipeline.run_pipeline(scene, pipeline.PipelineParams(keyframe_stride=stride))
+    assert len(res.graph.nodes) == (len(res.frames) - 1) // stride + 1
+    assert res.landmarks
+    snapshot = res.graph.snapshot()
+    for fid, lm in res.landmarks.items():
+        assert lm.anchor_keyframe in res.graph.nodes
+        # noiseless odometry: a landmark lands on its feature only if keyframe k is frame k * stride
+        wx, wy = lm.world(snapshot)
+        tx, ty, _ = res.truth.feature_points[fid]
+        assert math.hypot(wx - tx, wy - ty) < 1e-9
+    for rec in res.store.records:
+        if isinstance(rec, PfhEvidence):
+            assert rec.keyframe_id in res.graph.nodes
+        elif isinstance(rec, Ho3Evidence):
+            assert rec.front_id in res.landmarks and rec.behind_id in res.landmarks
+    gt = ground_truth_map(scene)
+    for layers in pipeline.COMBINATIONS:
+        assert pipeline.build_combo_map(res, layers).same_geometry(gt)

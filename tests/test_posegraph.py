@@ -317,6 +317,21 @@ def test_dump_load_roundtrip():
         assert np.allclose(a.info, b.info)
 
 
+def test_dump_load_roundtrip_numpy_scalars():
+    # Noisy odometry arrives as np.float64; dumps must still write plain numbers.
+    g = PoseGraph()
+    g.add_keyframe(Pose2(np.float64(0.0205), np.float64(-0.1128), np.float64(0.0031)))
+    g.add_keyframe(Pose2(np.float64(1.5), np.float64(0.25), np.float64(-0.5)))
+    g.add_loop_closure(0, 2, Pose2(np.float64(1.52), np.float64(0.137), np.float64(-0.497)))
+    text = g.dumps()
+    assert "np.float64" not in text
+    back = PoseGraph.loads(text)
+    assert back.dumps() == text
+    for a, b in zip(g.edges, back.edges):
+        assert (b.i, b.j, b.kind) == (a.i, a.j, a.kind)
+        assert b.rel.as_tuple() == a.rel.as_tuple()
+
+
 def test_loads_rejects_garbage():
     with pytest.raises(ValueError):
         PoseGraph.loads("WHAT 1 2 3\n")
