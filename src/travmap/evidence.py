@@ -16,7 +16,6 @@ lower body is occluded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median
@@ -77,7 +76,11 @@ class ScaleCalibration:
 
 @dataclass(frozen=True)
 class Landmark:
-    """Floor-projected feature point, stored relative to its anchor keyframe."""
+    """Floor-projected feature point, stored relative to its anchor keyframe.
+
+    ``offset`` is the (forward, left) back-projection given by
+    ``CameraIntrinsics.floor_offset`` from the anchor keyframe's camera.
+    """
 
     feature_id: int
     anchor_keyframe: int
@@ -171,35 +174,25 @@ def human_map_position(
     bbox: tuple[float, float, float, float],
     depth: float,
 ) -> tuple[float, float]:
-    """Floor-plane position of a detection given its estimated range."""
+    """Floor-plane position of a detection given its estimated range.
+
+    The box's center column is back-projected by ``CameraIntrinsics.floor_offset``,
+    the same model that anchors landmarks, and placed in the world at ``cam_pose``.
+    """
     if depth <= 0:
         raise ValueError("depth must be positive")
-    x, y, yaw = cam_pose
-    u = 0.5 * (bbox[0] + bbox[1])
-    lateral = depth * (u - intr.cx) / intr.f  # to the right of heading
-    c, s = math.cos(yaw), math.sin(yaw)
-    # heading = (c, s); right of heading = (s, -c)
-    return (x + depth * c + lateral * s, y + depth * s - lateral * c)
+    return se2_transform(Pose2(*cam_pose), intr.floor_offset(0.5 * (bbox[0] + bbox[1]), depth))
 
 
-def classify_occlusion(
-    u: float,
-    visible: bool,
-    bbox: tuple[float, float, float, float],
-    feature_depth: Optional[float] = None,
-    human_depth: Optional[float] = None,
-) -> OcclusionClass:
+def classify_occlusion(u: float, visible: bool, bbox: tuple[float, float, float, float]) -> OcclusionClass:
     """Order one feature against a human region.
 
-    Default rule: a feature observed inside the region occludes the human
-    (FRONT); a landmark predicted inside the region but unobserved is occluded
-    by the human (BEHIND).  When both depths are supplied the decision is made
-    by direct comparison instead, which serves as the cross-validation oracle.
+    A feature observed inside the region occludes the human (FRONT); a
+    landmark predicted inside the region but unobserved is occluded by the
+    human (BEHIND); one outside the region's columns is UNRELATED.
     """
     if not (bbox[0] <= u <= bbox[1]):
         return OcclusionClass.UNRELATED
-    if feature_depth is not None and human_depth is not None:
-        return OcclusionClass.FRONT if feature_depth < human_depth else OcclusionClass.BEHIND
     return OcclusionClass.FRONT if visible else OcclusionClass.BEHIND
 
 
@@ -208,38 +201,22 @@ class ClassifiedFeature:
     feature_id: int
     label: OcclusionClass
     u: float
-    depth: Optional[float] = None
+    depth: float
 
 
-def infer_pass_pair(
-    classified: Sequence[ClassifiedFeature],
-    human_depth: Optional[float],
-    human_center_u: float,
-) -> Optional[tuple[int, int]]:
+def infer_pass_pair(classified: Sequence[ClassifiedFeature], human_depth: float) -> Optional[tuple[int, int]]:
     """Tightest (front, behind) feature pair bracketing the human, if any.
 
-    With depths available the front feature is the deepest one still nearer
-    than the human and the behind feature the shallowest one still farther;
-    otherwise proximity to the box center decides.  Ties go to the lower id.
+    The front feature is the deepest FRONT one still nearer than the human,
+    the behind feature the shallowest BEHIND one still farther.  Ties go to
+    the lower id.
     """
-    fronts = [c for c in classified if c.label is OcclusionClass.FRONT]
-    behinds = [c for c in classified if c.label is OcclusionClass.BEHIND]
-    depths_known = (
-        human_depth is not None
-        and all(c.depth is not None for c in fronts)
-        and all(c.depth is not None for c in behinds)
-    )
-    if depths_known:
-        fronts = [c for c in fronts if c.depth < human_depth]
-        behinds = [c for c in behinds if c.depth > human_depth]
+    fronts = [c for c in classified if c.label is OcclusionClass.FRONT and c.depth < human_depth]
+    behinds = [c for c in classified if c.label is OcclusionClass.BEHIND and c.depth > human_depth]
     if not fronts or not behinds:
         return None
-    if depths_known:
-        front = min(fronts, key=lambda c: (human_depth - c.depth, c.feature_id))
-        behind = min(behinds, key=lambda c: (c.depth - human_depth, c.feature_id))
-    else:
-        front = min(fronts, key=lambda c: (abs(c.u - human_center_u), c.feature_id))
-        behind = min(behinds, key=lambda c: (abs(c.u - human_center_u), c.feature_id))
+    front = min(fronts, key=lambda c: (human_depth - c.depth, c.feature_id))
+    behind = min(behinds, key=lambda c: (c.depth - human_depth, c.feature_id))
     if front.feature_id == behind.feature_id:
         return None
     return (front.feature_id, behind.feature_id)

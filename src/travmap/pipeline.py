@@ -266,8 +266,7 @@ def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> 
         if not fobs.visible:
             continue
         if fobs.feature_id not in result.landmarks:
-            lateral = (fobs.u - intr.cx) * fobs.depth / intr.f
-            result.landmarks[fobs.feature_id] = Landmark(fobs.feature_id, kf, (fobs.depth, -lateral))
+            result.landmarks[fobs.feature_id] = Landmark(fobs.feature_id, kf, intr.floor_offset(fobs.u, fobs.depth))
             added = True
         result.store.add_sfm(fobs.feature_id)
     return added
@@ -282,8 +281,8 @@ def _add_trails(result: PipelineResult, kf: int, matched: Sequence[mot.HumanTrac
 
 
 def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, dict[int, int]]:
-    """World positions of all landmarks at the current poses, and each landmark's row."""
-    worlds = np.array([lm.world(result.graph.nodes) for lm in result.landmarks.values()])
+    """Floor points (x, y, 0) of all landmarks at the current poses, and each landmark's row."""
+    worlds = np.array([(*lm.world(result.graph.nodes), 0.0) for lm in result.landmarks.values()])
     return worlds, {fid: k for k, fid in enumerate(result.landmarks)}
 
 
@@ -303,12 +302,7 @@ def _pass_between(
     """
     intr, fi = result.config.intrinsics, frame.frame_index
     worlds, row = table
-    c, s = math.cos(cam.theta), math.sin(cam.theta)
-    dx = worlds[:, 0] - cam.x
-    dy = worlds[:, 1] - cam.y
-    depth_pred = c * dx + s * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_pred = intr.cx + intr.f * (s * dx - c * dy) / depth_pred
+    u_pred, _, depth_pred = intr.project(cam.as_tuple(), worlds)
 
     # (feature id, column, predicted depth, image row when last seen), seen
     # candidates first.  Seen features get no row (None) and so no row gate:
@@ -340,7 +334,7 @@ def _pass_between(
                 continue
             classified.append(ClassifiedFeature(fid, label, u, depth))
             result.occlusion_diags.append(OcclusionDiag(fi, track.track_id, agent_index, fid, label, u, depth, tp.depth))
-        pair = infer_pass_pair(classified, tp.depth, 0.5 * (bbox[0] + bbox[1]))
+        pair = infer_pass_pair(classified, tp.depth)
         if pair is None:
             continue
         front_id, behind_id = pair

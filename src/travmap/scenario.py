@@ -9,7 +9,6 @@ as are unparsable values.  Waypoint lists are semicolon-separated
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from .scenesim import (
@@ -191,22 +190,15 @@ def parse_scenario(text: str) -> SceneConfig:
     except ValueError as exc:
         raise ScenarioError(f"bad trajectory in [robot]: {exc}") from None
 
-    scene_vals = sections.get("scene", {})
     try:
+        # [scene] keys are SceneConfig's field names; the dataclass supplies the defaults.
         return SceneConfig(
             bounds=bounds,
             obstacles=obstacles,
             humans=humans,
             robot=robot,
             intrinsics=intrinsics,
-            fps=scene_vals.get("fps", 30.0),
-            feature_spacing=scene_vals.get("feature_spacing", 0.10),
-            robot_radius=scene_vals.get("robot_radius", 0.5),
-            rng_seed=scene_vals.get("rng_seed", 0),
-            odom_sigma_trans=scene_vals.get("odom_sigma_trans", 0.0),
-            odom_sigma_rot=scene_vals.get("odom_sigma_rot", 0.0),
-            camera_yaw_offset=scene_vals.get("camera_yaw_offset", math.pi / 2),
-            name=scene_vals.get("name", "scene"),
+            **sections.get("scene", {}),
         )
     except ValueError as exc:
         raise ScenarioError(f"invalid scene: {exc}") from None
@@ -234,6 +226,14 @@ y_max = 6
 name = example
 rng_seed = 1
 camera_yaw_offset = 0
+
+# The tall frame of the builtin scenes: with the default 640x480 frame
+# (f 500, cy 240) the walker's head, about 1.45 m away, is above the image
+# top in every frame, so it is never detected.
+[camera]
+f = 400
+cy = 360
+image_height = 720
 
 [obstacle.1]
 center = 0.8, 3.0

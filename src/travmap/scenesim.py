@@ -61,6 +61,8 @@ class BehindCameraError(ValueError):
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
+    """Level pinhole camera ``cam_height`` above the floor: the one projection model."""
+
     f: float
     cx: float
     cy: float
@@ -73,6 +75,25 @@ class CameraIntrinsics:
             raise ValueError("focal length must be positive")
         if not (0 <= self.cx < self.image_width and 0 <= self.cy < self.image_height):
             raise ValueError("principal point must lie inside the image")
+
+    def project(self, cam_pose: tuple[float, float, float], pts: np.ndarray):
+        """Project Nx3 world points; returns (u, v, depth) without any masking."""
+        cam_x, cam_y, yaw = cam_pose
+        c = np.cos(yaw)
+        s = np.sin(yaw)
+        dx = pts[:, 0] - cam_x
+        dy = pts[:, 1] - cam_y
+        depth = c * dx + s * dy
+        lateral = s * dx - c * dy  # to the right of heading
+        down = self.cam_height - pts[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = self.cx + self.f * lateral / depth
+            v = self.cy + self.f * down / depth
+        return u, v, depth
+
+    def floor_offset(self, u: float, depth: float) -> tuple[float, float]:
+        """Floor point at image column ``u`` and range ``depth``, as (forward, left) of the camera."""
+        return (depth, -((u - self.cx) * depth / self.f))
 
 
 @dataclass(frozen=True)
@@ -87,16 +108,6 @@ class ObstacleBox:
     def __post_init__(self):
         if min(self.half_extents) <= 0 or self.top_height <= 0:
             raise ValueError("obstacle extents and height must be positive")
-
-    def footprint_distance(self, x: float, y: float) -> float:
-        """Euclidean distance from a point to the (closed) footprint rectangle."""
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        dx, dy = x - self.center[0], y - self.center[1]
-        lx = c * dx + s * dy
-        ly = -s * dx + c * dy
-        ex = max(abs(lx) - self.half_extents[0], 0.0)
-        ey = max(abs(ly) - self.half_extents[1], 0.0)
-        return math.hypot(ex, ey)
 
 
 @dataclass(frozen=True)
@@ -184,10 +195,6 @@ class HumanDetection:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("degenerate detection box")
 
-    @property
-    def center_u(self) -> float:
-        return 0.5 * (self.x_min + self.x_max)
-
 
 @dataclass
 class FrameObservation:
@@ -213,22 +220,6 @@ class GroundTruth:
 # projection
 
 
-def _project_many(intr: CameraIntrinsics, cam_pose: tuple[float, float, float], pts: np.ndarray):
-    """Project Nx3 world points; returns (u, v, depth) without any masking."""
-    cam_x, cam_y, yaw = cam_pose
-    c = np.cos(yaw)
-    s = np.sin(yaw)
-    dx = pts[:, 0] - cam_x
-    dy = pts[:, 1] - cam_y
-    depth = c * dx + s * dy
-    lateral = s * dx - c * dy  # to the right of heading
-    down = intr.cam_height - pts[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.cx + intr.f * lateral / depth
-        v = intr.cy + intr.f * down / depth
-    return u, v, depth
-
-
 def project_point(
     intr: CameraIntrinsics,
     cam_pose: tuple[float, float, float],
@@ -236,7 +227,7 @@ def project_point(
 ) -> tuple[float, float, float]:
     """Pinhole projection of a world point; raises for points not in front."""
     pts = np.array([p], dtype=float)
-    u, v, depth = _project_many(intr, cam_pose, pts)
+    u, v, depth = intr.project(cam_pose, pts)
     if depth[0] <= 0:
         raise BehindCameraError(f"point {p} is behind the camera (depth {depth[0]:.3f})")
     return float(u[0]), float(v[0]), float(depth[0])
@@ -244,6 +235,21 @@ def project_point(
 
 # ---------------------------------------------------------------------------
 # occlusion
+
+
+def _slab(o, d, lo: float, hi: float):
+    """Entry and exit parameters t of the lines o + t * d through the slab lo <= x <= hi.
+
+    A line parallel to the slab (|d| < 1e-12) is inside it for every t or for none.
+    """
+    parallel = np.abs(d) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - o) / d
+        t2 = (hi - o) / d
+    inside = (lo <= o) & (o <= hi)
+    near = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    far = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    return near, far
 
 
 def _box_blocked(origin: np.ndarray, targets: np.ndarray, box: ObstacleBox) -> np.ndarray:
@@ -260,19 +266,9 @@ def _box_blocked(origin: np.ndarray, targets: np.ndarray, box: ObstacleBox) -> n
     t_enter = np.zeros(len(targets))
     t_exit = np.full(len(targets), 1.0 - _RAY_EPS)
     for axis in range(3):
-        da = d[:, axis]
-        oa = o[axis]
-        parallel = np.abs(da) < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo[axis] - oa) / da
-            t2_ = (hi[axis] - oa) / da
-        tn = np.minimum(t1, t2_)
-        tf = np.maximum(t1, t2_)
-        inside = (lo[axis] <= oa) & (oa <= hi[axis])
-        tn = np.where(parallel, np.where(inside, -np.inf, np.inf), tn)
-        tf = np.where(parallel, np.where(inside, np.inf, -np.inf), tf)
-        t_enter = np.maximum(t_enter, tn)
-        t_exit = np.minimum(t_exit, tf)
+        near, far = _slab(o[axis], d[:, axis], lo[axis], hi[axis])
+        t_enter = np.maximum(t_enter, near)
+        t_exit = np.minimum(t_exit, far)
     return (t_exit - t_enter) > _RAY_EPS
 
 
@@ -302,17 +298,7 @@ def _cylinder_blocked(
     empty = disc < 0.0
     t_lo = np.where(empty & ~tiny, np.inf, t_lo)
     t_hi = np.where(empty & ~tiny, -np.inf, t_hi)
-    dz = d[:, 2]
-    oz = origin[2]
-    flat = np.abs(dz) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z1 = (0.0 - oz) / dz
-        z2 = (height - oz) / dz
-    z_lo = np.minimum(z1, z2)
-    z_hi = np.maximum(z1, z2)
-    inside_z = (0.0 <= oz) & (oz <= height)
-    z_lo = np.where(flat, np.where(inside_z, -np.inf, np.inf), z_lo)
-    z_hi = np.where(flat, np.where(inside_z, np.inf, -np.inf), z_hi)
+    z_lo, z_hi = _slab(origin[2], d[:, 2], 0.0, height)
     t_enter = np.maximum(np.maximum(t_lo, z_lo), 0.0)
     t_exit = np.minimum(np.minimum(t_hi, z_hi), 1.0 - _RAY_EPS)
     return (t_exit - t_enter) > _RAY_EPS
@@ -326,15 +312,9 @@ def _blocked_any(
 ) -> np.ndarray:
     blocked = np.zeros(len(targets), dtype=bool)
     for box in obstacles:
-        todo = ~blocked
-        if not todo.any():
-            break
-        blocked[todo] |= _box_blocked(origin, targets[todo], box)
+        blocked |= _box_blocked(origin, targets, box)
     for axis_xy, height in cylinders:
-        todo = ~blocked
-        if not todo.any():
-            break
-        blocked[todo] |= _cylinder_blocked(origin, targets[todo], axis_xy, HUMAN_BODY_RADIUS, height)
+        blocked |= _cylinder_blocked(origin, targets, axis_xy, HUMAN_BODY_RADIUS, height)
     return blocked
 
 
@@ -474,7 +454,7 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
 
         feature_obs: list[FeatureObservation] = []
         if len(F):
-            u, v, depth = _project_many(intr, cam, F)
+            u, v, depth = intr.project(cam, F)
             cand = (depth > _RAY_EPS) & (u >= 0) & (u < intr.image_width) & (v >= 0) & (v < intr.image_height)
             idx = np.flatnonzero(cand)
             if len(idx):
@@ -497,7 +477,7 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
             n_axis = int(round(bh / _BODY_SAMPLE_STEP)) + 1
             heights = np.linspace(0.0, bh, n_axis)
             axis_pts = np.column_stack([np.full(n_axis, hx), np.full(n_axis, hy), heights])
-            u_a, v_a, z_a = _project_many(intr, cam, axis_pts)
+            u_a, v_a, z_a = intr.project(cam, axis_pts)
             if z_a[-1] <= _RAY_EPS:
                 continue
             head_u, head_v = u_a[-1], v_a[-1]

@@ -155,18 +155,12 @@ def test_classify_visibility_rule():
     assert classify_occlusion(300.0, True, region) is UNRELATED
 
 
-def test_classify_depth_comparison_mode():
-    region = (100.0, 200.0, 0.0, 400.0)
-    assert classify_occlusion(150.0, False, region, feature_depth=2.0, human_depth=4.0) is FRONT
-    assert classify_occlusion(150.0, True, region, feature_depth=6.0, human_depth=4.0) is BEHIND
-
-
 def test_infer_pass_pair_single_candidates():
     classified = [
         ClassifiedFeature(7, FRONT, 150.0, 2.5),
         ClassifiedFeature(12, BEHIND, 160.0, 6.0),
     ]
-    assert infer_pass_pair(classified, 4.0, 155.0) == (7, 12)
+    assert infer_pass_pair(classified, 4.0) == (7, 12)
 
 
 def test_infer_pass_pair_tightest_bracket():
@@ -176,12 +170,12 @@ def test_infer_pass_pair_tightest_bracket():
         ClassifiedFeature(12, BEHIND, 160.0, 6.0),
         ClassifiedFeature(4, BEHIND, 161.0, 5.0),
     ]
-    assert infer_pass_pair(classified, 4.0, 155.0) == (9, 4)
+    assert infer_pass_pair(classified, 4.0) == (9, 4)
 
 
 def test_infer_pass_pair_requires_both_sides():
     classified = [ClassifiedFeature(7, FRONT, 150.0, 2.5)]
-    assert infer_pass_pair(classified, 4.0, 155.0) is None
+    assert infer_pass_pair(classified, 4.0) is None
 
 
 def test_infer_pass_pair_rejects_nonstraddling():
@@ -189,26 +183,17 @@ def test_infer_pass_pair_rejects_nonstraddling():
         ClassifiedFeature(7, FRONT, 150.0, 4.5),  # "front" but deeper than the human
         ClassifiedFeature(12, BEHIND, 160.0, 6.0),
     ]
-    assert infer_pass_pair(classified, 4.0, 155.0) is None
-
-
-def test_infer_pass_pair_proximity_fallback():
-    classified = [
-        ClassifiedFeature(7, FRONT, 140.0, None),
-        ClassifiedFeature(9, FRONT, 154.0, None),
-        ClassifiedFeature(12, BEHIND, 156.0, None),
-        ClassifiedFeature(4, BEHIND, 180.0, None),
-    ]
-    assert infer_pass_pair(classified, None, 155.0) == (9, 12)
+    assert infer_pass_pair(classified, 4.0) is None
 
 
 def test_infer_pass_pair_tie_breaks_to_lower_id():
     classified = [
-        ClassifiedFeature(9, FRONT, 150.0, None),
-        ClassifiedFeature(7, FRONT, 160.0, None),
-        ClassifiedFeature(12, BEHIND, 150.0, None),
+        ClassifiedFeature(9, FRONT, 150.0, 3.0),
+        ClassifiedFeature(7, FRONT, 160.0, 3.0),
+        ClassifiedFeature(14, BEHIND, 150.0, 5.0),
+        ClassifiedFeature(12, BEHIND, 160.0, 5.0),
     ]
-    assert infer_pass_pair(classified, None, 155.0) == (7, 12)
+    assert infer_pass_pair(classified, 4.0) == (7, 12)
 
 
 def test_ho3_pair_must_be_distinct():

@@ -162,3 +162,9 @@ def test_non_default_keyframe_stride(scene):
     gt = ground_truth_map(scene)
     for layers in pipeline.COMBINATIONS:
         assert pipeline.build_combo_map(res, layers).same_geometry(gt)
+
+
+def test_example_scene_detects_its_walker():
+    res = pipeline.run_pipeline(parse_scenario(EXAMPLE_SCENARIO))
+    assert any(frame.detections for frame in res.frames)
+    assert any(isinstance(rec, PfhEvidence) for rec in res.store.records)

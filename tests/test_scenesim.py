@@ -142,6 +142,39 @@ def test_occlusion_feature_on_near_face_visible():
     assert not occlusion_test((0, 0, 0), 0.85, (2.5, 0.0, 0.1), [box])  # far low edge
 
 
+_TABLE = ObstacleBox((2.0, 0.0), (0.3, 1.25), 0.7)  # 0.6 m x 2.5 m, long side along y
+_TURNED_TABLE = ObstacleBox((2.0, 0.0), (0.3, 1.25), 0.7, yaw=math.pi / 2)  # long side along x
+_BODY = ((2.0, 0.0), 1.7)
+
+
+@pytest.mark.parametrize(
+    "obstacles, humans, cam_height, target, clear",
+    [
+        # the low sight line crosses the table at y 0.68..0.92, z 0.42..0.53
+        ([_TABLE], [], 0.85, (4.0, 1.6, 0.1), False),
+        ([_TABLE], [], 0.85, (1.2, 0.0, 0.1), True),
+        # turned, the table's footprint ends (y 0.3) before that line drops below its top
+        ([_TURNED_TABLE], [], 0.85, (4.0, 1.6, 0.1), True),
+        ([_TURNED_TABLE], [], 0.85, (1.2, 0.0, 0.1), False),
+        # level sight lines (dz = 0): over the 0.7 m table, through the 1.7 m body, over the body
+        ([_TABLE], [], 0.85, (4.0, 0.0, 0.85), True),
+        ([], [_BODY], 0.85, (4.0, 0.0, 0.85), False),
+        ([], [_BODY], 1.8, (4.0, 0.0, 1.8), True),
+    ],
+    ids=[
+        "table-far-blocked",
+        "table-near-clear",
+        "turned-far-clear",
+        "turned-near-blocked",
+        "level-over-table",
+        "level-through-body",
+        "level-over-body",
+    ],
+)
+def test_occlusion_rotated_box_and_level_lines(obstacles, humans, cam_height, target, clear):
+    assert occlusion_test((0, 0, 0), cam_height, target, obstacles, humans) is clear
+
+
 # ---------------------------------------------------------------------------
 # ground truth map
 
