@@ -24,12 +24,12 @@ from .pipeline import (
     RunConfig,
     build_combo_map,
     combo_label,
-    combo_layers,
+    parse_combos,
     run_ablation,
     run_pipeline,
     write_map_artifacts,
 )
-from .quality import COMBINATION_ORDER, QualityReport, ReportRow, evaluate_map, sample_queries
+from .quality import QualityReport, ReportRow, evaluate_map, sample_queries
 from .scenario import load_scenario
 from .scenesim import ground_truth_map, simulate_sequence
 
@@ -37,8 +37,8 @@ __all__ = ["main"]
 
 
 def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", default="I", help="builtin kind (I, L, T) or scenario file path")
-    p.add_argument("--seed", type=int, default=0, help="simulation / query seed")
+    p.add_argument("--scenario", default=RunConfig.scenario, help="builtin kind (I, L, T) or scenario file path")
+    p.add_argument("--seed", type=int, default=RunConfig.seed, help="simulation / query seed")
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -75,15 +75,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    scene = load_scenario(args.scenario)
-    scene = dataclasses.replace(scene, rng_seed=args.seed)
     params = _params_from_args(args)
+    combos = parse_combos(args.combos.split(","), params.priority)
+    scene = dataclasses.replace(load_scenario(args.scenario), rng_seed=args.seed)
     result = run_pipeline(scene, params)
-    rebuild = dataclasses.replace(params.rebuild, robot_radius=scene.robot_radius)
-    maps = {}
-    for label in args.combos.split(","):
-        layers = combo_layers(label)
-        maps[combo_label(layers)] = build_combo_map(result, layers, priority=params.priority, params=rebuild)
+    maps = {combo_label(layers): build_combo_map(result, layers) for layers in combos}
     out = write_map_artifacts(args.out, result, ground_truth_map(scene), maps)
     print(f"wrote maps and evidence log to {out}")
     return 0
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.set_defaults(func=_cmd_simulate)
 
-    all_combos = ",".join(COMBINATION_ORDER)
+    all_combos = ",".join(RunConfig.combos)
 
     p = sub.add_parser("build", help="build per-combination maps without scoring")
     _add_scenario_args(p)
@@ -147,9 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=float, default=0.10)
     p.add_argument("--origin-x", type=float, default=0.0)
     p.add_argument("--origin-y", type=float, default=0.0)
-    p.add_argument("--queries", type=int, default=20)
-    p.add_argument("--min-separation", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--queries", type=int, default=RunConfig.n_queries)
+    p.add_argument("--min-separation", type=float, default=RunConfig.min_separation)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--label", default="external", help="scenario label for the report")
     p.add_argument("--out", default=None, help="directory for report.csv (optional)")
     p.set_defaults(func=_cmd_evaluate)
@@ -158,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     _add_pipeline_args(p)
     p.add_argument("--combos", default=all_combos, help="comma list, e.g. SfM+PfH,HO3")
-    p.add_argument("--queries", type=int, default=20)
-    p.add_argument("--min-separation", type=float, default=2.0)
+    p.add_argument("--queries", type=int, default=RunConfig.n_queries)
+    p.add_argument("--min-separation", type=float, default=RunConfig.min_separation)
     p.set_defaults(func=_cmd_ablate)
     return parser
 

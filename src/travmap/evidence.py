@@ -200,7 +200,6 @@ def classify_occlusion(u: float, visible: bool, bbox: tuple[float, float, float,
 class ClassifiedFeature:
     feature_id: int
     label: OcclusionClass
-    u: float
     depth: float
 
 

@@ -169,9 +169,6 @@ class TraversabilityMap:
         block = self.cells[j0:j1, i0:i1]
         block[mask] = int(state)
 
-    def counts(self) -> dict[CellState, int]:
-        return {s: int(np.count_nonzero(self.cells == int(s))) for s in CellState}
-
     def same_geometry(self, other: "TraversabilityMap") -> bool:
         return (
             self.origin == other.origin

@@ -22,8 +22,8 @@ query set, so combination scores differ only because of the modules, not
 sampling.
 
 Loop-closure *detection* is out of scope: closures come from the simulator's
-ground truth (a keyframe revisiting a previously mapped spot) or from an
-explicit list, and each closure triggers an immediate optimization event.
+ground truth (a keyframe revisiting a previously mapped spot), and each
+closure triggers an immediate optimization event.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from . import mot
 from .evidence import (
+    ALL_LAYERS,
     ClassifiedFeature,
     EvidenceStore,
     Landmark,
@@ -65,6 +66,7 @@ __all__ = [
     "COMBINATIONS",
     "combo_label",
     "combo_layers",
+    "parse_combos",
     "run_pipeline",
     "build_combo_map",
     "write_map_artifacts",
@@ -101,6 +103,19 @@ def combo_layers(label: str) -> tuple[str, ...]:
     return tuple(layer for layer in _LABELS if layer in layers)
 
 
+def parse_combos(labels: Sequence[str], priority: LayerPriority) -> tuple[tuple[str, ...], ...]:
+    """Each label's layers; rejects unknown or repeated combinations and layers ``priority`` does not rank."""
+    combos = tuple(combo_layers(label) for label in labels)
+    if not combos:
+        raise ValueError("need at least one module combination")
+    if len(set(combos)) != len(combos):
+        raise ValueError(f"duplicate module combination in {','.join(labels)!r}")
+    for layers in combos:
+        for layer in layers:
+            priority.rank(layer)
+    return combos
+
+
 #: Canonical module combinations in report order.
 COMBINATIONS = tuple(combo_layers(label) for label in COMBINATION_ORDER)
 
@@ -110,13 +125,16 @@ class PipelineParams:
     keyframe_stride: int = 10
     omega_max: float = mot.DEFAULT_OMEGA_MAX
     gate_px: float = mot.DEFAULT_GATE_PX
-    max_missed: int = mot.DEFAULT_MAX_MISSED
     enable_closures: bool = True
     closure_radius: float = 0.5
     closure_min_gap: int = 20  # keyframes
-    closures: Optional[list[tuple[int, int]]] = None  # explicit (older_kf, newer_kf)
     rebuild: RebuildParams = field(default_factory=RebuildParams)
     priority: LayerPriority = field(default_factory=lambda: DEFAULT_PRIORITY)
+
+    def __post_init__(self):
+        unknown = [layer for layer in self.priority.order if layer not in ALL_LAYERS]
+        if unknown:
+            raise ValueError(f"unknown layers {unknown} in priority; layers are {ALL_LAYERS}")
 
 
 @dataclass
@@ -162,6 +180,7 @@ class PairDiag:
 @dataclass
 class PipelineResult:
     config: SceneConfig
+    params: PipelineParams
     frames: list[FrameObservation]
     truth: GroundTruth
     keep_mask: list[bool]
@@ -197,28 +216,24 @@ def _calibrate_from_frames(frames: Sequence[FrameObservation], cfg: SceneConfig)
 
 
 def _close_loops(result: PipelineResult, kf: int, params: PipelineParams, last_closure_kf: int) -> bool:
-    """Loop-closure stage: close and optimize every loop the new keyframe ``kf`` ends; True if any.
+    """Loop-closure stage: close and optimize the loop the new keyframe ``kf`` ends, if any; True if one.
 
-    Explicit closures win.  Otherwise, when closures are enabled and the last
-    one is ``closure_min_gap`` keyframes back, the oldest keyframe at least
-    that far back whose true position lies within ``closure_radius``.
+    When closures are enabled and the last one is ``closure_min_gap``
+    keyframes back, the partner is the oldest keyframe at least that far back
+    whose true position lies within ``closure_radius``.
     """
+    if not params.enable_closures or kf - last_closure_kf < params.closure_min_gap:
+        return False
     poses, stride = result.truth.camera_poses, params.keyframe_stride
-    partners = [older for older, newer in params.closures or () if newer == kf]
     px, py, _ = poses[kf * stride]
-    if params.enable_closures and not partners and kf - last_closure_kf >= params.closure_min_gap:
-        for older in range(kf + 1):
-            if kf - older < params.closure_min_gap:
-                break
-            ox, oy, _ = poses[older * stride]
-            if math.hypot(px - ox, py - oy) <= params.closure_radius:
-                partners = [older]
-                break
-    for older in partners:
-        rel = se2_compose(se2_inverse(Pose2(*poses[older * stride])), Pose2(*poses[kf * stride]))
-        result.graph.add_loop_closure(older, kf, rel)
-        result.events.append(result.graph.optimize())
-    return bool(partners)
+    for older in range(kf - params.closure_min_gap + 1):
+        ox, oy, _ = poses[older * stride]
+        if math.hypot(px - ox, py - oy) <= params.closure_radius:
+            rel = se2_compose(se2_inverse(Pose2(*poses[older * stride])), Pose2(*poses[kf * stride]))
+            result.graph.add_loop_closure(older, kf, rel)
+            result.events.append(result.graph.optimize())
+            return True
+    return False
 
 
 def _track_humans(
@@ -241,7 +256,7 @@ def _track_humans(
             world_est = human_map_position(pose_est.as_tuple(), intr, bbox, depth_est)
         dets.append(mot.TrackedDetection(bbox, depth_est, world_est))
     mot.step(result.tracks, dets, fi, params.gate_px)
-    mot.prune(result.tracks, params.max_missed)
+    mot.prune(result.tracks)
 
     source = {d.bbox: det for d, det in zip(dets, frame.detections)}
     matched = [t for t in result.tracks if t.state is mot.TrackState.CONFIRMED and t.matched_at(fi)]
@@ -332,7 +347,7 @@ def _pass_between(
             label = classify_occlusion(u, v is None, inner)
             if label is OcclusionClass.UNRELATED:
                 continue
-            classified.append(ClassifiedFeature(fid, label, u, depth))
+            classified.append(ClassifiedFeature(fid, label, depth))
             result.occlusion_diags.append(OcclusionDiag(fi, track.track_id, agent_index, fid, label, u, depth, tp.depth))
         pair = infer_pass_pair(classified, tp.depth)
         if pair is None:
@@ -353,7 +368,7 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
     keep = mot.filter_turning_frames(frames, params.omega_max)
     graph = PoseGraph(Pose2(*frames[0].camera_pose))
     cal = _calibrate_from_frames(frames, cfg)
-    result = PipelineResult(cfg, frames, truth, keep, graph, {}, EvidenceStore(), [], cal, [], [], [], [])
+    result = PipelineResult(cfg, params, frames, truth, keep, graph, {}, EvidenceStore(), [], cal, [], [], [], [])
 
     last_closure_kf = -10**9
     odom_acc = Pose2()
@@ -396,15 +411,19 @@ def build_combo_map(
     priority: Optional[LayerPriority] = None,
     params: Optional[RebuildParams] = None,
 ) -> TraversabilityMap:
-    """Regenerate the map for one module combination at the current poses."""
+    """Regenerate the map for one module combination at the current poses.
+
+    ``priority`` and ``params`` default to the run's own: ``result.params.priority``
+    and ``result.params.rebuild`` with the scene's robot radius.
+    """
     return rebuild_map(
         result.store,
         result.graph.snapshot(),
         result.landmarks,
         new_map(*result.config.bounds),
         layers,
-        priority or DEFAULT_PRIORITY,
-        params or RebuildParams(robot_radius=result.config.robot_radius),
+        priority or result.params.priority,
+        params or replace(result.params.rebuild, robot_radius=result.config.robot_radius),
     )
 
 
@@ -434,10 +453,6 @@ class RunConfig:
     min_separation: float = 2.0
     params: PipelineParams = field(default_factory=PipelineParams)
 
-    def __post_init__(self):
-        if not self.combos:
-            raise ValueError("need at least one module combination")
-
 
 @dataclass
 class AblationOutput:
@@ -449,16 +464,14 @@ class AblationOutput:
     result: PipelineResult
 
 
-def run_ablation(run_cfg: RunConfig, scene: Optional[SceneConfig] = None) -> AblationOutput:
+def run_ablation(run_cfg: RunConfig) -> AblationOutput:
     """Full ablation pass: one simulation, one query set, one map per combination.
 
     When ``out_dir`` is set, writes the map artifacts (``write_map_artifacts``)
     and ``report.csv``; all outputs are byte-reproducible for a fixed seed.
     """
-    if scene is None:
-        scene = load_scenario(run_cfg.scenario)
-    scene = replace(scene, rng_seed=run_cfg.seed)
-    combos = [combo_layers(label) for label in run_cfg.combos]
+    combos = parse_combos(run_cfg.combos, run_cfg.params.priority)
+    scene = replace(load_scenario(run_cfg.scenario), rng_seed=run_cfg.seed)
 
     gt = ground_truth_map(scene)
     result = run_pipeline(scene, run_cfg.params)
@@ -467,10 +480,9 @@ def run_ablation(run_cfg: RunConfig, scene: Optional[SceneConfig] = None) -> Abl
     maps: dict[str, TraversabilityMap] = {}
     evaluations: dict[str, EvaluationResult] = {}
     rows = []
-    rebuild_params = replace(run_cfg.params.rebuild, robot_radius=scene.robot_radius)
     for layers in combos:
         label = combo_label(layers)
-        combo_map = build_combo_map(result, layers, priority=run_cfg.params.priority, params=rebuild_params)
+        combo_map = build_combo_map(result, layers)
         ev = evaluate_map(combo_map, gt, queries)
         maps[label] = combo_map
         evaluations[label] = ev

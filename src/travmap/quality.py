@@ -203,13 +203,12 @@ def evaluate_map(
     candidate: TraversabilityMap,
     ground_truth: TraversabilityMap,
     queries: Sequence[JourneyQuery],
-    failure_penalty: Optional[float] = None,
 ) -> EvaluationResult:
     """Score a candidate map against ground truth over the given journeys.
 
     Per query the oracle plans on ``ground_truth`` and the user on
-    ``candidate``; a user failure costs ``failure_penalty`` (the oracle's own
-    path cost when None).  Every query must be solvable on the ground truth.
+    ``candidate``; a user failure costs the oracle's own path cost.  Every
+    query must be solvable on the ground truth.
     """
     if not candidate.same_geometry(ground_truth):
         raise ValueError("candidate and ground-truth maps must share geometry")
@@ -224,7 +223,7 @@ def evaluate_map(
         user = plan_path(candidate, q.start, q.goal)
         if user is None:
             n_failed += 1
-            errors.append(oracle.cost if failure_penalty is None else failure_penalty)
+            errors.append(oracle.cost)
         else:
             errors.append(journey_error(oracle, user))
     return EvaluationResult(float(np.mean(errors)), len(queries), n_failed, errors)

@@ -30,7 +30,6 @@ _SCENE_KEYS = {
     "fps": float,
     "feature_spacing": float,
     "robot_radius": float,
-    "rng_seed": int,
     "odom_sigma_trans": float,
     "odom_sigma_rot": float,
     "camera_yaw_offset": float,
@@ -154,10 +153,9 @@ def parse_scenario(text: str) -> SceneConfig:
     b = sections["bounds"]
     bounds = (b["x_min"], b["y_min"], b["x_max"], b["y_max"])
 
-    cam_defaults = dict(f=500.0, cx=320.0, cy=240.0, image_width=640, image_height=480, cam_height=0.85)
-    cam_defaults.update(sections.get("camera", {}))
     try:
-        intrinsics = CameraIntrinsics(**cam_defaults)
+        # [camera] keys are CameraIntrinsics' field names; the dataclass supplies the defaults.
+        intrinsics = CameraIntrinsics(**sections.get("camera", {}))
     except ValueError as exc:
         raise ScenarioError(f"bad camera parameters: {exc}") from None
 
@@ -224,7 +222,6 @@ y_max = 6
 
 [scene]
 name = example
-rng_seed = 1
 camera_yaw_offset = 0
 
 # The tall frame of the builtin scenes: with the default 640x480 frame

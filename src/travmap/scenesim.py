@@ -63,12 +63,12 @@ class BehindCameraError(ValueError):
 class CameraIntrinsics:
     """Level pinhole camera ``cam_height`` above the floor: the one projection model."""
 
-    f: float
-    cx: float
-    cy: float
-    image_width: int
-    image_height: int
-    cam_height: float
+    f: float = 500.0
+    cx: float = 320.0
+    cy: float = 240.0
+    image_width: int = 640
+    image_height: int = 480
+    cam_height: float = 0.85
 
     def __post_init__(self):
         if self.f <= 0:
@@ -164,7 +164,7 @@ class SceneConfig:
     fps: float = 30.0
     feature_spacing: float = 0.10
     robot_radius: float = 0.5
-    rng_seed: int = 0
+    rng_seed: int = 0  # the run's seed (``--seed``); scenario files do not set it
     odom_sigma_trans: float = 0.0
     odom_sigma_rot: float = 0.0
     #: Camera optical axis offset from robot heading (side-facing mount).
@@ -341,13 +341,13 @@ def occlusion_test(
 # ground truth
 
 
-def ground_truth_map(cfg: SceneConfig, resolution: float = 0.10) -> TraversabilityMap:
+def ground_truth_map(cfg: SceneConfig) -> TraversabilityMap:
     """C-space reference map: footprints inflated by the robot radius are blocked."""
     x_min, y_min, x_max, y_max = cfg.bounds
-    m = new_map(x_min, y_min, x_max, y_max, resolution)
+    m = new_map(x_min, y_min, x_max, y_max)
     m.cells[:, :] = int(CellState.TRAVERSABLE)
-    xs = x_min + (np.arange(m.width) + 0.5) * resolution
-    ys = y_min + (np.arange(m.height) + 0.5) * resolution
+    xs = x_min + (np.arange(m.width) + 0.5) * m.resolution
+    ys = y_min + (np.arange(m.height) + 0.5) * m.resolution
     X, Y = np.meshgrid(xs, ys)
     r = cfg.robot_radius
     for box in cfg.obstacles:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from travmap import cli, pipeline
 from travmap.cli import main
 from travmap.gridmap import CellState, export_pgm, new_map
 from travmap.scenario import EXAMPLE_SCENARIO
@@ -84,6 +85,35 @@ def test_ablate_report_shape(tmp_path, capsys):
 def test_ablate_rejects_bad_combo(tmp_path):
     with pytest.raises(ValueError):
         main(["ablate", "--scenario", "I", "--combos", "SfM+Nope", "--out", str(tmp_path)])
+
+
+@pytest.fixture()
+def no_simulation(monkeypatch):
+    """Make any pipeline run fail, so a test sees input errors raised before simulating."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pipeline ran before the input was checked")
+
+    monkeypatch.setattr(cli, "run_pipeline", refuse)
+    monkeypatch.setattr(pipeline, "run_pipeline", refuse)
+
+
+@pytest.mark.parametrize("command", ["build", "ablate"])
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--combos", "SfM,Nope"], "unknown module"),
+        (["--combos", "SfM,SfM,PfH+SfM"], "duplicate"),
+        (["--combos", "SfM+PfH,PfH+SfM"], "duplicate"),
+        (["--priority", "sfm,ho3"], "not covered"),
+        (["--priority", "lidar,sfm"], "unknown layers"),
+    ],
+    ids=["unknown-combo", "repeated-combo", "reordered-combo", "unranked-layer", "unknown-layer"],
+)
+def test_bad_input_fails_before_simulating(tmp_path, no_simulation, command, options, message):
+    with pytest.raises(ValueError, match=message):
+        main([command, "--scenario", "I", "--out", str(tmp_path / "out"), *options])
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_and_ablate_write_identical_maps(tmp_path, scene_file):

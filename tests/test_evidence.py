@@ -157,41 +157,41 @@ def test_classify_visibility_rule():
 
 def test_infer_pass_pair_single_candidates():
     classified = [
-        ClassifiedFeature(7, FRONT, 150.0, 2.5),
-        ClassifiedFeature(12, BEHIND, 160.0, 6.0),
+        ClassifiedFeature(7, FRONT, 2.5),
+        ClassifiedFeature(12, BEHIND, 6.0),
     ]
     assert infer_pass_pair(classified, 4.0) == (7, 12)
 
 
 def test_infer_pass_pair_tightest_bracket():
     classified = [
-        ClassifiedFeature(7, FRONT, 150.0, 2.5),
-        ClassifiedFeature(9, FRONT, 151.0, 3.5),
-        ClassifiedFeature(12, BEHIND, 160.0, 6.0),
-        ClassifiedFeature(4, BEHIND, 161.0, 5.0),
+        ClassifiedFeature(7, FRONT, 2.5),
+        ClassifiedFeature(9, FRONT, 3.5),
+        ClassifiedFeature(12, BEHIND, 6.0),
+        ClassifiedFeature(4, BEHIND, 5.0),
     ]
     assert infer_pass_pair(classified, 4.0) == (9, 4)
 
 
 def test_infer_pass_pair_requires_both_sides():
-    classified = [ClassifiedFeature(7, FRONT, 150.0, 2.5)]
+    classified = [ClassifiedFeature(7, FRONT, 2.5)]
     assert infer_pass_pair(classified, 4.0) is None
 
 
 def test_infer_pass_pair_rejects_nonstraddling():
     classified = [
-        ClassifiedFeature(7, FRONT, 150.0, 4.5),  # "front" but deeper than the human
-        ClassifiedFeature(12, BEHIND, 160.0, 6.0),
+        ClassifiedFeature(7, FRONT, 4.5),  # "front" but deeper than the human
+        ClassifiedFeature(12, BEHIND, 6.0),
     ]
     assert infer_pass_pair(classified, 4.0) is None
 
 
 def test_infer_pass_pair_tie_breaks_to_lower_id():
     classified = [
-        ClassifiedFeature(9, FRONT, 150.0, 3.0),
-        ClassifiedFeature(7, FRONT, 160.0, 3.0),
-        ClassifiedFeature(14, BEHIND, 150.0, 5.0),
-        ClassifiedFeature(12, BEHIND, 160.0, 5.0),
+        ClassifiedFeature(9, FRONT, 3.0),
+        ClassifiedFeature(7, FRONT, 3.0),
+        ClassifiedFeature(14, BEHIND, 5.0),
+        ClassifiedFeature(12, BEHIND, 5.0),
     ]
     assert infer_pass_pair(classified, 4.0) == (7, 12)
 

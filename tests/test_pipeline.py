@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from travmap import pipeline
-from travmap.evidence import Ho3Evidence, PfhEvidence, SfmEvidence
-from travmap.gridmap import CellState, export_pgm
+from travmap.evidence import Ho3Evidence, PfhEvidence, RebuildParams, SfmEvidence
+from travmap.gridmap import DEFAULT_PRIORITY, CellState, LayerPriority, export_pgm
 from travmap.quality import plan_path
 from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
 from travmap.scenesim import builtin_config, ground_truth_map
@@ -83,6 +84,24 @@ def test_trail_map_covers_walkway(i_result):
     assert free.sum() > 30  # the trail lights up a usable share of the corridor
 
 
+def test_build_combo_map_defaults_to_the_runs_parameters():
+    params = pipeline.PipelineParams(
+        priority=LayerPriority(("ho3", "sfm", "pfh")), rebuild=RebuildParams(trail_half_width=0.15)
+    )
+    res = pipeline.run_pipeline(parse_scenario(EXAMPLE_SCENARIO), params)
+    assert res.params is params
+    rebuild = dataclasses.replace(params.rebuild, robot_radius=res.config.robot_radius)
+    for layers in pipeline.COMBINATIONS:
+        explicit = pipeline.build_combo_map(res, layers, priority=params.priority, params=rebuild)
+        assert np.array_equal(pipeline.build_combo_map(res, layers).cells, explicit.cells), layers
+
+
+def test_parse_combos_normalises_and_needs_one():
+    assert pipeline.parse_combos(["PfH+SfM", "HO3"], DEFAULT_PRIORITY) == (("sfm", "pfh"), ("ho3",))
+    with pytest.raises(ValueError, match="at least one"):
+        pipeline.parse_combos([], DEFAULT_PRIORITY)
+
+
 def test_run_ablation_outputs(tmp_path):
     combos = ("SfM+PfH", "SfM")
     cfg = pipeline.RunConfig(scenario="I", combos=combos, seed=2, out_dir=str(tmp_path), n_queries=5)
@@ -105,17 +124,7 @@ def test_run_ablation_deterministic_in_memory():
         assert export_pgm(a.maps[label]) == export_pgm(b.maps[label])
 
 
-def test_explicit_closures_used():
-    params = pipeline.PipelineParams(enable_closures=False, closures=[(0, 30), (5, 60)])
-    res = pipeline.run_pipeline(builtin_config("I"), params)
-    closures = [(e.i, e.j) for e in res.graph.edges if e.kind.value == "loop_closure"]
-    assert closures == [(0, 30), (5, 60)]
-    assert len(res.events) == 2
-
-
-def test_sfm_alone_on_obstacle_free_scene_pays_oracle_cost():
-    from travmap.scenario import parse_scenario
-
+def test_sfm_alone_on_obstacle_free_scene_pays_oracle_cost(tmp_path):
     text = """\
 [bounds]
 x_min = 0
@@ -129,10 +138,9 @@ name = open
 [robot]
 waypoints = 0, 0.25, 0.5, 0; 10, 0.25, 5.5, 0
 """
-    scene = parse_scenario(text)
-    out = pipeline.run_ablation(
-        pipeline.RunConfig(scenario="open", combos=("SfM",), seed=1, n_queries=5), scene=scene
-    )
+    path = tmp_path / "open.ini"
+    path.write_text(text)
+    out = pipeline.run_ablation(pipeline.RunConfig(scenario=str(path), combos=("SfM",), seed=1, n_queries=5))
     m = out.maps["SfM"]
     assert (m.cells == int(CellState.UNKNOWN)).all()  # nothing to map without features
     row = out.report.rows[0]

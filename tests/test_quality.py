@@ -172,14 +172,6 @@ def test_evaluate_map_rejects_unsolvable_oracle_query():
         evaluate_map(gt, gt, [q])
 
 
-def test_evaluate_custom_penalty():
-    gt = all_free(5, 5)
-    candidate = empty_like(gt)
-    q = JourneyQuery(gt.cell_to_world(0, 0), gt.cell_to_world(4, 4))
-    result = evaluate_map(candidate, gt, [q], failure_penalty=7.5)
-    assert result.score == 7.5
-
-
 def test_sample_queries_deterministic():
     gt = all_free(30, 30)
     a = sample_queries(gt, 5, seed=42)

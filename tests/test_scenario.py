@@ -25,7 +25,6 @@ def test_parse_minimal():
 def test_parse_example_scenario():
     cfg = parse_scenario(EXAMPLE_SCENARIO)
     assert cfg.name == "example"
-    assert cfg.rng_seed == 1
     assert len(cfg.obstacles) == 1
     assert cfg.obstacles[0].half_extents == (0.3, 1.25)
     assert len(cfg.humans) == 1
