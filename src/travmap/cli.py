@@ -17,21 +17,13 @@ import pathlib
 import sys
 from typing import Optional, Sequence
 
+from . import pipeline
 from .evidence import RebuildParams
 from .gridmap import DEFAULT_PRIORITY, LayerPriority, import_pgm
-from .pipeline import (
-    PipelineParams,
-    RunConfig,
-    build_combo_map,
-    combo_label,
-    parse_combos,
-    run_ablation,
-    run_pipeline,
-    write_map_artifacts,
-)
+from .pipeline import PipelineParams, RunConfig, combo_label, parse_combos, run_ablation, write_map_artifacts
 from .quality import QualityReport, ReportRow, evaluate_map, sample_queries
 from .scenario import load_scenario
-from .scenesim import ground_truth_map, simulate_sequence
+from .scenesim import simulate_sequence
 
 __all__ = ["main"]
 
@@ -78,9 +70,11 @@ def _cmd_build(args) -> int:
     params = _params_from_args(args)
     combos = parse_combos(args.combos.split(","), params.priority)
     scene = dataclasses.replace(load_scenario(args.scenario), rng_seed=args.seed)
-    result = run_pipeline(scene, params)
-    maps = {combo_label(layers): build_combo_map(result, layers) for layers in combos}
-    out = write_map_artifacts(args.out, result, ground_truth_map(scene), maps)
+    # Called through ``pipeline``, where ``ablate`` calls them too, so a wrapper
+    # installed there (a tracer's, say) sees both commands.
+    result = pipeline.run_pipeline(scene, params)
+    maps = {combo_label(layers): pipeline.build_combo_map(result, layers) for layers in combos}
+    out = write_map_artifacts(args.out, result, pipeline.ground_truth_map(scene), maps)
     print(f"wrote maps and evidence log to {out}")
     return 0
 

@@ -54,6 +54,9 @@ _RAY_EPS = 1e-9
 
 _HUMAN_HEIGHT_RANGE = (1.52, 1.83)
 
+#: Frames projected and sight-line tested together; bounds the working arrays.
+_FRAME_BLOCK = 64
+
 
 class BehindCameraError(ValueError):
     """Projection requested for a point at or behind the camera plane."""
@@ -76,16 +79,20 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.image_width and 0 <= self.cy < self.image_height):
             raise ValueError("principal point must lie inside the image")
 
-    def project(self, cam_pose: tuple[float, float, float], pts: np.ndarray):
-        """Project Nx3 world points; returns (u, v, depth) without any masking."""
-        cam_x, cam_y, yaw = cam_pose
-        c = np.cos(yaw)
-        s = np.sin(yaw)
-        dx = pts[:, 0] - cam_x
-        dy = pts[:, 1] - cam_y
+    def project(self, cam_pose: np.ndarray | tuple[float, float, float], pts: np.ndarray):
+        """Project world points (..., N, 3) from camera poses (..., 3); returns (u, v, depth) without any masking.
+
+        One pose (3,) and points (N, 3) give (N,) arrays; a block of poses
+        (B, 3) gives (B, N) arrays, row k seen from pose k.
+        """
+        cam = np.asarray(cam_pose, dtype=float)[..., None, :]
+        c = np.cos(cam[..., 2])
+        s = np.sin(cam[..., 2])
+        dx = pts[..., 0] - cam[..., 0]
+        dy = pts[..., 1] - cam[..., 1]
         depth = c * dx + s * dy
         lateral = s * dx - c * dy  # to the right of heading
-        down = self.cam_height - pts[:, 2]
+        down = self.cam_height - pts[..., 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             u = self.cx + self.f * lateral / depth
             v = self.cy + self.f * down / depth
@@ -253,20 +260,25 @@ def _slab(o, d, lo: float, hi: float):
 
 
 def _box_blocked(origin: np.ndarray, targets: np.ndarray, box: ObstacleBox) -> np.ndarray:
-    """True where the segment origin->target penetrates the box volume."""
+    """True where the segment origin->target penetrates the box volume.
+
+    ``origin`` (..., 3) and ``targets`` (..., 3) broadcast against each other.
+    """
     c, s = math.cos(box.yaw), math.sin(box.yaw)
     rot = np.array([[c, s], [-s, c]])
-    o2 = rot @ (origin[:2] - np.asarray(box.center))
-    t2 = (targets[:, :2] - np.asarray(box.center)) @ rot.T
-    o = np.array([o2[0], o2[1], origin[2]])
-    t3 = np.column_stack([t2[:, 0], t2[:, 1], targets[:, 2]])
-    lo = np.array([-box.half_extents[0], -box.half_extents[1], 0.0])
-    hi = np.array([box.half_extents[0], box.half_extents[1], box.top_height])
-    d = t3 - o[None, :]
-    t_enter = np.zeros(len(targets))
-    t_exit = np.full(len(targets), 1.0 - _RAY_EPS)
+    center = np.asarray(box.center)
+    # Rotate each origin as its own one-row matrix.  numpy computes a one-row
+    # product as a matrix-vector product, which rounds differently from a
+    # many-row one, and an origin in a block must give what it gives alone.
+    o_xy = ((origin[..., None, :2] - center) @ rot.T)[..., 0, :]
+    t_xy = (targets[..., :2] - center) @ rot.T
+    o = (o_xy[..., 0], o_xy[..., 1], origin[..., 2])
+    t = (t_xy[..., 0], t_xy[..., 1], targets[..., 2])
+    lo = (-box.half_extents[0], -box.half_extents[1], 0.0)
+    hi = (box.half_extents[0], box.half_extents[1], box.top_height)
+    t_enter, t_exit = 0.0, 1.0 - _RAY_EPS
     for axis in range(3):
-        near, far = _slab(o[axis], d[:, axis], lo[axis], hi[axis])
+        near, far = _slab(o[axis], t[axis] - o[axis], lo[axis], hi[axis])
         t_enter = np.maximum(t_enter, near)
         t_exit = np.minimum(t_exit, far)
     return (t_exit - t_enter) > _RAY_EPS
@@ -275,16 +287,20 @@ def _box_blocked(origin: np.ndarray, targets: np.ndarray, box: ObstacleBox) -> n
 def _cylinder_blocked(
     origin: np.ndarray,
     targets: np.ndarray,
-    axis_xy: tuple[float, float],
+    axis_xy: np.ndarray,
     radius: float,
     height: float,
 ) -> np.ndarray:
-    """True where the segment origin->target penetrates the vertical cylinder."""
-    ox = origin[0] - axis_xy[0]
-    oy = origin[1] - axis_xy[1]
-    d = targets - origin[None, :]
-    a = d[:, 0] ** 2 + d[:, 1] ** 2
-    b = 2.0 * (ox * d[:, 0] + oy * d[:, 1])
+    """True where the segment origin->target penetrates the vertical cylinder.
+
+    ``origin`` (..., 3), ``targets`` (..., 3) and ``axis_xy`` (..., 2) broadcast
+    against each other.
+    """
+    ox = origin[..., 0] - axis_xy[..., 0]
+    oy = origin[..., 1] - axis_xy[..., 1]
+    d = targets - origin
+    a = d[..., 0] ** 2 + d[..., 1] ** 2
+    b = 2.0 * (ox * d[..., 0] + oy * d[..., 1])
     c0 = ox * ox + oy * oy - radius * radius
     disc = b * b - 4.0 * a * c0
     sq = np.sqrt(np.maximum(disc, 0.0))
@@ -298,7 +314,7 @@ def _cylinder_blocked(
     empty = disc < 0.0
     t_lo = np.where(empty & ~tiny, np.inf, t_lo)
     t_hi = np.where(empty & ~tiny, -np.inf, t_hi)
-    z_lo, z_hi = _slab(origin[2], d[:, 2], 0.0, height)
+    z_lo, z_hi = _slab(origin[..., 2], d[..., 2], 0.0, height)
     t_enter = np.maximum(np.maximum(t_lo, z_lo), 0.0)
     t_exit = np.minimum(np.minimum(t_hi, z_hi), 1.0 - _RAY_EPS)
     return (t_exit - t_enter) > _RAY_EPS
@@ -308,9 +324,10 @@ def _blocked_any(
     origin: np.ndarray,
     targets: np.ndarray,
     obstacles: Sequence[ObstacleBox],
-    cylinders: Sequence[tuple[tuple[float, float], float]],
+    cylinders: Sequence[tuple[np.ndarray, float]],
 ) -> np.ndarray:
-    blocked = np.zeros(len(targets), dtype=bool)
+    """True where any box or body cylinder ((x, y) axis, height) blocks origin->target; shapes broadcast."""
+    blocked = np.zeros(np.broadcast_shapes(origin.shape[:-1], targets.shape[:-1]), dtype=bool)
     for box in obstacles:
         blocked |= _box_blocked(origin, targets, box)
     for axis_xy, height in cylinders:
@@ -333,7 +350,7 @@ def occlusion_test(
     """
     origin = np.array([cam_pose[0], cam_pose[1], cam_height])
     targets = np.array([target], dtype=float)
-    cylinders = [h for idx, h in enumerate(humans) if idx != exclude_human]
+    cylinders = [(np.asarray(xy, dtype=float), h) for idx, (xy, h) in enumerate(humans) if idx != exclude_human]
     return not bool(_blocked_any(origin, targets, obstacles, cylinders)[0])
 
 
@@ -401,110 +418,142 @@ def _relative_pose(a: tuple[float, float, float], b: tuple[float, float, float])
     return se2_compose(se2_inverse(Pose2(*a)), Pose2(*b))
 
 
+def _odometry(
+    cam_poses: Sequence[tuple[float, float, float]], cfg: SceneConfig
+) -> list[tuple[float, Optional[tuple[float, float, float]]]]:
+    """Angular speed and (noisy) odometry from the previous frame, frame by frame; frame 0 has none."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    add_noise = cfg.odom_sigma_trans > 0 or cfg.odom_sigma_rot > 0
+    out = [(0.0, None)]
+    for prev, cam in zip(cam_poses, cam_poses[1:]):
+        rel = _relative_pose(prev, cam)
+        omega = wrap_angle(cam[2] - prev[2]) * cfg.fps
+        if add_noise:
+            eps = rng.normal(0.0, 1.0, size=3)
+            rel = Pose2(
+                rel.x + cfg.odom_sigma_trans * eps[0],
+                rel.y + cfg.odom_sigma_trans * eps[1],
+                rel.theta + cfg.odom_sigma_rot * eps[2],
+            )
+        out.append((omega, rel.as_tuple()))
+    return out
+
+
+def _render_features(
+    cfg: SceneConfig,
+    cams: np.ndarray,
+    origin: np.ndarray,
+    cylinders: Sequence[tuple[np.ndarray, float]],
+    F: np.ndarray,
+    fids: np.ndarray,
+) -> list[list[FeatureObservation]]:
+    """Each frame's observations of the features ``F`` (ids ``fids``) that lie in front and inside the image."""
+    intr = cfg.intrinsics
+    u, v, depth = intr.project(cams, F)
+    cand = (depth > _RAY_EPS) & (u >= 0) & (u < intr.image_width) & (v >= 0) & (v < intr.image_height)
+    visible = ~_blocked_any(origin, F, cfg.obstacles, cylinders)
+    rows, cols = np.nonzero(cand)
+    obs = list(
+        map(
+            FeatureObservation,
+            fids[cols].tolist(),
+            u[rows, cols].tolist(),
+            v[rows, cols].tolist(),
+            depth[rows, cols].tolist(),
+            visible[rows, cols].tolist(),
+        )
+    )
+    ends = np.cumsum(cand.sum(axis=1)).tolist()
+    return [obs[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _render_detections(
+    cfg: SceneConfig,
+    cams: np.ndarray,
+    origin: np.ndarray,
+    cylinders: Sequence[tuple[np.ndarray, float]],
+    positions: Sequence[Sequence[tuple[float, float]]],
+) -> list[list[HumanDetection]]:
+    """Each frame's detection boxes, one per human whose head is in the image and in clear sight.
+
+    ``cylinders`` holds each human's body axis, one (x, y) per frame, and
+    height; ``positions`` holds each frame's human (x, y) positions.
+    """
+    intr = cfg.intrinsics
+    detections: list[list[HumanDetection]] = [[] for _ in cams]
+    for h_idx, (axis_xy, bh) in enumerate(cylinders):
+        others = cylinders[:h_idx] + cylinders[h_idx + 1 :]
+        n_axis = int(round(bh / _BODY_SAMPLE_STEP)) + 1
+        axis_pts = np.empty((len(cams), n_axis, 3))
+        axis_pts[..., :2] = axis_xy
+        axis_pts[..., 2] = np.linspace(0.0, bh, n_axis)
+        u_a, v_a, z_a = intr.project(cams, axis_pts)
+        head_u, head_v, head_z = u_a[:, -1], v_a[:, -1], z_a[:, -1]
+        blocked = _blocked_any(origin, axis_pts, cfg.obstacles, others)
+        seen = (
+            (head_z > _RAY_EPS)
+            & (0 <= head_u) & (head_u < intr.image_width)
+            & (0 <= head_v) & (head_v < intr.image_height)
+            & ~blocked[:, -1]
+        )
+        y_min = np.where(blocked, np.inf, v_a).min(axis=1)
+        y_max = np.where(blocked, -np.inf, v_a).max(axis=1)
+        y_max = np.where(y_max <= y_min, y_min + 1e-6, y_max)  # single visible sample: keep the box valid
+        with np.errstate(divide="ignore"):
+            half_w = intr.f * HUMAN_BODY_RADIUS / head_z
+        for k in np.flatnonzero(seen).tolist():
+            detections[k].append(
+                HumanDetection(
+                    float(head_u[k] - half_w[k]),
+                    float(head_u[k] + half_w[k]),
+                    float(y_min[k]),
+                    float(y_max[k]),
+                    float(head_z[k]),
+                    positions[k][h_idx],
+                    h_idx,
+                )
+            )
+    return detections
+
+
 def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundTruth]:
     """Render the full observation sequence at cfg.fps, plus ground truth.
 
     Frames run from t=0 through the end of the robot trajectory, endpoints
     inclusive.  Identical configs (including rng_seed) produce identical
-    output.
+    output.  Projection and sight-line tests run on blocks of
+    ``_FRAME_BLOCK`` frames at once.
     """
     intr = cfg.intrinsics
-    rng = np.random.default_rng(cfg.rng_seed)
-    add_noise = cfg.odom_sigma_trans > 0 or cfg.odom_sigma_rot > 0
-
     feature_points = sample_feature_points(cfg)
-    fid_order = sorted(feature_points)
-    F = np.array([feature_points[fid] for fid in fid_order], dtype=float) if fid_order else np.zeros((0, 3))
+    # Object dtype: observations share these id ints rather than each boxing its own.
+    fids = np.array(sorted(feature_points), dtype=object)
+    F = np.array([feature_points[fid] for fid in fids], dtype=float).reshape(-1, 3)
 
-    duration = cfg.robot.duration
-    n_frames = int(math.floor(duration * cfg.fps + 1e-9)) + 1
-
-    cam_poses: list[tuple[float, float, float]] = []
-    for k in range(n_frames):
-        t = k / cfg.fps
+    n_frames = int(math.floor(cfg.robot.duration * cfg.fps + 1e-9)) + 1
+    times = [k / cfg.fps for k in range(n_frames)]
+    cam_poses = []
+    for t in times:
         rx, ry, heading = cfg.robot.pose_at(t)
         cam_poses.append((rx, ry, wrap_angle(heading + cfg.camera_yaw_offset)))
+    human_positions = [[h.pose_at(t)[:2] for h in cfg.humans] for t in times]
+    odometry = _odometry(cam_poses, cfg)
 
+    cams_all = np.array(cam_poses, dtype=float)
+    # (frames, 1, 3): one camera centre per frame, broadcast over that frame's targets.
+    origins = np.column_stack([cams_all[:, :2], np.full(n_frames, intr.cam_height)])[:, None, :]
+    xy_all = np.array(human_positions, dtype=float).reshape(n_frames, len(cfg.humans), 1, 2)
     frames: list[FrameObservation] = []
-    human_positions: list[list[tuple[float, float]]] = []
-    for k in range(n_frames):
-        t = k / cfg.fps
-        cam = cam_poses[k]
-        origin = np.array([cam[0], cam[1], intr.cam_height])
-
-        if k == 0:
-            omega = 0.0
-            odom = None
-        else:
-            rel = _relative_pose(cam_poses[k - 1], cam)
-            omega = wrap_angle(cam[2] - cam_poses[k - 1][2]) * cfg.fps
-            if add_noise:
-                eps = rng.normal(0.0, 1.0, size=3)
-                rel = Pose2(
-                    rel.x + cfg.odom_sigma_trans * eps[0],
-                    rel.y + cfg.odom_sigma_trans * eps[1],
-                    rel.theta + cfg.odom_sigma_rot * eps[2],
-                )
-            odom = rel.as_tuple()
-
-        humans_t = [h.pose_at(t) for h in cfg.humans]
-        human_xy = [(p[0], p[1]) for p in humans_t]
-        human_positions.append(human_xy)
-        cylinders = [(xy, h.body_height) for xy, h in zip(human_xy, cfg.humans)]
-
-        feature_obs: list[FeatureObservation] = []
-        if len(F):
-            u, v, depth = intr.project(cam, F)
-            cand = (depth > _RAY_EPS) & (u >= 0) & (u < intr.image_width) & (v >= 0) & (v < intr.image_height)
-            idx = np.flatnonzero(cand)
-            if len(idx):
-                blocked = _blocked_any(origin, F[idx], cfg.obstacles, cylinders)
-                for pos, row in enumerate(idx):
-                    feature_obs.append(
-                        FeatureObservation(
-                            fid_order[row],
-                            float(u[row]),
-                            float(v[row]),
-                            float(depth[row]),
-                            not bool(blocked[pos]),
-                        )
-                    )
-
-        detections: list[HumanDetection] = []
-        for h_idx, (h, (hx, hy)) in enumerate(zip(cfg.humans, human_xy)):
-            other_cyl = [cyl for c_idx, cyl in enumerate(cylinders) if c_idx != h_idx]
-            bh = h.body_height
-            n_axis = int(round(bh / _BODY_SAMPLE_STEP)) + 1
-            heights = np.linspace(0.0, bh, n_axis)
-            axis_pts = np.column_stack([np.full(n_axis, hx), np.full(n_axis, hy), heights])
-            u_a, v_a, z_a = intr.project(cam, axis_pts)
-            if z_a[-1] <= _RAY_EPS:
-                continue
-            head_u, head_v = u_a[-1], v_a[-1]
-            if not (0 <= head_u < intr.image_width and 0 <= head_v < intr.image_height):
-                continue
-            blocked = _blocked_any(origin, axis_pts, cfg.obstacles, other_cyl)
-            if blocked[-1]:
-                continue  # head occluded: no detection
-            vis_v = v_a[~blocked]
-            y_min = float(vis_v.min())
-            y_max = float(vis_v.max())
-            half_w = intr.f * HUMAN_BODY_RADIUS / float(z_a[-1])
-            if y_max <= y_min:
-                y_max = y_min + 1e-6  # single visible sample: keep the box valid
-            detections.append(
-                HumanDetection(
-                    float(head_u) - half_w,
-                    float(head_u) + half_w,
-                    y_min,
-                    y_max,
-                    float(z_a[-1]),
-                    (hx, hy),
-                    h_idx,
-                )
-            )
-
-        frames.append(FrameObservation(k, t, cam, omega, odom, feature_obs, detections))
+    for start in range(0, n_frames, _FRAME_BLOCK):
+        block = slice(start, start + _FRAME_BLOCK)
+        cams, origin = cams_all[block], origins[block]
+        cylinders = [(xy_all[block, h_idx], h.body_height) for h_idx, h in enumerate(cfg.humans)]
+        features = _render_features(cfg, cams, origin, cylinders, F, fids)
+        detections = _render_detections(cfg, cams, origin, cylinders, human_positions[block])
+        for j, (feature_obs, dets) in enumerate(zip(features, detections)):
+            k = start + j
+            omega, odom = odometry[k]
+            frames.append(FrameObservation(k, times[k], cam_poses[k], omega, odom, feature_obs, dets))
 
     truth = GroundTruth(cam_poses, feature_points, human_positions)
     return frames, truth

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from travmap import cli, pipeline
+from travmap import pipeline
 from travmap.cli import main
 from travmap.gridmap import CellState, export_pgm, new_map
 from travmap.scenario import EXAMPLE_SCENARIO
@@ -94,7 +94,6 @@ def no_simulation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pipeline ran before the input was checked")
 
-    monkeypatch.setattr(cli, "run_pipeline", refuse)
     monkeypatch.setattr(pipeline, "run_pipeline", refuse)
 
 

@@ -46,6 +46,21 @@ def test_traced_ablate_counts_and_restores(tmp_path):
     assert t.counts["scenesim.frames"] == 361
 
 
+def test_traced_build_counts_pipeline_spans(tmp_path):
+    tracer = _load("tracer")
+    scene = tmp_path / "scene.ini"
+    scene.write_text(EXAMPLE_SCENARIO)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.main(["build", "--scenario", str(scene), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        t.uninstall()
+    assert t.calls["pipeline.run_pipeline"] == 1
+    assert t.calls["pipeline.build_combo_map"] == len(pipeline.COMBINATIONS)
+    assert t.calls["scenesim.ground_truth_map"] == 1
+
+
 def test_workload_parameters_exist():
     workloads = _load("workloads")
     assert set(workloads.COMBOS) == {pipeline.combo_label(layers) for layers in pipeline.COMBINATIONS}

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import pytest
 
+from travmap import scenesim
 from travmap.gridmap import CellState
 from travmap.posegraph import wrap_angle
 from travmap.scenesim import (
     AgentTrajectory,
     BehindCameraError,
     CameraIntrinsics,
+    FeatureObservation,
     ObstacleBox,
     SceneConfig,
     builtin_config,
@@ -327,3 +330,83 @@ def test_odometry_noise_seeded():
     assert a == b
     c, _ = simulate_sequence(dataclasses.replace(cfg, rng_seed=5))
     assert a != c
+
+
+# ---------------------------------------------------------------------------
+# frame blocks against single sight lines
+
+
+def _single_ray_reference(cfg, truth, k):
+    """Frame k's features and per-human (detected, head row), one project_point / occlusion_test call each."""
+    intr = cfg.intrinsics
+    cam = truth.camera_poses[k]
+    bodies = [(xy, h.body_height) for xy, h in zip(truth.human_positions[k], cfg.humans)]
+
+    def in_image(p):
+        try:
+            u, v, depth = project_point(intr, cam, p)
+        except BehindCameraError:
+            return None
+        if depth > scenesim._RAY_EPS and 0 <= u < intr.image_width and 0 <= v < intr.image_height:
+            return u, v, depth
+        return None
+
+    features = []
+    for fid, p in sorted(truth.feature_points.items()):
+        seen = in_image(p)
+        if seen is not None:
+            features.append(FeatureObservation(fid, *seen, occlusion_test(cam, intr.cam_height, p, cfg.obstacles, bodies)))
+    heads = []
+    for h_idx, ((hx, hy), height) in enumerate(bodies):
+        head = (hx, hy, height)
+        seen = in_image(head)
+        clear = seen is not None and occlusion_test(cam, intr.cam_height, head, cfg.obstacles, bodies, exclude_human=h_idx)
+        heads.append((True, seen[1]) if clear else (False, None))
+    return features, heads
+
+
+def _assert_frames_match_single_rays(cfg, frames, truth, ks):
+    """Compare frames ks with the reference; returns (visible, hidden, detected) totals over them."""
+    totals = [0, 0, 0]
+    for k in ks:
+        features, heads = _single_ray_reference(cfg, truth, k)
+        assert frames[k].features == features, k
+        got = [[d for d in frames[k].detections if d.agent_index == h_idx] for h_idx in range(len(cfg.humans))]
+        assert [(len(d) == 1, d[0].y_min if d else None) for d in got] == heads, k
+        totals[0] += sum(f.visible for f in features)
+        totals[1] += sum(not f.visible for f in features)
+        totals[2] += sum(seen for seen, _ in heads)
+    return totals
+
+
+def _seam_frames(n_frames):
+    """The first and last frame, and the frames on both sides of each block boundary."""
+    block = scenesim._FRAME_BLOCK
+    ks = {0, n_frames - 1}
+    for start in range(block, n_frames, block):
+        ks |= {start - 1, start}
+    return sorted(ks)
+
+
+def test_block_seams_match_single_rays():
+    # T: two walkers, so one body can hide the other's head or a feature.
+    cfg = builtin_config("T")
+    frames, truth = simulate_sequence(cfg)
+    visible, hidden, detected = _assert_frames_match_single_rays(cfg, frames, truth, _seam_frames(len(frames)))
+    assert visible > 1000 and hidden > 1000 and detected > 20
+
+
+def test_partial_and_single_frame_blocks_match_single_rays():
+    block = scenesim._FRAME_BLOCK
+    cfg = builtin_config("T")
+    one_past = dataclasses.replace(
+        cfg, robot=AgentTrajectory("robot", ((0.0, (0.25, 0.3, 0.0)), (block / cfg.fps, (0.9, 0.3, 0.2))))
+    )
+    frames, truth = simulate_sequence(one_past)
+    assert len(frames) == block + 1
+    assert all(_assert_frames_match_single_rays(one_past, frames, truth, [0, block - 1, block]))
+
+    single = dataclasses.replace(cfg, robot=AgentTrajectory("robot", ((0.0, (0.25, 2.0, -2.356)),)))  # facing both walkers
+    frames, truth = simulate_sequence(single)
+    assert len(frames) == 1 and frames[0].odometry is None
+    assert all(_assert_frames_match_single_rays(single, frames, truth, [0]))
