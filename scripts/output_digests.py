@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of travmap's outputs, one line per output set.
+
+For each scenario (builtin I, L or T, or a scenario file; default I L T):
+
+* ``ablate`` at seeds 0 and 7: every file ``travmap ablate`` writes, hashed
+  as perfbench's ``# digest`` lines hash them;
+* ``simulate`` at seed 0: the frame dump;
+* ``noisy`` at seed 3 with odometry noise (0.005 m, 0.0025 rad per frame):
+  the evidence log and maps ``travmap build`` writes for every combination,
+  plus the run's optimization events and its position, occlusion and pair
+  diagnostics.
+
+Two checkouts produce the same bytes when they print the same lines::
+
+    PYTHONPATH=src python scripts/output_digests.py > before.txt
+    # ... change the code ...
+    PYTHONPATH=src python scripts/output_digests.py | diff before.txt -
+"""
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import pathlib
+import tempfile
+
+from travmap import cli, pipeline
+from travmap.scenario import load_scenario
+
+ABLATE_SEEDS = (0, 7)
+SIMULATE_SEED = 0
+NOISY_SEED = 3
+NOISY_SIGMAS = {"odom_sigma_trans": 0.005, "odom_sigma_rot": 0.0025}
+
+
+def _files_digest(directory: pathlib.Path):
+    """SHA-256 over each file's name, length and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        h.update(path.name.encode() + b"\0" + len(data).to_bytes(8, "little") + data)
+    return h
+
+
+def _cli_digest(out: pathlib.Path, *argv: str) -> str:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"travmap {' '.join(argv)} exited with {code}")
+    return _files_digest(out).hexdigest()
+
+
+def _noisy_digest(scenario: str, out: pathlib.Path) -> str:
+    scene = dataclasses.replace(load_scenario(scenario), rng_seed=NOISY_SEED, **NOISY_SIGMAS)
+    result = pipeline.run_pipeline(scene)
+    maps = {pipeline.combo_label(layers): pipeline.build_combo_map(result, layers) for layers in pipeline.COMBINATIONS}
+    pipeline.write_map_artifacts(out, result, pipeline.ground_truth_map(scene), maps)
+    h = _files_digest(out)
+    for records in (result.events, result.position_diags, result.occlusion_diags, result.pair_diags):
+        h.update(repr(records).encode())
+    return h.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("scenarios", nargs="*", default=["I", "L", "T"], metavar="SCENARIO")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, scenario in enumerate(args.scenarios):
+            run_dir = pathlib.Path(tmp) / str(n)
+            for seed in ABLATE_SEEDS:
+                digest = _cli_digest(run_dir / f"ablate{seed}", "ablate", "--scenario", scenario, "--seed", str(seed))
+                print(f"ablate scene={scenario} seed={seed} sha256={digest}")
+            digest = _cli_digest(run_dir / "simulate", "simulate", "--scenario", scenario, "--seed", str(SIMULATE_SEED))
+            print(f"simulate scene={scenario} seed={SIMULATE_SEED} sha256={digest}")
+            digest = _noisy_digest(scenario, run_dir / "noisy")
+            print(f"noisy scene={scenario} seed={NOISY_SEED} sha256={digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -23,7 +23,7 @@ from .gridmap import DEFAULT_PRIORITY, LayerPriority, import_pgm
 from .pipeline import PipelineParams, RunConfig, combo_label, parse_combos, run_ablation, write_map_artifacts
 from .quality import QualityReport, ReportRow, evaluate_map, sample_queries
 from .scenario import load_scenario
-from .scenesim import simulate_sequence
+from .scenesim import FEATURE_DTYPE, simulate_sequence
 
 __all__ = ["main"]
 
@@ -52,15 +52,17 @@ def _params_from_args(args) -> PipelineParams:
 
 
 def _cmd_simulate(args) -> int:
-    scene = load_scenario(args.scenario)
-    scene = dataclasses.replace(scene, rng_seed=args.seed)
+    scene = dataclasses.replace(load_scenario(args.scenario), rng_seed=args.seed)
     frames, _truth = simulate_sequence(scene)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scene.name}_frames.jsonl"
     with open(path, "w", encoding="ascii") as fh:
         for frame in frames:
-            fh.write(json.dumps(dataclasses.asdict(frame), sort_keys=True, default=float))
+            # asdict cannot copy a record array; the rows are fresh dicts already, so they skip its deep copy.
+            record = dataclasses.asdict(dataclasses.replace(frame, features=[]))
+            record["features"] = [dict(zip(FEATURE_DTYPE.names, r)) for r in frame.features.tolist()]
+            fh.write(json.dumps(record, sort_keys=True, default=float))
             fh.write("\n")
     print(f"wrote {len(frames)} frames to {path}")
     return 0

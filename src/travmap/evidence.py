@@ -21,6 +21,8 @@ from enum import Enum
 from statistics import median
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .gridmap import (
     CellState,
     DEFAULT_PRIORITY,
@@ -97,7 +99,6 @@ class Landmark:
 class OcclusionClass(Enum):
     FRONT = "front"
     BEHIND = "behind"
-    UNRELATED = "unrelated"
 
 
 @dataclass
@@ -184,16 +185,15 @@ def human_map_position(
     return se2_transform(Pose2(*cam_pose), intr.floor_offset(0.5 * (bbox[0] + bbox[1]), depth))
 
 
-def classify_occlusion(u: float, visible: bool, bbox: tuple[float, float, float, float]) -> OcclusionClass:
-    """Order one feature against a human region.
+def classify_occlusion(u: np.ndarray, seen: np.ndarray, bbox: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Order features at image columns ``u`` against a human region: the FRONT and BEHIND masks.
 
-    A feature observed inside the region occludes the human (FRONT); a
-    landmark predicted inside the region but unobserved is occluded by the
-    human (BEHIND); one outside the region's columns is UNRELATED.
+    A feature observed (``seen``) inside the region's columns occludes the
+    human (FRONT); a landmark predicted inside them but unobserved is occluded
+    by the human (BEHIND).  Features outside the columns are in neither mask.
     """
-    if not (bbox[0] <= u <= bbox[1]):
-        return OcclusionClass.UNRELATED
-    return OcclusionClass.FRONT if visible else OcclusionClass.BEHIND
+    in_columns = (bbox[0] <= u) & (u <= bbox[1])
+    return in_columns & seen, in_columns & ~seen
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ the map, matching the y-down convention of common robot map tooling.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -227,8 +228,12 @@ def export_pgm(m: TraversabilityMap) -> bytes:
     return header + pixels.tobytes()
 
 
+#: One PGM header field after any whitespace and ``#`` comments (each to the end of its line).
+_PGM_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
+
+
 def import_pgm(data: bytes, origin: tuple[float, float] = (0.0, 0.0), resolution: float = 0.10) -> TraversabilityMap:
-    """Parse a P5 PGM produced by :func:`export_pgm` back into a map.
+    """Parse a P5 PGM produced by :func:`export_pgm` (or a header-commented one) back into a map.
 
     The PGM itself carries no georeference, so ``origin`` and ``resolution``
     must be supplied by the caller.
@@ -238,14 +243,11 @@ def import_pgm(data: bytes, origin: tuple[float, float] = (0.0, 0.0), resolution
     fields: list[int] = []
     pos = 2
     while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        token = _PGM_HEADER_TOKEN.match(data, pos)
+        if not token.group(1):
             raise ValueError("truncated PGM header")
-        fields.append(int(data[start:pos]))
+        fields.append(int(token.group(1)))
+        pos = token.end()
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = fields
     if maxval != 255:

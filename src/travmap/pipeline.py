@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import pathlib
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -201,18 +202,10 @@ def _calibrate_from_frames(frames: Sequence[FrameObservation], cfg: SceneConfig)
     The simulator's true range plays the role of the externally measured
     distance the scale is calibrated against.
     """
-    samples = []
-    for frame in frames:
-        for det in frame.detections:
-            h_px = apparent_height_px(det.y_min, cfg.intrinsics, _BODY_HEIGHT)
-            if h_px is None:
-                continue
-            samples.append((det.depth, cfg.intrinsics.f, h_px, _BODY_HEIGHT))
-            if len(samples) >= _CALIBRATION_SAMPLES:
-                return calibrate_scale(samples)
-    if not samples:
-        return ScaleCalibration(1.0)
-    return calibrate_scale(samples)
+    intr = cfg.intrinsics
+    ranged = ((det.depth, apparent_height_px(det.y_min, intr, _BODY_HEIGHT)) for f in frames for det in f.detections)
+    samples = list(islice(((d, intr.f, h, _BODY_HEIGHT) for d, h in ranged if h is not None), _CALIBRATION_SAMPLES))
+    return calibrate_scale(samples) if samples else ScaleCalibration(1.0)
 
 
 def _close_loops(result: PipelineResult, kf: int, params: PipelineParams, last_closure_kf: int) -> bool:
@@ -248,12 +241,9 @@ def _track_humans(
     dets = []
     for det in frame.detections:
         bbox = (det.x_min, det.x_max, det.y_min, det.y_max)
-        depth_est = None
-        world_est = None
         h_px = apparent_height_px(det.y_min, intr, _BODY_HEIGHT)
-        if h_px is not None:
-            depth_est = estimate_depth(result.calibration, intr.f, _BODY_HEIGHT, h_px)
-            world_est = human_map_position(pose_est.as_tuple(), intr, bbox, depth_est)
+        depth_est = None if h_px is None else estimate_depth(result.calibration, intr.f, _BODY_HEIGHT, h_px)
+        world_est = None if h_px is None else human_map_position(pose_est.as_tuple(), intr, bbox, depth_est)
         dets.append(mot.TrackedDetection(bbox, depth_est, world_est))
     mot.step(result.tracks, dets, fi, params.gate_px)
     mot.prune(result.tracks)
@@ -275,16 +265,13 @@ def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> 
 
     Not gated by turning: the turning filter only withholds human-derived evidence.
     """
-    intr = result.config.intrinsics
-    added = False
-    for fobs in frame.features:
-        if not fobs.visible:
-            continue
-        if fobs.feature_id not in result.landmarks:
-            result.landmarks[fobs.feature_id] = Landmark(fobs.feature_id, kf, intr.floor_offset(fobs.u, fobs.depth))
-            added = True
-        result.store.add_sfm(fobs.feature_id)
-    return added
+    intr, n_landmarks = result.config.intrinsics, len(result.landmarks)
+    seen = frame.features[frame.features.visible]
+    for fid, u, depth in zip(seen.feature_id.tolist(), seen.u.tolist(), seen.depth.tolist()):
+        if fid not in result.landmarks:
+            result.landmarks[fid] = Landmark(fid, kf, intr.floor_offset(u, depth))
+        result.store.add_sfm(fid)
+    return len(result.landmarks) > n_landmarks
 
 
 def _add_trails(result: PipelineResult, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
@@ -295,10 +282,12 @@ def _add_trails(result: PipelineResult, kf: int, matched: Sequence[mot.HumanTrac
             result.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
 
 
-def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, dict[int, int]]:
-    """Floor points (x, y, 0) of all landmarks at the current poses, and each landmark's row."""
+def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, np.ndarray]:
+    """Floor points (x, y, 0) of all landmarks at the current poses, and each feature id's row (-1: none)."""
     worlds = np.array([(*lm.world(result.graph.nodes), 0.0) for lm in result.landmarks.values()])
-    return worlds, {fid: k for k, fid in enumerate(result.landmarks)}
+    row = np.full(len(result.truth.feature_points), -1)
+    row[list(result.landmarks)] = np.arange(len(result.landmarks))
+    return worlds, row
 
 
 def _pass_between(
@@ -308,7 +297,7 @@ def _pass_between(
     matched: list[mot.HumanTrack],
     source: dict[tuple, HumanDetection],
     cam: Pose2,
-    table: tuple[np.ndarray, dict[int, int]],
+    table: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Pass-between stage: order landmarks against each matched human, log straddling pairs as HO3.
 
@@ -319,16 +308,20 @@ def _pass_between(
     worlds, row = table
     u_pred, _, depth_pred = intr.project(cam.as_tuple(), worlds)
 
-    # (feature id, column, predicted depth, image row when last seen), seen
-    # candidates first.  Seen features get no row (None) and so no row gate:
-    # one occluding the human sits at the visible-region boundary, so only
-    # the column test is binding.
-    visible = {f.feature_id: f for f in frame.features if f.visible}
-    candidates = [(fid, f.u, float(depth_pred[row[fid]]), None) for fid, f in visible.items() if fid in row]
-    for f in prev_frame.features:
-        k = row.get(f.feature_id)
-        if f.visible and k is not None and f.feature_id not in visible and depth_pred[k] > 0:
-            candidates.append((f.feature_id, float(u_pred[k]), float(depth_pred[k]), f.v))
+    # Candidates, seen ones first: feature id, column (measured if seen,
+    # predicted if not), predicted depth, and image row when last seen.  Seen
+    # features get no row gate (NaN): one occluding the human sits at the
+    # visible-region boundary, so only the column test is binding.
+    now = frame.features[frame.features.visible]
+    before = prev_frame.features[prev_frame.features.visible]
+    cand = np.concatenate([now, before[~np.isin(before.feature_id, now.feature_id)]])
+    k = row[cand["feature_id"]]
+    seen = np.arange(len(cand)) < len(now)
+    keep = (k >= 0) & (seen | (depth_pred[k] > 0))  # k = -1 (no landmark) reads a real row, then is dropped
+    cand, k, seen = cand[keep], k[keep], seen[keep]
+    u = np.where(seen, cand["u"], u_pred[k])
+    v = np.where(seen, np.nan, cand["v"])
+    ids, us, depths = cand["feature_id"].tolist(), u.tolist(), depth_pred[k].tolist()
 
     for track in matched:
         tp = track.last
@@ -340,22 +333,20 @@ def _pass_between(
             continue
         src = source.get(bbox)
         agent_index = src.agent_index if src is not None else -1
+        front, behind = classify_occlusion(u, seen, inner)
         classified: list[ClassifiedFeature] = []
-        for fid, u, depth, v in candidates:
-            if v is not None and not (bbox[2] <= v <= bbox[3]):
-                continue
-            label = classify_occlusion(u, v is None, inner)
-            if label is OcclusionClass.UNRELATED:
-                continue
-            classified.append(ClassifiedFeature(fid, label, depth))
-            result.occlusion_diags.append(OcclusionDiag(fi, track.track_id, agent_index, fid, label, u, depth, tp.depth))
+        for i in np.flatnonzero((front | behind) & (seen | ((bbox[2] <= v) & (v <= bbox[3])))).tolist():
+            label = OcclusionClass.FRONT if front[i] else OcclusionClass.BEHIND
+            classified.append(ClassifiedFeature(ids[i], label, depths[i]))
+            result.occlusion_diags.append(
+                OcclusionDiag(fi, track.track_id, agent_index, ids[i], label, us[i], depths[i], tp.depth)
+            )
         pair = infer_pass_pair(classified, tp.depth)
         if pair is None:
             continue
         front_id, behind_id = pair
-        by_id = {c.feature_id: c for c in classified}
-        front_d = by_id[front_id].depth
-        behind_d = by_id[behind_id].depth
+        depth_of = {c.feature_id: c.depth for c in classified}
+        front_d, behind_d = depth_of[front_id], depth_of[behind_id]
         assert front_d < tp.depth < behind_d, "pass-between pair must straddle the human"
         result.store.add_ho3(front_id, behind_id, track.track_id)
         result.pair_diags.append(PairDiag(fi, track.track_id, front_id, behind_id, front_d, behind_d, tp.depth))

@@ -30,7 +30,7 @@ __all__ = [
     "ObstacleBox",
     "AgentTrajectory",
     "SceneConfig",
-    "FeatureObservation",
+    "FEATURE_DTYPE",
     "HumanDetection",
     "FrameObservation",
     "GroundTruth",
@@ -178,14 +178,24 @@ class SceneConfig:
     camera_yaw_offset: float = math.pi / 2
     name: str = "scene"
 
+    def __post_init__(self):
+        x_min, y_min, x_max, y_max = self.bounds
+        # (field, value, the bound it must exceed, whether it may equal that bound)
+        for name, value, low, may_equal in (
+            ("x_min", x_min, -math.inf, False), ("y_min", y_min, -math.inf, False),
+            ("x_max", x_max, x_min, False), ("y_max", y_max, y_min, False),
+            ("fps", self.fps, 0.0, False), ("feature_spacing", self.feature_spacing, 0.0, False),
+            ("odom_sigma_trans", self.odom_sigma_trans, 0.0, True), ("odom_sigma_rot", self.odom_sigma_rot, 0.0, True),
+            ("robot_radius", self.robot_radius, 0.0, True),
+            ("camera_yaw_offset", self.camera_yaw_offset, -math.inf, False),
+        ):
+            if not (math.isfinite(value) and (value >= low if may_equal else value > low)):
+                raise ValueError(f"{name} must be finite and {'>=' if may_equal else '>'} {low}, got {value}")
 
-@dataclass(frozen=True)
-class FeatureObservation:
-    feature_id: int
-    u: float
-    v: float
-    depth: float
-    visible: bool
+
+#: One row per feature a frame sees: its id, image position, depth along the
+#: optical axis, and whether its sight line is clear.
+FEATURE_DTYPE = np.dtype([("feature_id", np.int64), ("u", float), ("v", float), ("depth", float), ("visible", bool)])
 
 
 @dataclass(frozen=True)
@@ -210,8 +220,16 @@ class FrameObservation:
     camera_pose: tuple[float, float, float]
     angular_speed: float
     odometry: Optional[tuple[float, float, float]]
-    features: list[FeatureObservation] = field(default_factory=list)
+    #: ``FEATURE_DTYPE`` records of the features in front and inside the image.
+    features: np.recarray = field(default_factory=lambda: np.recarray(0, dtype=FEATURE_DTYPE))
     detections: list[HumanDetection] = field(default_factory=list)
+
+    def __eq__(self, other):
+        """Field by field, as the generated equality would, with ``features`` compared by value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same_rest = {**vars(self), "features": None} == {**vars(other), "features": None}
+        return same_rest and np.array_equal(self.features, other.features)
 
 
 @dataclass
@@ -414,10 +432,6 @@ def sample_feature_points(cfg: SceneConfig) -> dict[int, tuple[float, float, flo
 # simulation
 
 
-def _relative_pose(a: tuple[float, float, float], b: tuple[float, float, float]) -> Pose2:
-    return se2_compose(se2_inverse(Pose2(*a)), Pose2(*b))
-
-
 def _odometry(
     cam_poses: Sequence[tuple[float, float, float]], cfg: SceneConfig
 ) -> list[tuple[float, Optional[tuple[float, float, float]]]]:
@@ -426,7 +440,7 @@ def _odometry(
     add_noise = cfg.odom_sigma_trans > 0 or cfg.odom_sigma_rot > 0
     out = [(0.0, None)]
     for prev, cam in zip(cam_poses, cam_poses[1:]):
-        rel = _relative_pose(prev, cam)
+        rel = se2_compose(se2_inverse(Pose2(*prev)), Pose2(*cam))
         omega = wrap_angle(cam[2] - prev[2]) * cfg.fps
         if add_noise:
             eps = rng.normal(0.0, 1.0, size=3)
@@ -446,25 +460,15 @@ def _render_features(
     cylinders: Sequence[tuple[np.ndarray, float]],
     F: np.ndarray,
     fids: np.ndarray,
-) -> list[list[FeatureObservation]]:
-    """Each frame's observations of the features ``F`` (ids ``fids``) that lie in front and inside the image."""
+) -> list[np.recarray]:
+    """Each frame's records of the features ``F`` (ids ``fids``) that lie in front and inside the image."""
     intr = cfg.intrinsics
     u, v, depth = intr.project(cams, F)
     cand = (depth > _RAY_EPS) & (u >= 0) & (u < intr.image_width) & (v >= 0) & (v < intr.image_height)
     visible = ~_blocked_any(origin, F, cfg.obstacles, cylinders)
     rows, cols = np.nonzero(cand)
-    obs = list(
-        map(
-            FeatureObservation,
-            fids[cols].tolist(),
-            u[rows, cols].tolist(),
-            v[rows, cols].tolist(),
-            depth[rows, cols].tolist(),
-            visible[rows, cols].tolist(),
-        )
-    )
-    ends = np.cumsum(cand.sum(axis=1)).tolist()
-    return [obs[a:b] for a, b in zip([0] + ends, ends)]
+    columns = (fids[cols], u[rows, cols], v[rows, cols], depth[rows, cols], visible[rows, cols])
+    return np.split(np.rec.fromarrays(columns, dtype=FEATURE_DTYPE), np.cumsum(cand.sum(axis=1))[:-1])
 
 
 def _render_detections(
@@ -526,9 +530,8 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
     """
     intr = cfg.intrinsics
     feature_points = sample_feature_points(cfg)
-    # Object dtype: observations share these id ints rather than each boxing its own.
-    fids = np.array(sorted(feature_points), dtype=object)
-    F = np.array([feature_points[fid] for fid in fids], dtype=float).reshape(-1, 3)
+    fids = np.array(sorted(feature_points), dtype=np.int64)
+    F = np.array([feature_points[fid] for fid in fids.tolist()], dtype=float).reshape(-1, 3)
 
     n_frames = int(math.floor(cfg.robot.duration * cfg.fps + 1e-9)) + 1
     times = [k / cfg.fps for k in range(n_frames)]

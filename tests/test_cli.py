@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from travmap import pipeline
 from travmap.cli import main
 from travmap.gridmap import CellState, export_pgm, new_map
-from travmap.scenario import EXAMPLE_SCENARIO
+from travmap.scenario import EXAMPLE_SCENARIO, load_scenario
+from travmap.scenesim import FEATURE_DTYPE, FrameObservation, HumanDetection, simulate_sequence
 
 
 @pytest.fixture()
@@ -24,6 +27,35 @@ def test_simulate_dumps_frames(tmp_path, scene_file, capsys):
     first = json.loads(lines[0])
     assert first["frame_index"] == 0
     assert "features" in first and "detections" in first
+
+
+def _frame_from_line(line: str) -> FrameObservation:
+    record = json.loads(line)
+    assert set(record) == {f.name for f in dataclasses.fields(FrameObservation)}
+    assert all(list(f) == sorted(FEATURE_DTYPE.names) for f in record["features"])
+    assert all(type(f["feature_id"]) is int and type(f["visible"]) is bool for f in record["features"])
+    rows = [tuple(f[name] for name in FEATURE_DTYPE.names) for f in record["features"]]
+    return FrameObservation(
+        record["frame_index"],
+        record["timestamp"],
+        tuple(record["camera_pose"]),
+        record["angular_speed"],
+        None if record["odometry"] is None else tuple(record["odometry"]),
+        np.array(rows, dtype=FEATURE_DTYPE).view(np.recarray),
+        [HumanDetection(**dict(d, world=tuple(d["world"]))) for d in record["detections"]],
+    )
+
+
+def test_simulate_lines_parse_back_to_frames(tmp_path, scene_file):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--scenario", scene_file, "--seed", "0", "--out", str(out)]) == 0
+    lines = (out / "example_frames.jsonl").read_text().splitlines()
+    frames, _ = simulate_sequence(dataclasses.replace(load_scenario(scene_file), rng_seed=0))
+    assert len(lines) == len(frames)
+    for line, frame in zip(lines, frames):
+        assert _frame_from_line(line) == frame, frame.frame_index
+    assert sum(len(f.features) for f in frames) > 1000
+    assert sum(f.features.visible.sum() for f in frames) > 0 and sum(len(f.detections) for f in frames) > 0
 
 
 def test_build_writes_maps(tmp_path, scene_file):

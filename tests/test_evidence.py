@@ -32,7 +32,6 @@ INTR = CameraIntrinsics(f=500.0, cx=320.0, cy=240.0, image_width=640, image_heig
 
 FRONT = OcclusionClass.FRONT
 BEHIND = OcclusionClass.BEHIND
-UNRELATED = OcclusionClass.UNRELATED
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +149,12 @@ def test_human_map_position_roundtrips_projection(cx, cy, yaw, depth, lateral):
 
 def test_classify_visibility_rule():
     region = (100.0, 200.0, 0.0, 400.0)
-    assert classify_occlusion(150.0, True, region) is FRONT
-    assert classify_occlusion(150.0, False, region) is BEHIND
-    assert classify_occlusion(300.0, True, region) is UNRELATED
+    # inside seen, inside unseen, outside either way, and the inclusive column bounds
+    u = np.array([150.0, 150.0, 300.0, 300.0, 100.0, 200.0, 99.9, 200.1])
+    seen = np.array([True, False, True, False, True, False, True, False])
+    front, behind = classify_occlusion(u, seen, region)
+    assert front.tolist() == [True, False, False, False, True, False, False, False]
+    assert behind.tolist() == [False, True, False, False, False, True, False, False]
 
 
 def test_infer_pass_pair_single_candidates():

@@ -154,6 +154,23 @@ def test_import_pgm_rejects_foreign_gray():
         import_pgm(data)
 
 
+def test_import_pgm_skips_header_comments():
+    m = new_map(0, 0, 0.3, 0.2, 0.1)
+    m.cells[:, :] = [[0, 1, 2], [2, 1, 0]]
+    data = export_pgm(m)
+    assert data.startswith(b"P5\n3 2\n255\n")
+    pixels = data[len(b"P5\n3 2\n255\n") :]
+    commented = b"P5\n# CREATOR: map_saver.cpp 0.100 m/pix\n3 # width\n#height:\n2\n# maxval\n255\n" + pixels
+    back = import_pgm(commented, m.origin, m.resolution)
+    assert (back.width, back.height) == (3, 2)
+    assert (back.cells == m.cells).all()
+
+
+def test_import_pgm_comment_cannot_stand_for_a_field():
+    with pytest.raises(ValueError, match="truncated PGM header"):
+        import_pgm(b"P5\n3 2 # maxval missing\n")
+
+
 @given(
     states=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([T, U])), max_size=30),
     order=st.permutations([0, 1, 2]),

@@ -94,3 +94,32 @@ def test_keys_outside_section_rejected():
     with pytest.raises(ScenarioError) as err:
         parse_scenario("x_min = 0\n")
     assert "line 1" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("x_max", "-3"),
+        ("x_max", "nan"),
+        ("x_max", "inf"),
+        ("fps", "-30"),
+        ("fps", "0"),
+        ("feature_spacing", "0"),
+        ("robot_radius", "-1"),
+        ("odom_sigma_trans", "-1"),
+    ],
+)
+def test_unsimulatable_values_rejected_at_parse(key, value):
+    if key == "x_max":
+        text = EXAMPLE_SCENARIO.replace("x_max = 3\n", f"x_max = {value}\n")
+    else:
+        text = EXAMPLE_SCENARIO.replace("[scene]\n", f"[scene]\n{key} = {value}\n")
+    assert text != EXAMPLE_SCENARIO
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert key in str(err.value)
+
+
+def test_builtin_scenes_pass_the_scene_checks():
+    for kind in ("I", "L", "T"):
+        assert load_scenario(kind).name == kind

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from travmap import scenesim
@@ -9,8 +10,9 @@ from travmap.posegraph import wrap_angle
 from travmap.scenesim import (
     AgentTrajectory,
     BehindCameraError,
+    FEATURE_DTYPE,
     CameraIntrinsics,
-    FeatureObservation,
+    FrameObservation,
     ObstacleBox,
     SceneConfig,
     builtin_config,
@@ -239,7 +241,18 @@ def test_simulation_deterministic():
 
 def test_empty_scene_has_no_observations():
     frames, _ = simulate_sequence(_minimal_scene([]))
-    assert all(not f.features and not f.detections for f in frames)
+    assert all(len(f.features) == 0 and not f.detections for f in frames)
+
+
+def test_frames_compare_features_by_value():
+    features = np.recarray(2, dtype=FEATURE_DTYPE)
+    features[:] = [(3, 10.0, 20.0, 1.5, True), (4, 11.0, 21.0, 2.5, False)]
+    frame = FrameObservation(0, 0.0, (0.0, 0.0, 0.0), 0.0, None, features)
+    assert frame == dataclasses.replace(frame, features=features.copy())
+    flipped = features.copy()
+    flipped.visible[1] = True
+    assert frame != dataclasses.replace(frame, features=flipped)
+    assert frame != dataclasses.replace(frame, frame_index=1)
 
 
 def test_features_roundtrip_through_project_point():
@@ -351,11 +364,12 @@ def _single_ray_reference(cfg, truth, k):
             return u, v, depth
         return None
 
-    features = []
+    rows = []
     for fid, p in sorted(truth.feature_points.items()):
         seen = in_image(p)
         if seen is not None:
-            features.append(FeatureObservation(fid, *seen, occlusion_test(cam, intr.cam_height, p, cfg.obstacles, bodies)))
+            rows.append((fid, *seen, occlusion_test(cam, intr.cam_height, p, cfg.obstacles, bodies)))
+    features = np.array(rows, dtype=FEATURE_DTYPE).view(np.recarray)
     heads = []
     for h_idx, ((hx, hy), height) in enumerate(bodies):
         head = (hx, hy, height)
@@ -370,11 +384,11 @@ def _assert_frames_match_single_rays(cfg, frames, truth, ks):
     totals = [0, 0, 0]
     for k in ks:
         features, heads = _single_ray_reference(cfg, truth, k)
-        assert frames[k].features == features, k
+        assert frames[k].features.dtype == FEATURE_DTYPE and np.array_equal(frames[k].features, features), k
         got = [[d for d in frames[k].detections if d.agent_index == h_idx] for h_idx in range(len(cfg.humans))]
         assert [(len(d) == 1, d[0].y_min if d else None) for d in got] == heads, k
-        totals[0] += sum(f.visible for f in features)
-        totals[1] += sum(not f.visible for f in features)
+        totals[0] += int(features.visible.sum())
+        totals[1] += int((~features.visible).sum())
         totals[2] += sum(seen for seen, _ in heads)
     return totals
 

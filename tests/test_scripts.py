@@ -26,3 +26,18 @@ def test_seed_sweep_runs(monkeypatch, capsys):
     _run(monkeypatch, "seed_sweep.py", "--scenario", "I", "--seeds", "1", "--queries", "2")
     out = capsys.readouterr().out
     assert "seed 0:" in out and "SfM+PfH+HO3: mean" in out
+
+
+def test_output_digests_repeat(tmp_path, monkeypatch, capsys):
+    from travmap.scenario import EXAMPLE_SCENARIO
+
+    scene = tmp_path / "scene.ini"
+    scene.write_text(EXAMPLE_SCENARIO)
+    outputs = []
+    for _ in range(2):
+        _run(monkeypatch, "output_digests.py", str(scene))
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    assert [line.split()[0] for line in lines] == ["ablate", "ablate", "simulate", "noisy"]
+    assert all(len(line.rsplit("sha256=", 1)[1]) == 64 for line in lines)
