@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -41,7 +41,6 @@ __all__ = [
     "SfmEvidence",
     "PfhEvidence",
     "Ho3Evidence",
-    "EvidenceRecord",
     "EvidenceError",
     "EvidenceStore",
     "RebuildParams",
@@ -112,7 +111,6 @@ class PfhEvidence:
     keyframe_id: int
     offset: tuple[float, float]
     track_id: int
-    weight: int = 1
 
 
 @dataclass
@@ -125,9 +123,6 @@ class Ho3Evidence:
     def __post_init__(self):
         if self.front_id == self.behind_id:
             raise ValueError("pass-between pair needs two distinct features")
-
-
-EvidenceRecord = Union[SfmEvidence, PfhEvidence, Ho3Evidence]
 
 
 def calibrate_scale(samples: Iterable[tuple[float, float, float, float]]) -> ScaleCalibration:
@@ -196,36 +191,30 @@ def classify_occlusion(u: np.ndarray, seen: np.ndarray, bbox: tuple[float, ...])
     return in_columns & seen, in_columns & ~seen
 
 
-@dataclass(frozen=True)
-class ClassifiedFeature:
-    feature_id: int
-    label: OcclusionClass
-    depth: float
+def infer_pass_pair(
+    ids: np.ndarray, depths: np.ndarray, front: np.ndarray, behind: np.ndarray, human_depth: float
+) -> Optional[tuple[int, int]]:
+    """Positions of the tightest (front, behind) feature pair bracketing the human, if any.
 
-
-def infer_pass_pair(classified: Sequence[ClassifiedFeature], human_depth: float) -> Optional[tuple[int, int]]:
-    """Tightest (front, behind) feature pair bracketing the human, if any.
-
-    The front feature is the deepest FRONT one still nearer than the human,
-    the behind feature the shallowest BEHIND one still farther.  Ties go to
-    the lower id.
+    Of the features with ids ``ids`` and depths ``depths``, the front one is
+    the deepest in the FRONT mask still nearer than the human, the behind one
+    the shallowest in the BEHIND mask still farther.  Ties go to the lower id.
     """
-    fronts = [c for c in classified if c.label is OcclusionClass.FRONT and c.depth < human_depth]
-    behinds = [c for c in classified if c.label is OcclusionClass.BEHIND and c.depth > human_depth]
-    if not fronts or not behinds:
-        return None
-    front = min(fronts, key=lambda c: (human_depth - c.depth, c.feature_id))
-    behind = min(behinds, key=lambda c: (c.depth - human_depth, c.feature_id))
-    if front.feature_id == behind.feature_id:
-        return None
-    return (front.feature_id, behind.feature_id)
+    gap = np.abs(depths - human_depth)
+    pair = []
+    for mask in (front & (depths < human_depth), behind & (depths > human_depth)):
+        (k,) = np.nonzero(mask)
+        if not len(k):
+            return None
+        pair.append(int(k[np.lexsort((ids[k], gap[k]))[0]]))
+    return None if ids[pair[0]] == ids[pair[1]] else (pair[0], pair[1])
 
 
 class EvidenceStore:
     """Insertion-ordered evidence log with duplicate folding."""
 
     def __init__(self):
-        self.records: list[EvidenceRecord] = []
+        self.records: list[SfmEvidence | PfhEvidence | Ho3Evidence] = []
         self._sfm: dict[int, SfmEvidence] = {}
         self._ho3: dict[tuple[int, int, int], Ho3Evidence] = {}
 

@@ -48,11 +48,14 @@ STATE_TO_GRAY = {
     CellState.UNTRAVERSABLE: 0,
     CellState.UNKNOWN: 205,
 }
-GRAY_TO_STATE = {gray: state for state, gray in STATE_TO_GRAY.items()}
 
+#: Gray of each cell state, and cell state of each gray (``_NO_STATE``: the gray has no meaning).
+_NO_STATE = 255
 _GRAY_LUT = np.zeros(3, dtype=np.uint8)
+_STATE_OF_GRAY = np.full(256, _NO_STATE, dtype=np.uint8)
 for _state, _gray in STATE_TO_GRAY.items():
     _GRAY_LUT[int(_state)] = _gray
+    _STATE_OF_GRAY[_gray] = int(_state)
 
 
 class OutOfBoundsError(IndexError):
@@ -255,15 +258,8 @@ def import_pgm(data: bytes, origin: tuple[float, float] = (0.0, 0.0), resolution
     pixels = np.frombuffer(data, dtype=np.uint8, offset=pos)
     if pixels.size != width * height:
         raise ValueError(f"expected {width * height} pixels, got {pixels.size}")
-    cells = np.zeros((height, width), dtype=np.uint8)
     grays = pixels.reshape(height, width)
-    known_grays = np.zeros(256, dtype=bool)
-    state_of_gray = np.zeros(256, dtype=np.uint8)
-    for gray, state in GRAY_TO_STATE.items():
-        known_grays[gray] = True
-        state_of_gray[gray] = int(state)
-    if not known_grays[grays].all():
-        bad = int(grays[~known_grays[grays]][0])
-        raise ValueError(f"gray level {bad} has no cell-state meaning")
-    cells[:, :] = state_of_gray[np.flipud(grays)]
-    return TraversabilityMap(origin, resolution, width, height, cells)
+    bad = grays[_STATE_OF_GRAY[grays] == _NO_STATE]
+    if bad.size:
+        raise ValueError(f"gray level {int(bad[0])} has no cell-state meaning")
+    return TraversabilityMap(origin, resolution, width, height, _STATE_OF_GRAY[np.flipud(grays)])

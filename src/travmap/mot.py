@@ -17,7 +17,6 @@ from .scenesim import FrameObservation
 __all__ = [
     "TrackState",
     "TrackPoint",
-    "TrackedDetection",
     "HumanTrack",
     "step",
     "prune",
@@ -37,25 +36,13 @@ class TrackState(Enum):
 
 
 @dataclass(frozen=True)
-class TrackedDetection:
-    """One detection handed to the tracker: box plus optional position estimate."""
+class TrackPoint:
+    """One detection in one frame: box plus optional range and floor position estimates."""
 
+    frame_index: int
     bbox: tuple[float, float, float, float]  # x_min, x_max, y_min, y_max
     depth: Optional[float] = None
     world: Optional[tuple[float, float]] = None
-
-    @property
-    def center(self) -> tuple[float, float]:
-        x_min, x_max, y_min, y_max = self.bbox
-        return (0.5 * (x_min + x_max), 0.5 * (y_min + y_max))
-
-
-@dataclass
-class TrackPoint:
-    frame_index: int
-    bbox: tuple[float, float, float, float]
-    depth: Optional[float]
-    world: Optional[tuple[float, float]]
 
 
 @dataclass
@@ -74,30 +61,30 @@ class HumanTrack:
         return bool(self.history) and self.history[-1].frame_index == frame_index
 
 
+def _center(bbox: tuple[float, float, float, float]) -> tuple[float, float]:
+    return (0.5 * (bbox[0] + bbox[1]), 0.5 * (bbox[2] + bbox[3]))
+
+
 def _center_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** 0.5
 
 
-def step(
-    tracks: list[HumanTrack],
-    detections: Sequence[TrackedDetection],
-    frame_index: int,
-    gate: float = DEFAULT_GATE_PX,
-) -> list[HumanTrack]:
-    """One association round; mutates ``tracks`` in place and returns it.
+def step(tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = DEFAULT_GATE_PX) -> list[HumanTrack]:
+    """One association round over one frame's ``points``; mutates ``tracks`` in place and returns it.
 
     Greedy nearest-neighbor on bbox centers, closest pair first, pairs beyond
-    ``gate`` pixels left unmatched.  Unmatched detections spawn tentative
-    tracks with fresh ids (max existing + 1); dead tracks are never rematched.
+    ``gate`` pixels left unmatched.  Each matched point is appended to its
+    track's history as is; unmatched points spawn tentative tracks with fresh
+    ids (max existing + 1); dead tracks are never rematched.
     """
     if gate <= 0:
         raise ValueError("gate must be positive")
     alive = [t for t in tracks if t.state is not TrackState.DEAD]
     pairs = []
     for t_idx, track in enumerate(alive):
-        predicted = TrackedDetection(track.last.bbox).center
-        for d_idx, det in enumerate(detections):
-            dist = _center_distance(predicted, det.center)
+        predicted = _center(track.last.bbox)
+        for d_idx, point in enumerate(points):
+            dist = _center_distance(predicted, _center(point.bbox))
             if dist <= gate:
                 pairs.append((dist, track.track_id, d_idx, t_idx))
     pairs.sort()
@@ -109,8 +96,7 @@ def step(
         used_tracks.add(t_idx)
         used_dets.add(d_idx)
         track = alive[t_idx]
-        det = detections[d_idx]
-        track.history.append(TrackPoint(frame_index, det.bbox, det.depth, det.world))
+        track.history.append(points[d_idx])
         track.missed_count = 0
         track.consecutive_hits += 1
         if track.state is TrackState.TENTATIVE and track.consecutive_hits >= CONFIRM_HITS:
@@ -120,10 +106,10 @@ def step(
             track.missed_count += 1
             track.consecutive_hits = 0
     next_id = max((t.track_id for t in tracks), default=-1) + 1
-    for d_idx, det in enumerate(detections):
+    for d_idx, point in enumerate(points):
         if d_idx in used_dets:
             continue
-        track = HumanTrack(next_id, [TrackPoint(frame_index, det.bbox, det.depth, det.world)], 0, TrackState.TENTATIVE, 1)
+        track = HumanTrack(next_id, [point], 0, TrackState.TENTATIVE, 1)
         next_id += 1
         tracks.append(track)
     return tracks

@@ -39,7 +39,6 @@ import numpy as np
 from . import mot
 from .evidence import (
     ALL_LAYERS,
-    ClassifiedFeature,
     EvidenceStore,
     Landmark,
     OcclusionClass,
@@ -238,22 +237,23 @@ def _track_humans(
     detection behind each tracker box (the ground truth the diagnostics use).
     """
     intr, fi = result.config.intrinsics, frame.frame_index
-    dets = []
+    points = []
     for det in frame.detections:
         bbox = (det.x_min, det.x_max, det.y_min, det.y_max)
         h_px = apparent_height_px(det.y_min, intr, _BODY_HEIGHT)
         depth_est = None if h_px is None else estimate_depth(result.calibration, intr.f, _BODY_HEIGHT, h_px)
         world_est = None if h_px is None else human_map_position(pose_est.as_tuple(), intr, bbox, depth_est)
-        dets.append(mot.TrackedDetection(bbox, depth_est, world_est))
-    mot.step(result.tracks, dets, fi, params.gate_px)
+        points.append(mot.TrackPoint(fi, bbox, depth_est, world_est))
+    mot.step(result.tracks, points, params.gate_px)
     mot.prune(result.tracks)
 
-    source = {d.bbox: det for d, det in zip(dets, frame.detections)}
+    # Every matched track's last box is one of this frame's points.
+    source = {point.bbox: det for point, det in zip(points, frame.detections)}
     matched = [t for t in result.tracks if t.state is mot.TrackState.CONFIRMED and t.matched_at(fi)]
     for track in matched:
         tp = track.last
-        src = source.get(tp.bbox)
-        if tp.world is not None and src is not None:
+        if tp.world is not None:
+            src = source[tp.bbox]
             result.position_diags.append(
                 PositionDiag(fi, track.track_id, src.agent_index, tp.world, src.world, tp.depth, src.depth)
             )
@@ -266,8 +266,8 @@ def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> 
     Not gated by turning: the turning filter only withholds human-derived evidence.
     """
     intr, n_landmarks = result.config.intrinsics, len(result.landmarks)
-    seen = frame.features[frame.features.visible]
-    for fid, u, depth in zip(seen.feature_id.tolist(), seen.u.tolist(), seen.depth.tolist()):
+    seen = frame.features[frame.features["visible"]]
+    for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
         if fid not in result.landmarks:
             result.landmarks[fid] = Landmark(fid, kf, intr.floor_offset(u, depth))
         result.store.add_sfm(fid)
@@ -309,19 +309,17 @@ def _pass_between(
     u_pred, _, depth_pred = intr.project(cam.as_tuple(), worlds)
 
     # Candidates, seen ones first: feature id, column (measured if seen,
-    # predicted if not), predicted depth, and image row when last seen.  Seen
-    # features get no row gate (NaN): one occluding the human sits at the
-    # visible-region boundary, so only the column test is binding.
-    now = frame.features[frame.features.visible]
-    before = prev_frame.features[prev_frame.features.visible]
-    cand = np.concatenate([now, before[~np.isin(before.feature_id, now.feature_id)]])
+    # predicted if not), predicted depth, and image row when last seen.
+    now = frame.features[frame.features["visible"]]
+    before = prev_frame.features[prev_frame.features["visible"]]
+    cand = np.concatenate([now, before[~np.isin(before["feature_id"], now["feature_id"])]])
     k = row[cand["feature_id"]]
     seen = np.arange(len(cand)) < len(now)
     keep = (k >= 0) & (seen | (depth_pred[k] > 0))  # k = -1 (no landmark) reads a real row, then is dropped
     cand, k, seen = cand[keep], k[keep], seen[keep]
     u = np.where(seen, cand["u"], u_pred[k])
-    v = np.where(seen, np.nan, cand["v"])
-    ids, us, depths = cand["feature_id"].tolist(), u.tolist(), depth_pred[k].tolist()
+    id_col, depth_col = cand["feature_id"], depth_pred[k]
+    ids, us, depths = id_col.tolist(), u.tolist(), depth_col.tolist()
 
     for track in matched:
         tp = track.last
@@ -331,25 +329,24 @@ def _pass_between(
         inner = (bbox[0] + _REGION_MARGIN_PX, bbox[1] - _REGION_MARGIN_PX, bbox[2], bbox[3])
         if inner[0] >= inner[1]:
             continue
-        src = source.get(bbox)
-        agent_index = src.agent_index if src is not None else -1
+        agent_index = source[bbox].agent_index
         front, behind = classify_occlusion(u, seen, inner)
-        classified: list[ClassifiedFeature] = []
-        for i in np.flatnonzero((front | behind) & (seen | ((bbox[2] <= v) & (v <= bbox[3])))).tolist():
+        # A landmark seen now occludes the human at the visible-region boundary,
+        # so only the column test binds it; one unseen now must also have been
+        # last seen within the box's rows.
+        behind &= (bbox[2] <= cand["v"]) & (cand["v"] <= bbox[3])
+        for i in np.flatnonzero(front | behind).tolist():
             label = OcclusionClass.FRONT if front[i] else OcclusionClass.BEHIND
-            classified.append(ClassifiedFeature(ids[i], label, depths[i]))
             result.occlusion_diags.append(
                 OcclusionDiag(fi, track.track_id, agent_index, ids[i], label, us[i], depths[i], tp.depth)
             )
-        pair = infer_pass_pair(classified, tp.depth)
+        pair = infer_pass_pair(id_col, depth_col, front, behind, tp.depth)
         if pair is None:
             continue
-        front_id, behind_id = pair
-        depth_of = {c.feature_id: c.depth for c in classified}
-        front_d, behind_d = depth_of[front_id], depth_of[behind_id]
-        assert front_d < tp.depth < behind_d, "pass-between pair must straddle the human"
-        result.store.add_ho3(front_id, behind_id, track.track_id)
-        result.pair_diags.append(PairDiag(fi, track.track_id, front_id, behind_id, front_d, behind_d, tp.depth))
+        i, j = pair
+        assert depths[i] < tp.depth < depths[j], "pass-between pair must straddle the human"
+        result.store.add_ho3(ids[i], ids[j], track.track_id)
+        result.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
 
 
 def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:

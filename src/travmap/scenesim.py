@@ -191,6 +191,8 @@ class SceneConfig:
         ):
             if not (math.isfinite(value) and (value >= low if may_equal else value > low)):
                 raise ValueError(f"{name} must be finite and {'>=' if may_equal else '>'} {low}, got {value}")
+        if not any(x_min <= x <= x_max and y_min <= y <= y_max for _, (x, y, _) in self.robot.waypoints):
+            raise ValueError(f"robot has no waypoint inside the bounds {self.bounds}")
 
 
 #: One row per feature a frame sees: its id, image position, depth along the
@@ -220,8 +222,8 @@ class FrameObservation:
     camera_pose: tuple[float, float, float]
     angular_speed: float
     odometry: Optional[tuple[float, float, float]]
-    #: ``FEATURE_DTYPE`` records of the features in front and inside the image.
-    features: np.recarray = field(default_factory=lambda: np.recarray(0, dtype=FEATURE_DTYPE))
+    #: ``FEATURE_DTYPE`` rows of the features in front and inside the image.
+    features: np.ndarray = field(default_factory=lambda: np.empty(0, FEATURE_DTYPE))
     detections: list[HumanDetection] = field(default_factory=list)
 
     def __eq__(self, other):
@@ -460,15 +462,18 @@ def _render_features(
     cylinders: Sequence[tuple[np.ndarray, float]],
     F: np.ndarray,
     fids: np.ndarray,
-) -> list[np.recarray]:
-    """Each frame's records of the features ``F`` (ids ``fids``) that lie in front and inside the image."""
+) -> list[np.ndarray]:
+    """Each frame's rows of the features ``F`` (ids ``fids``) that lie in front and inside the image."""
     intr = cfg.intrinsics
     u, v, depth = intr.project(cams, F)
     cand = (depth > _RAY_EPS) & (u >= 0) & (u < intr.image_width) & (v >= 0) & (v < intr.image_height)
     visible = ~_blocked_any(origin, F, cfg.obstacles, cylinders)
     rows, cols = np.nonzero(cand)
+    out = np.empty(len(rows), FEATURE_DTYPE)
     columns = (fids[cols], u[rows, cols], v[rows, cols], depth[rows, cols], visible[rows, cols])
-    return np.split(np.rec.fromarrays(columns, dtype=FEATURE_DTYPE), np.cumsum(cand.sum(axis=1))[:-1])
+    for name, column in zip(FEATURE_DTYPE.names, columns):
+        out[name] = column
+    return np.split(out, np.cumsum(cand.sum(axis=1))[:-1])
 
 
 def _render_detections(

@@ -41,7 +41,7 @@ def _frame_from_line(line: str) -> FrameObservation:
         tuple(record["camera_pose"]),
         record["angular_speed"],
         None if record["odometry"] is None else tuple(record["odometry"]),
-        np.array(rows, dtype=FEATURE_DTYPE).view(np.recarray),
+        np.array(rows, dtype=FEATURE_DTYPE),
         [HumanDetection(**dict(d, world=tuple(d["world"]))) for d in record["detections"]],
     )
 
@@ -55,7 +55,7 @@ def test_simulate_lines_parse_back_to_frames(tmp_path, scene_file):
     for line, frame in zip(lines, frames):
         assert _frame_from_line(line) == frame, frame.frame_index
     assert sum(len(f.features) for f in frames) > 1000
-    assert sum(f.features.visible.sum() for f in frames) > 0 and sum(len(f.detections) for f in frames) > 0
+    assert sum(f.features["visible"].sum() for f in frames) > 0 and sum(len(f.detections) for f in frames) > 0
 
 
 def test_build_writes_maps(tmp_path, scene_file):

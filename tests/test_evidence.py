@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from _oracles import paint_expected_map
 from travmap.evidence import (
-    ClassifiedFeature,
     EvidenceError,
     EvidenceStore,
     Ho3Evidence,
@@ -157,45 +156,58 @@ def test_classify_visibility_rule():
     assert behind.tolist() == [False, True, False, False, False, True, False, False]
 
 
+def _pass_pair(human_depth, *candidates):
+    """``infer_pass_pair`` over (feature id, label, depth) candidates, as (front id, behind id) or None."""
+    ids = np.array([fid for fid, _, _ in candidates], dtype=np.int64)
+    labels = [label for _, label, _ in candidates]
+    depths = np.array([depth for _, _, depth in candidates], dtype=float)
+    front = np.array([label is FRONT for label in labels], dtype=bool)
+    pair = infer_pass_pair(ids, depths, front, ~front, human_depth)
+    return None if pair is None else (ids[pair[0]].item(), ids[pair[1]].item())
+
+
 def test_infer_pass_pair_single_candidates():
-    classified = [
-        ClassifiedFeature(7, FRONT, 2.5),
-        ClassifiedFeature(12, BEHIND, 6.0),
-    ]
-    assert infer_pass_pair(classified, 4.0) == (7, 12)
+    assert _pass_pair(4.0, (7, FRONT, 2.5), (12, BEHIND, 6.0)) == (7, 12)
 
 
 def test_infer_pass_pair_tightest_bracket():
-    classified = [
-        ClassifiedFeature(7, FRONT, 2.5),
-        ClassifiedFeature(9, FRONT, 3.5),
-        ClassifiedFeature(12, BEHIND, 6.0),
-        ClassifiedFeature(4, BEHIND, 5.0),
-    ]
-    assert infer_pass_pair(classified, 4.0) == (9, 4)
+    candidates = [(7, FRONT, 2.5), (9, FRONT, 3.5), (12, BEHIND, 6.0), (4, BEHIND, 5.0)]
+    assert _pass_pair(4.0, *candidates) == (9, 4)
 
 
 def test_infer_pass_pair_requires_both_sides():
-    classified = [ClassifiedFeature(7, FRONT, 2.5)]
-    assert infer_pass_pair(classified, 4.0) is None
+    assert _pass_pair(4.0, (7, FRONT, 2.5)) is None
 
 
 def test_infer_pass_pair_rejects_nonstraddling():
-    classified = [
-        ClassifiedFeature(7, FRONT, 4.5),  # "front" but deeper than the human
-        ClassifiedFeature(12, BEHIND, 6.0),
-    ]
-    assert infer_pass_pair(classified, 4.0) is None
+    # 7 is "front" but deeper than the human
+    assert _pass_pair(4.0, (7, FRONT, 4.5), (12, BEHIND, 6.0)) is None
 
 
 def test_infer_pass_pair_tie_breaks_to_lower_id():
-    classified = [
-        ClassifiedFeature(9, FRONT, 3.0),
-        ClassifiedFeature(7, FRONT, 3.0),
-        ClassifiedFeature(14, BEHIND, 5.0),
-        ClassifiedFeature(12, BEHIND, 5.0),
-    ]
-    assert infer_pass_pair(classified, 4.0) == (7, 12)
+    candidates = [(9, FRONT, 3.0), (7, FRONT, 3.0), (14, BEHIND, 5.0), (12, BEHIND, 5.0)]
+    assert _pass_pair(4.0, *candidates) == (7, 12)
+
+
+@given(
+    candidates=st.lists(
+        st.tuples(st.sampled_from([FRONT, BEHIND]), st.sampled_from([1.0, 2.5, 3.0, 4.0, 5.0, 6.5])),
+        max_size=8,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=80)
+def test_infer_pass_pair_matches_min_key_reference(candidates, order):
+    ids = list(range(len(candidates)))
+    order.shuffle(ids)
+    cands = [(fid, label, depth) for fid, (label, depth) in zip(ids, candidates)]
+    human = 4.0
+    fronts = [c for c in cands if c[1] is FRONT and c[2] < human]
+    behinds = [c for c in cands if c[1] is BEHIND and c[2] > human]
+    expected = None
+    if fronts and behinds:
+        expected = tuple(min(side, key=lambda c: (abs(c[2] - human), c[0]))[0] for side in (fronts, behinds))
+    assert _pass_pair(human, *cands) == expected
 
 
 def test_ho3_pair_must_be_distinct():

@@ -8,7 +8,6 @@ from travmap.mot import (
     HumanTrack,
     TrackPoint,
     TrackState,
-    TrackedDetection,
     filter_turning_frames,
     prune,
     step,
@@ -16,29 +15,31 @@ from travmap.mot import (
 from travmap.scenesim import AgentTrajectory, CameraIntrinsics, SceneConfig, simulate_sequence
 
 
-def det(cu, cv=100.0, size=40.0):
-    return TrackedDetection((cu - size / 2, cu + size / 2, cv - size / 2, cv + size / 2))
+def det(cu, frame_index=1, cv=100.0, size=40.0):
+    return TrackPoint(frame_index, (cu - size / 2, cu + size / 2, cv - size / 2, cv + size / 2))
 
 
 def seeded_track(track_id, cu, frame_index=0):
     t = HumanTrack(track_id)
-    t.history.append(TrackPoint(frame_index, det(cu).bbox, None, None))
+    t.history.append(det(cu, frame_index))
     t.consecutive_hits = 1
     return t
 
 
 def test_step_matches_within_gate():
     tracks = [seeded_track(0, 120.0)]
-    step(tracks, [det(125.0)], frame_index=1, gate=80.0)
+    point = det(125.0)
+    step(tracks, [point], gate=80.0)
     assert len(tracks) == 1
     assert tracks[0].track_id == 0
     assert len(tracks[0].history) == 2
+    assert tracks[0].last is point  # the tracker keeps the point it is given
     assert tracks[0].missed_count == 0
 
 
 def test_step_spawns_new_track_beyond_gate():
     tracks = [seeded_track(0, 120.0)]
-    step(tracks, [det(620.0)], frame_index=1, gate=80.0)
+    step(tracks, [det(620.0)], gate=80.0)
     assert [t.track_id for t in tracks] == [0, 1]
     assert tracks[0].missed_count == 1
     assert tracks[1].state is TrackState.TENTATIVE
@@ -46,21 +47,21 @@ def test_step_spawns_new_track_beyond_gate():
 
 def test_step_zero_detections_only_misses():
     tracks = [seeded_track(0, 120.0), seeded_track(1, 300.0)]
-    step(tracks, [], frame_index=1)
+    step(tracks, [])
     assert [t.track_id for t in tracks] == [0, 1]
     assert all(t.missed_count == 1 for t in tracks)
 
 
 def test_step_greedy_prefers_nearest():
     tracks = [seeded_track(0, 100.0), seeded_track(1, 200.0)]
-    step(tracks, [det(195.0), det(110.0)], frame_index=1)
+    step(tracks, [det(195.0), det(110.0)])
     assert tracks[0].last.bbox == det(110.0).bbox
     assert tracks[1].last.bbox == det(195.0).bbox
 
 
 def test_partial_matching_no_double_assignment():
     tracks = [seeded_track(0, 100.0), seeded_track(1, 120.0)]
-    step(tracks, [det(110.0)], frame_index=1)
+    step(tracks, [det(110.0)])
     matched = [t for t in tracks if t.matched_at(1)]
     assert len(matched) == 1
 
@@ -68,24 +69,24 @@ def test_partial_matching_no_double_assignment():
 def test_confirmation_after_three_hits():
     tracks: list[HumanTrack] = []
     for k in range(3):
-        step(tracks, [det(100.0 + k)], frame_index=k)
+        step(tracks, [det(100.0 + k, k)])
         expected = TrackState.TENTATIVE if k < 2 else TrackState.CONFIRMED
         assert tracks[0].state is expected
 
 
 def test_miss_resets_confirmation_streak():
     tracks: list[HumanTrack] = []
-    step(tracks, [det(100.0)], frame_index=0)
-    step(tracks, [det(100.0)], frame_index=1)
-    step(tracks, [], frame_index=2)
-    step(tracks, [det(100.0)], frame_index=3)
+    step(tracks, [det(100.0, 0)])
+    step(tracks, [det(100.0, 1)])
+    step(tracks, [])
+    step(tracks, [det(100.0, 3)])
     assert tracks[0].state is TrackState.TENTATIVE
 
 
 def test_dead_tracks_never_rematch():
     tracks = [seeded_track(0, 100.0)]
     tracks[0].state = TrackState.DEAD
-    step(tracks, [det(100.0)], frame_index=1)
+    step(tracks, [det(100.0)])
     assert len(tracks) == 2
     assert tracks[1].track_id == 1
     assert len(tracks[0].history) == 1
@@ -108,7 +109,7 @@ def test_prune_rejects_bad_limit():
 
 def test_fresh_id_is_max_plus_one():
     tracks = [seeded_track(0, 100.0), seeded_track(7, 300.0)]
-    step(tracks, [det(500.0)], frame_index=1)
+    step(tracks, [det(500.0)])
     assert tracks[-1].track_id == 8
 
 
@@ -136,8 +137,8 @@ def test_filter_turning_frames():
 def test_track_ids_unique_and_matching_partial(streams):
     tracks: list[HumanTrack] = []
     for frame_index, centers in enumerate(streams):
-        dets = [det(c) for c in centers]
-        step(tracks, dets, frame_index, gate=50.0)
+        dets = [det(c, frame_index) for c in centers]
+        step(tracks, dets, gate=50.0)
         prune(tracks, max_missed=3)
         matched = [t for t in tracks if t.matched_at(frame_index)]
         # a detection is matched to at most one track
@@ -164,8 +165,8 @@ def test_single_human_no_occlusion_one_confirmed_track():
     assert all(len(f.detections) == 1 for f in frames)
     tracks: list[HumanTrack] = []
     for frame in frames:
-        dets = [TrackedDetection((d.x_min, d.x_max, d.y_min, d.y_max)) for d in frame.detections]
-        step(tracks, dets, frame.frame_index)
+        points = [TrackPoint(frame.frame_index, (d.x_min, d.x_max, d.y_min, d.y_max)) for d in frame.detections]
+        step(tracks, points)
         prune(tracks)
     confirmed = [t for t in tracks if t.state is TrackState.CONFIRMED]
     assert len(tracks) == 1

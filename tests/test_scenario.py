@@ -123,3 +123,11 @@ def test_unsimulatable_values_rejected_at_parse(key, value):
 def test_builtin_scenes_pass_the_scene_checks():
     for kind in ("I", "L", "T"):
         assert load_scenario(kind).name == kind
+
+
+def test_robot_outside_bounds_rejected(tmp_path):
+    path = tmp_path / "robot_outside.ini"
+    path.write_text(MINIMAL.replace("waypoints = 0, 0.25, 0.5, 0; 10, 0.25, 5.5, 0", "waypoints = 0, 10, 0.5, 0; 10, 10, 5.5, 0"))
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert "robot" in str(err.value)

@@ -244,13 +244,22 @@ def test_empty_scene_has_no_observations():
     assert all(len(f.features) == 0 and not f.detections for f in frames)
 
 
+def test_frame_features_are_plain_structured_arrays():
+    frames, _ = simulate_sequence(builtin_config("I"))
+    default = FrameObservation(0, 0.0, (0.0, 0.0, 0.0), 0.0, None).features
+    for features in (default, frames[0].features, frames[-1].features):
+        assert type(features) is np.ndarray and features.dtype == FEATURE_DTYPE
+        assert features.dtype.type is np.void
+    assert len(default) == 0 and len(frames[0].features) > 0
+    assert type(frames[0].features[0]) is np.void
+
+
 def test_frames_compare_features_by_value():
-    features = np.recarray(2, dtype=FEATURE_DTYPE)
-    features[:] = [(3, 10.0, 20.0, 1.5, True), (4, 11.0, 21.0, 2.5, False)]
+    features = np.array([(3, 10.0, 20.0, 1.5, True), (4, 11.0, 21.0, 2.5, False)], dtype=FEATURE_DTYPE)
     frame = FrameObservation(0, 0.0, (0.0, 0.0, 0.0), 0.0, None, features)
     assert frame == dataclasses.replace(frame, features=features.copy())
     flipped = features.copy()
-    flipped.visible[1] = True
+    flipped["visible"][1] = True
     assert frame != dataclasses.replace(frame, features=flipped)
     assert frame != dataclasses.replace(frame, frame_index=1)
 
@@ -261,8 +270,8 @@ def test_features_roundtrip_through_project_point():
     checked = 0
     for frame in frames[::97]:
         for fobs in frame.features:
-            u, v, depth = project_point(cfg.intrinsics, frame.camera_pose, truth.feature_points[fobs.feature_id])
-            assert (u, v, depth) == (fobs.u, fobs.v, fobs.depth)
+            u, v, depth = project_point(cfg.intrinsics, frame.camera_pose, truth.feature_points[fobs["feature_id"]])
+            assert (u, v, depth) == (fobs["u"], fobs["v"], fobs["depth"])
             checked += 1
     assert checked > 100
 
@@ -369,7 +378,7 @@ def _single_ray_reference(cfg, truth, k):
         seen = in_image(p)
         if seen is not None:
             rows.append((fid, *seen, occlusion_test(cam, intr.cam_height, p, cfg.obstacles, bodies)))
-    features = np.array(rows, dtype=FEATURE_DTYPE).view(np.recarray)
+    features = np.array(rows, dtype=FEATURE_DTYPE)
     heads = []
     for h_idx, ((hx, hy), height) in enumerate(bodies):
         head = (hx, hy, height)
@@ -387,8 +396,8 @@ def _assert_frames_match_single_rays(cfg, frames, truth, ks):
         assert frames[k].features.dtype == FEATURE_DTYPE and np.array_equal(frames[k].features, features), k
         got = [[d for d in frames[k].detections if d.agent_index == h_idx] for h_idx in range(len(cfg.humans))]
         assert [(len(d) == 1, d[0].y_min if d else None) for d in got] == heads, k
-        totals[0] += int(features.visible.sum())
-        totals[1] += int((~features.visible).sum())
+        totals[0] += int(features["visible"].sum())
+        totals[1] += int((~features["visible"]).sum())
         totals[2] += sum(seen for seen, _ in heads)
     return totals
 
