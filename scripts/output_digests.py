@@ -9,7 +9,11 @@ For each scenario (builtin I, L or T, or a scenario file; default I L T):
 * ``noisy`` at seed 3 with odometry noise (0.005 m, 0.0025 rad per frame):
   the evidence log and maps ``travmap build`` writes for every combination,
   plus the run's optimization events and its position, occlusion and pair
-  diagnostics.
+  diagnostics;
+* ``reanchor`` at seed 3 with the same noise and closures disabled: for the
+  first, middle and last keyframe pairs the pipeline's closure rule accepts
+  (as perfbench's ``reanchor`` workload lists them), the maps of every
+  combination after closing that loop and optimizing.
 
 Two checkouts produce the same bytes when they print the same lines::
 
@@ -20,13 +24,15 @@ Two checkouts produce the same bytes when they print the same lines::
 
 import argparse
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
+import math
 import pathlib
 import tempfile
 
-from travmap import cli, pipeline
+from travmap import cli, pipeline, posegraph
 from travmap.scenario import load_scenario
 
 ABLATE_SEEDS = (0, 7)
@@ -63,6 +69,31 @@ def _noisy_digest(scenario: str, out: pathlib.Path) -> str:
     return h.hexdigest()
 
 
+def _reanchor_digest(scenario: str) -> tuple[int, str]:
+    """The number of accepted closure pairs, and one digest over the maps of the chosen ones."""
+    scene = dataclasses.replace(load_scenario(scenario), rng_seed=NOISY_SEED, **NOISY_SIGMAS)
+    params = pipeline.PipelineParams(enable_closures=False)
+    result = pipeline.run_pipeline(scene, params)
+    stride = params.keyframe_stride
+    truth = {kf: posegraph.Pose2(*result.truth.camera_poses[kf * stride]) for kf in result.graph.nodes}
+    pairs = [
+        (older, newer)
+        for newer in sorted(truth)
+        for older in sorted(truth)
+        if newer - older >= params.closure_min_gap
+        and math.hypot(truth[newer].x - truth[older].x, truth[newer].y - truth[older].y) <= params.closure_radius
+    ]
+    h = hashlib.sha256()
+    for older, newer in sorted({pairs[0], pairs[len(pairs) // 2], pairs[-1]}) if pairs else ():
+        graph = copy.deepcopy(result.graph)
+        graph.add_loop_closure(older, newer, posegraph.se2_compose(posegraph.se2_inverse(truth[older]), truth[newer]))
+        h.update(repr((older, newer, graph.optimize())).encode())
+        closed = dataclasses.replace(result, graph=graph)
+        for layers in pipeline.COMBINATIONS:
+            h.update(pipeline.build_combo_map(closed, layers).cells.tobytes())
+    return len(pairs), h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("scenarios", nargs="*", default=["I", "L", "T"], metavar="SCENARIO")
@@ -77,6 +108,8 @@ def main() -> int:
             print(f"simulate scene={scenario} seed={SIMULATE_SEED} sha256={digest}")
             digest = _noisy_digest(scenario, run_dir / "noisy")
             print(f"noisy scene={scenario} seed={NOISY_SEED} sha256={digest}")
+            n_pairs, digest = _reanchor_digest(scenario)
+            print(f"reanchor scene={scenario} seed={NOISY_SEED} pairs={n_pairs} sha256={digest}")
     return 0
 
 

@@ -6,7 +6,8 @@ of landmarks a human passed between mark traversable bands.  Every record is
 pose-free: landmarks and trail points are stored as offsets in their anchor
 keyframe's frame, and pass-between records are just feature-id pairs, so a
 pose-graph optimization invalidates nothing.  ``rebuild_map`` regenerates the
-map from any pose snapshot in O(records).
+map from any pose snapshot: it resolves every record's endpoints at the
+snapshot, then marks each layer's bands in one batched pass.
 
 Monocular range to a human follows from apparent height: with calibration
 factor k, distance = k * f * H / h_px.  The apparent height h_px fed by the
@@ -276,32 +277,35 @@ def rebuild_map(
             raise ValueError(f"unknown evidence layer {layer!r}")
     if not enabled:
         raise ValueError("need at least one enabled layer")
-    layers = {layer: empty_like(base) for layer in enabled}
+    segments: dict[str, list] = {layer: [] for layer in enabled}  # (a, b) band endpoints per layer
     last_trail_point: dict[int, tuple[float, float]] = {}
     for rec in store.records:
         if isinstance(rec, SfmEvidence):
-            if SFM_LAYER not in layers:
-                continue
-            lm = _lookup_landmark(landmarks, rec.feature_id)
-            w = lm.world(snapshot)
-            layers[SFM_LAYER].mark_band(w, w, params.robot_radius, CellState.UNTRAVERSABLE)
+            if SFM_LAYER in segments:
+                w = _lookup_landmark(landmarks, rec.feature_id).world(snapshot)
+                segments[SFM_LAYER].append((w, w))
         elif isinstance(rec, PfhEvidence):
-            if PFH_LAYER not in layers:
+            if PFH_LAYER not in segments:
                 continue
             try:
                 pose = snapshot[rec.keyframe_id]
             except KeyError:
                 raise EvidenceError(f"trail evidence anchored to unknown keyframe {rec.keyframe_id}") from None
             w = se2_transform(pose, rec.offset)
-            prev = last_trail_point.get(rec.track_id)
-            layers[PFH_LAYER].mark_band(prev if prev is not None else w, w, params.trail_half_width, CellState.TRAVERSABLE)
+            segments[PFH_LAYER].append((last_trail_point.get(rec.track_id, w), w))
             last_trail_point[rec.track_id] = w
+        elif HO3_LAYER in segments:
+            ends = (_lookup_landmark(landmarks, fid).world(snapshot) for fid in (rec.front_id, rec.behind_id))
+            segments[HO3_LAYER].append(tuple(ends))
+    # Every band of a layer writes the same state, so one pass per layer marks them in any order.
+    layers = {layer: empty_like(base) for layer in enabled}
+    for layer, m in layers.items():
+        ends = np.array(segments[layer], dtype=float).reshape(-1, 2, 2)
+        if layer == SFM_LAYER:
+            m.mark_bands(ends[:, 0], ends[:, 1], params.robot_radius, CellState.UNTRAVERSABLE)
         else:
-            if HO3_LAYER not in layers:
-                continue
-            wa = _lookup_landmark(landmarks, rec.front_id).world(snapshot)
-            wb = _lookup_landmark(landmarks, rec.behind_id).world(snapshot)
-            layers[HO3_LAYER].mark_band(wa, wb, params.passage_half_width, CellState.TRAVERSABLE)
+            half_width = params.trail_half_width if layer == PFH_LAYER else params.passage_half_width
+            m.mark_bands(ends[:, 0], ends[:, 1], half_width, CellState.TRAVERSABLE)
     if PFH_LAYER in layers and HO3_LAYER in layers:
         both = (layers[PFH_LAYER].cells == int(CellState.TRAVERSABLE)) & (
             layers[HO3_LAYER].cells == int(CellState.TRAVERSABLE)

@@ -33,6 +33,9 @@ __all__ = [
 # Tolerance absorbing float noise in extent/resolution ratios (3.0/0.1 style).
 _EXTENT_EPS = 1e-9
 
+#: Padded cells one capsule block evaluates at once; bounds the working arrays of mark_bands.
+_BAND_BLOCK = 1 << 16
+
 
 class CellState(IntEnum):
     """Ternary traversability value of a single grid cell."""
@@ -132,46 +135,52 @@ class TraversabilityMap:
             raise OutOfBoundsError(f"cell ({i}, {j}) outside {self.width}x{self.height} grid")
         self.cells[j, i] = int(state)
 
-    def mark_band(
-        self,
-        a: tuple[float, float],
-        b: tuple[float, float],
-        half_width: float,
-        state: CellState,
-    ) -> None:
-        """Set every cell whose center lies within ``half_width`` of segment ``ab``.
+    def mark_band(self, a: tuple[float, float], b: tuple[float, float], half_width: float, state: CellState) -> None:
+        """Set every cell whose center lies within ``half_width`` of segment ``ab`` (see :meth:`mark_bands`)."""
+        self.mark_bands([a], [b], half_width, state)
 
-        Capsule rasterization: ``a == b`` marks a disk.  Out-of-bounds portions
-        are clipped silently.
+    def mark_bands(self, a, b, half_width: float, state: CellState) -> None:
+        """Set every cell whose center lies within ``half_width`` of any segment from ``a[n]`` to ``b[n]``.
+
+        ``a`` and ``b`` are ``(N, 2)`` endpoints; ``a[n] == b[n]`` marks a disk.
+        Out-of-bounds portions are clipped silently.  Capsules are evaluated in
+        blocks of at most ``_BAND_BLOCK`` cells (a larger window is a block of
+        its own), each capsule's window padded to the largest of its block.
         """
         if half_width < 0:
             raise ValueError("half_width must be >= 0")
-        ax, ay = float(a[0]), float(a[1])
-        bx, by = float(b[0]), float(b[1])
-        res = self.resolution
-        ox, oy = self.origin
+        a, b = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (a, b))
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ValueError("segment endpoints must be finite")
+        res, origin, size = self.resolution, np.array(self.origin), (self.width, self.height)
         pad = half_width + res
-        i0 = max(0, math.floor((min(ax, bx) - pad - ox) / res))
-        i1 = min(self.width, math.ceil((max(ax, bx) + pad - ox) / res) + 1)
-        j0 = max(0, math.floor((min(ay, by) - pad - oy) / res))
-        j1 = min(self.height, math.ceil((max(ay, by) + pad - oy) / res) + 1)
-        if i0 >= i1 or j0 >= j1:
-            return
-        xs = ox + (np.arange(i0, i1) + 0.5) * res
-        ys = oy + (np.arange(j0, j1) + 0.5) * res
-        px = xs[None, :] - ax
-        py = ys[:, None] - ay
-        dx = bx - ax
-        dy = by - ay
+        lo = np.clip(np.floor((np.minimum(a, b) - pad - origin) / res), 0, size).astype(np.intp)
+        hi = np.clip(np.ceil((np.maximum(a, b) + pad - origin) / res) + 1, 0, size).astype(np.intp)
+        extent = np.maximum(hi - lo, 0)  # window (width, height) per capsule; 0 when clipped away
+        order = np.argsort(extent.prod(axis=1), kind="stable")  # similar windows share a block
+        while len(order):
+            # The longest prefix whose count times its largest width and height fits in a block.
+            head = extent[order[:_BAND_BLOCK]]
+            cost = np.arange(1, len(head) + 1) * np.maximum.accumulate(head, axis=0).prod(axis=1)
+            block, order = np.split(order, [max(1, int(np.searchsorted(cost, _BAND_BLOCK, side="right")))])
+            self._mark_block(a[block], b[block], lo[block], hi[block], half_width, state)
+
+    def _mark_block(self, a, b, lo, hi, half_width, state) -> None:
+        """One padded ``(N, H, W)`` pass of :meth:`mark_bands`; cells past a capsule's window are masked."""
+        n_cols, n_rows = (hi - lo).max(axis=0)
+        i = lo[:, :1] + np.arange(n_cols)  # (N, W) columns of each window
+        j = lo[:, 1:] + np.arange(n_rows)  # (N, H) rows
+        ox, oy = self.origin
+        px = (ox + (i + 0.5) * self.resolution - a[:, :1])[:, None, :]
+        py = (oy + (j + 0.5) * self.resolution - a[:, 1:])[:, :, None]
+        dx, dy = (b - a).T[:, :, None, None]
         seg_len2 = dx * dx + dy * dy
-        if seg_len2 == 0.0:
-            d2 = px * px + py * py
-        else:
-            t = np.clip((px * dx + py * dy) / seg_len2, 0.0, 1.0)
-            d2 = (px - t * dx) ** 2 + (py - t * dy) ** 2
-        mask = d2 <= half_width * half_width
-        block = self.cells[j0:j1, i0:i1]
-        block[mask] = int(state)
+        # A zero-length segment divides by 1, so t = 0 and d2 = px*px + py*py.
+        t = np.clip((px * dx + py * dy) / np.where(seg_len2 == 0.0, 1.0, seg_len2), 0.0, 1.0)
+        mask = (px - t * dx) ** 2 + (py - t * dy) ** 2 <= half_width * half_width
+        mask &= (i < hi[:, :1])[:, None, :] & (j < hi[:, 1:])[:, :, None]
+        n, jj, ii = np.nonzero(mask)
+        self.cells[j[n, jj], i[n, ii]] = int(state)
 
     def same_geometry(self, other: "TraversabilityMap") -> bool:
         return (

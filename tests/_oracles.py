@@ -48,6 +48,42 @@ def dijkstra_cost(m, start, goal):
     return None
 
 
+def mark_band_one_capsule(m, a, b, half_width, state):
+    """The one-capsule rasterizer ``TraversabilityMap.mark_band`` was before capsules were batched.
+
+    Kept verbatim (as a function of the map) so batched rasterization can be
+    compared against it bit for bit.
+    """
+    if half_width < 0:
+        raise ValueError("half_width must be >= 0")
+    ax, ay = float(a[0]), float(a[1])
+    bx, by = float(b[0]), float(b[1])
+    res = m.resolution
+    ox, oy = m.origin
+    pad = half_width + res
+    i0 = max(0, math.floor((min(ax, bx) - pad - ox) / res))
+    i1 = min(m.width, math.ceil((max(ax, bx) + pad - ox) / res) + 1)
+    j0 = max(0, math.floor((min(ay, by) - pad - oy) / res))
+    j1 = min(m.height, math.ceil((max(ay, by) + pad - oy) / res) + 1)
+    if i0 >= i1 or j0 >= j1:
+        return
+    xs = ox + (np.arange(i0, i1) + 0.5) * res
+    ys = oy + (np.arange(j0, j1) + 0.5) * res
+    px = xs[None, :] - ax
+    py = ys[:, None] - ay
+    dx = bx - ax
+    dy = by - ay
+    seg_len2 = dx * dx + dy * dy
+    if seg_len2 == 0.0:
+        d2 = px * px + py * py
+    else:
+        t = np.clip((px * dx + py * dy) / seg_len2, 0.0, 1.0)
+        d2 = (px - t * dx) ** 2 + (py - t * dy) ** 2
+    mask = d2 <= half_width * half_width
+    block = m.cells[j0:j1, i0:i1]
+    block[mask] = int(state)
+
+
 def paint_expected_map(
     records,
     snapshot,

@@ -12,6 +12,7 @@ from travmap.evidence import (
     Ho3Evidence,
     Landmark,
     OcclusionClass,
+    RebuildParams,
     ScaleCalibration,
     SfmEvidence,
     apparent_height_px,
@@ -24,6 +25,7 @@ from travmap.evidence import (
     rebuild_map,
 )
 from travmap.gridmap import CellState, new_map
+from travmap.pipeline import COMBINATIONS
 from travmap.posegraph import Pose2, se2_compose, se2_inverse
 from travmap.scenesim import CameraIntrinsics, project_point
 
@@ -342,6 +344,50 @@ def test_rebuild_matches_painter_after_optimization_small():
         store.records, graph.snapshot(), landmarks, base.origin, base.resolution, base.width, base.height
     )
     assert (out.cells == expected).all()
+
+
+_HALF_WIDTHS = st.sampled_from([0.0, 0.04, 0.1, 0.17, 0.45])  # 0, under, at and above one 0.1 m cell
+# Mostly within reach of the 3 x 2 m grid, sometimes far past it.
+_OFFSETS = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)) | st.tuples(st.floats(-6, 6), st.floats(-6, 6))
+_REPEATED_OFFSETS = st.sampled_from([(0.1, 0.2), (0.5, -0.3), (1.3, 0.4)])
+_RECORDS = st.lists(
+    st.one_of(
+        st.tuples(st.just("sfm"), st.integers(0, 5)),
+        # Few keyframes and a short offset menu make repeated trail points (zero-length steps) common.
+        st.tuples(st.just("pfh"), st.integers(0, 2), _REPEATED_OFFSETS | _OFFSETS, st.integers(0, 2)),
+        st.tuples(st.just("ho3"), st.integers(0, 5), st.integers(0, 5), st.integers(0, 2)),
+    ),
+    min_size=6,
+    max_size=30,
+)
+
+
+@given(
+    poses=st.lists(st.tuples(st.floats(-1, 2), st.floats(-0.5, 1.5), st.floats(-3.14, 3.14)), min_size=3, max_size=3),
+    anchors=st.lists(st.tuples(st.integers(0, 2), _OFFSETS), min_size=6, max_size=6),
+    records=_RECORDS,
+    enabled=st.sampled_from(COMBINATIONS),
+    radii=st.tuples(_HALF_WIDTHS, _HALF_WIDTHS, _HALF_WIDTHS),
+)
+@settings(max_examples=50, deadline=None)
+def test_rebuild_matches_painter_on_random_stores(poses, anchors, records, enabled, radii):
+    snapshot = {kf: Pose2(*pose) for kf, pose in enumerate(poses)}
+    landmarks = {fid: Landmark(fid, kf, offset) for fid, (kf, offset) in enumerate(anchors)}
+    store = EvidenceStore()
+    for kind, *args in records:
+        if kind == "sfm":
+            store.add_sfm(*args)
+        elif kind == "pfh":
+            store.add_pfh(*args)
+        elif args[0] != args[1]:
+            store.add_ho3(*args)
+    base = new_map(-1.0, -0.5, 2.0, 1.5, 0.1)
+    params = RebuildParams(*radii)
+    out = rebuild_map(store, snapshot, landmarks, base, enabled, params=params)
+    expected = paint_expected_map(
+        store.records, snapshot, landmarks, base.origin, base.resolution, base.width, base.height, enabled, *radii
+    )
+    assert np.array_equal(out.cells, expected)
 
 
 def test_export_log_format():

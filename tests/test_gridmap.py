@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import mark_band_one_capsule
+from travmap import gridmap
 from travmap.gridmap import (
     DEFAULT_PRIORITY,
     CellState,
@@ -82,6 +84,53 @@ def test_mark_band_point():
 def test_mark_band_outside_clips():
     m = new_map(0, 0, 3, 6, 0.1)
     m.mark_band((10, 10), (12, 10), 0.3, T)
+    assert (m.cells == int(UNK)).all()
+
+
+def _segment_batches():
+    rng = np.random.default_rng(11)
+    a = rng.uniform((-1.0, -1.0), (4.0, 7.0), size=(60, 2))
+    b = a + rng.normal(0.0, 0.4, size=(60, 2))
+    b[::4] = a[::4]  # disks
+    b[1::7] = a[1::7] + rng.normal(0.0, 3.0, size=(len(a[1::7]), 2))  # long bands
+    on_centers = (np.floor(a / 0.1) + 0.5) * 0.1  # exact cell centers, hit by zero-width capsules
+    far = rng.uniform((10.0, -9.0), (20.0, -2.0), size=(40, 2))
+    # Capsules whose windows are the whole 30 x 60 grid: together they overflow one block.
+    n_whole = gridmap._BAND_BLOCK // (30 * 60) + 5
+    wide_a = rng.uniform((-1.0, -1.0), (-0.5, -0.5), size=(n_whole, 2))
+    wide_b = rng.uniform((3.5, 6.5), (4.0, 7.0), size=(n_whole, 2))
+    empty = np.empty((0, 2))
+    return {
+        "random": (a, b, 0.12),
+        "random-wide": (a, b, 0.3),
+        "zero-width": (on_centers, on_centers[::-1], 0.0),
+        "empty": (empty, empty, 0.3),
+        "out-of-bounds": (far, far[::-1], 0.5),
+        "larger-than-a-block": (wide_a, wide_b, 0.25),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_segment_batches()))
+def test_mark_bands_equals_one_capsule_at_a_time(case):
+    a, b, hw = _segment_batches()[case]
+    batched = new_map(0, 0, 3, 6, 0.1)
+    batched.mark_bands(a, b, hw, T)
+    one_by_one = new_map(0, 0, 3, 6, 0.1)
+    for p, q in zip(a, b):
+        mark_band_one_capsule(one_by_one, tuple(p), tuple(q), hw, T)
+    assert np.array_equal(batched.cells, one_by_one.cells)
+    single = new_map(0, 0, 3, 6, 0.1)
+    for p, q in zip(a, b):
+        single.mark_band(tuple(p), tuple(q), hw, T)
+    assert np.array_equal(single.cells, one_by_one.cells)
+
+
+def test_mark_bands_rejects_bad_input():
+    m = new_map(0, 0, 3, 6, 0.1)
+    with pytest.raises(ValueError):
+        m.mark_bands([(0, 0)], [(1, 1)], -0.1, T)
+    with pytest.raises(ValueError):
+        m.mark_bands([(0, 0)], [(math.nan, 1)], 0.1, T)
     assert (m.cells == int(UNK)).all()
 
 
