@@ -21,7 +21,7 @@ from . import pipeline
 from .evidence import RebuildParams
 from .gridmap import DEFAULT_PRIORITY, LayerPriority, import_pgm
 from .pipeline import PipelineParams, RunConfig, combo_label, parse_combos, run_ablation, write_map_artifacts
-from .quality import QualityReport, ReportRow, evaluate_map, sample_queries
+from .quality import QualityReport, ReportRow, evaluate_map, oracle_plans, sample_queries
 from .scenario import load_scenario
 from .scenesim import FEATURE_DTYPE, simulate_sequence
 
@@ -84,11 +84,12 @@ def _cmd_build(args) -> int:
 def _cmd_evaluate(args) -> int:
     gt = import_pgm(pathlib.Path(args.ground_truth).read_bytes(), (args.origin_x, args.origin_y), args.resolution)
     queries = sample_queries(gt, args.queries, args.seed, args.min_separation)
+    oracles = oracle_plans(gt, queries)
     rows = []
     for candidate in args.maps:
         path = pathlib.Path(candidate)
         m = import_pgm(path.read_bytes(), (args.origin_x, args.origin_y), args.resolution)
-        ev = evaluate_map(m, gt, queries)
+        ev = evaluate_map(m, gt, queries, oracles)
         rows.append(ReportRow(path.stem, args.label, ev.score, ev.n_queries, ev.n_failed))
         print(f"{path.stem}: score {ev.score:.4f} m ({ev.n_failed}/{ev.n_queries} failed)")
     report = QualityReport(rows)

@@ -155,7 +155,7 @@ class TraversabilityMap:
         res, origin, size = self.resolution, np.array(self.origin), (self.width, self.height)
         pad = half_width + res
         lo = np.clip(np.floor((np.minimum(a, b) - pad - origin) / res), 0, size).astype(np.intp)
-        hi = np.clip(np.ceil((np.maximum(a, b) + pad - origin) / res) + 1, 0, size).astype(np.intp)
+        hi = np.clip(np.ceil((np.maximum(a, b) + pad - origin) / res), 0, size).astype(np.intp)
         extent = np.maximum(hi - lo, 0)  # window (width, height) per capsule; 0 when clipped away
         order = np.argsort(extent.prod(axis=1), kind="stable")  # similar windows share a block
         while len(order):

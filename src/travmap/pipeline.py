@@ -55,7 +55,16 @@ from .evidence import (
 )
 from .gridmap import DEFAULT_PRIORITY, LayerPriority, TraversabilityMap, export_pgm, new_map
 from .posegraph import OptimizationEvent, Pose2, PoseGraph, se2_compose, se2_inverse, se2_transform
-from .quality import COMBINATION_ORDER, EvaluationResult, JourneyQuery, QualityReport, ReportRow, evaluate_map, sample_queries
+from .quality import (
+    COMBINATION_ORDER,
+    EvaluationResult,
+    JourneyQuery,
+    QualityReport,
+    ReportRow,
+    evaluate_map,
+    oracle_plans,
+    sample_queries,
+)
 from .scenario import load_scenario
 from .scenesim import FrameObservation, GroundTruth, HumanDetection, SceneConfig, ground_truth_map, simulate_sequence
 
@@ -312,7 +321,9 @@ def _pass_between(
     # predicted if not), predicted depth, and image row when last seen.
     now = frame.features[frame.features["visible"]]
     before = prev_frame.features[prev_frame.features["visible"]]
-    cand = np.concatenate([now, before[~np.isin(before["feature_id"], now["feature_id"])]])
+    seen_now = np.zeros(len(row), dtype=bool)  # by feature id
+    seen_now[now["feature_id"]] = True
+    cand = np.concatenate([now, before[~seen_now[before["feature_id"]]]])
     k = row[cand["feature_id"]]
     seen = np.arange(len(cand)) < len(now)
     keep = (k >= 0) & (seen | (depth_pred[k] > 0))  # k = -1 (no landmark) reads a real row, then is dropped
@@ -464,6 +475,7 @@ def run_ablation(run_cfg: RunConfig) -> AblationOutput:
     gt = ground_truth_map(scene)
     result = run_pipeline(scene, run_cfg.params)
     queries = sample_queries(gt, run_cfg.n_queries, run_cfg.seed, run_cfg.min_separation)
+    oracles = oracle_plans(gt, queries)
 
     maps: dict[str, TraversabilityMap] = {}
     evaluations: dict[str, EvaluationResult] = {}
@@ -471,7 +483,7 @@ def run_ablation(run_cfg: RunConfig) -> AblationOutput:
     for layers in combos:
         label = combo_label(layers)
         combo_map = build_combo_map(result, layers)
-        ev = evaluate_map(combo_map, gt, queries)
+        ev = evaluate_map(combo_map, gt, queries, oracles)
         maps[label] = combo_map
         evaluations[label] = ev
         rows.append(ReportRow(label, scene.name, ev.score, ev.n_queries, ev.n_failed))

@@ -30,7 +30,9 @@ __all__ = [
     "QualityReport",
     "plan_path",
     "journey_error",
+    "oracle_plans",
     "evaluate_map",
+    "component_labels",
     "sample_queries",
 ]
 
@@ -199,27 +201,42 @@ def journey_error(oracle: PathPlan, user: PathPlan) -> float:
     return float(np.sqrt(d2.min(axis=1)).mean())
 
 
+def oracle_plans(ground_truth: TraversabilityMap, queries: Sequence[JourneyQuery]) -> list[PathPlan]:
+    """The oracle's plan on ``ground_truth`` for each query; every query must be solvable there."""
+    plans = []
+    for q in queries:
+        oracle = plan_path(ground_truth, q.start, q.goal)
+        if oracle is None:
+            raise ValueError(f"query {q} is unsolvable on the ground-truth map")
+        plans.append(oracle)
+    return plans
+
+
 def evaluate_map(
     candidate: TraversabilityMap,
     ground_truth: TraversabilityMap,
     queries: Sequence[JourneyQuery],
+    oracles: Optional[Sequence[PathPlan]] = None,
 ) -> EvaluationResult:
     """Score a candidate map against ground truth over the given journeys.
 
     Per query the oracle plans on ``ground_truth`` and the user on
     ``candidate``; a user failure costs the oracle's own path cost.  Every
-    query must be solvable on the ground truth.
+    query must be solvable on the ground truth.  ``oracles``, when given, are
+    the queries' :func:`oracle_plans` on ``ground_truth``, so maps scored
+    against one query set share one set of oracle plans.
     """
     if not candidate.same_geometry(ground_truth):
         raise ValueError("candidate and ground-truth maps must share geometry")
     if not queries:
         raise ValueError("need at least one query")
+    if oracles is None:
+        oracles = oracle_plans(ground_truth, queries)
+    elif len(oracles) != len(queries):
+        raise ValueError(f"{len(oracles)} oracle plans for {len(queries)} queries")
     errors = []
     n_failed = 0
-    for q in queries:
-        oracle = plan_path(ground_truth, q.start, q.goal)
-        if oracle is None:
-            raise ValueError(f"query {q} is unsolvable on the ground-truth map")
+    for q, oracle in zip(queries, oracles):
         user = plan_path(candidate, q.start, q.goal)
         if user is None:
             n_failed += 1
@@ -229,18 +246,49 @@ def evaluate_map(
     return EvaluationResult(float(np.mean(errors)), len(queries), n_failed, errors)
 
 
+def component_labels(m: TraversabilityMap) -> np.ndarray:
+    """Label of each cell's 8-connected component of TRAVERSABLE cells, from 1; 0 elsewhere.
+
+    The flood fill takes ``plan_path``'s moves over ``plan_path``'s free cells,
+    and A* is complete, so two cells share a label iff ``plan_path`` joins them.
+    """
+    free_cells = m.cells == int(CellState.TRAVERSABLE)
+    free = free_cells.tolist()
+    width, height = m.width, m.height
+    labels = [[0] * width for _ in range(height)]
+    n = 0
+    for j, i in np.argwhere(free_cells).tolist():
+        if labels[j][i]:
+            continue
+        n += 1
+        labels[j][i] = n
+        stack = [(i, j)]
+        while stack:
+            ci, cj = stack.pop()
+            for di, dj, _, _ in _NEIGHBORS:
+                ni, nj = ci + di, cj + dj
+                if 0 <= ni < width and 0 <= nj < height and free[nj][ni] and not labels[nj][ni]:
+                    labels[nj][ni] = n
+                    stack.append((ni, nj))
+    return np.array(labels, dtype=np.int64)
+
+
 def sample_queries(
     ground_truth: TraversabilityMap,
     n: int,
     seed: int,
     min_separation: float = 2.0,
 ) -> list[JourneyQuery]:
-    """Seeded rejection sampling of solvable start/goal pairs on traversable cells."""
+    """Seeded rejection sampling of solvable start/goal pairs on traversable cells.
+
+    A pair is solvable iff both cells lie in one :func:`component_labels` component.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     trav = np.argwhere(ground_truth.cells == int(CellState.TRAVERSABLE))  # rows of (j, i)
     if len(trav) < 2:
         raise ValueError("ground truth needs at least two traversable cells")
+    labels = component_labels(ground_truth)
     rng = np.random.default_rng(seed)
     queries: list[JourneyQuery] = []
     attempts = 0
@@ -258,7 +306,7 @@ def sample_queries(
         goal = ground_truth.cell_to_world(int(ib), int(jb))
         if math.hypot(goal[0] - start[0], goal[1] - start[1]) < min_separation:
             continue
-        if plan_path(ground_truth, start, goal) is None:
+        if labels[ja, ia] != labels[jb, ib]:
             continue
         queries.append(JourneyQuery(start, goal))
     return queries

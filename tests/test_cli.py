@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from travmap import pipeline
+from travmap import pipeline, quality
 from travmap.cli import main
-from travmap.gridmap import CellState, export_pgm, new_map
+from travmap.gridmap import CellState, empty_like, export_pgm, new_map
 from travmap.scenario import EXAMPLE_SCENARIO, load_scenario
 from travmap.scenesim import FEATURE_DTYPE, FrameObservation, HumanDetection, simulate_sequence
 
@@ -89,6 +89,37 @@ def test_evaluate_standalone(tmp_path, capsys):
     report = (out / "report.csv").read_text().splitlines()
     assert report[0] == "combination,scenario,score_m,n_queries,n_failed"
     assert report[1].startswith("cand,external,0.000000,5,0")
+
+
+def test_evaluate_shares_oracle_plans_across_maps(tmp_path, capsys, monkeypatch):
+    gt = new_map(0, 0, 2, 2, 0.1)
+    gt.cells[:, :] = int(CellState.TRAVERSABLE)
+    walled = gt.copy()
+    walled.cells[5:15, 10] = int(CellState.UNTRAVERSABLE)
+    maps = {"walled": walled, "blank": empty_like(gt)}
+    (tmp_path / "gt.pgm").write_bytes(export_pgm(gt))
+    for name, m in maps.items():
+        (tmp_path / f"{name}.pgm").write_bytes(export_pgm(m))
+    queries = quality.sample_queries(gt, 5, 0, 1.0)
+    expected = {name: quality.evaluate_map(m, gt, queries) for name, m in maps.items()}
+
+    gt_plans = []
+    plan = quality.plan_path
+
+    def counting_plan_path(m, start, goal):
+        gt_plans.append(np.array_equal(m.cells, gt.cells))
+        return plan(m, start, goal)
+
+    monkeypatch.setattr(quality, "plan_path", counting_plan_path)
+    args = ["evaluate", "--ground-truth", str(tmp_path / "gt.pgm"), "--queries", "5", "--min-separation", "1.0"]
+    args += ["--maps", *(str(tmp_path / f"{name}.pgm") for name in maps), "--out", str(tmp_path / "eval")]
+    assert main(args) == 0
+    assert sum(gt_plans) == 5
+    printed = capsys.readouterr().out.splitlines()
+    rows = [quality.ReportRow(name, "external", ev.score, ev.n_queries, ev.n_failed) for name, ev in expected.items()]
+    assert printed[:2] == [f"{name}: score {ev.score:.4f} m ({ev.n_failed}/{ev.n_queries} failed)" for name, ev in expected.items()]
+    assert (tmp_path / "eval" / "report.csv").read_text() == quality.QualityReport(rows).to_csv()
+    assert expected["blank"].n_failed == 5
 
 
 def test_ablate_report_shape(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from travmap import pipeline
+from travmap import pipeline, quality
 from travmap.evidence import Ho3Evidence, PfhEvidence, RebuildParams, SfmEvidence
 from travmap.gridmap import DEFAULT_PRIORITY, CellState, LayerPriority, export_pgm
 from travmap.quality import plan_path
@@ -122,6 +122,22 @@ def test_run_ablation_deterministic_in_memory():
     assert a.report.to_csv() == b.report.to_csv()
     for label in a.maps:
         assert export_pgm(a.maps[label]) == export_pgm(b.maps[label])
+
+
+def test_run_ablation_plans_each_oracle_path_once(monkeypatch):
+    grids = []
+    plan = quality.plan_path
+
+    def counting_plan_path(m, start, goal):
+        grids.append(m)
+        return plan(m, start, goal)
+
+    monkeypatch.setattr(quality, "plan_path", counting_plan_path)
+    cfg = pipeline.RunConfig(scenario="I", seed=4, n_queries=6)
+    out = pipeline.run_ablation(cfg)
+    assert len(out.maps) == len(pipeline.COMBINATIONS)
+    assert sum(m is out.ground_truth for m in grids) == cfg.n_queries
+    assert len(grids) == cfg.n_queries * (1 + len(pipeline.COMBINATIONS))
 
 
 def test_sfm_alone_on_obstacle_free_scene_pays_oracle_cost(tmp_path):

@@ -12,8 +12,10 @@ from travmap.quality import (
     PathPlan,
     QualityReport,
     ReportRow,
+    component_labels,
     evaluate_map,
     journey_error,
+    oracle_plans,
     plan_path,
     sample_queries,
 )
@@ -170,6 +172,66 @@ def test_evaluate_map_rejects_unsolvable_oracle_query():
     q = JourneyQuery(gt.cell_to_world(0, 0), gt.cell_to_world(2, 0))
     with pytest.raises(ValueError):
         evaluate_map(gt, gt, [q])
+
+
+def test_evaluate_map_shared_oracles_match_own_plans():
+    rng = np.random.default_rng(5)
+    gt = all_free(20, 20)
+    gt.cells[rng.random(gt.cells.shape) < 0.2] = int(U)
+    candidate = gt.copy()
+    candidate.cells[rng.random(gt.cells.shape) < 0.15] = int(CellState.UNKNOWN)
+    queries = sample_queries(gt, 8, seed=1, min_separation=1.0)
+    oracles = oracle_plans(gt, queries)
+    for m in (candidate, gt):
+        assert evaluate_map(m, gt, queries, oracles) == evaluate_map(m, gt, queries)
+    assert evaluate_map(candidate, gt, queries).n_failed > 0  # the penalty branch is covered too
+
+
+def test_oracle_plans_reject_unsolvable_query_and_short_lists():
+    gt = all_free(3, 3)
+    gt.cells[:, 1] = int(U)
+    solvable = JourneyQuery(gt.cell_to_world(0, 0), gt.cell_to_world(0, 2))
+    unsolvable = JourneyQuery(gt.cell_to_world(0, 0), gt.cell_to_world(2, 0))
+    with pytest.raises(ValueError, match="unsolvable"):
+        oracle_plans(gt, [solvable, unsolvable])
+    with pytest.raises(ValueError, match="oracle plans"):
+        evaluate_map(gt, gt, [solvable, solvable], oracle_plans(gt, [solvable]))
+
+
+def _assert_labels_match_planner(m):
+    labels = component_labels(m)
+    free = m.cells == int(T)
+    assert ((labels > 0) == free).all()
+    cells = [(int(i), int(j)) for j, i in np.argwhere(free)]
+    for a, (ia, ja) in enumerate(cells):
+        for ib, jb in cells[a + 1 :]:
+            plan = plan_path(m, m.cell_to_world(ia, ja), m.cell_to_world(ib, jb))
+            assert (labels[ja, ia] == labels[jb, ib]) == (plan is not None), ((ia, ja), (ib, jb))
+
+
+def test_component_labels_join_diagonal_only_cells():
+    # T . .      three cells touching only at corners form one component;
+    # . T .      the lone cell across the UNKNOWN column forms another
+    # . . T U T
+    m = new_map(0, 0, 0.5, 0.3, 0.1)
+    m.cells[:, :] = int(U)
+    for i, j in [(0, 2), (1, 1), (2, 0), (4, 0)]:
+        m.set_cell(i, j, T)
+    m.set_cell(3, 0, CellState.UNKNOWN)
+    labels = component_labels(m)
+    assert labels[2, 0] == labels[1, 1] == labels[0, 2] != labels[0, 4]
+    _assert_labels_match_planner(m)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_component_labels_agree_with_plan_path(data):
+    w = data.draw(st.integers(1, 6))
+    h = data.draw(st.integers(1, 6))
+    states = st.sampled_from([int(T), int(T), int(U), int(CellState.UNKNOWN)])
+    m = new_map(0, 0, w * 0.1, h * 0.1, 0.1)
+    m.cells[:, :] = np.array(data.draw(st.lists(states, min_size=w * h, max_size=w * h))).reshape(h, w)
+    _assert_labels_match_planner(m)
 
 
 def test_sample_queries_deterministic():
