@@ -33,7 +33,7 @@ from .gridmap import (
     fuse,
 )
 from .posegraph import Pose2, se2_transform
-from .scenesim import CameraIntrinsics
+from .scenesim import CameraIntrinsics, check_bounds
 
 __all__ = [
     "ScaleCalibration",
@@ -51,6 +51,7 @@ __all__ = [
     "human_map_position",
     "classify_occlusion",
     "infer_pass_pair",
+    "infer_pass_pairs",
     "rebuild_map",
     "export_evidence_log",
 ]
@@ -181,15 +182,50 @@ def human_map_position(
     return se2_transform(Pose2(*cam_pose), intr.floor_offset(0.5 * (bbox[0] + bbox[1]), depth))
 
 
-def classify_occlusion(u: np.ndarray, seen: np.ndarray, bbox: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+def classify_occlusion(u: np.ndarray, seen: np.ndarray, bbox: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Order features at image columns ``u`` against a human region: the FRONT and BEHIND masks.
 
     A feature observed (``seen``) inside the region's columns occludes the
     human (FRONT); a landmark predicted inside them but unobserved is occluded
     by the human (BEHIND).  Features outside the columns are in neither mask.
+    The column bounds ``bbox[0]`` and ``bbox[1]`` are numbers, or arrays
+    giving each feature its own region.
     """
     in_columns = (bbox[0] <= u) & (u <= bbox[1])
     return in_columns & seen, in_columns & ~seen
+
+
+def infer_pass_pairs(
+    sets: np.ndarray,
+    ids: np.ndarray,
+    depths: np.ndarray,
+    front: np.ndarray,
+    behind: np.ndarray,
+    human_depths: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of each set's tightest (front, behind) feature pair bracketing its human; -1 where none.
+
+    Feature row r belongs to set ``sets[r]``, whose human is at depth
+    ``human_depths[sets[r]]``.  Within a set, the front feature is the deepest
+    in the FRONT mask still nearer than the human, the behind one the
+    shallowest in the BEHIND mask still farther; ties go to the lower id, then
+    the earlier row.  A set whose two choices share an id has no pair.
+    """
+    human = human_depths[sets]
+    gap = np.abs(depths - human)
+    far = behind & (depths > human)
+    (rows,) = np.nonzero((front & (depths < human)) | far)
+    # One segmented sort: by set, then side, then the tie-break rule.
+    rows = rows[np.lexsort((ids[rows], gap[rows], far[rows], sets[rows]))]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (sets[rows[1:]] != sets[rows[:-1]]) | (far[rows[1:]] != far[rows[:-1]])
+    chosen = rows[first]
+    best = np.full((2, len(human_depths)), -1, dtype=np.intp)
+    best[far[chosen].astype(np.intp), sets[chosen]] = chosen
+    paired = (best >= 0).all(axis=0)
+    paired[paired] = ids[best[0, paired]] != ids[best[1, paired]]
+    best[:, ~paired] = -1
+    return best[0], best[1]
 
 
 def infer_pass_pair(
@@ -197,18 +233,14 @@ def infer_pass_pair(
 ) -> Optional[tuple[int, int]]:
     """Positions of the tightest (front, behind) feature pair bracketing the human, if any.
 
-    Of the features with ids ``ids`` and depths ``depths``, the front one is
-    the deepest in the FRONT mask still nearer than the human, the behind one
-    the shallowest in the BEHIND mask still farther.  Ties go to the lower id.
+    The one-set case of ``infer_pass_pairs``: of the features with ids
+    ``ids`` and depths ``depths``, the front one is the deepest in the FRONT
+    mask still nearer than the human, the behind one the shallowest in the
+    BEHIND mask still farther.  Ties go to the lower id.
     """
-    gap = np.abs(depths - human_depth)
-    pair = []
-    for mask in (front & (depths < human_depth), behind & (depths > human_depth)):
-        (k,) = np.nonzero(mask)
-        if not len(k):
-            return None
-        pair.append(int(k[np.lexsort((ids[k], gap[k]))[0]]))
-    return None if ids[pair[0]] == ids[pair[1]] else (pair[0], pair[1])
+    sets = np.zeros(len(ids), dtype=np.intp)
+    i, j = infer_pass_pairs(sets, ids, depths, front, behind, np.array([human_depth], dtype=float))
+    return None if i[0] < 0 else (int(i[0]), int(j[0]))
 
 
 class EvidenceStore:
@@ -231,13 +263,17 @@ class EvidenceStore:
     def add_pfh(self, keyframe_id: int, offset: tuple[float, float], track_id: int) -> None:
         self.records.append(PfhEvidence(keyframe_id, offset, track_id))
 
-    def add_ho3(self, front_id: int, behind_id: int, track_id: int) -> None:
+    def add_ho3(self, front_id: int, behind_id: int, track_id: int, at: Optional[int] = None) -> None:
+        """Log a pass-between pair, or fold it into its first record.
+
+        A new record goes in at index ``at`` of the log, by default at its end.
+        """
         key = (front_id, behind_id, track_id)
         rec = self._ho3.get(key)
         if rec is None:
             rec = Ho3Evidence(front_id, behind_id, track_id)
             self._ho3[key] = rec
-            self.records.append(rec)
+            self.records.insert(len(self.records) if at is None else at, rec)
         else:
             rec.weight += 1
 
@@ -252,6 +288,13 @@ class RebuildParams:
     robot_radius: float = 0.5
     trail_half_width: float = 0.2
     passage_half_width: float = 0.3
+
+    def __post_init__(self):
+        check_bounds(
+            ("robot_radius", self.robot_radius, 0.0, True),
+            ("trail_half_width", self.trail_half_width, 0.0, True),
+            ("passage_half_width", self.passage_half_width, 0.0, True),
+        )
 
 
 def rebuild_map(

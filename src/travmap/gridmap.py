@@ -191,10 +191,14 @@ class TraversabilityMap:
         )
 
 
+def _check_resolution(resolution: float) -> None:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution}")
+
+
 def new_map(x_min: float, y_min: float, x_max: float, y_max: float, resolution: float = 0.10) -> TraversabilityMap:
     """Fresh all-UNKNOWN map covering ``[x_min, x_max] x [y_min, y_max]``."""
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    _check_resolution(resolution)
     if x_max <= x_min or y_max <= y_min:
         raise ValueError(f"empty extent ({x_min}, {y_min}) .. ({x_max}, {y_max})")
     width = max(1, math.ceil((x_max - x_min) / resolution - _EXTENT_EPS))
@@ -250,6 +254,7 @@ def import_pgm(data: bytes, origin: tuple[float, float] = (0.0, 0.0), resolution
     The PGM itself carries no georeference, so ``origin`` and ``resolution``
     must be supplied by the caller.
     """
+    _check_resolution(resolution)
     if not data.startswith(b"P5"):
         raise ValueError("not a binary (P5) PGM")
     fields: list[int] = []

@@ -12,9 +12,11 @@ on each frame, in order:
    feature is logged as SfM evidence;
 4. trails (kept frames): each matched confirmed track is logged as PfH
    evidence relative to the newest keyframe;
-5. pass-between (kept frames after a kept frame): landmarks are ordered
-   against each tracked human, and straddling pairs are logged as HO3
-   evidence.  Turning frames are not kept.
+5. pass-between (kept frames after a kept frame): the frame's inputs are
+   recorded in the loop; after it, landmarks are ordered against each tracked
+   human in blocks of frames, one numpy pass per block, and straddling pairs
+   are logged as HO3 evidence at the position in the log their frame had.
+   Turning frames are not kept.
 
 Maps for any module combination are then regenerated from the evidence at the
 current pose snapshot and scored against the ground-truth map with a shared
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import pathlib
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import groupby, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +52,7 @@ from .evidence import (
     estimate_depth,
     export_evidence_log,
     human_map_position,
-    infer_pass_pair,
+    infer_pass_pairs,
     rebuild_map,
 )
 from .gridmap import DEFAULT_PRIORITY, LayerPriority, TraversabilityMap, export_pgm, new_map
@@ -66,7 +68,15 @@ from .quality import (
     sample_queries,
 )
 from .scenario import load_scenario
-from .scenesim import FrameObservation, GroundTruth, HumanDetection, SceneConfig, ground_truth_map, simulate_sequence
+from .scenesim import (
+    FrameObservation,
+    GroundTruth,
+    HumanDetection,
+    SceneConfig,
+    check_bounds,
+    ground_truth_map,
+    simulate_sequence,
+)
 
 __all__ = [
     "PipelineParams",
@@ -88,6 +98,9 @@ _LAYERS_BY_LABEL = {label.lower(): layer for layer, label in _LABELS.items()}
 #: Candidate features must sit this far (px) inside the box: the boundary
 #: column is where a sight line merely grazes the body, which orders nothing.
 _REGION_MARGIN_PX = 1.0
+
+#: Pass-between jobs computed in one numpy pass; bounds the pass's arrays.
+_PASS_BLOCK = 64
 
 #: Body height (m) assumed when turning a box's apparent height into depth.
 _BODY_HEIGHT = 1.70
@@ -141,6 +154,13 @@ class PipelineParams:
     priority: LayerPriority = field(default_factory=lambda: DEFAULT_PRIORITY)
 
     def __post_init__(self):
+        check_bounds(
+            ("keyframe_stride", self.keyframe_stride, 1, True),
+            ("omega_max", self.omega_max, 0.0, False),
+            ("gate_px", self.gate_px, 0.0, False),
+            ("closure_radius", self.closure_radius, 0.0, True),
+            ("closure_min_gap", self.closure_min_gap, 1, True),
+        )
         unknown = [layer for layer in self.priority.order if layer not in ALL_LAYERS]
         if unknown:
             raise ValueError(f"unknown layers {unknown} in priority; layers are {ALL_LAYERS}")
@@ -299,8 +319,22 @@ def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, np.ndarray]:
     return worlds, row
 
 
-def _pass_between(
+@dataclass(frozen=True)
+class _PassJob:
+    """One kept frame's pass-between inputs, recorded in the frame loop and computed after it."""
+
+    store_pos: int  # length of the evidence log when the frame was ingested: where its HO3 records go
+    frame: FrameObservation
+    prev_frame: FrameObservation
+    cam: Pose2
+    table: tuple[np.ndarray, np.ndarray]  # ``_landmark_table`` at the frame's poses
+    #: (track id, agent index, region) per human: the region's columns, its box's rows, and its range.
+    humans: tuple[tuple[int, int, tuple[float, float, float, float, float]], ...]
+
+
+def _record_pass_between(
     result: PipelineResult,
+    jobs: list[_PassJob],
     frame: FrameObservation,
     prev_frame: FrameObservation,
     matched: list[mot.HumanTrack],
@@ -308,56 +342,102 @@ def _pass_between(
     cam: Pose2,
     table: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Pass-between stage: order landmarks against each matched human, log straddling pairs as HO3.
-
-    A landmark seen in ``frame`` inside the human's box is in front; one seen
-    in ``prev_frame``, unseen now and predicted inside the box is behind.
-    """
-    intr, fi = result.config.intrinsics, frame.frame_index
-    worlds, row = table
-    u_pred, _, depth_pred = intr.project(cam.as_tuple(), worlds)
-
-    # Candidates, seen ones first: feature id, column (measured if seen,
-    # predicted if not), predicted depth, and image row when last seen.
-    now = frame.features[frame.features["visible"]]
-    before = prev_frame.features[prev_frame.features["visible"]]
-    seen_now = np.zeros(len(row), dtype=bool)  # by feature id
-    seen_now[now["feature_id"]] = True
-    cand = np.concatenate([now, before[~seen_now[before["feature_id"]]]])
-    k = row[cand["feature_id"]]
-    seen = np.arange(len(cand)) < len(now)
-    keep = (k >= 0) & (seen | (depth_pred[k] > 0))  # k = -1 (no landmark) reads a real row, then is dropped
-    cand, k, seen = cand[keep], k[keep], seen[keep]
-    u = np.where(seen, cand["u"], u_pred[k])
-    id_col, depth_col = cand["feature_id"], depth_pred[k]
-    ids, us, depths = id_col.tolist(), u.tolist(), depth_col.tolist()
-
+    """Pass-between stage, in the frame loop: queue the frame's job for its matched humans with a range and a region."""
+    humans = []
     for track in matched:
         tp = track.last
-        if tp.depth is None:
-            continue
-        bbox = tp.bbox
-        inner = (bbox[0] + _REGION_MARGIN_PX, bbox[1] - _REGION_MARGIN_PX, bbox[2], bbox[3])
-        if inner[0] >= inner[1]:
-            continue
-        agent_index = source[bbox].agent_index
-        front, behind = classify_occlusion(u, seen, inner)
-        # A landmark seen now occludes the human at the visible-region boundary,
-        # so only the column test binds it; one unseen now must also have been
-        # last seen within the box's rows.
-        behind &= (bbox[2] <= cand["v"]) & (cand["v"] <= bbox[3])
-        for i in np.flatnonzero(front | behind).tolist():
-            label = OcclusionClass.FRONT if front[i] else OcclusionClass.BEHIND
-            result.occlusion_diags.append(
-                OcclusionDiag(fi, track.track_id, agent_index, ids[i], label, us[i], depths[i], tp.depth)
-            )
-        pair = infer_pass_pair(id_col, depth_col, front, behind, tp.depth)
-        if pair is None:
-            continue
-        i, j = pair
-        assert depths[i] < tp.depth < depths[j], "pass-between pair must straddle the human"
-        result.store.add_ho3(ids[i], ids[j], track.track_id)
-        result.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
+        x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
+        if tp.depth is not None and x_min < x_max:
+            region = (x_min, x_max, tp.bbox[2], tp.bbox[3], tp.depth)
+            humans.append((track.track_id, source[tp.bbox].agent_index, region))
+    if humans:
+        jobs.append(_PassJob(len(result.store.records), frame, prev_frame, cam, table, tuple(humans)))
+
+
+def _pass_between(result: PipelineResult, jobs: Sequence[_PassJob]) -> None:
+    """Pass-between stage, after the frame loop: run the queued jobs in blocks of one landmark table.
+
+    Each block is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
+    """
+    n_logged = len(result.store.records)
+    for _, run in groupby(jobs, key=lambda job: id(job.table)):
+        run = list(run)
+        for start in range(0, len(run), _PASS_BLOCK):
+            _pass_block(result, run[start : start + _PASS_BLOCK], n_logged)
+
+
+def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int) -> None:
+    """Order landmarks against each job's humans in one numpy pass; log straddling pairs as HO3.
+
+    A landmark seen in the job's frame inside the human's box is in front;
+    one seen in its previous frame, unseen now and predicted inside the box
+    is behind.  Records, diagnostics and log positions are as if each job had
+    run in the frame loop: a job's new HO3 records go where its frame's would
+    have, at ``store_pos`` plus the records earlier jobs inserted after the
+    ``n_logged`` the loop logged.
+    """
+    worlds, row = jobs[0].table
+    # Candidates, job by job, seen ones first: each job's frame, then its previous frame.
+    parts = [f.features for job in jobs for f in (job.frame, job.prev_frame)]
+    part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+    # Column by column: concatenating record arrays costs a dtype promotion per array.
+    fid, u, v, visible = (np.concatenate([p[name] for p in parts]) for name in ("feature_id", "u", "v", "visible"))
+    job, seen = part // 2, part % 2 == 0
+    seen_now = np.zeros((len(jobs), len(row)), dtype=bool)  # by job and feature id
+    now = np.flatnonzero(visible & seen)
+    seen_now[job[now], fid[now]] = True
+    k = row[fid]
+    # Index arrays, not masks, pick the rows: gathering by index is several times faster.
+    (pick,) = np.nonzero(visible & (k >= 0) & (seen | ~seen_now[job, fid]))
+    # Each candidate projected from its own job's camera only.
+    cams = np.array([j.cam.as_tuple() for j in jobs])
+    u_pred, _, depth = (a[:, 0] for a in result.config.intrinsics.project(cams[job[pick]], worlds[k[pick]][:, None, :]))
+    (in_front,) = np.nonzero(seen[pick] | (depth > 0))
+    pick, depth = pick[in_front], depth[in_front]
+    fid, v, job, seen = fid[pick], v[pick], job[pick], seen[pick]
+    u = np.where(seen, u[pick], u_pred[in_front])
+
+    # One set of rows per (job, human): the job's candidates against the human's region.
+    humans = [(j, *human) for j, pass_job in enumerate(jobs) for human in pass_job.humans]
+    human_job = np.array([h[0] for h in humans])
+    region = np.array([h[3] for h in humans])
+    counts = np.bincount(job, minlength=len(jobs))
+    n_rows = counts[human_job]
+    sets = np.repeat(np.arange(len(humans)), n_rows)
+    # Row r of set s is candidate (first candidate of s's job) + (r - first row of s).
+    first_cand = np.cumsum(counts) - counts
+    first_row = np.cumsum(n_rows) - n_rows
+    rows = np.arange(len(sets)) + np.repeat(first_cand[human_job] - first_row, n_rows)
+    x_min, x_max, y_min, y_max, human_depth = region.T
+    front, behind = classify_occlusion(u[rows], seen[rows], (x_min[sets], x_max[sets]))
+    # A landmark seen now occludes the human at the visible-region boundary,
+    # so only the column test binds it; one unseen now must also have been
+    # last seen within the box's rows.
+    behind &= (y_min[sets] <= v[rows]) & (v[rows] <= y_max[sets])
+    front_row, behind_row = infer_pass_pairs(sets, fid[rows], depth[rows], front, behind, human_depth)
+
+    hit = front | behind
+    hit_rows = rows[hit]
+    for s, is_front, feature_id, u_i, depth_i in zip(
+        sets[hit].tolist(), front[hit].tolist(), *(col[hit_rows].tolist() for col in (fid, u, depth))
+    ):
+        j, track_id, agent_index, (*_, range_est) = humans[s]
+        label = OcclusionClass.FRONT if is_front else OcclusionClass.BEHIND
+        result.occlusion_diags.append(
+            OcclusionDiag(jobs[j].frame.frame_index, track_id, agent_index, feature_id, label, u_i, depth_i, range_est)
+        )
+    (paired,) = np.nonzero(front_row >= 0)
+    ends = (rows[front_row[paired]], rows[behind_row[paired]])
+    for s, front_id, behind_id, front_depth, behind_depth in zip(
+        paired.tolist(), *(fid[end].tolist() for end in ends), *(depth[end].tolist() for end in ends)
+    ):
+        j, track_id, _, (*_, range_est) = humans[s]
+        assert front_depth < range_est < behind_depth, "pass-between pair must straddle the human"
+        at = jobs[j].store_pos + len(result.store.records) - n_logged
+        result.store.add_ho3(front_id, behind_id, track_id, at=at)
+        result.pair_diags.append(
+            PairDiag(jobs[j].frame.frame_index, track_id, front_id, behind_id, front_depth, behind_depth, range_est)
+        )
 
 
 def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:
@@ -374,6 +454,7 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
     kf = 0
     table = None  # landmark worlds and rows; None once landmarks or poses change
     prev_kept = None  # the previous frame, if it was kept
+    jobs: list[_PassJob] = []
 
     for frame in frames:
         fi = frame.frame_index
@@ -399,8 +480,9 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
         if result.landmarks and prev_kept is not None and matched:
             if table is None:
                 table = _landmark_table(result)
-            _pass_between(result, frame, prev_kept, matched, source, pose_est, table)
+            _record_pass_between(result, jobs, frame, prev_kept, matched, source, pose_est, table)
         prev_kept = frame
+    _pass_between(result, jobs)
     return result
 
 
@@ -451,6 +533,12 @@ class RunConfig:
     n_queries: int = 20
     min_separation: float = 2.0
     params: PipelineParams = field(default_factory=PipelineParams)
+
+    def __post_init__(self):
+        check_bounds(
+            ("seed", self.seed, 0, True), ("n_queries", self.n_queries, 1, True),
+            ("min_separation", self.min_separation, 0.0, True),
+        )
 
 
 @dataclass

@@ -35,6 +35,7 @@ __all__ = [
     "FrameObservation",
     "GroundTruth",
     "BehindCameraError",
+    "check_bounds",
     "builtin_config",
     "ground_truth_map",
     "project_point",
@@ -60,6 +61,16 @@ _FRAME_BLOCK = 64
 
 class BehindCameraError(ValueError):
     """Projection requested for a point at or behind the camera plane."""
+
+
+def check_bounds(*fields: tuple[str, float, float, bool]) -> None:
+    """Raise ValueError naming the first field that is not finite or not past its bound.
+
+    Each field is (name, value, the bound it must exceed, whether it may equal that bound).
+    """
+    for name, value, low, may_equal in fields:
+        if not (math.isfinite(value) and (value >= low if may_equal else value > low)):
+            raise ValueError(f"{name} must be finite and {'>=' if may_equal else '>'} {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -180,17 +191,14 @@ class SceneConfig:
 
     def __post_init__(self):
         x_min, y_min, x_max, y_max = self.bounds
-        # (field, value, the bound it must exceed, whether it may equal that bound)
-        for name, value, low, may_equal in (
+        check_bounds(
             ("x_min", x_min, -math.inf, False), ("y_min", y_min, -math.inf, False),
             ("x_max", x_max, x_min, False), ("y_max", y_max, y_min, False),
             ("fps", self.fps, 0.0, False), ("feature_spacing", self.feature_spacing, 0.0, False),
             ("odom_sigma_trans", self.odom_sigma_trans, 0.0, True), ("odom_sigma_rot", self.odom_sigma_rot, 0.0, True),
-            ("robot_radius", self.robot_radius, 0.0, True),
+            ("robot_radius", self.robot_radius, 0.0, True), ("rng_seed", self.rng_seed, 0, True),
             ("camera_yaw_offset", self.camera_yaw_offset, -math.inf, False),
-        ):
-            if not (math.isfinite(value) and (value >= low if may_equal else value > low)):
-                raise ValueError(f"{name} must be finite and {'>=' if may_equal else '>'} {low}, got {value}")
+        )
         if not any(x_min <= x <= x_max and y_min <= y <= y_max for _, (x, y, _) in self.robot.waypoints):
             raise ValueError(f"robot has no waypoint inside the bounds {self.bounds}")
 

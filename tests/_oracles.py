@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 
-from travmap.evidence import Ho3Evidence, PfhEvidence, SfmEvidence
+from travmap import mot
+from travmap.evidence import Ho3Evidence, OcclusionClass, PfhEvidence, SfmEvidence, classify_occlusion, infer_pass_pair
 from travmap.gridmap import CellState
+from travmap.pipeline import _REGION_MARGIN_PX, OcclusionDiag, PairDiag, PipelineResult
+from travmap.posegraph import Pose2
+from travmap.scenesim import FrameObservation, HumanDetection
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -166,3 +170,67 @@ def paint_expected_map(
         out[sfm] = int(CellState.UNTRAVERSABLE)
     out[human] = int(CellState.TRAVERSABLE)  # human evidence outranks the feature layer
     return out
+
+
+def pass_between_per_frame(
+    result: PipelineResult,
+    frame: FrameObservation,
+    prev_frame: FrameObservation,
+    matched: list[mot.HumanTrack],
+    source: dict[tuple, HumanDetection],
+    cam: Pose2,
+    table: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """The per-frame pass-between stage ``run_pipeline`` ran inside its frame loop before it ran in blocks.
+
+    Kept verbatim so the blocked stage can be compared against it byte for
+    byte.  It orders landmarks against each matched human and logs
+    straddling pairs as HO3 at once.  A landmark seen in ``frame`` inside
+    the human's box is in front; one seen in ``prev_frame``, unseen now and
+    predicted inside the box is behind.
+    """
+    intr, fi = result.config.intrinsics, frame.frame_index
+    worlds, row = table
+    u_pred, _, depth_pred = intr.project(cam.as_tuple(), worlds)
+
+    # Candidates, seen ones first: feature id, column (measured if seen,
+    # predicted if not), predicted depth, and image row when last seen.
+    now = frame.features[frame.features["visible"]]
+    before = prev_frame.features[prev_frame.features["visible"]]
+    seen_now = np.zeros(len(row), dtype=bool)  # by feature id
+    seen_now[now["feature_id"]] = True
+    cand = np.concatenate([now, before[~seen_now[before["feature_id"]]]])
+    k = row[cand["feature_id"]]
+    seen = np.arange(len(cand)) < len(now)
+    keep = (k >= 0) & (seen | (depth_pred[k] > 0))  # k = -1 (no landmark) reads a real row, then is dropped
+    cand, k, seen = cand[keep], k[keep], seen[keep]
+    u = np.where(seen, cand["u"], u_pred[k])
+    id_col, depth_col = cand["feature_id"], depth_pred[k]
+    ids, us, depths = id_col.tolist(), u.tolist(), depth_col.tolist()
+
+    for track in matched:
+        tp = track.last
+        if tp.depth is None:
+            continue
+        bbox = tp.bbox
+        inner = (bbox[0] + _REGION_MARGIN_PX, bbox[1] - _REGION_MARGIN_PX, bbox[2], bbox[3])
+        if inner[0] >= inner[1]:
+            continue
+        agent_index = source[bbox].agent_index
+        front, behind = classify_occlusion(u, seen, inner)
+        # A landmark seen now occludes the human at the visible-region boundary,
+        # so only the column test binds it; one unseen now must also have been
+        # last seen within the box's rows.
+        behind &= (bbox[2] <= cand["v"]) & (cand["v"] <= bbox[3])
+        for i in np.flatnonzero(front | behind).tolist():
+            label = OcclusionClass.FRONT if front[i] else OcclusionClass.BEHIND
+            result.occlusion_diags.append(
+                OcclusionDiag(fi, track.track_id, agent_index, ids[i], label, us[i], depths[i], tp.depth)
+            )
+        pair = infer_pass_pair(id_col, depth_col, front, behind, tp.depth)
+        if pair is None:
+            continue
+        i, j = pair
+        assert depths[i] < tp.depth < depths[j], "pass-between pair must straddle the human"
+        result.store.add_ho3(ids[i], ids[j], track.track_id)
+        result.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))

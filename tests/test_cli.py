@@ -160,17 +160,33 @@ def no_simulation(monkeypatch):
     monkeypatch.setattr(pipeline, "run_pipeline", refuse)
 
 
-@pytest.mark.parametrize("command", ["build", "ablate"])
+_BAD_INPUT_BOTH = [
+    ("unknown-combo", ["--combos", "SfM,Nope"], "unknown module"),
+    ("repeated-combo", ["--combos", "SfM,SfM,PfH+SfM"], "duplicate"),
+    ("reordered-combo", ["--combos", "SfM+PfH,PfH+SfM"], "duplicate"),
+    ("unranked-layer", ["--priority", "sfm,ho3"], "not covered"),
+    ("unknown-layer", ["--priority", "lidar,sfm"], "unknown layers"),
+    ("nan-gate", ["--gate", "nan"], "gate_px must be finite"),
+    ("zero-gate", ["--gate", "0"], "gate_px must be finite and > 0"),
+    ("negative-omega-max", ["--omega-max", "-1"], "omega_max must be finite and > 0"),
+    ("negative-trail-width", ["--trail-half-width", "-1"], "trail_half_width must be finite and >= 0"),
+    ("nan-passage-width", ["--passage-half-width", "nan"], "passage_half_width must be finite"),
+    ("negative-seed", ["--seed", "-1"], "seed must be finite and >= 0"),
+]
+_BAD_INPUT_ABLATE = [
+    ("negative-queries", ["--queries", "-1"], "n_queries must be finite and >= 1"),
+    ("negative-min-separation", ["--min-separation", "-1"], "min_separation must be finite and >= 0"),
+]
+
+
 @pytest.mark.parametrize(
-    "options, message",
+    "command, options, message",
     [
-        (["--combos", "SfM,Nope"], "unknown module"),
-        (["--combos", "SfM,SfM,PfH+SfM"], "duplicate"),
-        (["--combos", "SfM+PfH,PfH+SfM"], "duplicate"),
-        (["--priority", "sfm,ho3"], "not covered"),
-        (["--priority", "lidar,sfm"], "unknown layers"),
-    ],
-    ids=["unknown-combo", "repeated-combo", "reordered-combo", "unranked-layer", "unknown-layer"],
+        pytest.param(command, options, message, id=f"{name}-{command}")
+        for name, options, message in _BAD_INPUT_BOTH
+        for command in ("build", "ablate")
+    ]
+    + [pytest.param("ablate", options, message, id=f"{name}-ablate") for name, options, message in _BAD_INPUT_ABLATE],
 )
 def test_bad_input_fails_before_simulating(tmp_path, no_simulation, command, options, message):
     with pytest.raises(ValueError, match=message):

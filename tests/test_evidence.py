@@ -22,6 +22,7 @@ from travmap.evidence import (
     export_evidence_log,
     human_map_position,
     infer_pass_pair,
+    infer_pass_pairs,
     rebuild_map,
 )
 from travmap.gridmap import CellState, new_map
@@ -210,6 +211,41 @@ def test_infer_pass_pair_matches_min_key_reference(candidates, order):
     if fronts and behinds:
         expected = tuple(min(side, key=lambda c: (abs(c[2] - human), c[0]))[0] for side in (fronts, behinds))
     assert _pass_pair(human, *cands) == expected
+
+
+@given(
+    segments=st.lists(
+        st.tuples(
+            st.sampled_from([2.0, 4.0, 5.0]),
+            st.lists(
+                st.tuples(
+                    st.integers(0, 4), st.booleans(), st.booleans(), st.sampled_from([1.0, 2.5, 3.0, 4.0, 5.0, 6.5])
+                ),
+                max_size=12,
+            ),
+        ),
+        max_size=6,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=100)
+def test_infer_pass_pairs_matches_one_set_calls(segments, order):
+    """Each set's choice is ``infer_pass_pair`` on that set's rows alone, whatever rows surround them."""
+    rows = [(s, *row) for s, (_, set_rows) in enumerate(segments) for row in set_rows]
+    order.shuffle(rows)  # sets interleave; rows of one set keep no fixed order
+    sets = np.array([r[0] for r in rows], dtype=np.intp)
+    ids = np.array([r[1] for r in rows], dtype=np.int64)  # repeated ids exercise the row tie-break
+    front = np.array([r[2] for r in rows], dtype=bool)
+    behind = np.array([r[3] for r in rows], dtype=bool)
+    depths = np.array([r[4] for r in rows], dtype=float)
+    human_depths = np.array([human for human, _ in segments], dtype=float)
+    front_row, behind_row = infer_pass_pairs(sets, ids, depths, front, behind, human_depths)
+    assert front_row.shape == behind_row.shape == (len(segments),)
+    for s, human in enumerate(human_depths.tolist()):
+        (mine,) = np.nonzero(sets == s)
+        pair = infer_pass_pair(ids[mine], depths[mine], front[mine], behind[mine], human)
+        expected = (-1, -1) if pair is None else (mine[pair[0]], mine[pair[1]])
+        assert (front_row[s], behind_row[s]) == expected
 
 
 def test_ho3_pair_must_be_distinct():

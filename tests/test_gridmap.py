@@ -220,6 +220,16 @@ def test_import_pgm_comment_cannot_stand_for_a_field():
         import_pgm(b"P5\n3 2 # maxval missing\n")
 
 
+@pytest.mark.parametrize("resolution", [0.0, -0.1, float("nan"), float("inf")])
+def test_import_pgm_and_new_map_reject_bad_resolution(resolution):
+    data = export_pgm(new_map(0, 0, 0.3, 0.2, 0.1))
+    with pytest.raises(ValueError, match="resolution must be finite and positive") as imported:
+        import_pgm(data, (0.0, 0.0), resolution)
+    with pytest.raises(ValueError) as made:
+        new_map(0, 0, 0.3, 0.2, resolution)
+    assert str(imported.value) == str(made.value)
+
+
 @given(
     states=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([T, U])), max_size=30),
     order=st.permutations([0, 1, 2]),

@@ -1,11 +1,13 @@
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from _oracles import pass_between_per_frame
 
 from travmap import pipeline, quality
-from travmap.evidence import Ho3Evidence, PfhEvidence, RebuildParams, SfmEvidence
+from travmap.evidence import Ho3Evidence, PfhEvidence, RebuildParams, SfmEvidence, export_evidence_log
 from travmap.gridmap import DEFAULT_PRIORITY, CellState, LayerPriority, export_pgm
 from travmap.quality import plan_path
 from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
@@ -192,3 +194,48 @@ def test_example_scene_detects_its_walker():
     res = pipeline.run_pipeline(parse_scenario(EXAMPLE_SCENARIO))
     assert any(frame.detections for frame in res.frames)
     assert any(isinstance(rec, PfhEvidence) for rec in res.store.records)
+
+
+_NOISY_T = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+
+
+def _pass_between_outputs(scene):
+    """A pipeline run, and its evidence log and pass-between diagnostics as text."""
+    res = pipeline.run_pipeline(scene)
+    return res, (export_evidence_log(res.store), repr(res.occlusion_diags), repr(res.pair_diags))
+
+
+@pytest.mark.parametrize(
+    "scene, closes",
+    [
+        (builtin_config("I"), True),
+        (builtin_config("L"), True),
+        (builtin_config("T"), True),
+        (_NOISY_T, True),
+        (parse_scenario(EXAMPLE_SCENARIO), False),
+    ],
+    ids=["I", "L", "T", "T-noisy", "example"],
+)
+def test_pass_between_blocks_match_per_frame_stage(monkeypatch, scene, closes):
+    """The blocked stage logs what the per-frame stage logged in the loop, in the same order, byte for byte."""
+    blocks = collections.Counter()  # blocks per landmark table
+    pass_block = pipeline._pass_block
+
+    def spy(result, jobs, n_logged):
+        assert all(job.table is jobs[0].table for job in jobs) and len(jobs) <= pipeline._PASS_BLOCK
+        blocks[id(jobs[0].table)] += 1
+        pass_block(result, jobs, n_logged)
+
+    monkeypatch.setattr(pipeline, "_pass_block", spy)
+    res, blocked = _pass_between_outputs(scene)
+    # The input changes tables mid-run, splits one table's jobs over blocks and, but for the example, closes a loop.
+    assert len(blocks) > 1 and max(blocks.values()) > 1
+    assert bool(res.events) == closes
+
+    def per_frame_stage(result, jobs, *frame_inputs):
+        pass_between_per_frame(result, *frame_inputs)
+
+    monkeypatch.setattr(pipeline, "_record_pass_between", per_frame_stage)
+    _, per_frame = _pass_between_outputs(scene)
+    assert "OcclusionDiag" in per_frame[1]
+    assert blocked == per_frame
