@@ -6,12 +6,19 @@ Subcommands:
 * ``build``    -- run the pipeline and write maps plus the evidence log.
 * ``evaluate`` -- score existing PGM maps against a ground-truth PGM.
 * ``ablate``   -- full run: every requested combination, maps, report.csv.
+
+``ablate`` takes one or more ``--scenario`` and ``--seed`` values.  One of each
+writes its files to ``--out`` and prints ``report.csv``.  Several run every
+scene at every seed, each into ``<out>/<scene name>/seed<k>/`` with the same
+files a single run writes, and print one matrix: per combination and scene,
+the mean score over the seeds and the solved journeys out of all queries.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import pathlib
 import sys
@@ -19,7 +26,7 @@ from typing import Optional, Sequence
 
 from . import pipeline
 from .evidence import RebuildParams
-from .gridmap import DEFAULT_PRIORITY, LayerPriority, import_pgm
+from .gridmap import LayerPriority, import_pgm
 from .pipeline import PipelineParams, RunConfig, combo_label, parse_combos, run_ablation, write_map_artifacts
 from .quality import QualityReport, ReportRow, evaluate_map, oracle_plans, sample_queries
 from .scenario import load_scenario
@@ -28,16 +35,19 @@ from .scenesim import FEATURE_DTYPE, simulate_sequence
 __all__ = ["main"]
 
 
-def _add_scenario_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scenario", default=RunConfig.scenario, help="builtin kind (I, L, T) or scenario file path")
-    p.add_argument("--seed", type=int, default=RunConfig.seed, help="simulation / query seed")
+def _add_scenario_args(p: argparse.ArgumentParser, several: bool = False) -> None:
+    """``several``: ``--scenario`` and ``--seed`` take one or more values, parsed as lists."""
+    nargs = "+" if several else None
+    scenario, seed = ([RunConfig.scenario], [RunConfig.seed]) if several else (RunConfig.scenario, RunConfig.seed)
+    p.add_argument("--scenario", nargs=nargs, default=scenario, help="builtin kind (I, L, T) or scenario file path")
+    p.add_argument("--seed", type=int, nargs=nargs, default=seed, help="simulation / query seed")
     p.add_argument("--out", default="out", help="output directory")
 
 
 def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega-max", type=float, default=PipelineParams.omega_max, help="turning-frame cutoff (rad/s)")
     p.add_argument("--gate", type=float, default=PipelineParams.gate_px, help="association gate (px)")
-    p.add_argument("--priority", default=",".join(DEFAULT_PRIORITY.order), help="layer priority, lowest first")
+    p.add_argument("--priority", default=",".join(PipelineParams.priority.order), help="layer priority, lowest first")
     p.add_argument("--trail-half-width", type=float, default=RebuildParams.trail_half_width)
     p.add_argument("--passage-half-width", type=float, default=RebuildParams.passage_half_width)
 
@@ -102,19 +112,49 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    params = _params_from_args(args)
-    run_cfg = RunConfig(
-        scenario=args.scenario,
+    config = functools.partial(
+        RunConfig,
         combos=tuple(args.combos.split(",")),
-        seed=args.seed,
-        out_dir=args.out,
         n_queries=args.queries,
         min_separation=args.min_separation,
-        params=params,
+        params=_params_from_args(args),
     )
-    output = run_ablation(run_cfg)
-    sys.stdout.write(output.report.to_csv())
-    print(f"maps and report written to {args.out}")
+    if len(args.scenario) == len(args.seed) == 1:
+        output = run_ablation(config(scenario=args.scenario[0], seed=args.seed[0], out_dir=args.out))
+        sys.stdout.write(output.report.to_csv())
+        print(f"maps and report written to {args.out}")
+        return 0
+
+    # Every run is checked before the first one simulates.
+    names = [load_scenario(source).name for source in args.scenario]
+    for what, values in (("seed", args.seed), ("scene name", names)):
+        repeated = sorted({str(v) for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"duplicate {what} {', '.join(repeated)}: each run needs its own directory")
+    runs = [
+        config(scenario=source, seed=seed, out_dir=str(pathlib.Path(args.out, name, f"seed{seed}")))
+        for source, name in zip(args.scenario, names)
+        for seed in args.seed
+    ]
+    rows = []
+    for run_cfg in runs:
+        rows += run_ablation(run_cfg).report.rows
+        print(f"maps and report written to {run_cfg.out_dir}")
+
+    labels = list(dict.fromkeys(row.combination for row in rows))
+    cells = {}
+    for label in labels:
+        for name in names:
+            cell = [row for row in rows if (row.combination, row.scenario) == (label, name)]
+            solved = sum(row.n_queries - row.n_failed for row in cell)
+            mean = sum(row.score for row in cell) / len(cell)
+            cells[label, name] = f"{mean:.4f} {solved}/{sum(row.n_queries for row in cell)}"
+    width = 2 + max(len(text) for text in [*names, *cells.values()])
+    label_width = max(len(label) for label in labels)
+    print(f"\nmean score_m (lower is better) and solved/queries over seeds {' '.join(map(str, args.seed))}")
+    print(" " * label_width + "".join(f"{name:>{width}}" for name in names))
+    for label in labels:
+        print(f"{label:<{label_width}}" + "".join(f"{cells[label, name]:>{width}}" for name in names))
     return 0
 
 
@@ -147,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for report.csv (optional)")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("ablate", help="full ablation: maps plus report.csv")
-    _add_scenario_args(p)
+    p = sub.add_parser("ablate", help="full ablation: maps plus report.csv, over one or more scenes and seeds")
+    _add_scenario_args(p, several=True)
     _add_pipeline_args(p)
     p.add_argument("--combos", default=all_combos, help="comma list, e.g. SfM+PfH,HO3")
     p.add_argument("--queries", type=int, default=RunConfig.n_queries)

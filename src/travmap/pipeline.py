@@ -151,7 +151,7 @@ class PipelineParams:
     closure_radius: float = 0.5
     closure_min_gap: int = 20  # keyframes
     rebuild: RebuildParams = field(default_factory=RebuildParams)
-    priority: LayerPriority = field(default_factory=lambda: DEFAULT_PRIORITY)
+    priority: LayerPriority = DEFAULT_PRIORITY
 
     def __post_init__(self):
         check_bounds(

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gridmap import CellState, OutOfBoundsError, TraversabilityMap
+from .scenesim import check_bounds
 
 __all__ = [
     "JourneyQuery",
@@ -283,8 +284,7 @@ def sample_queries(
 
     A pair is solvable iff both cells lie in one :func:`component_labels` component.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_bounds(("n", n, 1, True), ("seed", seed, 0, True), ("min_separation", min_separation, 0.0, True))
     trav = np.argwhere(ground_truth.cells == int(CellState.TRAVERSABLE))  # rows of (j, i)
     if len(trav) < 2:
         raise ValueError("ground truth needs at least two traversable cells")

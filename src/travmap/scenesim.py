@@ -201,6 +201,9 @@ class SceneConfig:
         )
         if not any(x_min <= x <= x_max and y_min <= y <= y_max for _, (x, y, _) in self.robot.waypoints):
             raise ValueError(f"robot has no waypoint inside the bounds {self.bounds}")
+        # Output file and directory names are built from it, so it must not leave the output directory.
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"name must be a plain file-name part (no '/', '\\' or NUL), got {self.name!r}")
 
 
 #: One row per feature a frame sees: its id, image position, depth along the

@@ -1,13 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
-from travmap import pipeline, quality
+from travmap import cli, pipeline, quality
 from travmap.cli import main
 from travmap.gridmap import CellState, empty_like, export_pgm, new_map
-from travmap.scenario import EXAMPLE_SCENARIO, load_scenario
+from travmap.scenario import EXAMPLE_SCENARIO, ScenarioError, load_scenario
 from travmap.scenesim import FEATURE_DTYPE, FrameObservation, HumanDetection, simulate_sequence
 
 
@@ -176,6 +178,11 @@ _BAD_INPUT_BOTH = [
 _BAD_INPUT_ABLATE = [
     ("negative-queries", ["--queries", "-1"], "n_queries must be finite and >= 1"),
     ("negative-min-separation", ["--min-separation", "-1"], "min_separation must be finite and >= 0"),
+    # Several scenes or seeds: a bad run anywhere in the lists stops every run.
+    ("later-negative-seed", ["--seed", "0", "-1"], "seed must be finite and >= 0"),
+    ("unknown-second-scenario", ["--scenario", "I", "Q"], "No such file or directory: 'Q'"),
+    ("repeated-seed", ["--seed", "7", "0", "7"], "duplicate seed 7"),
+    ("repeated-scene", ["--scenario", "I", "i"], "duplicate scene name I"),
 ]
 
 
@@ -189,9 +196,49 @@ _BAD_INPUT_ABLATE = [
     + [pytest.param("ablate", options, message, id=f"{name}-ablate") for name, options, message in _BAD_INPUT_ABLATE],
 )
 def test_bad_input_fails_before_simulating(tmp_path, no_simulation, command, options, message):
-    with pytest.raises(ValueError, match=message):
+    # A missing scenario file is an OSError; every other bad input is a ValueError.
+    with pytest.raises(FileNotFoundError if "No such file" in message else ValueError, match=message):
         main([command, "--scenario", "I", "--out", str(tmp_path / "out"), *options])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "ablate"])
+def test_scene_name_cannot_leave_out_dir(tmp_path, no_simulation, command):
+    scene = tmp_path / "scene.ini"
+    scene.write_text(EXAMPLE_SCENARIO.replace("name = example", "name = ../escaped"))
+    with pytest.raises(ScenarioError, match="name must be a plain file-name part"):
+        main([command, "--scenario", str(scene), "--combos", "SfM", "--out", str(tmp_path / "run" / "out")])
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.ini"]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        pytest.param(["--seed", "-1"], "seed must be finite and >= 0", id="negative-seed"),
+        pytest.param(["--min-separation", "nan"], "min_separation must be finite", id="nan-min-separation"),
+        pytest.param(["--min-separation", "-1"], "min_separation must be finite and >= 0", id="negative-min-separation"),
+        pytest.param(["--queries", "0"], "n must be finite and >= 1", id="zero-queries"),
+    ],
+)
+def test_evaluate_rejects_bad_query_settings(tmp_path, options, message):
+    gt = new_map(0, 0, 2, 2, 0.1)
+    gt.cells[:, :] = int(CellState.TRAVERSABLE)
+    (tmp_path / "gt.pgm").write_bytes(export_pgm(gt))
+    args = ["evaluate", "--ground-truth", str(tmp_path / "gt.pgm"), "--maps", str(tmp_path / "gt.pgm")]
+    with pytest.raises(ValueError, match=message):
+        main([*args, "--out", str(tmp_path / "eval"), *options])
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "ablate"])
+def test_cli_defaults_are_the_pipeline_defaults(command):
+    params = cli._params_from_args(cli.build_parser().parse_args([command]))
+    defaults = pipeline.PipelineParams()
+    for f in dataclasses.fields(pipeline.PipelineParams):
+        got, want = getattr(params, f.name), getattr(defaults, f.name)
+        if f.name == "priority":
+            got, want = got.order, want.order
+        assert got == want, f.name
 
 
 def test_build_and_ablate_write_identical_maps(tmp_path, scene_file):
@@ -203,3 +250,51 @@ def test_build_and_ablate_write_identical_maps(tmp_path, scene_file):
     assert sorted(p.name for p in ablated.iterdir()) == sorted(names + ["report.csv"])
     for name in names:
         assert (built / name).read_bytes() == (ablated / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    """One ``ablate`` over builtin I and the example scene at seeds 0 and 7: its directory and stdout."""
+    root = tmp_path_factory.mktemp("sweep")
+    scene = root / "scene.ini"
+    scene.write_text(EXAMPLE_SCENARIO)
+    out = root / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["ablate", "--scenario", "I", str(scene), "--seed", "0", "7", "--queries", "2", "--out", str(out)]) == 0
+    return out, str(scene), stdout.getvalue()
+
+
+def test_ablate_over_scenes_and_seeds_writes_single_runs(tmp_path, sweep):
+    out, scene, _ = sweep
+    assert sorted(p.name for p in out.iterdir()) == ["I", "example"]
+    for source, name in (("I", "I"), (scene, "example")):
+        assert sorted(p.name for p in (out / name).iterdir()) == ["seed0", "seed7"]
+        for seed in (0, 7):
+            single = tmp_path / f"{name}-{seed}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["ablate", "--scenario", source, "--seed", str(seed), "--queries", "2", "--out", str(single)]) == 0
+            run = out / name / f"seed{seed}"
+            names = sorted(p.name for p in single.iterdir())
+            assert sorted(p.name for p in run.iterdir()) == names and "report.csv" in names
+            for file_name in names:
+                assert (run / file_name).read_bytes() == (single / file_name).read_bytes(), (name, seed, file_name)
+
+
+def test_ablate_over_scenes_and_seeds_prints_the_matrix(sweep):
+    out, _, stdout = sweep
+    lines = stdout.splitlines()
+    written = [f"maps and report written to {out / name / f'seed{seed}'}" for name in ("I", "example") for seed in (0, 7)]
+    assert lines[:4] == written
+    header = lines.index("mean score_m (lower is better) and solved/queries over seeds 0 7")
+    assert lines[header + 1].split() == ["I", "example"]
+    printed = [line.split() for line in lines[header + 2 :]]
+    assert [row[0] for row in printed] == list(pipeline.COMBINATION_ORDER)
+    for name, column in (("I", 1), ("example", 3)):
+        reports = [(out / name / f"seed{seed}" / "report.csv").read_text().splitlines()[1:] for seed in (0, 7)]
+        for row in printed:
+            cells = [line.split(",") for report in reports for line in report if line.split(",")[0] == row[0]]
+            assert len(cells) == 2 and all(cell[1] == name for cell in cells)
+            assert float(row[column]) == pytest.approx(sum(float(cell[2]) for cell in cells) / 2, abs=5e-5 + 1e-6)
+            solved = sum(int(cell[3]) - int(cell[4]) for cell in cells)
+            assert row[column + 1] == f"{solved}/{sum(int(cell[3]) for cell in cells)}"

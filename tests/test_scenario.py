@@ -131,3 +131,16 @@ def test_robot_outside_bounds_rejected(tmp_path):
     with pytest.raises(ScenarioError) as err:
         load_scenario(str(path))
     assert "robot" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "runs/I", "a\\b", "a\0b"])
+def test_names_that_leave_the_output_directory_rejected(name):
+    text = EXAMPLE_SCENARIO.replace("name = example", f"name = {name}")
+    assert text != EXAMPLE_SCENARIO
+    with pytest.raises(ScenarioError, match="name must be a plain file-name part"):
+        parse_scenario(text)
+
+
+def test_plain_names_with_dots_and_spaces_accepted():
+    for name in ("example.v2", "..hidden", "two words"):
+        assert parse_scenario(EXAMPLE_SCENARIO.replace("name = example", f"name = {name}")).name == name

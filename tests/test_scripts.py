@@ -1,4 +1,7 @@
-"""Smoke runs of the experiment scripts under ``scripts/`` on small inputs."""
+"""Smoke run of ``scripts/output_digests.py``, the one script under ``scripts/``.
+
+Ablations over several scenes and seeds are ``travmap ablate`` runs; ``test_cli.py`` covers them.
+"""
 
 import pathlib
 import runpy
@@ -14,18 +17,6 @@ def _run(monkeypatch, script, *args):
     with pytest.raises(SystemExit) as exit_:
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert exit_.value.code == 0
-
-
-def test_ablation_study_runs(tmp_path, monkeypatch, capsys):
-    _run(monkeypatch, "ablation_study.py", "--scenarios", "I", "--queries", "2", "--out", str(tmp_path))
-    assert (tmp_path / "I" / "report.csv").exists()
-    assert "lower is better" in capsys.readouterr().out
-
-
-def test_seed_sweep_runs(monkeypatch, capsys):
-    _run(monkeypatch, "seed_sweep.py", "--scenario", "I", "--seeds", "1", "--queries", "2")
-    out = capsys.readouterr().out
-    assert "seed 0:" in out and "SfM+PfH+HO3: mean" in out
 
 
 def test_output_digests_repeat(tmp_path, monkeypatch, capsys):
