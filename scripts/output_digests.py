@@ -13,7 +13,10 @@ For each scenario (builtin I, L or T, or a scenario file; default I L T):
 * ``reanchor`` at seed 3 with the same noise and closures disabled: for the
   first, middle and last keyframe pairs the pipeline's closure rule accepts
   (as perfbench's ``reanchor`` workload lists them), the maps of every
-  combination after closing that loop and optimizing.
+  combination after closing that loop and optimizing;
+* ``posegraph`` on the same open-loop graph: for every accepted pair in
+  turn, the graph's ``dumps()`` text and the optimization event after
+  closing that loop, so a pose change too small to reach a map cell shows.
 
 Two checkouts produce the same bytes when they print the same lines::
 
@@ -69,29 +72,50 @@ def _noisy_digest(scenario: str, out: pathlib.Path) -> str:
     return h.hexdigest()
 
 
-def _reanchor_digest(scenario: str) -> tuple[int, str]:
-    """The number of accepted closure pairs, and one digest over the maps of the chosen ones."""
+def _closures(scenario: str):
+    """The open-loop noisy run, and each keyframe pair the closure rule accepts with its true relative pose."""
     scene = dataclasses.replace(load_scenario(scenario), rng_seed=NOISY_SEED, **NOISY_SIGMAS)
     params = pipeline.PipelineParams(enable_closures=False)
     result = pipeline.run_pipeline(scene, params)
     stride = params.keyframe_stride
     truth = {kf: posegraph.Pose2(*result.truth.camera_poses[kf * stride]) for kf in result.graph.nodes}
-    pairs = [
-        (older, newer)
+    closures = [
+        (older, newer, posegraph.se2_compose(posegraph.se2_inverse(truth[older]), truth[newer]))
         for newer in sorted(truth)
         for older in sorted(truth)
         if newer - older >= params.closure_min_gap
         and math.hypot(truth[newer].x - truth[older].x, truth[newer].y - truth[older].y) <= params.closure_radius
     ]
+    return result, closures
+
+
+def _closed(result, older: int, newer: int, rel):
+    graph = copy.deepcopy(result.graph)
+    graph.add_loop_closure(older, newer, rel)
+    return graph, graph.optimize()
+
+
+def _reanchor_digest(result, closures) -> str:
+    """One digest over the maps after closing the first, middle and last pair."""
     h = hashlib.sha256()
-    for older, newer in sorted({pairs[0], pairs[len(pairs) // 2], pairs[-1]}) if pairs else ():
-        graph = copy.deepcopy(result.graph)
-        graph.add_loop_closure(older, newer, posegraph.se2_compose(posegraph.se2_inverse(truth[older]), truth[newer]))
-        h.update(repr((older, newer, graph.optimize())).encode())
+    chosen = sorted({closures[0], closures[len(closures) // 2], closures[-1]}, key=lambda c: c[:2]) if closures else ()
+    for older, newer, rel in chosen:
+        graph, event = _closed(result, older, newer, rel)
+        h.update(repr((older, newer, event)).encode())
         closed = dataclasses.replace(result, graph=graph)
         for layers in pipeline.COMBINATIONS:
             h.update(pipeline.build_combo_map(closed, layers).cells.tobytes())
-    return len(pairs), h.hexdigest()
+    return h.hexdigest()
+
+
+def _posegraph_digest(result, closures) -> str:
+    """One digest over the optimized graph and its event after closing each pair in turn."""
+    h = hashlib.sha256()
+    for older, newer, rel in closures:
+        graph, event = _closed(result, older, newer, rel)
+        h.update(graph.dumps().encode())
+        h.update(repr(event).encode())
+    return h.hexdigest()
 
 
 def main() -> int:
@@ -108,8 +132,11 @@ def main() -> int:
             print(f"simulate scene={scenario} seed={SIMULATE_SEED} sha256={digest}")
             digest = _noisy_digest(scenario, run_dir / "noisy")
             print(f"noisy scene={scenario} seed={NOISY_SEED} sha256={digest}")
-            n_pairs, digest = _reanchor_digest(scenario)
-            print(f"reanchor scene={scenario} seed={NOISY_SEED} pairs={n_pairs} sha256={digest}")
+            result, closures = _closures(scenario)
+            digest = _reanchor_digest(result, closures)
+            print(f"reanchor scene={scenario} seed={NOISY_SEED} pairs={len(closures)} sha256={digest}")
+            digest = _posegraph_digest(result, closures)
+            print(f"posegraph scene={scenario} seed={NOISY_SEED} pairs={len(closures)} sha256={digest}")
     return 0
 
 

@@ -9,7 +9,7 @@ from travmap import mot
 from travmap.evidence import Ho3Evidence, OcclusionClass, PfhEvidence, SfmEvidence, classify_occlusion, infer_pass_pair
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, OcclusionDiag, PairDiag, PipelineResult
-from travmap.posegraph import Pose2
+from travmap.posegraph import OptimizationEvent, Pose2, se2_compose, se2_inverse
 from travmap.scenesim import FrameObservation, HumanDetection
 
 _SQRT2 = math.sqrt(2.0)
@@ -234,3 +234,111 @@ def pass_between_per_frame(
         assert depths[i] < tp.depth < depths[j], "pass-between pair must straddle the human"
         result.store.add_ho3(ids[i], ids[j], track.track_id)
         result.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
+
+
+def posegraph_residual(graph, edge):
+    """``PoseGraph._residual`` as it was before the optimizer worked on edge arrays."""
+    xi = graph.nodes[edge.i]
+    xj = graph.nodes[edge.j]
+    err = se2_compose(se2_inverse(edge.rel), se2_compose(se2_inverse(xi), xj))
+    return np.array([err.x, err.y, err.theta])
+
+
+def posegraph_chi2(graph):
+    """``PoseGraph.chi2`` as it was before the optimizer worked on edge arrays."""
+    total = 0.0
+    for edge in graph.edges:
+        e = posegraph_residual(graph, edge)
+        total += float(e @ edge.info @ e)
+    return total
+
+
+def posegraph_linearize(graph, index):
+    """``PoseGraph._linearize``: the per-edge loop the edge-array linearization replaced."""
+    n = 3 * len(index)
+    H = np.zeros((n, n))
+    b = np.zeros(n)
+    for edge in graph.edges:
+        xi = graph.nodes[edge.i]
+        xj = graph.nodes[edge.j]
+        ci, si = math.cos(xi.theta), math.sin(xi.theta)
+        cz, sz = math.cos(edge.rel.theta), math.sin(edge.rel.theta)
+        RiT = np.array([[ci, si], [-si, ci]])
+        dRiT = np.array([[-si, ci], [-ci, -si]])
+        RzT = np.array([[cz, sz], [-sz, cz]])
+        d = np.array([xj.x - xi.x, xj.y - xi.y])
+        e = posegraph_residual(graph, edge)
+        A = np.zeros((3, 3))  # d e / d xi
+        A[:2, :2] = -RzT @ RiT
+        A[:2, 2] = RzT @ (dRiT @ d)
+        A[2, 2] = -1.0
+        B = np.zeros((3, 3))  # d e / d xj
+        B[:2, :2] = RzT @ RiT
+        B[2, 2] = 1.0
+        omega = edge.info
+        ii = index.get(edge.i)
+        jj = index.get(edge.j)
+        if ii is not None:
+            H[ii : ii + 3, ii : ii + 3] += A.T @ omega @ A
+            b[ii : ii + 3] += A.T @ omega @ e
+        if jj is not None:
+            H[jj : jj + 3, jj : jj + 3] += B.T @ omega @ B
+            b[jj : jj + 3] += B.T @ omega @ e
+        if ii is not None and jj is not None:
+            H[ii : ii + 3, jj : jj + 3] += A.T @ omega @ B
+            H[jj : jj + 3, ii : ii + 3] += B.T @ omega @ A
+    return H, b
+
+
+def posegraph_optimize(graph, max_iters=50, tol=1e-9):
+    """``PoseGraph.optimize`` as a scalar loop over ``Pose2`` nodes, kept verbatim.
+
+    The edge-array optimizer must reproduce its poses, chi2 trace, iteration
+    count and moved-node list bit for bit.
+    """
+    if not graph._connected():
+        raise ValueError("pose graph is not connected through node 0")
+    free = sorted(n for n in graph.nodes if n != 0)
+    index = {node_id: 3 * k for k, node_id in enumerate(free)}
+    before = {n: graph.nodes[n] for n in free}
+    chi = posegraph_chi2(graph)
+    trace = [chi]
+    lam = 1e-3
+    for _ in range(max_iters):
+        H, b = posegraph_linearize(graph, index)
+        accepted = False
+        converged = False
+        new_chi = chi
+        while lam <= 1e12:
+            damping = np.diag(np.maximum(np.diag(H), 1e-12))
+            try:
+                delta = np.linalg.solve(H + lam * damping, -b)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            if np.abs(delta).max() < 1e-13:
+                converged = True  # step below machine scale: already optimal
+                break
+            backup = {n: graph.nodes[n] for n in free}
+            for node_id, k in index.items():
+                p = graph.nodes[node_id]
+                graph.nodes[node_id] = Pose2(
+                    float(p.x + delta[k]), float(p.y + delta[k + 1]), float(p.theta + delta[k + 2])
+                )
+            new_chi = posegraph_chi2(graph)
+            if new_chi <= chi:
+                accepted = True
+                lam = max(lam / 10.0, 1e-15)
+                break
+            graph.nodes.update(backup)
+            lam *= 10.0
+        if converged or not accepted:
+            break
+        improvement = chi - new_chi
+        chi = new_chi
+        trace.append(chi)
+        if improvement < tol:
+            break
+    updated = tuple(n for n in free if graph.nodes[n].as_tuple() != before[n].as_tuple())
+    graph._event_counter += 1
+    return OptimizationEvent(graph._event_counter, updated, tuple(trace), len(trace) - 1)

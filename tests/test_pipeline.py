@@ -239,3 +239,22 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, scene, closes):
     _, per_frame = _pass_between_outputs(scene)
     assert "OcclusionDiag" in per_frame[1]
     assert blocked == per_frame
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_loop_closure_bounds_landmark_error_under_drift(seed):
+    """With odometry noise on T, closing the loop lowers mean and max landmark error."""
+    scene = dataclasses.replace(builtin_config("T"), rng_seed=seed, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+
+    def landmark_errors(enable_closures):
+        result = pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=enable_closures))
+        assert len(result.events) == int(enable_closures)
+        snapshot = result.graph.snapshot()
+        truth = result.truth.feature_points
+        return np.array([math.dist(lm.world(snapshot), truth[fid][:2]) for fid, lm in result.landmarks.items()])
+
+    closed, open_loop = landmark_errors(True), landmark_errors(False)
+    assert len(closed) == len(open_loop) > 300
+    assert closed.mean() < open_loop.mean()
+    assert closed.max() < open_loop.max()
+    assert closed.max() <= 0.40

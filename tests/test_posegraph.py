@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from _oracles import posegraph_chi2, posegraph_optimize
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from travmap import pipeline
 from travmap.posegraph import (
     EdgeKind,
     Pose2,
@@ -14,6 +18,7 @@ from travmap.posegraph import (
     se2_transform,
     wrap_angle,
 )
+from travmap.scenesim import builtin_config
 
 poses = st.builds(
     Pose2,
@@ -132,6 +137,13 @@ def test_max_iters_zero_is_noop():
     assert g.snapshot() == before
     assert event.updated == ()
     assert event.iterations == 0
+
+
+def test_optimize_gauge_only_graph_is_noop():
+    g = PoseGraph(Pose2(1, 2, 0.3))
+    event = g.optimize()
+    assert g.snapshot() == {0: Pose2(1, 2, 0.3)}
+    assert (event.updated, event.chi2_trace, event.iterations) == ((), (0.0,), 0)
 
 
 def test_event_ids_increase():
@@ -337,3 +349,115 @@ def test_loads_rejects_garbage():
         PoseGraph.loads("WHAT 1 2 3\n")
     with pytest.raises(ValueError):
         PoseGraph.loads("VERTEX_SE2 0 0 0\n")
+
+
+_VERTICES = "VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n"
+_EYE = "1 0 0 1 0 1"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_VERTICES + "EDGE_SE2 0 1 1 0 0 -1 0 0 1 0 1\n", "line 3: information matrix must be positive definite"),
+        (_VERTICES + f"EDGE_SE2 1 1 0 0 0 {_EYE}\n", "line 3: EDGE_SE2 endpoints must differ"),
+        ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 nan 0 0\n", "line 2: numbers must be finite"),
+        (_VERTICES + "EDGE_SE2 0 1 1 0 0 1 0 0 inf 0 1\n", "line 3: numbers must be finite"),
+        (_VERTICES + "VERTEX_SE2 1 2 0 0\n", "line 3: duplicate VERTEX_SE2 id 1"),
+        ("VERTEX_SE2 0 0 0 zero\n", "line 1: cannot parse"),
+        ("VERTEX_SE2 0.5 0 0 0\n", "line 1: cannot parse"),
+        (_VERTICES + f"\n# comment\nEDGE_SE2 0 7 1 0 0 {_EYE}\n", "line 5: edge references unknown node 7"),
+    ],
+    ids=["not-positive-definite", "self-edge", "nan-vertex", "inf-information", "duplicate-id", "bad-number",
+         "bad-id", "unknown-node"],
+)
+def test_loads_rejects_bad_records_naming_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        PoseGraph.loads(text)
+
+
+@pytest.mark.parametrize("bad", [Pose2(math.nan, 0, 0), Pose2(0, math.inf, 0), Pose2(0, 0, math.nan)])
+def test_non_finite_relative_poses_rejected(bad):
+    g = PoseGraph()
+    g.add_keyframe(Pose2(1, 0, 0))
+    with pytest.raises(ValueError, match="odometry must be finite"):
+        g.add_keyframe(bad)
+    with pytest.raises(ValueError, match="loop closure must be finite"):
+        g.add_loop_closure(0, 1, bad)
+    assert len(g.nodes) == 2 and len(g.edges) == 1
+
+
+# ---------------------------------------------------------------------------
+# the edge-array optimizer against the scalar one it replaced, bit for bit
+
+
+def _bits(graph: PoseGraph) -> str:
+    """Node ids with their poses' exact floats and types."""
+    return repr([(n, graph.nodes[n]) for n in sorted(graph.nodes)])
+
+
+def _assert_optimize_matches_oracle(graph: PoseGraph, **kwargs) -> None:
+    assert graph.chi2() == posegraph_chi2(graph)
+    oracle_graph = copy.deepcopy(graph)
+    expected = posegraph_optimize(oracle_graph, **kwargs)
+    event = graph.optimize(**kwargs)
+    assert _bits(graph) == _bits(oracle_graph)
+    assert event.chi2_trace == expected.chi2_trace
+    assert repr(event) == repr(expected)  # same updated ids, iterations and event id
+    assert graph.chi2() == posegraph_chi2(oracle_graph)
+
+
+def _information(rng: np.random.Generator) -> np.ndarray:
+    L = np.tril(rng.normal(size=(3, 3))) + 2.0 * np.eye(3)
+    m = L @ L.T
+    return (m + m.T) / 2.0
+
+
+@st.composite
+def chain_graphs(draw):
+    """Noisy odometry chains with 0-3 closures (any direction, node 0 included) and one perturbed node."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    g = PoseGraph()
+    for _ in range(n - 1):
+        step = (rng.uniform(0.2, 1.0), rng.normal(0.0, 0.05), rng.uniform(-1.0, 1.0))
+        if draw(st.booleans()):
+            step = tuple(np.float64(v) for v in step)  # as noisy scenes hand it over
+        else:
+            step = tuple(float(v) for v in step)
+        g.add_keyframe(Pose2(*step), _information(rng) if draw(st.booleans()) else None)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        rel = se2_compose(se2_inverse(g.nodes[i]), g.nodes[j])
+        noisy = Pose2(rel.x + rng.normal(0.0, 0.1), rel.y + rng.normal(0.0, 0.1), rel.theta + rng.normal(0.0, 0.05))
+        g.add_loop_closure(i, j, noisy, _information(rng))
+    k = draw(st.integers(1, n - 1))
+    p = g.nodes[k]
+    g.nodes[k] = Pose2(p.x + rng.normal(0.0, 0.2), p.y + rng.normal(0.0, 0.2), p.theta + rng.normal(0.0, 0.2))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=chain_graphs(), limits=st.sampled_from([{}, {"max_iters": 0}, {"max_iters": 1}, {"tol": 1e-15}]))
+def test_optimize_matches_scalar_oracle_bit_for_bit(graph, limits):
+    _assert_optimize_matches_oracle(graph, **limits)
+
+
+def test_optimize_matches_scalar_oracle_on_every_reanchor_closure():
+    """All keyframe pairs the closure rule accepts on drifted T at seed 3, as perfbench's reanchor closes them."""
+    scene = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+    params = pipeline.PipelineParams(enable_closures=False)
+    result = pipeline.run_pipeline(scene, params)
+    truth = {kf: Pose2(*result.truth.camera_poses[kf * params.keyframe_stride]) for kf in result.graph.nodes}
+    pairs = [
+        (older, newer)
+        for newer in sorted(truth)
+        for older in sorted(truth)
+        if newer - older >= params.closure_min_gap
+        and math.hypot(truth[newer].x - truth[older].x, truth[newer].y - truth[older].y) <= params.closure_radius
+    ]
+    assert len(pairs) == 24
+    for older, newer in pairs:
+        graph = copy.deepcopy(result.graph)
+        graph.add_loop_closure(older, newer, se2_compose(se2_inverse(truth[older]), truth[newer]))
+        _assert_optimize_matches_oracle(graph)

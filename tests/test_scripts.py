@@ -30,5 +30,5 @@ def test_output_digests_repeat(tmp_path, monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     lines = outputs[0].splitlines()
-    assert [line.split()[0] for line in lines] == ["ablate", "ablate", "simulate", "noisy", "reanchor"]
+    assert [line.split()[0] for line in lines] == ["ablate", "ablate", "simulate", "noisy", "reanchor", "posegraph"]
     assert all(len(line.rsplit("sha256=", 1)[1]) == 64 for line in lines)
