@@ -6,44 +6,3 @@ and landmarks each produce re-anchorable traversability evidence; an SE(2)
 pose graph supplies the anchors, and the journey-based quality metric scores
 every module combination against a C-space ground truth.
 """
-
-from .gridmap import (
-    CellState,
-    DEFAULT_PRIORITY,
-    LayerPriority,
-    TraversabilityMap,
-    export_pgm,
-    fuse,
-    import_pgm,
-    new_map,
-)
-from .posegraph import Pose2, PoseGraph, se2_compose, se2_inverse
-from .quality import JourneyQuery, evaluate_map, journey_error, plan_path, sample_queries
-from .scenesim import SceneConfig, builtin_config, ground_truth_map, simulate_sequence
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CellState",
-    "DEFAULT_PRIORITY",
-    "LayerPriority",
-    "TraversabilityMap",
-    "new_map",
-    "fuse",
-    "export_pgm",
-    "import_pgm",
-    "Pose2",
-    "PoseGraph",
-    "se2_compose",
-    "se2_inverse",
-    "JourneyQuery",
-    "plan_path",
-    "journey_error",
-    "evaluate_map",
-    "sample_queries",
-    "SceneConfig",
-    "builtin_config",
-    "ground_truth_map",
-    "simulate_sequence",
-    "__version__",
-]

@@ -1,13 +1,15 @@
 """Traversability evidence: depth model, occlusion ordering, re-anchorable store.
 
 Three evidence streams feed the map.  Feature landmarks mark untraversable
-disks (static objects).  Human trail points mark traversable trails.  Pairs
-of landmarks a human passed between mark traversable bands.  Every record is
-pose-free: landmarks and trail points are stored as offsets in their anchor
-keyframe's frame, and pass-between records are just feature-id pairs, so a
-pose-graph optimization invalidates nothing.  ``rebuild_map`` regenerates the
-map from any pose snapshot: it resolves every record's endpoints at the
-snapshot, then marks each layer's bands in one batched pass.
+disks (static objects), one SfM record per landmark.  Human trail points mark
+traversable trails.  Pairs of landmarks a human passed between mark
+traversable bands; a repeated pair folds into its first HO3 record, whose
+weight counts the sightings.  Every record is pose-free: landmarks and trail
+points are stored as offsets in their anchor keyframe's frame, and
+pass-between records are just feature-id pairs, so a pose-graph optimization
+invalidates nothing.  ``rebuild_map`` regenerates the map from any pose
+snapshot: it resolves every record's endpoints at the snapshot, then marks
+each layer's bands in one batched pass.
 
 Monocular range to a human follows from apparent height: with calibration
 factor k, distance = k * f * H / h_px.  The apparent height h_px fed by the
@@ -105,7 +107,6 @@ class OcclusionClass(Enum):
 @dataclass
 class SfmEvidence:
     feature_id: int
-    weight: int = 1
 
 
 @dataclass
@@ -244,21 +245,21 @@ def infer_pass_pair(
 
 
 class EvidenceStore:
-    """Insertion-ordered evidence log with duplicate folding."""
+    """Insertion-ordered evidence log.
+
+    SfM evidence is one record per landmark: a repeated feature id logs
+    nothing.  Only HO3 folds a repeat, into its first record's weight.
+    """
 
     def __init__(self):
         self.records: list[SfmEvidence | PfhEvidence | Ho3Evidence] = []
-        self._sfm: dict[int, SfmEvidence] = {}
+        self._sfm: set[int] = set()
         self._ho3: dict[tuple[int, int, int], Ho3Evidence] = {}
 
     def add_sfm(self, feature_id: int) -> None:
-        rec = self._sfm.get(feature_id)
-        if rec is None:
-            rec = SfmEvidence(feature_id)
-            self._sfm[feature_id] = rec
-            self.records.append(rec)
-        else:
-            rec.weight += 1
+        if feature_id not in self._sfm:
+            self._sfm.add(feature_id)
+            self.records.append(SfmEvidence(feature_id))
 
     def add_pfh(self, keyframe_id: int, offset: tuple[float, float], track_id: int) -> None:
         self.records.append(PfhEvidence(keyframe_id, offset, track_id))

@@ -97,12 +97,18 @@ class TraversabilityMap:
 
     origin: tuple[float, float]
     resolution: float
-    width: int
-    height: int
     cells: np.ndarray
 
+    @property
+    def width(self) -> int:
+        return self.cells.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.cells.shape[0]
+
     def copy(self) -> "TraversabilityMap":
-        return TraversabilityMap(self.origin, self.resolution, self.width, self.height, self.cells.copy())
+        return TraversabilityMap(self.origin, self.resolution, self.cells.copy())
 
     def in_bounds(self, i: int, j: int) -> bool:
         return 0 <= i < self.width and 0 <= j < self.height
@@ -204,12 +210,11 @@ def new_map(x_min: float, y_min: float, x_max: float, y_max: float, resolution: 
     width = max(1, math.ceil((x_max - x_min) / resolution - _EXTENT_EPS))
     height = max(1, math.ceil((y_max - y_min) / resolution - _EXTENT_EPS))
     cells = np.full((height, width), int(CellState.UNKNOWN), dtype=np.uint8)
-    return TraversabilityMap((x_min, y_min), resolution, width, height, cells)
+    return TraversabilityMap((x_min, y_min), resolution, cells)
 
 
 def empty_like(m: TraversabilityMap) -> TraversabilityMap:
-    cells = np.full((m.height, m.width), int(CellState.UNKNOWN), dtype=np.uint8)
-    return TraversabilityMap(m.origin, m.resolution, m.width, m.height, cells)
+    return TraversabilityMap(m.origin, m.resolution, np.full(m.cells.shape, int(CellState.UNKNOWN), dtype=np.uint8))
 
 
 def fuse(
@@ -276,4 +281,4 @@ def import_pgm(data: bytes, origin: tuple[float, float] = (0.0, 0.0), resolution
     bad = grays[_STATE_OF_GRAY[grays] == _NO_STATE]
     if bad.size:
         raise ValueError(f"gray level {int(bad[0])} has no cell-state meaning")
-    return TraversabilityMap(origin, resolution, width, height, _STATE_OF_GRAY[np.flipud(grays)])
+    return TraversabilityMap(origin, resolution, _STATE_OF_GRAY[np.flipud(grays)])

@@ -8,8 +8,8 @@ on each frame, in order:
    ends is added and optimized at once;
 2. tracking: human detections, with depth and position estimates, go to the
    tracker;
-3. landmarks (keyframes only): new features are anchored, and every visible
-   feature is logged as SfM evidence;
+3. landmarks (keyframes only): each new feature is anchored and logged once
+   as SfM evidence;
 4. trails (kept frames): each matched confirmed track is logged as PfH
    evidence relative to the newest keyframe;
 5. pass-between (kept frames after a kept frame): the frame's inputs are
@@ -59,7 +59,6 @@ from .gridmap import DEFAULT_PRIORITY, LayerPriority, TraversabilityMap, export_
 from .posegraph import OptimizationEvent, Pose2, PoseGraph, se2_compose, se2_inverse, se2_transform
 from .quality import (
     COMBINATION_ORDER,
-    EvaluationResult,
     JourneyQuery,
     QualityReport,
     ReportRow,
@@ -290,7 +289,7 @@ def _track_humans(
 
 
 def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> bool:
-    """Landmark stage: anchor newly seen features to keyframe ``kf``, log SfM evidence; True if any is new.
+    """Landmark stage: anchor newly seen features to keyframe ``kf``, each logged once as SfM; True if any is new.
 
     Not gated by turning: the turning filter only withholds human-derived evidence.
     """
@@ -299,7 +298,7 @@ def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> 
     for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
         if fid not in result.landmarks:
             result.landmarks[fid] = Landmark(fid, kf, intr.floor_offset(u, depth))
-        result.store.add_sfm(fid)
+            result.store.add_sfm(fid)
     return len(result.landmarks) > n_landmarks
 
 
@@ -547,7 +546,6 @@ class AblationOutput:
     ground_truth: TraversabilityMap
     maps: dict[str, TraversabilityMap]
     queries: list[JourneyQuery]
-    evaluations: dict[str, EvaluationResult]
     result: PipelineResult
 
 
@@ -561,23 +559,23 @@ def run_ablation(run_cfg: RunConfig) -> AblationOutput:
     scene = replace(load_scenario(run_cfg.scenario), rng_seed=run_cfg.seed)
 
     gt = ground_truth_map(scene)
-    result = run_pipeline(scene, run_cfg.params)
+    # The queries depend only on the ground truth and the seed: sampling them
+    # first fails a setting no query set can meet before simulating.
     queries = sample_queries(gt, run_cfg.n_queries, run_cfg.seed, run_cfg.min_separation)
     oracles = oracle_plans(gt, queries)
+    result = run_pipeline(scene, run_cfg.params)
 
     maps: dict[str, TraversabilityMap] = {}
-    evaluations: dict[str, EvaluationResult] = {}
     rows = []
     for layers in combos:
         label = combo_label(layers)
         combo_map = build_combo_map(result, layers)
         ev = evaluate_map(combo_map, gt, queries, oracles)
         maps[label] = combo_map
-        evaluations[label] = ev
         rows.append(ReportRow(label, scene.name, ev.score, ev.n_queries, ev.n_failed))
     report = QualityReport(rows)
 
     if run_cfg.out_dir is not None:
         out = write_map_artifacts(run_cfg.out_dir, result, gt, maps)
         (out / "report.csv").write_text(report.to_csv(), encoding="ascii")
-    return AblationOutput(report, gt, maps, queries, evaluations, result)
+    return AblationOutput(report, gt, maps, queries, result)

@@ -208,7 +208,6 @@ class PoseGraph:
     def __init__(self, origin: Pose2 = Pose2()):
         self.nodes: dict[int, Pose2] = {0: origin}
         self.edges: list[Edge] = []
-        self.next_id = 1
         self._event_counter = 0
 
     def pose(self, node_id: int) -> Pose2:
@@ -222,14 +221,13 @@ class PoseGraph:
         return dict(self.nodes)
 
     def add_keyframe(self, odom: Pose2, info: Optional[np.ndarray] = None) -> int:
-        """Append a node at previous_pose . odom, connected by an odometry edge."""
+        """Append node ``max(ids) + 1`` at that node's pose . odom, connected to it by an odometry edge."""
         _check_finite_pose(odom, "odometry")
         info = _check_information(info)
-        prev = self.next_id - 1
-        node_id = self.next_id
+        prev = max(self.nodes)
+        node_id = prev + 1
         self.nodes[node_id] = se2_compose(self.nodes[prev], odom)
         self.edges.append(Edge(prev, node_id, odom, info, EdgeKind.ODOMETRY))
-        self.next_id += 1
         return node_id
 
     def add_loop_closure(self, i: int, j: int, rel: Pose2, info: Optional[np.ndarray] = None) -> None:
@@ -298,11 +296,13 @@ class PoseGraph:
         lam = 1e-3
         for _ in range(max_iters):
             H, b = _normal_equations(X, edges)
-            damping = np.diag(np.maximum(np.diag(H), 1e-12))
+            diag, damping = np.diag_indices_from(H), np.maximum(np.diag(H), 1e-12)
             trial = None
             while lam <= 1e12:
+                damped = H.copy()
+                damped[diag] += lam * damping
                 try:
-                    delta = np.linalg.solve(H + lam * damping, -b)
+                    delta = np.linalg.solve(damped, -b)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue
@@ -392,5 +392,4 @@ class PoseGraph:
             for node_id in (edge.i, edge.j):
                 if node_id not in graph.nodes:
                     raise ValueError(f"line {lineno}: edge references unknown node {node_id}")
-        graph.next_id = max(graph.nodes) + 1
         return graph

@@ -283,11 +283,18 @@ def sample_queries(
     """Seeded rejection sampling of solvable start/goal pairs on traversable cells.
 
     A pair is solvable iff both cells lie in one :func:`component_labels` component.
+    A ``min_separation`` longer than the diagonal of the traversable cell
+    centres' bounding box, which no pair can reach, is rejected before drawing.
     """
     check_bounds(("n", n, 1, True), ("seed", seed, 0, True), ("min_separation", min_separation, 0.0, True))
     trav = np.argwhere(ground_truth.cells == int(CellState.TRAVERSABLE))  # rows of (j, i)
     if len(trav) < 2:
         raise ValueError("ground truth needs at least two traversable cells")
+    (j_lo, i_lo), (j_hi, i_hi) = trav.min(axis=0).tolist(), trav.max(axis=0).tolist()
+    lo, hi = ground_truth.cell_to_world(i_lo, j_lo), ground_truth.cell_to_world(i_hi, j_hi)
+    reach = math.hypot(hi[0] - lo[0], hi[1] - lo[1])
+    if min_separation > reach:
+        raise ValueError(f"min_separation {min_separation} m is longer than {reach} m, the traversable cells' diagonal")
     labels = component_labels(ground_truth)
     rng = np.random.default_rng(seed)
     queries: list[JourneyQuery] = []

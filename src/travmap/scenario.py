@@ -3,12 +3,13 @@
 Sections: ``[bounds]`` (required), ``[robot]`` (required), ``[camera]``,
 ``[scene]``, ``[obstacle.N]`` and ``[human.N]``.  Keys mirror the scene
 config fields; unknown sections or keys are rejected with their line number,
-as are unparsable values.  Waypoint lists are semicolon-separated
+as are unparsable or non-finite values.  Waypoint lists are semicolon-separated
 ``t, x, y, yaw`` quadruples.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .scenesim import (
@@ -78,17 +79,23 @@ def _parse_waypoints(raw: str, lineno: int) -> tuple[tuple[float, tuple[float, f
     return tuple(wps)
 
 
-def _convert(value: str, kind, lineno: int):
-    if kind == "point":
-        return _parse_point(value, lineno)
-    if kind == "waypoints":
-        return _parse_waypoints(value, lineno)
+def _convert(key: str, value: str, kind, lineno: int):
     if kind is str:
         return value
-    try:
-        return kind(value)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: expected {kind.__name__}, got {value!r}") from None
+    if kind == "point":
+        parsed = numbers = _parse_point(value, lineno)
+    elif kind == "waypoints":
+        parsed = _parse_waypoints(value, lineno)
+        numbers = [v for t, pose in parsed for v in (t, *pose)]
+    else:
+        try:
+            parsed = kind(value)
+        except ValueError:
+            raise ScenarioError(f"line {lineno}: expected {kind.__name__}, got {value!r}") from None
+        numbers = (parsed,)
+    if not all(math.isfinite(v) for v in numbers):
+        raise ScenarioError(f"line {lineno}: {key} must be finite, got {value!r}")
+    return parsed
 
 
 def _section_schema(section: str) -> Optional[dict]:
@@ -138,7 +145,7 @@ def parse_scenario(text: str) -> SceneConfig:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r} in section [{current}]")
-        sections[current][key] = _convert(value, schema[key], lineno)
+        sections[current][key] = _convert(key, value, schema[key], lineno)
         lines_of[current][key] = lineno
 
     for required in ("bounds", "robot"):

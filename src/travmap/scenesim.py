@@ -85,8 +85,7 @@ class CameraIntrinsics:
     cam_height: float = 0.85
 
     def __post_init__(self):
-        if self.f <= 0:
-            raise ValueError("focal length must be positive")
+        check_bounds(("f", self.f, 0.0, False), ("cam_height", self.cam_height, 0.0, False))
         if not (0 <= self.cx < self.image_width and 0 <= self.cy < self.image_height):
             raise ValueError("principal point must lie inside the image")
 
@@ -124,8 +123,11 @@ class ObstacleBox:
     yaw: float = 0.0
 
     def __post_init__(self):
-        if min(self.half_extents) <= 0 or self.top_height <= 0:
-            raise ValueError("obstacle extents and height must be positive")
+        check_bounds(
+            *(("center", c, -math.inf, False) for c in self.center),
+            *(("half_extents", h, 0.0, False) for h in self.half_extents),
+            ("top_height", self.top_height, 0.0, False), ("yaw", self.yaw, -math.inf, False),
+        )
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,9 @@ class AgentTrajectory:
         times = [t for t, _ in self.waypoints]
         if len(times) < 1:
             raise ValueError("trajectory needs at least one waypoint")
+        for t, pose in self.waypoints:
+            numbers = zip(("t", "x", "y", "yaw"), (t, *pose))
+            check_bounds(*((f"waypoint {name}", v, -math.inf, False) for name, v in numbers))
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("waypoint timestamps must be strictly increasing")
         if self.role == "human":

@@ -178,6 +178,7 @@ _BAD_INPUT_BOTH = [
 _BAD_INPUT_ABLATE = [
     ("negative-queries", ["--queries", "-1"], "n_queries must be finite and >= 1"),
     ("negative-min-separation", ["--min-separation", "-1"], "min_separation must be finite and >= 0"),
+    ("unreachable-min-separation", ["--min-separation", "50"], "min_separation 50.0 m is longer than"),
     # Several scenes or seeds: a bad run anywhere in the lists stops every run.
     ("later-negative-seed", ["--seed", "0", "-1"], "seed must be finite and >= 0"),
     ("unknown-second-scenario", ["--scenario", "I", "Q"], "No such file or directory: 'Q'"),

@@ -265,10 +265,10 @@ def test_store_folds_duplicates():
     store.add_ho3(1, 2, 0)
     store.add_pfh(0, (1.0, 0.0), 0)
     store.add_pfh(0, (1.0, 0.0), 0)
-    assert len(store.records) == 4  # sfm + ho3 folded, trail points kept
-    sfm = [r for r in store.records if isinstance(r, SfmEvidence)][0]
+    assert len(store.records) == 4  # one sfm record, ho3 folded, trail points kept
+    assert [r.feature_id for r in store.records if isinstance(r, SfmEvidence)] == [3]
     ho3 = [r for r in store.records if isinstance(r, Ho3Evidence)][0]
-    assert sfm.weight == 2 and ho3.weight == 2
+    assert ho3.weight == 2
 
 
 def test_rebuild_empty_store_all_unknown():

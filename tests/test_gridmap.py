@@ -197,6 +197,14 @@ def test_pgm_roundtrip_identity(w, h, values):
     assert (back.width, back.height) == (m.width, m.height)
 
 
+def test_size_follows_cells():
+    m = new_map(0, 0, 0.7, 0.3, 0.1)
+    back = import_pgm(export_pgm(m), m.origin, m.resolution)
+    for grid in (m, empty_like(m), m.copy(), back):
+        assert grid.cells.shape == (3, 7)
+        assert (grid.width, grid.height) == (7, 3)
+
+
 def test_import_pgm_rejects_foreign_gray():
     data = b"P5\n1 1\n255\n" + bytes([7])
     with pytest.raises(ValueError):

@@ -62,11 +62,6 @@ def test_confirmed_tracks_only(i_result):
             assert rec.track_id in track_ids
 
 
-def test_sfm_weights_accumulate(i_result):
-    weights = [r.weight for r in i_result.store.records if isinstance(r, SfmEvidence)]
-    assert max(weights) > 1  # landmarks are re-observed across keyframes
-
-
 def test_build_combo_map_sfm_blocks_tables(i_result):
     m = pipeline.build_combo_map(i_result, ("sfm",))
     gt = ground_truth_map(i_result.config)
@@ -197,6 +192,22 @@ def test_example_scene_detects_its_walker():
 
 
 _NOISY_T = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+
+
+@pytest.mark.parametrize(
+    "scene",
+    [builtin_config("I"), builtin_config("L"), builtin_config("T"), _NOISY_T, parse_scenario(EXAMPLE_SCENARIO)],
+    ids=["I", "L", "T", "T-noisy", "example"],
+)
+def test_each_landmark_is_logged_once_in_creation_order(scene):
+    # Logging SfM once per landmark loses nothing: every feature visible at a
+    # keyframe has its one record, placed where it was first seen.
+    res = pipeline.run_pipeline(scene)
+    stride = res.params.keyframe_stride
+    seen = [f.features["feature_id"][f.features["visible"]].tolist() for f in res.frames[::stride]]
+    first_seen = list(dict.fromkeys(fid for ids in seen for fid in ids))
+    sfm_ids = [r.feature_id for r in res.store.records if isinstance(r, SfmEvidence)]
+    assert sfm_ids == list(res.landmarks) == first_seen
 
 
 def _pass_between_outputs(scene):

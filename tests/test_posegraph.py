@@ -329,6 +329,14 @@ def test_dump_load_roundtrip():
         assert np.allclose(a.info, b.info)
 
 
+def test_add_keyframe_after_loads_follows_the_largest_id():
+    text = "VERTEX_SE2 0 0.0 0.0 0.0\nVERTEX_SE2 5 1.0 0.0 0.0\nVERTEX_SE2 2 0.5 0.0 0.0\n"
+    g = PoseGraph.loads(text)
+    assert g.add_keyframe(Pose2(1, 0, 0)) == 6
+    assert pose_close(g.pose(6), Pose2(2, 0, 0), 0)
+    assert (g.edges[-1].i, g.edges[-1].j, g.edges[-1].kind) == (5, 6, EdgeKind.ODOMETRY)
+
+
 def test_dump_load_roundtrip_numpy_scalars():
     # Noisy odometry arrives as np.float64; dumps must still write plain numbers.
     g = PoseGraph()

@@ -257,6 +257,17 @@ def test_sample_queries_unique_admissible_pair():
     assert {q.start, q.goal} == {gt.cell_to_world(0, 0), gt.cell_to_world(29, 0)}
 
 
+def test_sample_queries_rejects_unreachable_separation_before_drawing():
+    # The farthest pair of a 0.3 m strip is its two end cells; that distance is met, a hair more is not.
+    gt = all_free(3, 1)
+    ends = gt.cell_to_world(0, 0), gt.cell_to_world(2, 0)
+    farthest = math.hypot(ends[1][0] - ends[0][0], ends[1][1] - ends[0][1])
+    (q,) = sample_queries(gt, 1, seed=0, min_separation=farthest)
+    assert {q.start, q.goal} == set(ends)
+    with pytest.raises(ValueError, match="min_separation .* is longer than"):
+        sample_queries(gt, 1, seed=0, min_separation=math.nextafter(farthest, math.inf))
+
+
 def test_sample_queries_infeasible_errors():
     gt = new_map(0, 0, 1, 1, 0.1)  # all unknown
     with pytest.raises(ValueError):

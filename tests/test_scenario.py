@@ -120,6 +120,25 @@ def test_unsimulatable_values_rejected_at_parse(key, value):
     assert key in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        pytest.param("center = 0.8, 3.0", "center = nan, 3.0", "center", id="center-nan"),
+        pytest.param("top_height = 0.7", "top_height = nan", "top_height", id="top_height-nan"),
+        pytest.param("[camera]\n", "[camera]\ncam_height = nan\n", "cam_height", id="cam_height-nan"),
+        pytest.param("f = 400", "f = nan", "f", id="f-nan"),
+        pytest.param("waypoints = 0, 1.7, 0.5,", "waypoints = 0, 1.7, nan,", "waypoints", id="human-waypoint-nan"),
+        pytest.param("half_extents = 0.3, 1.25", "half_extents = 0.3, inf", "half_extents", id="half_extents-inf"),
+    ],
+)
+def test_non_finite_numbers_rejected_with_their_line(old, new, key):
+    text = EXAMPLE_SCENARIO.replace(old, new)
+    assert text != EXAMPLE_SCENARIO
+    lineno = next(n for n, line in enumerate(text.splitlines(), start=1) if line.startswith(f"{key} = "))
+    with pytest.raises(ScenarioError, match=f"line {lineno}: {key} must be finite"):
+        parse_scenario(text)
+
+
 def test_builtin_scenes_pass_the_scene_checks():
     for kind in ("I", "L", "T"):
         assert load_scenario(kind).name == kind

@@ -77,6 +77,24 @@ def test_waypoint_times_strictly_increasing():
         AgentTrajectory("robot", ((0.0, (0, 0, 0)), (0.0, (1, 0, 0))))
 
 
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: CameraIntrinsics(f=math.nan), "f"),
+        (lambda: CameraIntrinsics(cam_height=math.nan), "cam_height"),
+        (lambda: ObstacleBox((math.nan, 3.0), (0.3, 1.25), 0.7), "center"),
+        (lambda: ObstacleBox((0.8, 3.0), (0.3, math.inf), 0.7), "half_extents"),
+        (lambda: ObstacleBox((0.8, 3.0), (0.3, 1.25), math.nan), "top_height"),
+        (lambda: ObstacleBox((0.8, 3.0), (0.3, 1.25), 0.7, yaw=math.inf), "yaw"),
+        (lambda: AgentTrajectory("robot", ((0.0, (0, 0, 0)), (1.0, (1, math.nan, 0)))), "waypoint y"),
+        (lambda: AgentTrajectory("robot", ((0.0, (0, 0, 0)), (math.nan, (1, 0, 0)))), "waypoint t"),
+    ],
+)
+def test_scene_parts_reject_non_finite_numbers(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # projection
 
