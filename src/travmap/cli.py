@@ -125,8 +125,9 @@ def _cmd_ablate(args) -> int:
         print(f"maps and report written to {args.out}")
         return 0
 
-    # Every run is checked before the first one simulates.
-    names = [load_scenario(source).name for source in args.scenario]
+    # Every run is checked, its queries sampled included, before the first one simulates.
+    scenes = [load_scenario(source) for source in args.scenario]
+    names = [scene.name for scene in scenes]
     for what, values in (("seed", args.seed), ("scene name", names)):
         repeated = sorted({str(v) for v in values if values.count(v) > 1})
         if repeated:
@@ -136,6 +137,10 @@ def _cmd_ablate(args) -> int:
         for source, name in zip(args.scenario, names)
         for seed in args.seed
     ]
+    for scene in scenes:
+        gt = pipeline.ground_truth_map(scene)
+        for seed in args.seed:
+            sample_queries(gt, args.queries, seed, args.min_separation)
     rows = []
     for run_cfg in runs:
         rows += run_ablation(run_cfg).report.rows

@@ -75,8 +75,7 @@ class ScaleCalibration:
     k: float
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("scale factor must be positive")
+        check_bounds(("k", self.k, 0.0, False))
 
 
 @dataclass(frozen=True)
@@ -132,12 +131,16 @@ def calibrate_scale(samples: Iterable[tuple[float, float, float, float]]) -> Sca
     """Median of per-sample k = slam_distance * h_px / (f * H).
 
     Each sample is (slam_distance, focal_px, apparent_height_px, body_height_m);
-    the median keeps single bad samples from skewing the scale.
+    the median keeps single outlying samples from skewing the scale.  A value
+    that is not finite and positive is rejected, naming its field: the median
+    cannot order a NaN.
     """
     ks = []
     for slam_distance, f, h_px, big_h in samples:
-        if min(slam_distance, f, h_px, big_h) <= 0:
-            raise ValueError(f"calibration sample values must be positive: {(slam_distance, f, h_px, big_h)}")
+        check_bounds(
+            ("slam_distance", slam_distance, 0.0, False), ("focal_px", f, 0.0, False),
+            ("apparent_height_px", h_px, 0.0, False), ("body_height_m", big_h, 0.0, False),
+        )
         ks.append(slam_distance * h_px / (f * big_h))
     if not ks:
         raise ValueError("need at least one calibration sample")

@@ -153,8 +153,8 @@ class TraversabilityMap:
         blocks of at most ``_BAND_BLOCK`` cells (a larger window is a block of
         its own), each capsule's window padded to the largest of its block.
         """
-        if half_width < 0:
-            raise ValueError("half_width must be >= 0")
+        if not half_width >= 0:  # NaN fails too
+            raise ValueError(f"half_width must be >= 0, got {half_width}")
         a, b = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (a, b))
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("segment endpoints must be finite")

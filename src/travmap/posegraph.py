@@ -43,14 +43,23 @@ def wrap_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Planar pose (x, y, heading); heading normalized to (-pi, pi]."""
+    """Planar pose (x, y, heading); heading normalized to (-pi, pi].
+
+    An infinite heading is rejected.  A NaN heading is kept, as are
+    non-finite x and y: the graph's ``add_keyframe`` and ``add_loop_closure``
+    reject a pose that is not finite.
+    """
 
     x: float = 0.0
     y: float = 0.0
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
+        try:
+            theta = wrap_angle(self.theta)
+        except ValueError:  # math.remainder of an infinity
+            raise ValueError(f"theta must be finite, got {self.theta}") from None
+        object.__setattr__(self, "theta", theta)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.theta)

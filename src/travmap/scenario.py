@@ -27,27 +27,37 @@ class ScenarioError(ValueError):
     """Scenario text did not parse; the message carries a line number."""
 
 
-_SCENE_KEYS = {
-    "fps": float,
-    "feature_spacing": float,
-    "robot_radius": float,
-    "odom_sigma_trans": float,
-    "odom_sigma_rot": float,
-    "camera_yaw_offset": float,
-    "name": str,
+#: Each section's keys and their kinds, by ``_kind``: ``obstacle.`` covers every ``[obstacle.N]``.
+_SCHEMAS = {
+    "scene": {
+        "fps": float,
+        "feature_spacing": float,
+        "robot_radius": float,
+        "odom_sigma_trans": float,
+        "odom_sigma_rot": float,
+        "camera_yaw_offset": float,
+        "name": str,
+    },
+    "bounds": {"x_min": float, "y_min": float, "x_max": float, "y_max": float},
+    "camera": {
+        "f": float,
+        "cx": float,
+        "cy": float,
+        "image_width": int,
+        "image_height": int,
+        "cam_height": float,
+    },
+    "robot": {"waypoints": "waypoints"},
+    "obstacle.": {"center": "point", "half_extents": "point", "top_height": float, "yaw": float},
+    "human.": {"body_height": float, "waypoints": "waypoints"},
 }
-_BOUNDS_KEYS = {"x_min": float, "y_min": float, "x_max": float, "y_max": float}
-_CAMERA_KEYS = {
-    "f": float,
-    "cx": float,
-    "cy": float,
-    "image_width": int,
-    "image_height": int,
-    "cam_height": float,
+#: The keys a section must set, by ``_kind``, checked in this order.
+_REQUIRED_KEYS = {
+    "bounds": ("x_min", "y_min", "x_max", "y_max"),
+    "robot": ("waypoints",),
+    "obstacle.": ("center", "half_extents", "top_height"),
+    "human.": ("body_height", "waypoints"),
 }
-_OBSTACLE_KEYS = {"center": "point", "half_extents": "point", "top_height": float, "yaw": float}
-_HUMAN_KEYS = {"body_height": float, "waypoints": "waypoints"}
-_ROBOT_KEYS = {"waypoints": "waypoints"}
 
 
 def _parse_point(raw: str, lineno: int) -> tuple[float, float]:
@@ -98,27 +108,31 @@ def _convert(key: str, value: str, kind, lineno: int):
     return parsed
 
 
-def _section_schema(section: str) -> Optional[dict]:
-    if section == "scene":
-        return _SCENE_KEYS
-    if section == "bounds":
-        return _BOUNDS_KEYS
-    if section == "camera":
-        return _CAMERA_KEYS
-    if section == "robot":
-        return _ROBOT_KEYS
-    head = section.split(".", 1)[0]
-    if head == "obstacle" and "." in section:
-        return _OBSTACLE_KEYS
-    if head == "human" and "." in section:
-        return _HUMAN_KEYS
-    return None
+def _kind(section: str) -> str:
+    """The section's key in ``_SCHEMAS``: its name, or ``obstacle.`` / ``human.`` for a numbered one."""
+    head, dot, _ = section.partition(".")
+    return head + dot
+
+
+def _required(section: str, values: dict) -> dict:
+    """``values``, once they hold every key ``_REQUIRED_KEYS`` names for the section."""
+    for key in _REQUIRED_KEYS.get(_kind(section), ()):
+        if key not in values:
+            raise ScenarioError(f"section [{section}] is missing key {key!r}")
+    return values
+
+
+def _build(what: str, make, /, **fields):
+    """``make(**fields)``, its ValueError raised again as a ScenarioError that starts with ``what``."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ScenarioError(f"{what}: {exc}") from None
 
 
 def parse_scenario(text: str) -> SceneConfig:
     """Parse scenario text into a scene config, diagnosing errors by line."""
     sections: dict[str, dict[str, object]] = {}
-    lines_of: dict[str, dict[str, int]] = {}
     current: Optional[str] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -126,12 +140,11 @@ def parse_scenario(text: str) -> SceneConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if _section_schema(current) is None:
+            if _kind(current) not in _SCHEMAS:
                 raise ScenarioError(f"line {lineno}: unknown section [{current}]")
             if current in sections:
                 raise ScenarioError(f"line {lineno}: duplicate section [{current}]")
             sections[current] = {}
-            lines_of[current] = {}
             continue
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -140,73 +153,40 @@ def parse_scenario(text: str) -> SceneConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        schema = _section_schema(current)
+        schema = _SCHEMAS[_kind(current)]
         if key not in schema:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in section [{current}]")
         if key in sections[current]:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r} in section [{current}]")
         sections[current][key] = _convert(key, value, schema[key], lineno)
-        lines_of[current][key] = lineno
 
     for required in ("bounds", "robot"):
         if required not in sections:
             raise ScenarioError(f"missing required section [{required}]")
-    for key in _BOUNDS_KEYS:
-        if key not in sections["bounds"]:
-            raise ScenarioError(f"section [bounds] is missing key {key!r}")
-    if "waypoints" not in sections["robot"]:
-        raise ScenarioError("section [robot] is missing key 'waypoints'")
+    b = _required("bounds", sections["bounds"])
+    _required("robot", sections["robot"])
 
-    b = sections["bounds"]
-    bounds = (b["x_min"], b["y_min"], b["x_max"], b["y_max"])
-
-    try:
-        # [camera] keys are CameraIntrinsics' field names; the dataclass supplies the defaults.
-        intrinsics = CameraIntrinsics(**sections.get("camera", {}))
-    except ValueError as exc:
-        raise ScenarioError(f"bad camera parameters: {exc}") from None
-
-    obstacles = []
-    for section in sorted(s for s in sections if s.startswith("obstacle.")):
-        vals = sections[section]
-        for key in ("center", "half_extents", "top_height"):
-            if key not in vals:
-                raise ScenarioError(f"section [{section}] is missing key {key!r}")
-        try:
-            obstacles.append(
-                ObstacleBox(vals["center"], vals["half_extents"], vals["top_height"], vals.get("yaw", 0.0))
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"bad obstacle in [{section}]: {exc}") from None
-
-    humans = []
-    for section in sorted(s for s in sections if s.startswith("human.")):
-        vals = sections[section]
-        for key in ("body_height", "waypoints"):
-            if key not in vals:
-                raise ScenarioError(f"section [{section}] is missing key {key!r}")
-        try:
-            humans.append(AgentTrajectory("human", vals["waypoints"], body_height=vals["body_height"]))
-        except ValueError as exc:
-            raise ScenarioError(f"bad trajectory in [{section}]: {exc}") from None
-
-    try:
-        robot = AgentTrajectory("robot", sections["robot"]["waypoints"])
-    except ValueError as exc:
-        raise ScenarioError(f"bad trajectory in [robot]: {exc}") from None
-
-    try:
-        # [scene] keys are SceneConfig's field names; the dataclass supplies the defaults.
-        return SceneConfig(
-            bounds=bounds,
-            obstacles=obstacles,
-            humans=humans,
-            robot=robot,
-            intrinsics=intrinsics,
-            **sections.get("scene", {}),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"invalid scene: {exc}") from None
+    # Past [bounds], a section's keys are its dataclass's field names; the dataclass supplies the defaults.
+    intrinsics = _build("bad camera parameters", CameraIntrinsics, **sections.get("camera", {}))
+    obstacles = [
+        _build(f"bad obstacle in [{s}]", ObstacleBox, **_required(s, sections[s]))
+        for s in sorted(sections) if s.startswith("obstacle.")
+    ]
+    humans = [
+        _build(f"bad trajectory in [{s}]", AgentTrajectory, role="human", **_required(s, sections[s]))
+        for s in sorted(sections) if s.startswith("human.")
+    ]
+    robot = _build("bad trajectory in [robot]", AgentTrajectory, role="robot", **sections["robot"])
+    return _build(
+        "invalid scene",
+        SceneConfig,
+        bounds=(b["x_min"], b["y_min"], b["x_max"], b["y_max"]),
+        obstacles=obstacles,
+        humans=humans,
+        robot=robot,
+        intrinsics=intrinsics,
+        **sections.get("scene", {}),
+    )
 
 
 def load_scenario(source: str) -> SceneConfig:

@@ -15,6 +15,7 @@ world -y.  Image coordinates are pixels with (0, 0) at the top-left corner.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -295,29 +296,35 @@ def _slab(o, d, lo: float, hi: float):
     return near, far
 
 
+def _to_box_frame(x: np.ndarray, y: np.ndarray, box: ObstacleBox) -> tuple[np.ndarray, np.ndarray]:
+    """World coordinates ``x``, ``y`` in ``box``'s own frame.
+
+    Elementwise, so a point rounds the same alone as in a block of points.
+    """
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    dx = x - box.center[0]
+    dy = y - box.center[1]
+    return c * dx + s * dy, -s * dx + c * dy
+
+
+def _penetrates(nears: Sequence[np.ndarray], fars: Sequence[np.ndarray]) -> np.ndarray:
+    """True where [0, 1 - _RAY_EPS) and every (near, far) interval of the segment parameter share more than _RAY_EPS."""
+    t_enter = functools.reduce(np.maximum, nears, 0.0)
+    t_exit = functools.reduce(np.minimum, fars, 1.0 - _RAY_EPS)
+    return (t_exit - t_enter) > _RAY_EPS
+
+
 def _box_blocked(origin: np.ndarray, targets: np.ndarray, box: ObstacleBox) -> np.ndarray:
     """True where the segment origin->target penetrates the box volume.
 
     ``origin`` (..., 3) and ``targets`` (..., 3) broadcast against each other.
     """
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, s], [-s, c]])
-    center = np.asarray(box.center)
-    # Rotate each origin as its own one-row matrix.  numpy computes a one-row
-    # product as a matrix-vector product, which rounds differently from a
-    # many-row one, and an origin in a block must give what it gives alone.
-    o_xy = ((origin[..., None, :2] - center) @ rot.T)[..., 0, :]
-    t_xy = (targets[..., :2] - center) @ rot.T
-    o = (o_xy[..., 0], o_xy[..., 1], origin[..., 2])
-    t = (t_xy[..., 0], t_xy[..., 1], targets[..., 2])
+    o = (*_to_box_frame(origin[..., 0], origin[..., 1], box), origin[..., 2])
+    t = (*_to_box_frame(targets[..., 0], targets[..., 1], box), targets[..., 2])
     lo = (-box.half_extents[0], -box.half_extents[1], 0.0)
     hi = (box.half_extents[0], box.half_extents[1], box.top_height)
-    t_enter, t_exit = 0.0, 1.0 - _RAY_EPS
-    for axis in range(3):
-        near, far = _slab(o[axis], t[axis] - o[axis], lo[axis], hi[axis])
-        t_enter = np.maximum(t_enter, near)
-        t_exit = np.minimum(t_exit, far)
-    return (t_exit - t_enter) > _RAY_EPS
+    slabs = [_slab(o[axis], t[axis] - o[axis], lo[axis], hi[axis]) for axis in range(3)]
+    return _penetrates(*zip(*slabs))
 
 
 def _cylinder_blocked(
@@ -351,9 +358,7 @@ def _cylinder_blocked(
     t_lo = np.where(empty & ~tiny, np.inf, t_lo)
     t_hi = np.where(empty & ~tiny, -np.inf, t_hi)
     z_lo, z_hi = _slab(origin[..., 2], d[..., 2], 0.0, height)
-    t_enter = np.maximum(np.maximum(t_lo, z_lo), 0.0)
-    t_exit = np.minimum(np.minimum(t_hi, z_hi), 1.0 - _RAY_EPS)
-    return (t_exit - t_enter) > _RAY_EPS
+    return _penetrates((t_lo, z_lo), (t_hi, z_hi))
 
 
 def _blocked_any(
@@ -404,11 +409,7 @@ def ground_truth_map(cfg: SceneConfig) -> TraversabilityMap:
     X, Y = np.meshgrid(xs, ys)
     r = cfg.robot_radius
     for box in cfg.obstacles:
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        dx = X - box.center[0]
-        dy = Y - box.center[1]
-        lx = c * dx + s * dy
-        ly = -s * dx + c * dy
+        lx, ly = _to_box_frame(X, Y, box)
         ex = np.maximum(np.abs(lx) - box.half_extents[0], 0.0)
         ey = np.maximum(np.abs(ly) - box.half_extents[1], 0.0)
         blocked = ex * ex + ey * ey <= r * r
@@ -602,11 +603,12 @@ def _walk_waypoints(
     speed: float,
     turn_seconds: float,
     until: Optional[float] = None,
+    start: float = 0.0,
 ) -> tuple[tuple[float, tuple[float, float, float]], ...]:
-    """Waypoints walking a polyline; with ``until`` set, shuttle back and forth."""
+    """Waypoints walking a polyline from time ``start``; with ``until`` set, shuttle back and forth."""
     pts = list(polyline)
     wps: list[tuple[float, tuple[float, float, float]]] = []
-    t = 0.0
+    t = start
     pos = pts[0]
     yaw = _heading(pts[0], pts[1])
     wps.append((t, (pos[0], pos[1], yaw)))
@@ -677,20 +679,11 @@ def builtin_config(kind: str) -> SceneConfig:
         # is done with it, then shuttles the same lane so the trail covers the
         # corridor across the later robot legs too.
         half_pi = math.pi / 2
-        shuttle = [
+        shuttle = (
             (0.0, (2.5, 0.2, half_pi)),
             (29.0, (2.5, 0.2, half_pi)),
-            (31.0, (1.7, 0.5, half_pi)),
-        ]
-        t, y, heading = 31.0, 0.5, half_pi
-        while t < 61.0:
-            y_next = 3.3 if y == 0.5 else 0.5
-            t += abs(y_next - y) / 0.55
-            shuttle.append((t, (1.7, y_next, heading)))
-            y = y_next
-            t += 0.2
-            heading = -heading
-            shuttle.append((t, (1.7, y, heading)))
+            *_walk_waypoints([(1.7, 0.5), (1.7, 3.3)], 0.55, 0.2, until=61.0, start=31.0),
+        )
         humans = [
             AgentTrajectory(
                 "human",
@@ -702,7 +695,7 @@ def builtin_config(kind: str) -> SceneConfig:
                 ),
                 body_height=1.70,
             ),
-            AgentTrajectory("human", tuple(shuttle), body_height=1.70),
+            AgentTrajectory("human", shuttle, body_height=1.70),
         ]
     elif kind == "T":
         obstacles = [

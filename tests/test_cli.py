@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -184,6 +185,8 @@ _BAD_INPUT_ABLATE = [
     ("unknown-second-scenario", ["--scenario", "I", "Q"], "No such file or directory: 'Q'"),
     ("repeated-seed", ["--seed", "7", "0", "7"], "duplicate seed 7"),
     ("repeated-scene", ["--scenario", "I", "i"], "duplicate scene name I"),
+    # I can meet 5 m, the 3 m x 3 m scene cannot: nothing of I's run may be written first.
+    ("later-unreachable-min-separation", ["--scenario", "I", "small.ini", "--min-separation", "5"], "min_separation 5.0 m is longer than"),
 ]
 
 
@@ -196,7 +199,9 @@ _BAD_INPUT_ABLATE = [
     ]
     + [pytest.param("ablate", options, message, id=f"{name}-ablate") for name, options, message in _BAD_INPUT_ABLATE],
 )
-def test_bad_input_fails_before_simulating(tmp_path, no_simulation, command, options, message):
+def test_bad_input_fails_before_simulating(tmp_path, monkeypatch, no_simulation, command, options, message):
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("small.ini").write_text(EXAMPLE_SCENARIO.replace("y_max = 6", "y_max = 3"))
     # A missing scenario file is an OSError; every other bad input is a ValueError.
     with pytest.raises(FileNotFoundError if "No such file" in message else ValueError, match=message):
         main([command, "--scenario", "I", "--out", str(tmp_path / "out"), *options])

@@ -61,6 +61,27 @@ def test_calibrate_rejects_bad_samples():
         calibrate_scale([(5.0, 500.0, 0.0, 1.7)])
 
 
+@pytest.mark.parametrize(
+    "sample, message",
+    [
+        pytest.param((math.nan, 500.0, 100.0, 1.7), "slam_distance must be finite and > 0.0, got nan", id="nan-distance"),
+        pytest.param((2.0, math.inf, 100.0, 1.7), "focal_px must be finite and > 0.0, got inf", id="inf-focal"),
+        pytest.param((2.0, 500.0, math.nan, 1.7), "apparent_height_px must be finite and > 0.0, got nan", id="nan-height-px"),
+        pytest.param((2.0, 500.0, 100.0, -1.7), "body_height_m must be finite and > 0.0, got -1.7", id="negative-body-height"),
+    ],
+)
+def test_calibrate_rejects_non_finite_samples_naming_the_field(sample, message):
+    # The NaN in the middle would make the median NaN: one bad sample spoils the scale.
+    with pytest.raises(ValueError, match=message):
+        calibrate_scale([(2.0, 500.0, 100.0, 1.7), sample, (3.0, 500.0, 100.0, 1.7)])
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, -1.0])
+def test_scale_calibration_must_be_finite_and_positive(k):
+    with pytest.raises(ValueError, match="k must be finite and > 0"):
+        ScaleCalibration(k)
+
+
 def test_estimate_depth_similar_triangles():
     assert estimate_depth(ScaleCalibration(1.0), 500.0, 1.7, 170.0) == pytest.approx(5.0)
 

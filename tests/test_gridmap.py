@@ -131,6 +131,8 @@ def test_mark_bands_rejects_bad_input():
         m.mark_bands([(0, 0)], [(1, 1)], -0.1, T)
     with pytest.raises(ValueError):
         m.mark_bands([(0, 0)], [(math.nan, 1)], 0.1, T)
+    with pytest.raises(ValueError, match="half_width must be >= 0, got nan"):
+        m.mark_bands([(0, 0)], [(1, 1)], math.nan, T)
     assert (m.cells == int(UNK)).all()
 
 

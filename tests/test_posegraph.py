@@ -394,6 +394,13 @@ def test_non_finite_relative_poses_rejected(bad):
     assert len(g.nodes) == 2 and len(g.edges) == 1
 
 
+def test_infinite_heading_rejected_naming_theta():
+    for theta in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite, got -?inf"):
+            Pose2(0, 0, theta)
+    assert math.isnan(Pose2(0, 0, math.nan).theta)  # left to the graph's finite checks
+
+
 # ---------------------------------------------------------------------------
 # the edge-array optimizer against the scalar one it replaced, bit for bit
 

@@ -163,3 +163,28 @@ def test_names_that_leave_the_output_directory_rejected(name):
 def test_plain_names_with_dots_and_spaces_accepted():
     for name in ("example.v2", "..hidden", "two words"):
         assert parse_scenario(EXAMPLE_SCENARIO.replace("name = example", f"name = {name}")).name == name
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        pytest.param("y_max = 6\n", "", "section [bounds] is missing key 'y_max'", id="bounds"),
+        pytest.param("waypoints = 0, 0.25,", "# waypoints = 0, 0.25,", "section [robot] is missing key 'waypoints'", id="robot"),
+        pytest.param("top_height = 0.7\n", "", "section [obstacle.1] is missing key 'top_height'", id="obstacle"),
+        pytest.param("body_height = 1.7\n", "", "section [human.1] is missing key 'body_height'", id="human"),
+    ],
+)
+def test_missing_required_key_message(old, new, message):
+    text = EXAMPLE_SCENARIO.replace(old, new)
+    assert text != EXAMPLE_SCENARIO
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == message
+
+
+def test_camera_checked_before_obstacles():
+    # Two faults: the camera's is reported, as the checks run section kind by section kind.
+    text = EXAMPLE_SCENARIO.replace("f = 400", "f = -1").replace("center = 0.8, 3.0\n", "")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "bad camera parameters: f must be finite and > 0.0, got -1.0"

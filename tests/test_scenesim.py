@@ -429,25 +429,46 @@ def _seam_frames(n_frames):
     return sorted(ks)
 
 
+#: Box yaws that are not multiples of pi/2, where a rotation rounds in its last bits.
+_ODD_YAWS = (0.3, -1.1, 2.0)
+
+
+def _t_scenes():
+    """T as built, and T with its three tables turned to ``_ODD_YAWS``."""
+    cfg = builtin_config("T")
+    turned = [dataclasses.replace(box, yaw=yaw) for box, yaw in zip(cfg.obstacles, _ODD_YAWS, strict=True)]
+    return [cfg, dataclasses.replace(cfg, obstacles=turned)]
+
+
 def test_block_seams_match_single_rays():
     # T: two walkers, so one body can hide the other's head or a feature.
-    cfg = builtin_config("T")
-    frames, truth = simulate_sequence(cfg)
-    visible, hidden, detected = _assert_frames_match_single_rays(cfg, frames, truth, _seam_frames(len(frames)))
-    assert visible > 1000 and hidden > 1000 and detected > 20
+    for cfg in _t_scenes():
+        frames, truth = simulate_sequence(cfg)
+        visible, hidden, detected = _assert_frames_match_single_rays(cfg, frames, truth, _seam_frames(len(frames)))
+        assert visible > 1000 and hidden > 1000 and detected > 20
 
 
 def test_partial_and_single_frame_blocks_match_single_rays():
     block = scenesim._FRAME_BLOCK
-    cfg = builtin_config("T")
-    one_past = dataclasses.replace(
-        cfg, robot=AgentTrajectory("robot", ((0.0, (0.25, 0.3, 0.0)), (block / cfg.fps, (0.9, 0.3, 0.2))))
-    )
-    frames, truth = simulate_sequence(one_past)
-    assert len(frames) == block + 1
-    assert all(_assert_frames_match_single_rays(one_past, frames, truth, [0, block - 1, block]))
+    for cfg in _t_scenes():
+        one_past = dataclasses.replace(
+            cfg, robot=AgentTrajectory("robot", ((0.0, (0.25, 0.3, 0.0)), (block / cfg.fps, (0.9, 0.3, 0.2))))
+        )
+        frames, truth = simulate_sequence(one_past)
+        assert len(frames) == block + 1
+        assert all(_assert_frames_match_single_rays(one_past, frames, truth, [0, block - 1, block]))
 
-    single = dataclasses.replace(cfg, robot=AgentTrajectory("robot", ((0.0, (0.25, 2.0, -2.356)),)))  # facing both walkers
-    frames, truth = simulate_sequence(single)
-    assert len(frames) == 1 and frames[0].odometry is None
-    assert all(_assert_frames_match_single_rays(single, frames, truth, [0]))
+        single = dataclasses.replace(cfg, robot=AgentTrajectory("robot", ((0.0, (0.25, 2.0, -2.356)),)))  # facing both walkers
+        frames, truth = simulate_sequence(single)
+        assert len(frames) == 1 and frames[0].odometry is None
+        assert all(_assert_frames_match_single_rays(single, frames, truth, [0]))
+
+
+@pytest.mark.parametrize("yaw", _ODD_YAWS)
+def test_box_frame_rotation_rounds_alike_alone_and_in_blocks(yaw):
+    box = ObstacleBox((1.3, 2.7), (0.3, 1.25), 0.7, yaw=yaw)
+    xy = np.random.default_rng(0).uniform(-5.0, 5.0, size=(2000, 2))
+    block = np.column_stack(scenesim._to_box_frame(xy[:, 0], xy[:, 1], box))
+    alone = np.array([scenesim._to_box_frame(x, y, box) for x, y in xy])
+    rows = np.array([np.concatenate(scenesim._to_box_frame(xy[k : k + 1, 0], xy[k : k + 1, 1], box)) for k in range(len(xy))])
+    assert block.tobytes() == alone.tobytes() == rows.tobytes()
