@@ -19,6 +19,7 @@ lower body is occluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median
@@ -149,8 +150,11 @@ def calibrate_scale(samples: Iterable[tuple[float, float, float, float]]) -> Sca
 
 def estimate_depth(cal: ScaleCalibration, f: float, body_height: float, h_px: float) -> float:
     """Range to a human of height ``body_height`` appearing ``h_px`` pixels tall."""
-    if h_px <= 0:
+    # Comparisons that NaN fails, written inline: this runs once per detection.
+    if not h_px > 0:
         raise ValueError("apparent height must be positive")
+    if not 0 < body_height < math.inf:
+        raise ValueError(f"body_height must be finite and positive, got {body_height}")
     return cal.k * f * body_height / h_px
 
 
@@ -181,7 +185,7 @@ def human_map_position(
     The box's center column is back-projected by ``CameraIntrinsics.floor_offset``,
     the same model that anchors landmarks, and placed in the world at ``cam_pose``.
     """
-    if depth <= 0:
+    if not depth > 0:  # NaN fails too
         raise ValueError("depth must be positive")
     return se2_transform(Pose2(*cam_pose), intr.floor_offset(0.5 * (bbox[0] + bbox[1]), depth))
 

@@ -155,6 +155,7 @@ class TraversabilityMap:
         """
         if not half_width >= 0:  # NaN fails too
             raise ValueError(f"half_width must be >= 0, got {half_width}")
+        _check_finite(half_width=half_width)
         a, b = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (a, b))
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("segment endpoints must be finite")
@@ -202,9 +203,17 @@ def _check_resolution(resolution: float) -> None:
         raise ValueError(f"resolution must be finite and positive, got {resolution}")
 
 
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def new_map(x_min: float, y_min: float, x_max: float, y_max: float, resolution: float = 0.10) -> TraversabilityMap:
     """Fresh all-UNKNOWN map covering ``[x_min, x_max] x [y_min, y_max]``."""
     _check_resolution(resolution)
+    _check_finite(x_min=x_min, y_min=y_min, x_max=x_max, y_max=y_max)
     if x_max <= x_min or y_max <= y_min:
         raise ValueError(f"empty extent ({x_min}, {y_min}) .. ({x_max}, {y_max})")
     width = max(1, math.ceil((x_max - x_min) / resolution - _EXTENT_EPS))
@@ -260,6 +269,7 @@ def import_pgm(data: bytes, origin: tuple[float, float] = (0.0, 0.0), resolution
     must be supplied by the caller.
     """
     _check_resolution(resolution)
+    _check_finite(origin_x=origin[0], origin_y=origin[1])
     if not data.startswith(b"P5"):
         raise ValueError("not a binary (P5) PGM")
     fields: list[int] = []

@@ -77,7 +77,7 @@ def step(tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = D
     track's history as is; unmatched points spawn tentative tracks with fresh
     ids (max existing + 1); dead tracks are never rematched.
     """
-    if gate <= 0:
+    if not gate > 0:  # NaN fails too
         raise ValueError("gate must be positive")
     alive = [t for t in tracks if t.state is not TrackState.DEAD]
     pairs = []
@@ -117,7 +117,7 @@ def step(tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = D
 
 def prune(tracks: list[HumanTrack], max_missed: int = DEFAULT_MAX_MISSED) -> list[HumanTrack]:
     """Kill tracks missed for more than ``max_missed`` frames; dead tracks stay listed."""
-    if max_missed < 1:
+    if not max_missed >= 1:  # NaN fails too
         raise ValueError("max_missed must be >= 1")
     for track in tracks:
         if track.state is not TrackState.DEAD and track.missed_count > max_missed:

@@ -10,12 +10,13 @@ on each frame, in order:
    tracker;
 3. landmarks (keyframes only): each new feature is anchored and logged once
    as SfM evidence;
-4. trails (kept frames): each matched confirmed track is logged as PfH
-   evidence relative to the newest keyframe;
-5. pass-between (kept frames after a kept frame): the frame's inputs are
-   recorded in the loop; after it, landmarks are ordered against each tracked
-   human in blocks of frames, one numpy pass per block, and straddling pairs
-   are logged as HO3 evidence at the position in the log their frame had.
+4. trails (kept frames): each matched confirmed track with a range is
+   logged as PfH evidence relative to the newest keyframe;
+5. pass-between (kept frames after a kept frame): each such track's inputs
+   are recorded in the loop as one job; after it, landmarks are ordered
+   against each job's human in blocks of jobs, one numpy pass per block, and
+   straddling pairs are logged as HO3 evidence at the position in the log
+   their frame had.
    Turning frames are not kept.
 
 Maps for any module combination are then regenerated from the evidence at the
@@ -98,7 +99,8 @@ _LAYERS_BY_LABEL = {label.lower(): layer for layer, label in _LABELS.items()}
 #: column is where a sight line merely grazes the body, which orders nothing.
 _REGION_MARGIN_PX = 1.0
 
-#: Pass-between jobs computed in one numpy pass; bounds the pass's arrays.
+#: Pass-between jobs (one tracked human in one frame each) computed in one
+#: numpy pass; bounds the pass's arrays.
 _PASS_BLOCK = 64
 
 #: Body height (m) assumed when turning a box's apparent height into depth.
@@ -261,8 +263,9 @@ def _track_humans(
 ) -> tuple[list[mot.HumanTrack], dict[tuple, HumanDetection]]:
     """Tracking stage: feed the frame's detections, with position estimates, to the tracker.
 
-    Returns the confirmed tracks matched in this frame, and the simulated
-    detection behind each tracker box (the ground truth the diagnostics use).
+    Returns the confirmed tracks matched in this frame whose box has a range
+    (the only ones the later stages use), and the simulated detection behind
+    each tracker box (the ground truth the diagnostics use).
     """
     intr, fi = result.config.intrinsics, frame.frame_index
     points = []
@@ -277,37 +280,35 @@ def _track_humans(
 
     # Every matched track's last box is one of this frame's points.
     source = {point.bbox: det for point, det in zip(points, frame.detections)}
-    matched = [t for t in result.tracks if t.state is mot.TrackState.CONFIRMED and t.matched_at(fi)]
+    # ``depth`` and ``world`` are both None exactly when the box has no range.
+    confirmed = (t for t in result.tracks if t.state is mot.TrackState.CONFIRMED)
+    matched = [t for t in confirmed if t.matched_at(fi) and t.last.depth is not None]
     for track in matched:
-        tp = track.last
-        if tp.world is not None:
-            src = source[tp.bbox]
-            result.position_diags.append(
-                PositionDiag(fi, track.track_id, src.agent_index, tp.world, src.world, tp.depth, src.depth)
-            )
+        tp, src = track.last, source[track.last.bbox]
+        result.position_diags.append(
+            PositionDiag(fi, track.track_id, src.agent_index, tp.world, src.world, tp.depth, src.depth)
+        )
     return matched, source
 
 
-def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> bool:
-    """Landmark stage: anchor newly seen features to keyframe ``kf``, each logged once as SfM; True if any is new.
+def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> None:
+    """Landmark stage: anchor newly seen features to keyframe ``kf``, each logged once as SfM.
 
     Not gated by turning: the turning filter only withholds human-derived evidence.
     """
-    intr, n_landmarks = result.config.intrinsics, len(result.landmarks)
+    intr = result.config.intrinsics
     seen = frame.features[frame.features["visible"]]
     for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
         if fid not in result.landmarks:
             result.landmarks[fid] = Landmark(fid, kf, intr.floor_offset(u, depth))
             result.store.add_sfm(fid)
-    return len(result.landmarks) > n_landmarks
 
 
 def _add_trails(result: PipelineResult, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
     """Trail stage: each matched track's position as PfH evidence relative to keyframe ``kf``."""
     to_kf = se2_inverse(result.graph.pose(kf))
     for track in matched:
-        if track.last.world is not None:
-            result.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
+        result.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
 
 
 def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, np.ndarray]:
@@ -320,15 +321,16 @@ def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _PassJob:
-    """One kept frame's pass-between inputs, recorded in the frame loop and computed after it."""
+    """One tracked human's pass-between inputs in one kept frame, recorded in the frame loop and computed after it."""
 
     store_pos: int  # length of the evidence log when the frame was ingested: where its HO3 records go
     frame: FrameObservation
     prev_frame: FrameObservation
     cam: Pose2
     table: tuple[np.ndarray, np.ndarray]  # ``_landmark_table`` at the frame's poses
-    #: (track id, agent index, region) per human: the region's columns, its box's rows, and its range.
-    humans: tuple[tuple[int, int, tuple[float, float, float, float, float]], ...]
+    track_id: int
+    agent_index: int
+    region: tuple[float, float, float, float, float]  # the region's columns, its box's rows, and its range
 
 
 def _record_pass_between(
@@ -341,16 +343,16 @@ def _record_pass_between(
     cam: Pose2,
     table: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """Pass-between stage, in the frame loop: queue the frame's job for its matched humans with a range and a region."""
-    humans = []
+    """Pass-between stage, in the frame loop: queue one job per matched human whose box leaves a region."""
     for track in matched:
         tp = track.last
         x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
-        if tp.depth is not None and x_min < x_max:
+        if x_min < x_max:
             region = (x_min, x_max, tp.bbox[2], tp.bbox[3], tp.depth)
-            humans.append((track.track_id, source[tp.bbox].agent_index, region))
-    if humans:
-        jobs.append(_PassJob(len(result.store.records), frame, prev_frame, cam, table, tuple(humans)))
+            agent_index = source[tp.bbox].agent_index
+            jobs.append(
+                _PassJob(len(result.store.records), frame, prev_frame, cam, table, track.track_id, agent_index, region)
+            )
 
 
 def _pass_between(result: PipelineResult, jobs: Sequence[_PassJob]) -> None:
@@ -366,7 +368,7 @@ def _pass_between(result: PipelineResult, jobs: Sequence[_PassJob]) -> None:
 
 
 def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int) -> None:
-    """Order landmarks against each job's humans in one numpy pass; log straddling pairs as HO3.
+    """Order landmarks against each job's human in one numpy pass; log straddling pairs as HO3.
 
     A landmark seen in the job's frame inside the human's box is in front;
     one seen in its previous frame, unseen now and predicted inside the box
@@ -396,47 +398,35 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     fid, v, job, seen = fid[pick], v[pick], job[pick], seen[pick]
     u = np.where(seen, u[pick], u_pred[in_front])
 
-    # One set of rows per (job, human): the job's candidates against the human's region.
-    humans = [(j, *human) for j, pass_job in enumerate(jobs) for human in pass_job.humans]
-    human_job = np.array([h[0] for h in humans])
-    region = np.array([h[3] for h in humans])
-    counts = np.bincount(job, minlength=len(jobs))
-    n_rows = counts[human_job]
-    sets = np.repeat(np.arange(len(humans)), n_rows)
-    # Row r of set s is candidate (first candidate of s's job) + (r - first row of s).
-    first_cand = np.cumsum(counts) - counts
-    first_row = np.cumsum(n_rows) - n_rows
-    rows = np.arange(len(sets)) + np.repeat(first_cand[human_job] - first_row, n_rows)
-    x_min, x_max, y_min, y_max, human_depth = region.T
-    front, behind = classify_occlusion(u[rows], seen[rows], (x_min[sets], x_max[sets]))
+    # Each job's candidates against its human's region.
+    x_min, x_max, y_min, y_max, human_depth = np.array([j.region for j in jobs]).T
+    front, behind = classify_occlusion(u, seen, (x_min[job], x_max[job]))
     # A landmark seen now occludes the human at the visible-region boundary,
     # so only the column test binds it; one unseen now must also have been
     # last seen within the box's rows.
-    behind &= (y_min[sets] <= v[rows]) & (v[rows] <= y_max[sets])
-    front_row, behind_row = infer_pass_pairs(sets, fid[rows], depth[rows], front, behind, human_depth)
+    behind &= (y_min[job] <= v) & (v <= y_max[job])
+    front_row, behind_row = infer_pass_pairs(job, fid, depth, front, behind, human_depth)
 
+    # Per job: what its diagnostics and records name.
+    who = [(j.frame.frame_index, j.track_id, j.agent_index, j.region[-1]) for j in jobs]
     hit = front | behind
-    hit_rows = rows[hit]
-    for s, is_front, feature_id, u_i, depth_i in zip(
-        sets[hit].tolist(), front[hit].tolist(), *(col[hit_rows].tolist() for col in (fid, u, depth))
+    for j, is_front, feature_id, u_i, depth_i in zip(
+        job[hit].tolist(), front[hit].tolist(), *(col[hit].tolist() for col in (fid, u, depth))
     ):
-        j, track_id, agent_index, (*_, range_est) = humans[s]
+        fi, track_id, agent_index, range_est = who[j]
         label = OcclusionClass.FRONT if is_front else OcclusionClass.BEHIND
-        result.occlusion_diags.append(
-            OcclusionDiag(jobs[j].frame.frame_index, track_id, agent_index, feature_id, label, u_i, depth_i, range_est)
-        )
+        diag = OcclusionDiag(fi, track_id, agent_index, feature_id, label, u_i, depth_i, range_est)
+        result.occlusion_diags.append(diag)
     (paired,) = np.nonzero(front_row >= 0)
-    ends = (rows[front_row[paired]], rows[behind_row[paired]])
-    for s, front_id, behind_id, front_depth, behind_depth in zip(
+    ends = (front_row[paired], behind_row[paired])
+    for j, front_id, behind_id, front_depth, behind_depth in zip(
         paired.tolist(), *(fid[end].tolist() for end in ends), *(depth[end].tolist() for end in ends)
     ):
-        j, track_id, _, (*_, range_est) = humans[s]
+        fi, track_id, _, range_est = who[j]
         assert front_depth < range_est < behind_depth, "pass-between pair must straddle the human"
         at = jobs[j].store_pos + len(result.store.records) - n_logged
         result.store.add_ho3(front_id, behind_id, track_id, at=at)
-        result.pair_diags.append(
-            PairDiag(jobs[j].frame.frame_index, track_id, front_id, behind_id, front_depth, behind_depth, range_est)
-        )
+        result.pair_diags.append(PairDiag(fi, track_id, front_id, behind_id, front_depth, behind_depth, range_est))
 
 
 def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:
@@ -451,7 +441,9 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
     last_closure_kf = -10**9
     odom_acc = Pose2()
     kf = 0
-    table = None  # landmark worlds and rows; None once landmarks or poses change
+    # The landmark table, and the (landmark, event) counts it was built at:
+    # landmarks are only added, and poses only move when a closure is optimized.
+    table, table_at = None, None
     prev_kept = None  # the previous frame, if it was kept
     jobs: list[_PassJob] = []
 
@@ -465,11 +457,10 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
                 odom_acc = Pose2()
                 if _close_loops(result, kf, params, last_closure_kf):
                     last_closure_kf = kf
-                    table = None
         pose_est = se2_compose(graph.pose(kf), odom_acc)
         matched, source = _track_humans(result, frame, pose_est, params)
-        if at_keyframe and _add_landmarks(result, frame, kf):
-            table = None
+        if at_keyframe:
+            _add_landmarks(result, frame, kf)
         if not keep[fi]:
             # Turning frame: feeds the pose graph and the feature map, but
             # contributes no trail or pass-between evidence.
@@ -477,8 +468,9 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
             continue
         _add_trails(result, kf, matched)
         if result.landmarks and prev_kept is not None and matched:
-            if table is None:
-                table = _landmark_table(result)
+            counts = (len(result.landmarks), len(result.events))
+            if counts != table_at:
+                table, table_at = _landmark_table(result), counts
             _record_pass_between(result, jobs, frame, prev_kept, matched, source, pose_est, table)
         prev_kept = frame
     _pass_between(result, jobs)

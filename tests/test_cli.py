@@ -224,6 +224,9 @@ def test_scene_name_cannot_leave_out_dir(tmp_path, no_simulation, command):
         pytest.param(["--min-separation", "nan"], "min_separation must be finite", id="nan-min-separation"),
         pytest.param(["--min-separation", "-1"], "min_separation must be finite and >= 0", id="negative-min-separation"),
         pytest.param(["--queries", "0"], "n must be finite and >= 1", id="zero-queries"),
+        pytest.param(["--origin-x", "nan"], "origin_x must be finite, got nan", id="nan-origin-x"),
+        pytest.param(["--origin-x", "inf"], "origin_x must be finite, got inf", id="inf-origin-x"),
+        pytest.param(["--origin-y", "nan"], "origin_y must be finite, got nan", id="nan-origin-y"),
     ],
 )
 def test_evaluate_rejects_bad_query_settings(tmp_path, options, message):

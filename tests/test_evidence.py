@@ -94,6 +94,14 @@ def test_estimate_depth_five_foot_human():
 def test_estimate_depth_rejects_flat_box():
     with pytest.raises(ValueError):
         estimate_depth(ScaleCalibration(1.0), 500.0, 1.7, 0.0)
+    with pytest.raises(ValueError, match="apparent height must be positive"):
+        estimate_depth(ScaleCalibration(1.0), 500.0, 1.7, math.nan)
+
+
+@pytest.mark.parametrize("body_height", [math.nan, 0.0, -1.7, math.inf])
+def test_estimate_depth_rejects_bad_body_height(body_height):
+    with pytest.raises(ValueError, match=f"body_height must be finite and positive, got {body_height}"):
+        estimate_depth(ScaleCalibration(1.0), 500.0, body_height, 100.0)
 
 
 @given(
@@ -144,6 +152,8 @@ def test_human_map_position_lateral():
 def test_human_map_position_requires_positive_depth():
     with pytest.raises(ValueError):
         human_map_position((0, 0, 0), INTR, (0, 10, 0, 10), 0.0)
+    with pytest.raises(ValueError, match="depth must be positive"):
+        human_map_position((0, 0, 0), INTR, (0, 10, 0, 10), math.nan)
 
 
 @given(

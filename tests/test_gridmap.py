@@ -42,6 +42,10 @@ def test_new_map_bad_extent():
         new_map(0, 0, -1, 1, 0.1)
     with pytest.raises(ValueError):
         new_map(0, 0, 1, 1, 0.0)
+    with pytest.raises(ValueError, match="x_max must be finite, got inf"):
+        new_map(0, 0, math.inf, 6, 0.1)
+    with pytest.raises(ValueError, match="y_min must be finite, got nan"):
+        new_map(0, math.nan, 3, 6, 0.1)
 
 
 def test_world_to_cell_examples():
@@ -133,6 +137,8 @@ def test_mark_bands_rejects_bad_input():
         m.mark_bands([(0, 0)], [(math.nan, 1)], 0.1, T)
     with pytest.raises(ValueError, match="half_width must be >= 0, got nan"):
         m.mark_bands([(0, 0)], [(1, 1)], math.nan, T)
+    with pytest.raises(ValueError, match="half_width must be finite, got inf"):
+        m.mark_bands([(0, 0)], [(0, 0)], math.inf, T)
     assert (m.cells == int(UNK)).all()
 
 

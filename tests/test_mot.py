@@ -102,9 +102,17 @@ def test_prune_boundary():
     assert t16.state is TrackState.DEAD
 
 
+def test_step_rejects_bad_gate():
+    for gate in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="gate must be positive"):
+            step([seeded_track(0, 120.0)], [det(125.0)], gate=gate)
+
+
 def test_prune_rejects_bad_limit():
     with pytest.raises(ValueError):
         prune([], max_missed=0)
+    with pytest.raises(ValueError, match="max_missed must be >= 1"):
+        prune([seeded_track(0, 120.0)], max_missed=math.nan)
 
 
 def test_fresh_id_is_max_plus_one():

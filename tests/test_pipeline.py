@@ -210,6 +210,13 @@ def test_each_landmark_is_logged_once_in_creation_order(scene):
     assert sfm_ids == list(res.landmarks) == first_seen
 
 
+def _unranged_first_walker(scene):
+    """``scene`` with its first walker shorter than the camera mount: its head is below the horizon, so no range."""
+    first = dataclasses.replace(scene.humans[0], body_height=1.55)
+    intrinsics = dataclasses.replace(scene.intrinsics, cam_height=1.6)
+    return dataclasses.replace(scene, humans=[first, *scene.humans[1:]], intrinsics=intrinsics)
+
+
 def _pass_between_outputs(scene):
     """A pipeline run, and its evidence log and pass-between diagnostics as text."""
     res = pipeline.run_pipeline(scene)
@@ -224,8 +231,9 @@ def _pass_between_outputs(scene):
         (builtin_config("T"), True),
         (_NOISY_T, True),
         (parse_scenario(EXAMPLE_SCENARIO), False),
+        (_unranged_first_walker(builtin_config("T")), True),
     ],
-    ids=["I", "L", "T", "T-noisy", "example"],
+    ids=["I", "L", "T", "T-noisy", "example", "T-unranged-walker"],
 )
 def test_pass_between_blocks_match_per_frame_stage(monkeypatch, scene, closes):
     """The blocked stage logs what the per-frame stage logged in the loop, in the same order, byte for byte."""
