@@ -3,11 +3,10 @@
 Three evidence streams feed the map.  Feature landmarks mark untraversable
 disks (static objects), one SfM record per landmark.  Human trail points mark
 traversable trails.  Pairs of landmarks a human passed between mark
-traversable bands; a repeated pair folds into its first HO3 record, whose
-weight counts the sightings.  Every record is pose-free: landmarks and trail
-points are stored as offsets in their anchor keyframe's frame, and
-pass-between records are just feature-id pairs, so a pose-graph optimization
-invalidates nothing.  ``rebuild_map`` regenerates the map from any pose
+traversable bands, one HO3 record per sighting.  Every record is pose-free:
+landmarks and trail points are stored as offsets in their anchor keyframe's
+frame, and pass-between records are just feature-id pairs, so a pose-graph
+optimization invalidates nothing.  ``rebuild_map`` regenerates the map from any pose
 snapshot: it resolves every record's endpoints at the snapshot, then marks
 each layer's bands in one batched pass.
 
@@ -53,7 +52,6 @@ __all__ = [
     "apparent_height_px",
     "human_map_position",
     "classify_occlusion",
-    "infer_pass_pair",
     "infer_pass_pairs",
     "rebuild_map",
     "export_evidence_log",
@@ -121,7 +119,6 @@ class Ho3Evidence:
     front_id: int
     behind_id: int
     track_id: int
-    weight: int = 1
 
     def __post_init__(self):
         if self.front_id == self.behind_id:
@@ -153,6 +150,8 @@ def estimate_depth(cal: ScaleCalibration, f: float, body_height: float, h_px: fl
     # Comparisons that NaN fails, written inline: this runs once per detection.
     if not h_px > 0:
         raise ValueError("apparent height must be positive")
+    if not 0 < f < math.inf:
+        raise ValueError(f"f must be finite and positive, got {f}")
     if not 0 < body_height < math.inf:
         raise ValueError(f"body_height must be finite and positive, got {body_height}")
     return cal.k * f * body_height / h_px
@@ -185,8 +184,8 @@ def human_map_position(
     The box's center column is back-projected by ``CameraIntrinsics.floor_offset``,
     the same model that anchors landmarks, and placed in the world at ``cam_pose``.
     """
-    if not depth > 0:  # NaN fails too
-        raise ValueError("depth must be positive")
+    if not 0 < depth < math.inf:  # NaN fails too
+        raise ValueError(f"depth must be positive and finite, got {depth}")
     return se2_transform(Pose2(*cam_pose), intr.floor_offset(0.5 * (bbox[0] + bbox[1]), depth))
 
 
@@ -236,32 +235,16 @@ def infer_pass_pairs(
     return best[0], best[1]
 
 
-def infer_pass_pair(
-    ids: np.ndarray, depths: np.ndarray, front: np.ndarray, behind: np.ndarray, human_depth: float
-) -> Optional[tuple[int, int]]:
-    """Positions of the tightest (front, behind) feature pair bracketing the human, if any.
-
-    The one-set case of ``infer_pass_pairs``: of the features with ids
-    ``ids`` and depths ``depths``, the front one is the deepest in the FRONT
-    mask still nearer than the human, the behind one the shallowest in the
-    BEHIND mask still farther.  Ties go to the lower id.
-    """
-    sets = np.zeros(len(ids), dtype=np.intp)
-    i, j = infer_pass_pairs(sets, ids, depths, front, behind, np.array([human_depth], dtype=float))
-    return None if i[0] < 0 else (int(i[0]), int(j[0]))
-
-
 class EvidenceStore:
     """Insertion-ordered evidence log.
 
     SfM evidence is one record per landmark: a repeated feature id logs
-    nothing.  Only HO3 folds a repeat, into its first record's weight.
+    nothing.  Every trail point and pass-between sighting is its own record.
     """
 
     def __init__(self):
         self.records: list[SfmEvidence | PfhEvidence | Ho3Evidence] = []
         self._sfm: set[int] = set()
-        self._ho3: dict[tuple[int, int, int], Ho3Evidence] = {}
 
     def add_sfm(self, feature_id: int) -> None:
         if feature_id not in self._sfm:
@@ -272,18 +255,8 @@ class EvidenceStore:
         self.records.append(PfhEvidence(keyframe_id, offset, track_id))
 
     def add_ho3(self, front_id: int, behind_id: int, track_id: int, at: Optional[int] = None) -> None:
-        """Log a pass-between pair, or fold it into its first record.
-
-        A new record goes in at index ``at`` of the log, by default at its end.
-        """
-        key = (front_id, behind_id, track_id)
-        rec = self._ho3.get(key)
-        if rec is None:
-            rec = Ho3Evidence(front_id, behind_id, track_id)
-            self._ho3[key] = rec
-            self.records.insert(len(self.records) if at is None else at, rec)
-        else:
-            rec.weight += 1
+        """Log a pass-between pair at index ``at`` of the log, by default at its end."""
+        self.records.insert(len(self.records) if at is None else at, Ho3Evidence(front_id, behind_id, track_id))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -384,5 +357,5 @@ def export_evidence_log(store: EvidenceStore) -> str:
         elif isinstance(rec, PfhEvidence):
             lines.append(f"PFH {rec.keyframe_id} {float(rec.offset[0])!r} {float(rec.offset[1])!r} {rec.track_id}")
         else:
-            lines.append(f"HO3 {rec.front_id} {rec.behind_id} {rec.track_id} {rec.weight}")
+            lines.append(f"HO3 {rec.front_id} {rec.behind_id} {rec.track_id}")
     return "\n".join(lines) + ("\n" if lines else "")

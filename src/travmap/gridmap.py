@@ -84,7 +84,8 @@ class LayerPriority:
         return f"LayerPriority({self.order!r})"
 
 
-#: Direct human-trail evidence outranks occlusion inference outranks feature obstacles.
+#: ``fuse``'s and ``rebuild_map``'s default: direct human-trail evidence outranks
+#: occlusion inference outranks feature obstacles.  Runs rank by ``PipelineParams.priority``.
 DEFAULT_PRIORITY = LayerPriority(("sfm", "ho3", "pfh"))
 
 
@@ -143,6 +144,7 @@ class TraversabilityMap:
 
     def mark_band(self, a: tuple[float, float], b: tuple[float, float], half_width: float, state: CellState) -> None:
         """Set every cell whose center lies within ``half_width`` of segment ``ab`` (see :meth:`mark_bands`)."""
+        # No rebuild calls this; it stays because perfbench's tracer wraps it by name.
         self.mark_bands([a], [b], half_width, state)
 
     def mark_bands(self, a, b, half_width: float, state: CellState) -> None:

@@ -56,7 +56,7 @@ from .evidence import (
     infer_pass_pairs,
     rebuild_map,
 )
-from .gridmap import DEFAULT_PRIORITY, LayerPriority, TraversabilityMap, export_pgm, new_map
+from .gridmap import LayerPriority, TraversabilityMap, export_pgm, new_map
 from .posegraph import OptimizationEvent, Pose2, PoseGraph, se2_compose, se2_inverse, se2_transform
 from .quality import (
     COMBINATION_ORDER,
@@ -152,7 +152,9 @@ class PipelineParams:
     closure_radius: float = 0.5
     closure_min_gap: int = 20  # keyframes
     rebuild: RebuildParams = field(default_factory=RebuildParams)
-    priority: LayerPriority = DEFAULT_PRIORITY
+    # SfM on top: humans walk in workspace, so their evidence must not paint a
+    # static object's robot-radius ring free.
+    priority: LayerPriority = LayerPriority(("pfh", "ho3", "sfm"))
 
     def __post_init__(self):
         check_bounds(

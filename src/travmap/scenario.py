@@ -211,9 +211,9 @@ y_max = 6
 name = example
 camera_yaw_offset = 0
 
-# The tall frame of the builtin scenes: with the default 640x480 frame
-# (f 500, cy 240) the walker's head, about 1.45 m away, is above the image
-# top in every frame, so it is never detected.
+# The default tall frame, spelled out: the walker's head, about 1.45 m
+# away, would be above the top of a 640x480 frame (f 500, cy 240) in every
+# frame, and never detected.
 [camera]
 f = 400
 cy = 360

@@ -35,12 +35,9 @@ __all__ = [
     "HumanDetection",
     "FrameObservation",
     "GroundTruth",
-    "BehindCameraError",
     "check_bounds",
     "builtin_config",
     "ground_truth_map",
-    "project_point",
-    "occlusion_test",
     "simulate_sequence",
 ]
 
@@ -60,10 +57,6 @@ _HUMAN_HEIGHT_RANGE = (1.52, 1.83)
 _FRAME_BLOCK = 64
 
 
-class BehindCameraError(ValueError):
-    """Projection requested for a point at or behind the camera plane."""
-
-
 def check_bounds(*fields: tuple[str, float, float, bool]) -> None:
     """Raise ValueError naming the first field that is not finite or not past its bound.
 
@@ -76,13 +69,18 @@ def check_bounds(*fields: tuple[str, float, float, bool]) -> None:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Level pinhole camera ``cam_height`` above the floor: the one projection model."""
+    """Level pinhole camera ``cam_height`` above the floor: the one projection model.
 
-    f: float = 500.0
+    The defaults are a tall frame: heads of nearby humans (~1.2 m away) must
+    stay above the horizon row yet inside the image for the height-based
+    range model to see them.
+    """
+
+    f: float = 400.0
     cx: float = 320.0
-    cy: float = 240.0
+    cy: float = 360.0
     image_width: int = 640
-    image_height: int = 480
+    image_height: int = 720
     cam_height: float = 0.85
 
     def __post_init__(self):
@@ -261,23 +259,6 @@ class GroundTruth:
 
 
 # ---------------------------------------------------------------------------
-# projection
-
-
-def project_point(
-    intr: CameraIntrinsics,
-    cam_pose: tuple[float, float, float],
-    p: tuple[float, float, float],
-) -> tuple[float, float, float]:
-    """Pinhole projection of a world point; raises for points not in front."""
-    pts = np.array([p], dtype=float)
-    u, v, depth = intr.project(cam_pose, pts)
-    if depth[0] <= 0:
-        raise BehindCameraError(f"point {p} is behind the camera (depth {depth[0]:.3f})")
-    return float(u[0]), float(v[0]), float(depth[0])
-
-
-# ---------------------------------------------------------------------------
 # occlusion
 
 
@@ -374,25 +355,6 @@ def _blocked_any(
     for axis_xy, height in cylinders:
         blocked |= _cylinder_blocked(origin, targets, axis_xy, HUMAN_BODY_RADIUS, height)
     return blocked
-
-
-def occlusion_test(
-    cam_pose: tuple[float, float, float],
-    cam_height: float,
-    target: tuple[float, float, float],
-    obstacles: Sequence[ObstacleBox],
-    humans: Sequence[tuple[tuple[float, float], float]] = (),
-    exclude_human: Optional[int] = None,
-) -> bool:
-    """True when the line of sight from the camera to ``target`` is clear.
-
-    ``humans`` holds ((x, y), body_height) cylinders; ``exclude_human`` skips
-    the target's own body.
-    """
-    origin = np.array([cam_pose[0], cam_pose[1], cam_height])
-    targets = np.array([target], dtype=float)
-    cylinders = [(np.asarray(xy, dtype=float), h) for idx, (xy, h) in enumerate(humans) if idx != exclude_human]
-    return not bool(_blocked_any(origin, targets, obstacles, cylinders)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +551,6 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
 
 _TABLE_HALF = (0.3, 1.25)  # 0.6 m x 2.5 m footprint
 _TABLE_TOP = 0.7
-# Tall frame: heads of nearby humans (~1.2 m away) must stay above the horizon
-# row yet inside the image for the height-based range model to see them.
-_CAMERA = CameraIntrinsics(f=400.0, cx=320.0, cy=360.0, image_width=640, image_height=720, cam_height=0.85)
 
 
 def _heading(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -722,6 +681,6 @@ def builtin_config(kind: str) -> SceneConfig:
         obstacles=obstacles,
         humans=humans,
         robot=_perimeter_robot(),
-        intrinsics=_CAMERA,
+        intrinsics=CameraIntrinsics(),
         name=kind,
     )

@@ -2,15 +2,23 @@
 
 import heapq
 import math
+from typing import Optional, Sequence
 
 import numpy as np
 
 from travmap import mot
-from travmap.evidence import Ho3Evidence, OcclusionClass, PfhEvidence, SfmEvidence, classify_occlusion, infer_pass_pair
+from travmap.evidence import (
+    Ho3Evidence,
+    OcclusionClass,
+    PfhEvidence,
+    SfmEvidence,
+    classify_occlusion,
+    infer_pass_pairs,
+)
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, OcclusionDiag, PairDiag, PipelineResult
 from travmap.posegraph import OptimizationEvent, Pose2, se2_compose, se2_inverse
-from travmap.scenesim import FrameObservation, HumanDetection
+from travmap.scenesim import CameraIntrinsics, FrameObservation, HumanDetection, ObstacleBox, _blocked_any
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -170,6 +178,57 @@ def paint_expected_map(
         out[sfm] = int(CellState.UNTRAVERSABLE)
     out[human] = int(CellState.TRAVERSABLE)  # human evidence outranks the feature layer
     return out
+
+
+class BehindCameraError(ValueError):
+    """Projection requested for a point at or behind the camera plane."""
+
+
+def project_point(
+    intr: CameraIntrinsics,
+    cam_pose: tuple[float, float, float],
+    p: tuple[float, float, float],
+) -> tuple[float, float, float]:
+    """Pinhole projection of a world point; raises for points not in front."""
+    pts = np.array([p], dtype=float)
+    u, v, depth = intr.project(cam_pose, pts)
+    if depth[0] <= 0:
+        raise BehindCameraError(f"point {p} is behind the camera (depth {depth[0]:.3f})")
+    return float(u[0]), float(v[0]), float(depth[0])
+
+
+def occlusion_test(
+    cam_pose: tuple[float, float, float],
+    cam_height: float,
+    target: tuple[float, float, float],
+    obstacles: Sequence[ObstacleBox],
+    humans: Sequence[tuple[tuple[float, float], float]] = (),
+    exclude_human: Optional[int] = None,
+) -> bool:
+    """True when the line of sight from the camera to ``target`` is clear.
+
+    ``humans`` holds ((x, y), body_height) cylinders; ``exclude_human`` skips
+    the target's own body.
+    """
+    origin = np.array([cam_pose[0], cam_pose[1], cam_height])
+    targets = np.array([target], dtype=float)
+    cylinders = [(np.asarray(xy, dtype=float), h) for idx, (xy, h) in enumerate(humans) if idx != exclude_human]
+    return not bool(_blocked_any(origin, targets, obstacles, cylinders)[0])
+
+
+def infer_pass_pair(
+    ids: np.ndarray, depths: np.ndarray, front: np.ndarray, behind: np.ndarray, human_depth: float
+) -> Optional[tuple[int, int]]:
+    """Positions of the tightest (front, behind) feature pair bracketing the human, if any.
+
+    The one-set case of ``infer_pass_pairs``: of the features with ids
+    ``ids`` and depths ``depths``, the front one is the deepest in the FRONT
+    mask still nearer than the human, the behind one the shallowest in the
+    BEHIND mask still farther.  Ties go to the lower id.
+    """
+    sets = np.zeros(len(ids), dtype=np.intp)
+    i, j = infer_pass_pairs(sets, ids, depths, front, behind, np.array([human_depth], dtype=float))
+    return None if i[0] < 0 else (int(i[0]), int(j[0]))
 
 
 def pass_between_per_frame(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import paint_expected_map
+from _oracles import infer_pass_pair, paint_expected_map, project_point
 from travmap.evidence import (
     EvidenceError,
     EvidenceStore,
@@ -21,14 +21,13 @@ from travmap.evidence import (
     estimate_depth,
     export_evidence_log,
     human_map_position,
-    infer_pass_pair,
     infer_pass_pairs,
     rebuild_map,
 )
 from travmap.gridmap import CellState, new_map
 from travmap.pipeline import COMBINATIONS
 from travmap.posegraph import Pose2, se2_compose, se2_inverse
-from travmap.scenesim import CameraIntrinsics, project_point
+from travmap.scenesim import CameraIntrinsics
 
 INTR = CameraIntrinsics(f=500.0, cx=320.0, cy=240.0, image_width=640, image_height=480, cam_height=0.85)
 
@@ -98,6 +97,12 @@ def test_estimate_depth_rejects_flat_box():
         estimate_depth(ScaleCalibration(1.0), 500.0, 1.7, math.nan)
 
 
+@pytest.mark.parametrize("f", [math.nan, 0.0, -500.0, math.inf])
+def test_estimate_depth_rejects_bad_focal_length(f):
+    with pytest.raises(ValueError, match=f"f must be finite and positive, got {f}"):
+        estimate_depth(ScaleCalibration(1.0), f, 1.7, 100.0)
+
+
 @pytest.mark.parametrize("body_height", [math.nan, 0.0, -1.7, math.inf])
 def test_estimate_depth_rejects_bad_body_height(body_height):
     with pytest.raises(ValueError, match=f"body_height must be finite and positive, got {body_height}"):
@@ -154,6 +159,9 @@ def test_human_map_position_requires_positive_depth():
         human_map_position((0, 0, 0), INTR, (0, 10, 0, 10), 0.0)
     with pytest.raises(ValueError, match="depth must be positive"):
         human_map_position((0, 0, 0), INTR, (0, 10, 0, 10), math.nan)
+    # A box centred on cx would put an infinite range at (nan, nan).
+    with pytest.raises(ValueError, match="depth must be positive and finite, got inf"):
+        human_map_position((0, 0, 0), INTR, (INTR.cx - 20, INTR.cx + 20, 100, 300), math.inf)
 
 
 @given(
@@ -296,10 +304,22 @@ def test_store_folds_duplicates():
     store.add_ho3(1, 2, 0)
     store.add_pfh(0, (1.0, 0.0), 0)
     store.add_pfh(0, (1.0, 0.0), 0)
-    assert len(store.records) == 4  # one sfm record, ho3 folded, trail points kept
+    assert len(store.records) == 5  # one sfm record, ho3 sightings and trail points kept
     assert [r.feature_id for r in store.records if isinstance(r, SfmEvidence)] == [3]
-    ho3 = [r for r in store.records if isinstance(r, Ho3Evidence)][0]
-    assert ho3.weight == 2
+    assert [r for r in store.records if isinstance(r, Ho3Evidence)] == [Ho3Evidence(1, 2, 0)] * 2
+
+
+def test_repeated_ho3_sighting_rebuilds_the_same_cells():
+    # A band marked twice is the same band.
+    landmarks = {1: Landmark(1, 0, (1.0, 0.5)), 2: Landmark(2, 0, (1.0, 2.5))}
+    base = new_map(0, 0, 3, 6, 0.1)
+    once, twice = EvidenceStore(), EvidenceStore()
+    once.add_ho3(1, 2, 0)
+    for _ in range(2):
+        twice.add_ho3(1, 2, 0)
+    maps = [rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",)) for store in (once, twice)]
+    assert (maps[0].cells == int(CellState.TRAVERSABLE)).any()
+    assert np.array_equal(maps[0].cells, maps[1].cells)
 
 
 def test_rebuild_empty_store_all_unknown():
@@ -466,7 +486,7 @@ def test_export_log_format():
     lines = export_evidence_log(store).splitlines()
     assert lines[0] == "SFM 4"
     assert lines[1] == "PFH 2 1.5 -0.25 3"
-    assert lines[2] == "HO3 7 9 3 2"
+    assert lines[2:] == ["HO3 7 9 3", "HO3 7 9 3"]
 
 
 def test_export_log_empty():

@@ -191,6 +191,34 @@ def test_example_scene_detects_its_walker():
     assert any(isinstance(rec, PfhEvidence) for rec in res.store.records)
 
 
+@pytest.mark.parametrize("kind, max_false_free", [("I", 0), ("L", 4), ("T", 0)])
+def test_feature_obstacles_outrank_human_evidence(kind, max_false_free):
+    """With SfM on top, human evidence paints no robot-radius ring free, and no SfM map routes a user through one."""
+    res = pipeline.run_pipeline(builtin_config(kind))  # zero noise: the seed draws only the queries
+    gt = ground_truth_map(res.config)
+    blocked = gt.cells != int(CellState.TRAVERSABLE)
+    labels = ("SfM+PfH+HO3", "SfM+PfH", "SfM+HO3")
+    maps = {label: pipeline.build_combo_map(res, pipeline.combo_layers(label)) for label in labels}
+    assert ((maps["SfM+PfH+HO3"].cells == int(CellState.TRAVERSABLE)) & blocked).sum() <= max_false_free
+    solved = 0
+    for seed in range(10):
+        for q in quality.sample_queries(gt, 20, seed, 2.0):
+            for label, m in maps.items():
+                user = plan_path(m, q.start, q.goal)
+                if user is not None:
+                    solved += 1
+                    assert not any(blocked[j, i] for i, j in user.cells), (label, seed, q)
+    assert solved > 0
+
+
+def test_example_scene_without_camera_section_detects_its_walker():
+    # The camera defaults alone keep the head of a walker 1.45 m away in the image.
+    text = EXAMPLE_SCENARIO.replace("[camera]\nf = 400\ncy = 360\nimage_height = 720\n", "")
+    assert "[camera]" not in text
+    res = pipeline.run_pipeline(parse_scenario(text))
+    assert any(frame.detections for frame in res.frames)
+
+
 _NOISY_T = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
 
 

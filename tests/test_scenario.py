@@ -1,6 +1,7 @@
 import pytest
 
 from travmap.scenario import EXAMPLE_SCENARIO, ScenarioError, load_scenario, parse_scenario
+from travmap.scenesim import builtin_config
 
 MINIMAL = """\
 [bounds]
@@ -20,6 +21,10 @@ def test_parse_minimal():
     assert cfg.obstacles == [] and cfg.humans == []
     assert cfg.fps == 30.0
     assert cfg.robot.waypoints[0][1] == (0.25, 0.5, 0.0)
+
+
+def test_camera_defaults_are_the_builtin_frame():
+    assert parse_scenario(MINIMAL).intrinsics == builtin_config("I").intrinsics
 
 
 def test_parse_example_scenario():

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import BehindCameraError, occlusion_test, project_point
 
 from travmap import scenesim
 from travmap.gridmap import CellState
 from travmap.posegraph import wrap_angle
 from travmap.scenesim import (
     AgentTrajectory,
-    BehindCameraError,
     FEATURE_DTYPE,
     CameraIntrinsics,
     FrameObservation,
@@ -17,8 +17,6 @@ from travmap.scenesim import (
     SceneConfig,
     builtin_config,
     ground_truth_map,
-    occlusion_test,
-    project_point,
     sample_feature_points,
     simulate_sequence,
 )
