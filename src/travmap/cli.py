@@ -30,7 +30,7 @@ from .gridmap import LayerPriority, import_pgm
 from .pipeline import PipelineParams, RunConfig, combo_label, parse_combos, run_ablation, write_map_artifacts
 from .quality import QualityReport, ReportRow, evaluate_map, oracle_plans, sample_queries
 from .scenario import load_scenario
-from .scenesim import FEATURE_DTYPE, simulate_sequence
+from .scenesim import FEATURE_DTYPE, check_report_field, simulate_sequence
 
 __all__ = ["main"]
 
@@ -92,6 +92,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    # The report's text fields, checked before any map is read.
+    check_report_field("--label", args.label)
+    for candidate in args.maps:
+        check_report_field(f"the file stem of map {candidate}", pathlib.Path(candidate).stem)
     gt = import_pgm(pathlib.Path(args.ground_truth).read_bytes(), (args.origin_x, args.origin_y), args.resolution)
     queries = sample_queries(gt, args.queries, args.seed, args.min_separation)
     oracles = oracle_plans(gt, queries)

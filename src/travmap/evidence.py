@@ -163,8 +163,14 @@ def apparent_height_px(y_min: float, intr: CameraIntrinsics, body_height: float)
     The head is the one body point guaranteed measurable whenever a detection
     exists, so the apparent height is inferred from how far the head row sits
     above the horizon instead of from the (possibly clipped) box height.
-    Returns None when the geometry degenerates (head at or below the horizon).
+    Returns None when the geometry degenerates (head at or below the horizon,
+    or a body no taller than the camera mount).
     """
+    # Comparisons that NaN fails, written inline: this runs once per detection.
+    if not -math.inf < y_min < math.inf:
+        raise ValueError(f"y_min must be finite, got {y_min}")
+    if not 0 < body_height < math.inf:
+        raise ValueError(f"body_height must be finite and positive, got {body_height}")
     if body_height <= intr.cam_height:
         return None
     rows_above_horizon = intr.cy - y_min

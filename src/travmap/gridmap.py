@@ -267,22 +267,30 @@ _PGM_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 def import_pgm(data: bytes, origin: tuple[float, float] = (0.0, 0.0), resolution: float = 0.10) -> TraversabilityMap:
     """Parse a P5 PGM produced by :func:`export_pgm` (or a header-commented one) back into a map.
 
-    The PGM itself carries no georeference, so ``origin`` and ``resolution``
-    must be supplied by the caller.
+    The header is ``P5``, whitespace, then width, height and maxval, each a
+    positive integer in ASCII digits after whitespace or ``#`` comments,
+    and exactly one whitespace byte before the pixels.  The PGM itself
+    carries no georeference, so ``origin`` and ``resolution`` must be
+    supplied by the caller.
     """
     _check_resolution(resolution)
     _check_finite(origin_x=origin[0], origin_y=origin[1])
-    if not data.startswith(b"P5"):
-        raise ValueError("not a binary (P5) PGM")
+    if not (data.startswith(b"P5") and data[2:3].isspace()):
+        raise ValueError("not a binary (P5) PGM: expected the magic P5 followed by whitespace")
     fields: list[int] = []
     pos = 2
-    while len(fields) < 3:
+    for name in ("width", "height", "maxval"):
         token = _PGM_HEADER_TOKEN.match(data, pos)
-        if not token.group(1):
-            raise ValueError("truncated PGM header")
-        fields.append(int(token.group(1)))
+        text = token.group(1)
+        if not text:
+            raise ValueError(f"truncated PGM header: no {name}")
+        if not (text.isdigit() and int(text) >= 1):
+            raise ValueError(f"PGM {name} must be a positive integer in ASCII digits, got {text!r}")
+        fields.append(int(text))
         pos = token.end()
-    pos += 1  # single whitespace byte after maxval
+    if not data[pos : pos + 1].isspace():
+        raise ValueError("PGM maxval must be followed by one whitespace byte")
+    pos += 1
     width, height, maxval = fields
     if maxval != 255:
         raise ValueError(f"expected maxval 255, got {maxval}")

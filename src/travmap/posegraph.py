@@ -134,17 +134,6 @@ def _check_finite_pose(pose: Pose2, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {pose}")
 
 
-def _parse_numbers(lineno: int, ids: list[str], values: list[str]) -> tuple[list[int], list[float]]:
-    """A record's integer ids and finite numbers; errors name the line."""
-    try:
-        parsed = [int(v) for v in ids], [float(v) for v in values]
-    except ValueError:
-        raise ValueError(f"line {lineno}: cannot parse {' '.join(ids + values)!r} as ids and numbers") from None
-    if not all(math.isfinite(v) for v in parsed[1]):
-        raise ValueError(f"line {lineno}: numbers must be finite, got {' '.join(values)}")
-    return parsed
-
-
 # The optimizer works on an (N, 3) node array (row 0 is the gauge) and on edge
 # arrays.  Its arithmetic is the scalar SE(2) helpers', bit for bit, so outputs
 # keep their bytes: a reordered sum moves poses by ulps and changes the chi2
@@ -340,7 +329,7 @@ class PoseGraph:
         updated = tuple(n for n, m in zip(order[1:], moved) if m)
         return OptimizationEvent(self._event_counter, updated, tuple(trace), len(trace) - 1)
 
-    # -- plain-text graph interchange (VERTEX_SE2 / EDGE_SE2 lines) ----------
+    # -- plain-text graph dump (VERTEX_SE2 / EDGE_SE2 lines) -----------------
 
     def dumps(self) -> str:
         lines = []
@@ -354,51 +343,3 @@ class PoseGraph:
             r = edge.rel
             lines.append(f"EDGE_SE2 {edge.i} {edge.j} {float(r.x)!r} {float(r.y)!r} {float(r.theta)!r} {vals}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "PoseGraph":
-        """Parse VERTEX_SE2/EDGE_SE2 lines.
-
-        Edge kind is not part of the interchange format; edges joining
-        consecutive ids are read back as odometry, all others as loop closures.
-        """
-        graph = cls.__new__(cls)
-        graph.nodes = {}
-        graph.edges = []
-        graph._event_counter = 0
-        edge_lines = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "VERTEX_SE2":
-                if len(parts) != 5:
-                    raise ValueError(f"line {lineno}: VERTEX_SE2 needs id x y theta")
-                (node_id,), pose = _parse_numbers(lineno, parts[1:2], parts[2:])
-                if node_id in graph.nodes:
-                    raise ValueError(f"line {lineno}: duplicate VERTEX_SE2 id {node_id}")
-                graph.nodes[node_id] = Pose2(*pose)
-            elif parts[0] == "EDGE_SE2":
-                if len(parts) != 12:
-                    raise ValueError(f"line {lineno}: EDGE_SE2 needs i j dx dy dtheta + 6 info entries")
-                (i, j), numbers = _parse_numbers(lineno, parts[1:3], parts[3:])
-                if i == j:
-                    raise ValueError(f"line {lineno}: EDGE_SE2 endpoints must differ, got {i} {j}")
-                a, b_, c, d, e, f = numbers[3:]
-                try:
-                    info = _check_information(np.array([[a, b_, c], [b_, d, e], [c, e, f]]))
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-                kind = EdgeKind.ODOMETRY if j == i + 1 else EdgeKind.LOOP_CLOSURE
-                graph.edges.append(Edge(i, j, Pose2(*numbers[:3]), info, kind))
-                edge_lines.append(lineno)
-            else:
-                raise ValueError(f"line {lineno}: unknown record {parts[0]!r}")
-        if 0 not in graph.nodes:
-            raise ValueError("graph has no node 0")
-        for lineno, edge in zip(edge_lines, graph.edges):
-            for node_id in (edge.i, edge.j):
-                if node_id not in graph.nodes:
-                    raise ValueError(f"line {lineno}: edge references unknown node {node_id}")
-        return graph

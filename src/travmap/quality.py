@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gridmap import CellState, OutOfBoundsError, TraversabilityMap
-from .scenesim import check_bounds
+from .scenesim import check_bounds, check_report_field
 
 __all__ = [
     "JourneyQuery",
@@ -84,6 +84,10 @@ class ReportRow:
     score: float
     n_queries: int
     n_failed: int
+
+    def __post_init__(self):
+        check_report_field("combination", self.combination)
+        check_report_field("scenario", self.scenario)
 
 
 #: Canonical ablation-report row order; combinations not listed sort after, alphabetically.

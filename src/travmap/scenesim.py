@@ -36,6 +36,7 @@ __all__ = [
     "FrameObservation",
     "GroundTruth",
     "check_bounds",
+    "check_report_field",
     "builtin_config",
     "ground_truth_map",
     "simulate_sequence",
@@ -65,6 +66,12 @@ def check_bounds(*fields: tuple[str, float, float, bool]) -> None:
     for name, value, low, may_equal in fields:
         if not (math.isfinite(value) and (value >= low if may_equal else value > low)):
             raise ValueError(f"{name} must be finite and {'>=' if may_equal else '>'} {low}, got {value}")
+
+
+def check_report_field(name: str, value: str) -> None:
+    """Raise ValueError naming a text field holding ``,``, ``"``, CR or LF: it would split its ``report.csv`` row."""
+    if any(c in value for c in ',"\r\n'):
+        raise ValueError(f"{name} must not hold ',', '\"', CR or LF (it is a report.csv field), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,7 @@ class SceneConfig:
         # Output file and directory names are built from it, so it must not leave the output directory.
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"name must be a plain file-name part (no '/', '\\' or NUL), got {self.name!r}")
+        check_report_field("name", self.name)
 
 
 #: One row per feature a frame sees: its id, image position, depth along the

@@ -217,6 +217,14 @@ def test_scene_name_cannot_leave_out_dir(tmp_path, no_simulation, command):
     assert [p.name for p in tmp_path.iterdir()] == ["scene.ini"]
 
 
+def test_scene_name_cannot_split_report_rows(tmp_path, no_simulation):
+    scene = tmp_path / "scene.ini"
+    scene.write_text(EXAMPLE_SCENARIO.replace("name = example", "name = a,b"))
+    with pytest.raises(ScenarioError, match="name must not hold ','"):
+        main(["ablate", "--scenario", str(scene), "--combos", "SfM", "--out", str(tmp_path / "out")])
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.ini"]
+
+
 @pytest.mark.parametrize(
     "options, message",
     [
@@ -227,6 +235,8 @@ def test_scene_name_cannot_leave_out_dir(tmp_path, no_simulation, command):
         pytest.param(["--origin-x", "nan"], "origin_x must be finite, got nan", id="nan-origin-x"),
         pytest.param(["--origin-x", "inf"], "origin_x must be finite, got inf", id="inf-origin-x"),
         pytest.param(["--origin-y", "nan"], "origin_y must be finite, got nan", id="nan-origin-y"),
+        pytest.param(["--label", "a,b"], "--label must not hold ','", id="comma-label"),
+        pytest.param(["--maps", 'a"b.pgm'], "the file stem of map a\"b.pgm must not hold", id="quote-map-stem"),
     ],
 )
 def test_evaluate_rejects_bad_query_settings(tmp_path, options, message):

@@ -139,6 +139,22 @@ def test_apparent_height_degenerate_geometry():
     assert apparent_height_px(100.0, INTR, 0.5) is None  # shorter than the mount
 
 
+@pytest.mark.parametrize(
+    "y_min, body_height, message",
+    [
+        (math.nan, 1.7, "y_min must be finite, got nan"),
+        (-math.inf, 1.7, "y_min must be finite, got -inf"),
+        (math.inf, 1.7, "y_min must be finite, got inf"),
+        (100.0, math.inf, "body_height must be finite and positive, got inf"),
+        (100.0, 0.0, "body_height must be finite and positive, got 0.0"),
+    ],
+    ids=["nan-y-min", "minus-inf-y-min", "inf-y-min", "inf-body-height", "zero-body-height"],
+)
+def test_apparent_height_rejects_non_finite_inputs_naming_the_field(y_min, body_height, message):
+    with pytest.raises(ValueError, match=message):
+        apparent_height_px(y_min, INTR, body_height)
+
+
 # ---------------------------------------------------------------------------
 # image -> map transform
 

@@ -236,6 +236,27 @@ def test_import_pgm_comment_cannot_stand_for_a_field():
         import_pgm(b"P5\n3 2 # maxval missing\n")
 
 
+_GRAY = bytes([205])
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        pytest.param(b"P52 2 255\n" + _GRAY * 4, "magic P5 followed by whitespace", id="magic-glued-to-width"),
+        pytest.param(b"P5\n0 0\n255\n", "PGM width must be a positive integer .* got b'0'", id="zero-size"),
+        pytest.param(b"P5\n0 5\n255\n", "PGM width must be a positive integer .* got b'0'", id="zero-width"),
+        pytest.param(b"P5\n-2 -2\n255\n" + _GRAY * 4, "PGM width must be a positive integer", id="negative-size"),
+        pytest.param(b"P5\n2 x\n255\n" + _GRAY * 2, "PGM height must be a positive integer", id="letter-height"),
+        pytest.param(b"P5\n1 1\n+255\n" + _GRAY, "PGM maxval must be a positive integer", id="signed-maxval"),
+        pytest.param(b"P5\n2 2\n255", "PGM maxval must be followed by one whitespace byte", id="ends-at-maxval"),
+        pytest.param(b"P5\n1 1\n255" + _GRAY, "PGM maxval must be a positive integer", id="pixels-glued-to-maxval"),
+    ],
+)
+def test_import_pgm_rejects_malformed_headers_naming_the_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        import_pgm(data)
+
+
 @pytest.mark.parametrize("resolution", [0.0, -0.1, float("nan"), float("inf")])
 def test_import_pgm_and_new_map_reject_bad_resolution(resolution):
     data = export_pgm(new_map(0, 0, 0.3, 0.2, 0.1))

@@ -311,27 +311,13 @@ def test_gauge_invariance():
 
 
 # ---------------------------------------------------------------------------
-# interchange format
-
-
-def test_dump_load_roundtrip():
-    g = _square_graph()
-    g.optimize()
-    text = g.dumps()
-    back = PoseGraph.loads(text)
-    assert set(back.nodes) == set(g.nodes)
-    for n in g.nodes:
-        assert pose_close(back.nodes[n], g.nodes[n], 0)
-    assert len(back.edges) == len(g.edges)
-    assert back.edges[0].kind is EdgeKind.ODOMETRY
-    assert back.edges[-1].kind is EdgeKind.LOOP_CLOSURE
-    for a, b in zip(g.edges, back.edges):
-        assert np.allclose(a.info, b.info)
+# text dump
 
 
 def test_add_keyframe_after_loads_follows_the_largest_id():
-    text = "VERTEX_SE2 0 0.0 0.0 0.0\nVERTEX_SE2 5 1.0 0.0 0.0\nVERTEX_SE2 2 0.5 0.0 0.0\n"
-    g = PoseGraph.loads(text)
+    g = PoseGraph()
+    g.nodes[5] = Pose2(1.0, 0.0, 0.0)
+    g.nodes[2] = Pose2(0.5, 0.0, 0.0)
     assert g.add_keyframe(Pose2(1, 0, 0)) == 6
     assert pose_close(g.pose(6), Pose2(2, 0, 0), 0)
     assert (g.edges[-1].i, g.edges[-1].j, g.edges[-1].kind) == (5, 6, EdgeKind.ODOMETRY)
@@ -345,42 +331,8 @@ def test_dump_load_roundtrip_numpy_scalars():
     g.add_loop_closure(0, 2, Pose2(np.float64(1.52), np.float64(0.137), np.float64(-0.497)))
     text = g.dumps()
     assert "np.float64" not in text
-    back = PoseGraph.loads(text)
-    assert back.dumps() == text
-    for a, b in zip(g.edges, back.edges):
-        assert (b.i, b.j, b.kind) == (a.i, a.j, a.kind)
-        assert b.rel.as_tuple() == a.rel.as_tuple()
-
-
-def test_loads_rejects_garbage():
-    with pytest.raises(ValueError):
-        PoseGraph.loads("WHAT 1 2 3\n")
-    with pytest.raises(ValueError):
-        PoseGraph.loads("VERTEX_SE2 0 0 0\n")
-
-
-_VERTICES = "VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n"
-_EYE = "1 0 0 1 0 1"
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        (_VERTICES + "EDGE_SE2 0 1 1 0 0 -1 0 0 1 0 1\n", "line 3: information matrix must be positive definite"),
-        (_VERTICES + f"EDGE_SE2 1 1 0 0 0 {_EYE}\n", "line 3: EDGE_SE2 endpoints must differ"),
-        ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 nan 0 0\n", "line 2: numbers must be finite"),
-        (_VERTICES + "EDGE_SE2 0 1 1 0 0 1 0 0 inf 0 1\n", "line 3: numbers must be finite"),
-        (_VERTICES + "VERTEX_SE2 1 2 0 0\n", "line 3: duplicate VERTEX_SE2 id 1"),
-        ("VERTEX_SE2 0 0 0 zero\n", "line 1: cannot parse"),
-        ("VERTEX_SE2 0.5 0 0 0\n", "line 1: cannot parse"),
-        (_VERTICES + f"\n# comment\nEDGE_SE2 0 7 1 0 0 {_EYE}\n", "line 5: edge references unknown node 7"),
-    ],
-    ids=["not-positive-definite", "self-edge", "nan-vertex", "inf-information", "duplicate-id", "bad-number",
-         "bad-id", "unknown-node"],
-)
-def test_loads_rejects_bad_records_naming_the_line(text, message):
-    with pytest.raises(ValueError, match=message):
-        PoseGraph.loads(text)
+    assert text.splitlines()[1] == f"VERTEX_SE2 1 0.0205 -0.1128 {g.nodes[1].theta!r}"
+    assert text.splitlines()[-1] == "EDGE_SE2 0 2 1.52 0.137 -0.497 1.0 0.0 0.0 1.0 0.0 1.0"
 
 
 @pytest.mark.parametrize("bad", [Pose2(math.nan, 0, 0), Pose2(0, math.inf, 0), Pose2(0, 0, math.nan)])

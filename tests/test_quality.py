@@ -287,3 +287,11 @@ def test_report_csv_shape_and_order():
     lines = csv.strip().split("\n")
     assert lines[0] == "combination,scenario,score_m,n_queries,n_failed"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["SfM+PfH+HO3", "SfM", "HO3"]
+
+
+@pytest.mark.parametrize("field", ["combination", "scenario"])
+@pytest.mark.parametrize("text", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_report_row_keeps_five_fields(field, text):
+    values = {"combination": "SfM", "scenario": "I"}
+    with pytest.raises(ValueError, match=f"{field} must not hold"):
+        ReportRow(**{**values, field: text}, score=1.0, n_queries=20, n_failed=3)

@@ -165,6 +165,13 @@ def test_names_that_leave_the_output_directory_rejected(name):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("name", ["a,b", 'a"b'])
+def test_names_that_split_a_report_row_rejected(name):
+    text = EXAMPLE_SCENARIO.replace("name = example", f"name = {name}")
+    with pytest.raises(ScenarioError, match="name must not hold ',', '\"', CR or LF"):
+        parse_scenario(text)
+
+
 def test_plain_names_with_dots_and_spaces_accepted():
     for name in ("example.v2", "..hidden", "two words"):
         assert parse_scenario(EXAMPLE_SCENARIO.replace("name = example", f"name = {name}")).name == name
