@@ -7,8 +7,9 @@ traversable bands, one HO3 record per sighting.  Every record is pose-free:
 landmarks and trail points are stored as offsets in their anchor keyframe's
 frame, and pass-between records are just feature-id pairs, so a pose-graph
 optimization invalidates nothing.  ``rebuild_map`` regenerates the map from any pose
-snapshot: it resolves every record's endpoints at the snapshot, then marks
-each layer's bands in one batched pass.
+snapshot: it places the enabled layers' endpoints as arrays, from one pose
+table of the snapshot (``pose_table``) and one table of the landmarks they
+name (``landmark_worlds``), then marks each layer's bands in one batched pass.
 
 Monocular range to a human follows from apparent height: with calibration
 factor k, distance = k * f * H / h_px.  The apparent height h_px fed by the
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +54,8 @@ __all__ = [
     "human_map_position",
     "classify_occlusion",
     "infer_pass_pairs",
+    "pose_table",
+    "landmark_worlds",
     "rebuild_map",
     "export_evidence_log",
 ]
@@ -88,13 +91,6 @@ class Landmark:
     feature_id: int
     anchor_keyframe: int
     offset: tuple[float, float]
-
-    def world(self, snapshot: Mapping[int, Pose2]) -> tuple[float, float]:
-        try:
-            anchor = snapshot[self.anchor_keyframe]
-        except KeyError:
-            raise EvidenceError(f"landmark {self.feature_id} anchored to unknown keyframe {self.anchor_keyframe}") from None
-        return se2_transform(anchor, self.offset)
 
 
 class OcclusionClass(Enum):
@@ -284,6 +280,61 @@ class RebuildParams:
         )
 
 
+PoseTable = tuple[dict[int, int], np.ndarray]
+
+
+def pose_table(snapshot: Mapping[int, Pose2]) -> PoseTable:
+    """Each keyframe id's row, and one row (x, y, cos θ, sin θ) per keyframe of ``snapshot``.
+
+    The cosine and sine are ``math``'s, as in ``se2_transform``.
+    """
+    rows = [(p.x, p.y, math.cos(p.theta), math.sin(p.theta)) for p in snapshot.values()]
+    return dict(zip(snapshot, range(len(rows)))), np.array(rows, dtype=float).reshape(-1, 4)
+
+
+def _place(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """World points (N, 2) of ``offsets`` (N, 2), each in the frame of its pose row (N, 4).
+
+    Elementwise in ``se2_transform``'s operation order, so each point has its bits.
+    """
+    x, y, c, s = rows.T
+    ox, oy = offsets.T
+    return np.column_stack((x + c * ox - s * oy, y + s * ox + c * oy))
+
+
+def landmark_worlds(landmarks: Collection[Landmark], poses: PoseTable) -> np.ndarray:
+    """World floor points (N, 2) of ``landmarks``, in order, at the poses of ``poses``.
+
+    A landmark whose anchor keyframe has no pose raises ``EvidenceError`` naming both.
+    """
+    index, rows = poses
+    try:
+        at = [index[lm.anchor_keyframe] for lm in landmarks]
+    except KeyError:
+        lm = next(lm for lm in landmarks if lm.anchor_keyframe not in index)
+        raise EvidenceError(f"landmark {lm.feature_id} anchored to unknown keyframe {lm.anchor_keyframe}") from None
+    return _place(rows[at], np.array([lm.offset for lm in landmarks], dtype=float).reshape(-1, 2))
+
+
+def _trail_ends(trail: Sequence[PfhEvidence], poses: PoseTable) -> tuple[np.ndarray, np.ndarray]:
+    """Each trail point's step (a, b): from its track's previous point in log order to itself.
+
+    A track's first point is a zero-length step.
+    """
+    index, rows = poses
+    try:
+        at = [index[rec.keyframe_id] for rec in trail]
+    except KeyError as err:
+        raise EvidenceError(f"trail evidence anchored to unknown keyframe {err.args[0]}") from None
+    b = _place(rows[at], np.array([rec.offset for rec in trail], dtype=float).reshape(-1, 2))
+    tracks = np.array([rec.track_id for rec in trail], dtype=np.int64)
+    order = np.argsort(tracks, kind="stable")  # each track's points, in log order
+    same = tracks[order[1:]] == tracks[order[:-1]]
+    a = b.copy()
+    a[order[1:][same]] = b[order[:-1][same]]
+    return a, b
+
+
 def rebuild_map(
     store: EvidenceStore,
     snapshot: Mapping[int, Pose2],
@@ -300,6 +351,7 @@ def rebuild_map(
     layers are enabled a cell counts as human-traversable only where both mark
     it; the final map fuses the enabled layers by priority.  Cost is linear in
     the number of records regardless of how many optimizations happened.
+    Only the enabled layers' records are resolved.
     """
     enabled = tuple(enabled)
     for layer in enabled:
@@ -307,35 +359,27 @@ def rebuild_map(
             raise ValueError(f"unknown evidence layer {layer!r}")
     if not enabled:
         raise ValueError("need at least one enabled layer")
-    segments: dict[str, list] = {layer: [] for layer in enabled}  # (a, b) band endpoints per layer
-    last_trail_point: dict[int, tuple[float, float]] = {}
+    kinds: dict[type, list] = {SfmEvidence: [], PfhEvidence: [], Ho3Evidence: []}
     for rec in store.records:
-        if isinstance(rec, SfmEvidence):
-            if SFM_LAYER in segments:
-                w = _lookup_landmark(landmarks, rec.feature_id).world(snapshot)
-                segments[SFM_LAYER].append((w, w))
-        elif isinstance(rec, PfhEvidence):
-            if PFH_LAYER not in segments:
-                continue
-            try:
-                pose = snapshot[rec.keyframe_id]
-            except KeyError:
-                raise EvidenceError(f"trail evidence anchored to unknown keyframe {rec.keyframe_id}") from None
-            w = se2_transform(pose, rec.offset)
-            segments[PFH_LAYER].append((last_trail_point.get(rec.track_id, w), w))
-            last_trail_point[rec.track_id] = w
-        elif HO3_LAYER in segments:
-            ends = (_lookup_landmark(landmarks, fid).world(snapshot) for fid in (rec.front_id, rec.behind_id))
-            segments[HO3_LAYER].append(tuple(ends))
+        kinds[type(rec)].append(rec)
+    poses = pose_table(snapshot)
+    # The enabled layers' landmark ends, in one table: one per SfM record, then a front and a behind per HO3 record.
+    sfm = [rec.feature_id for rec in kinds[SfmEvidence]] if SFM_LAYER in enabled else []
+    ho3 = [fid for rec in kinds[Ho3Evidence] for fid in (rec.front_id, rec.behind_id)] if HO3_LAYER in enabled else []
+    table = landmark_worlds([_lookup_landmark(landmarks, fid) for fid in sfm + ho3], poses)
+    disks, bands = table[: len(sfm)], table[len(sfm) :]
+    ends = {SFM_LAYER: (disks, disks), HO3_LAYER: (bands[0::2], bands[1::2])}
+    if PFH_LAYER in enabled:
+        ends[PFH_LAYER] = _trail_ends(kinds[PfhEvidence], poses)
     # Every band of a layer writes the same state, so one pass per layer marks them in any order.
     layers = {layer: empty_like(base) for layer in enabled}
     for layer, m in layers.items():
-        ends = np.array(segments[layer], dtype=float).reshape(-1, 2, 2)
+        a, b = ends[layer]
         if layer == SFM_LAYER:
-            m.mark_bands(ends[:, 0], ends[:, 1], params.robot_radius, CellState.UNTRAVERSABLE)
+            m.mark_bands(a, b, params.robot_radius, CellState.UNTRAVERSABLE)
         else:
             half_width = params.trail_half_width if layer == PFH_LAYER else params.passage_half_width
-            m.mark_bands(ends[:, 0], ends[:, 1], half_width, CellState.TRAVERSABLE)
+            m.mark_bands(a, b, half_width, CellState.TRAVERSABLE)
     if PFH_LAYER in layers and HO3_LAYER in layers:
         both = (layers[PFH_LAYER].cells == int(CellState.TRAVERSABLE)) & (
             layers[HO3_LAYER].cells == int(CellState.TRAVERSABLE)

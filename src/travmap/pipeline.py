@@ -54,6 +54,8 @@ from .evidence import (
     export_evidence_log,
     human_map_position,
     infer_pass_pairs,
+    landmark_worlds,
+    pose_table,
     rebuild_map,
 )
 from .gridmap import LayerPriority, TraversabilityMap, export_pgm, new_map
@@ -315,7 +317,8 @@ def _add_trails(result: PipelineResult, kf: int, matched: Sequence[mot.HumanTrac
 
 def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, np.ndarray]:
     """Floor points (x, y, 0) of all landmarks at the current poses, and each feature id's row (-1: none)."""
-    worlds = np.array([(*lm.world(result.graph.nodes), 0.0) for lm in result.landmarks.values()])
+    worlds = landmark_worlds(result.landmarks.values(), pose_table(result.graph.nodes))
+    worlds = np.column_stack((worlds, np.zeros(len(worlds))))
     row = np.full(len(result.truth.feature_points), -1)
     row[list(result.landmarks)] = np.arange(len(result.landmarks))
     return worlds, row

@@ -454,10 +454,12 @@ def _render_features(
     intr = cfg.intrinsics
     u, v, depth = intr.project(cams, F)
     cand = (depth > _RAY_EPS) & (u >= 0) & (u < intr.image_width) & (v >= 0) & (v < intr.image_height)
-    visible = ~_blocked_any(origin, F, cfg.obstacles, cylinders)
     rows, cols = np.nonzero(cand)
+    # Sight lines only for the kept (frame, feature) pairs; every test is elementwise, so each keeps its bits.
+    pair_cylinders = [(axis_xy[rows, 0], height) for axis_xy, height in cylinders]
+    visible = ~_blocked_any(origin[rows, 0], F[cols], cfg.obstacles, pair_cylinders)
     out = np.empty(len(rows), FEATURE_DTYPE)
-    columns = (fids[cols], u[rows, cols], v[rows, cols], depth[rows, cols], visible[rows, cols])
+    columns = (fids[cols], u[rows, cols], v[rows, cols], depth[rows, cols], visible)
     for name, column in zip(FEATURE_DTYPE.names, columns):
         out[name] = column
     return np.split(out, np.cumsum(cand.sum(axis=1))[:-1])
@@ -485,26 +487,28 @@ def _render_detections(
         axis_pts[..., 2] = np.linspace(0.0, bh, n_axis)
         u_a, v_a, z_a = intr.project(cams, axis_pts)
         head_u, head_v, head_z = u_a[:, -1], v_a[:, -1], z_a[:, -1]
-        blocked = _blocked_any(origin, axis_pts, cfg.obstacles, others)
-        seen = (
+        in_view = np.flatnonzero(
             (head_z > _RAY_EPS)
             & (0 <= head_u) & (head_u < intr.image_width)
             & (0 <= head_v) & (head_v < intr.image_height)
-            & ~blocked[:, -1]
         )
+        # Sight lines only for the frames whose head is in view; every test is elementwise.
+        in_view_others = [(xy[in_view], height) for xy, height in others]
+        blocked = _blocked_any(origin[in_view], axis_pts[in_view], cfg.obstacles, in_view_others)
+        v_a, head_u, head_z = v_a[in_view], head_u[in_view], head_z[in_view]
         y_min = np.where(blocked, np.inf, v_a).min(axis=1)
         y_max = np.where(blocked, -np.inf, v_a).max(axis=1)
         y_max = np.where(y_max <= y_min, y_min + 1e-6, y_max)  # single visible sample: keep the box valid
-        with np.errstate(divide="ignore"):
-            half_w = intr.f * HUMAN_BODY_RADIUS / head_z
-        for k in np.flatnonzero(seen).tolist():
+        half_w = intr.f * HUMAN_BODY_RADIUS / head_z
+        for j in np.flatnonzero(~blocked[:, -1]).tolist():
+            k = int(in_view[j])
             detections[k].append(
                 HumanDetection(
-                    float(head_u[k] - half_w[k]),
-                    float(head_u[k] + half_w[k]),
-                    float(y_min[k]),
-                    float(y_max[k]),
-                    float(head_z[k]),
+                    float(head_u[j] - half_w[j]),
+                    float(head_u[j] + half_w[j]),
+                    float(y_min[j]),
+                    float(y_max[j]),
+                    float(head_z[j]),
                     positions[k][h_idx],
                     h_idx,
                 )
@@ -517,8 +521,10 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
 
     Frames run from t=0 through the end of the robot trajectory, endpoints
     inclusive.  Identical configs (including rng_seed) produce identical
-    output.  Projection and sight-line tests run on blocks of
-    ``_FRAME_BLOCK`` frames at once.
+    output.  Projection runs on blocks of ``_FRAME_BLOCK`` frames at once;
+    sight-line tests run only for what a frame keeps: the (frame, feature)
+    pairs in front of the camera and inside the image, and the frames whose
+    human head is.
     """
     intr = cfg.intrinsics
     feature_points = sample_feature_points(cfg)

@@ -17,7 +17,7 @@ from travmap.evidence import (
 )
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, OcclusionDiag, PairDiag, PipelineResult
-from travmap.posegraph import OptimizationEvent, Pose2, se2_compose, se2_inverse
+from travmap.posegraph import OptimizationEvent, Pose2, se2_compose, se2_inverse, se2_transform
 from travmap.scenesim import CameraIntrinsics, FrameObservation, HumanDetection, ObstacleBox, _blocked_any
 
 _SQRT2 = math.sqrt(2.0)
@@ -178,6 +178,34 @@ def paint_expected_map(
         out[sfm] = int(CellState.UNTRAVERSABLE)
     out[human] = int(CellState.TRAVERSABLE)  # human evidence outranks the feature layer
     return out
+
+
+def rebuild_endpoints(records, snapshot, landmarks, enabled=("sfm", "pfh", "ho3")):
+    """Per-record reference for the band ends ``rebuild_map`` marks: {layer: (a, b)}, (N, 2) arrays in log order.
+
+    Each end is placed on its own by ``se2_transform``; a disk is a band from
+    a point to itself, and a trail point's band starts at its track's
+    previous point (at itself for the track's first).
+    """
+
+    def landmark_world(fid):
+        lm = landmarks[fid]
+        return se2_transform(snapshot[lm.anchor_keyframe], lm.offset)
+
+    ends = {layer: [] for layer in enabled}
+    last_point = {}
+    for rec in records:
+        if isinstance(rec, SfmEvidence) and "sfm" in ends:
+            w = landmark_world(rec.feature_id)
+            ends["sfm"].append((w, w))
+        elif isinstance(rec, PfhEvidence) and "pfh" in ends:
+            w = se2_transform(snapshot[rec.keyframe_id], rec.offset)
+            ends["pfh"].append((last_point.get(rec.track_id, w), w))
+            last_point[rec.track_id] = w
+        elif isinstance(rec, Ho3Evidence) and "ho3" in ends:
+            ends["ho3"].append((landmark_world(rec.front_id), landmark_world(rec.behind_id)))
+    stacked = {layer: np.array(pairs, dtype=float).reshape(-1, 2, 2) for layer, pairs in ends.items()}
+    return {layer: (pairs[:, 0], pairs[:, 1]) for layer, pairs in stacked.items()}
 
 
 class BehindCameraError(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import infer_pass_pair, paint_expected_map, project_point
+from _oracles import infer_pass_pair, paint_expected_map, project_point, rebuild_endpoints
+from travmap import pipeline
 from travmap.evidence import (
     EvidenceError,
     EvidenceStore,
     Ho3Evidence,
     Landmark,
     OcclusionClass,
+    PfhEvidence,
     RebuildParams,
     ScaleCalibration,
     SfmEvidence,
@@ -24,10 +27,10 @@ from travmap.evidence import (
     infer_pass_pairs,
     rebuild_map,
 )
-from travmap.gridmap import CellState, new_map
+from travmap.gridmap import CellState, TraversabilityMap, new_map
 from travmap.pipeline import COMBINATIONS
 from travmap.posegraph import Pose2, se2_compose, se2_inverse
-from travmap.scenesim import CameraIntrinsics
+from travmap.scenesim import CameraIntrinsics, builtin_config
 
 INTR = CameraIntrinsics(f=500.0, cx=320.0, cy=240.0, image_width=640, image_height=480, cam_height=0.85)
 
@@ -407,6 +410,83 @@ def test_rebuild_dangling_references_error():
     with pytest.raises(EvidenceError) as err:
         rebuild_map(store2, {0: Pose2()}, {}, base)
     assert "9" in str(err.value)
+
+
+def _marked_ends(monkeypatch, store, snapshot, landmarks, enabled):
+    """The (a, b) arrays ``rebuild_map`` hands ``mark_bands``, by layer."""
+    calls = []
+    mark_bands = TraversabilityMap.mark_bands
+
+    def spy(self, a, b, *args):
+        calls.append((np.array(a), np.array(b)))
+        return mark_bands(self, a, b, *args)
+
+    monkeypatch.setattr(TraversabilityMap, "mark_bands", spy)
+    rebuild_map(store, snapshot, landmarks, new_map(0, 0, 3, 6, 0.1), enabled)
+    assert len(calls) == len(enabled)
+    return dict(zip(enabled, calls))
+
+
+def _assert_ends_match_reference(monkeypatch, store, snapshot, landmarks):
+    for enabled in COMBINATIONS:
+        got = _marked_ends(monkeypatch, store, snapshot, landmarks, enabled)
+        expected = rebuild_endpoints(store.records, snapshot, landmarks, enabled)
+        for layer in enabled:
+            for g, e in zip(got[layer], expected[layer]):
+                assert g.shape == e.shape and g.tobytes() == e.tobytes(), (enabled, layer)
+
+
+def test_rebuild_ends_keep_their_bits_on_a_noisy_run(monkeypatch):
+    scene = dataclasses.replace(builtin_config("I"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+    result = pipeline.run_pipeline(scene)
+    snapshot = result.graph.snapshot()
+    assert any(type(p.x) is np.float64 for p in snapshot.values())
+    assert {type(rec) for rec in result.store.records} == {SfmEvidence, PfhEvidence, Ho3Evidence}
+    _assert_ends_match_reference(monkeypatch, result.store, snapshot, result.landmarks)
+
+
+def test_rebuild_ends_chain_each_track_in_log_order(monkeypatch):
+    snapshot = {0: Pose2(0.4, 1.1, 0.7), 1: Pose2(1.9, 3.3, -2.2)}
+    landmarks = {1: Landmark(1, 0, (1.0, 0.5)), 2: Landmark(2, 1, (0.3, -0.6)), 5: Landmark(5, 1, (0.9, 0.1))}
+    store = EvidenceStore()
+    store.add_sfm(2)
+    store.add_pfh(0, (0.1, 0.2), track_id=4)
+    store.add_pfh(1, (0.3, 0.1), track_id=7)  # the two tracks interleave
+    store.add_pfh(0, (0.5, 0.2), track_id=4)
+    store.add_pfh(0, (0.5, 0.2), track_id=4)  # a zero-length step
+    store.add_sfm(1)
+    store.add_pfh(1, (0.6, 0.4), track_id=7)
+    store.add_ho3(5, 1, 4)
+    store.add_ho3(2, 5, 7, at=3)  # inserted mid-log
+    _assert_ends_match_reference(monkeypatch, store, snapshot, landmarks)
+    a, b = _marked_ends(monkeypatch, store, snapshot, landmarks, ("pfh",))["pfh"]
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])  # each track's first point
+    assert np.array_equal(a[3], b[3]) and np.array_equal(a[3], b[2])  # the repeated point
+    # Many points of a few tracks, in shuffled turns: a sort that is not stable would reorder a track.
+    rng = np.random.default_rng(5)
+    tracks, keyframes, offsets = rng.integers(0, 3, 300), rng.integers(0, 2, 300), rng.uniform(-1, 1, (300, 2))
+    for track_id, kf, offset in zip(tracks.tolist(), keyframes.tolist(), offsets.tolist()):
+        store.add_pfh(kf, tuple(offset), track_id)
+    _assert_ends_match_reference(monkeypatch, store, snapshot, landmarks)
+
+
+def test_rebuild_names_a_landmarks_unknown_anchor_and_skips_disabled_layers():
+    base = new_map(0, 0, 1, 1, 0.1)
+    landmarks = {3: Landmark(3, 0, (0.5, 0.5)), 4: Landmark(4, 8, (0.5, 0.5))}
+    store = EvidenceStore()
+    store.add_sfm(3)
+    store.add_ho3(3, 4, 0)
+    with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",))
+    # Only the enabled layers' records are resolved: the HO3 end and the dangling ones below are never looked up.
+    store.add_ho3(3, 99, 0)
+    store.add_pfh(9, (0.0, 0.0), 0)
+    out = rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm",))
+    assert out.state(*out.world_to_cell(0.5, 0.5)) is CellState.UNTRAVERSABLE
+    with pytest.raises(EvidenceError, match="unknown feature 99"):
+        rebuild_map(store, {0: Pose2(), 8: Pose2()}, landmarks, base, ("ho3",))
+    with pytest.raises(EvidenceError, match="unknown keyframe 9"):
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"))
 
 
 def test_rebuild_matches_painter_after_optimization_small():

@@ -7,7 +7,15 @@ import pytest
 from _oracles import pass_between_per_frame
 
 from travmap import pipeline, quality
-from travmap.evidence import Ho3Evidence, PfhEvidence, RebuildParams, SfmEvidence, export_evidence_log
+from travmap.evidence import (
+    Ho3Evidence,
+    PfhEvidence,
+    RebuildParams,
+    SfmEvidence,
+    export_evidence_log,
+    landmark_worlds,
+    pose_table,
+)
 from travmap.gridmap import DEFAULT_PRIORITY, CellState, LayerPriority, export_pgm
 from travmap.quality import plan_path
 from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
@@ -29,9 +37,8 @@ def test_calibration_recovers_unit_scale(i_result):
 
 
 def test_landmarks_match_true_feature_positions(i_result):
-    snapshot = i_result.graph.snapshot()
-    for fid, lm in i_result.landmarks.items():
-        wx, wy = lm.world(snapshot)
+    worlds = landmark_worlds(i_result.landmarks.values(), pose_table(i_result.graph.snapshot()))
+    for fid, (wx, wy) in zip(i_result.landmarks, worlds.tolist()):
         tx, ty, _ = i_result.truth.feature_points[fid]
         assert math.hypot(wx - tx, wy - ty) < 1e-9
 
@@ -168,11 +175,10 @@ def test_non_default_keyframe_stride(scene):
     res = pipeline.run_pipeline(scene, pipeline.PipelineParams(keyframe_stride=stride))
     assert len(res.graph.nodes) == (len(res.frames) - 1) // stride + 1
     assert res.landmarks
-    snapshot = res.graph.snapshot()
-    for fid, lm in res.landmarks.items():
+    worlds = landmark_worlds(res.landmarks.values(), pose_table(res.graph.snapshot()))
+    for (fid, lm), (wx, wy) in zip(res.landmarks.items(), worlds.tolist()):
         assert lm.anchor_keyframe in res.graph.nodes
         # noiseless odometry: a landmark lands on its feature only if keyframe k is frame k * stride
-        wx, wy = lm.world(snapshot)
         tx, ty, _ = res.truth.feature_points[fid]
         assert math.hypot(wx - tx, wy - ty) < 1e-9
     for rec in res.store.records:
@@ -296,9 +302,9 @@ def test_loop_closure_bounds_landmark_error_under_drift(seed):
     def landmark_errors(enable_closures):
         result = pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=enable_closures))
         assert len(result.events) == int(enable_closures)
-        snapshot = result.graph.snapshot()
+        worlds = landmark_worlds(result.landmarks.values(), pose_table(result.graph.snapshot()))
         truth = result.truth.feature_points
-        return np.array([math.dist(lm.world(snapshot), truth[fid][:2]) for fid, lm in result.landmarks.items()])
+        return np.array([math.dist(w, truth[fid][:2]) for fid, w in zip(result.landmarks, worlds.tolist())])
 
     closed, open_loop = landmark_errors(True), landmark_errors(False)
     assert len(closed) == len(open_loop) > 300

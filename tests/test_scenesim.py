@@ -337,6 +337,22 @@ def test_partial_occlusion_clips_box_bottom():
     assert det.y_max < det_clear.y_max  # the feet are cut off by the slab
 
 
+def test_walker_behind_the_camera_is_never_seen():
+    # The walker's head is behind the camera in every frame, so no frame of it reaches a sight-line test.
+    slab = ObstacleBox((2.0, 0.4), (0.1, 1.0), 0.7)
+    ahead = AgentTrajectory("human", ((0.0, (2.8, 0.3, 0.0)), (1.0, (2.8, 0.5, 0.0))), body_height=1.7)
+    behind = AgentTrajectory("human", ((0.0, (0.1, 0.3, 0.0)), (1.0, (0.1, 0.5, 0.0))), body_height=1.7)
+    robot = AgentTrajectory("robot", ((0.0, (0.6, 0.3, 0.0)), (1.0, (0.6, 0.5, 0.0))))
+    without = dataclasses.replace(_minimal_scene([slab], [ahead]), robot=robot)
+    frames, _ = simulate_sequence(dataclasses.replace(without, humans=[ahead, behind]))
+    frames_without, _ = simulate_sequence(without)
+    assert not any(det.agent_index == 1 for frame in frames for det in frame.detections)
+    assert [frame.detections for frame in frames] == [frame.detections for frame in frames_without]
+    assert all(frame.detections for frame in frames)
+    assert all(np.array_equal(f.features, g.features) for f, g in zip(frames, frames_without, strict=True))
+    assert all(f.features["visible"].any() for f in frames)
+
+
 def test_feature_sampling_deterministic_and_spaced():
     cfg = builtin_config("I")
     pts = sample_feature_points(cfg)
