@@ -11,7 +11,7 @@ For each scenario (builtin I, L or T, or a scenario file; default I L T):
   plus the run's optimization events and its position, occlusion and pair
   diagnostics;
 * ``reanchor`` at seed 3 with the same noise and closures disabled: for the
-  first, middle and last keyframe pairs the pipeline's closure rule accepts
+  first, middle and last keyframe pairs ``pipeline.truth_closures`` accepts
   (as perfbench's ``reanchor`` workload lists them), the maps of every
   combination after closing that loop and optimizing;
 * ``posegraph`` on the same open-loop graph: for every accepted pair in
@@ -31,11 +31,10 @@ import copy
 import dataclasses
 import hashlib
 import io
-import math
 import pathlib
 import tempfile
 
-from travmap import cli, pipeline, posegraph
+from travmap import cli, pipeline
 from travmap.scenario import load_scenario
 
 ABLATE_SEEDS = (0, 7)
@@ -73,20 +72,10 @@ def _noisy_digest(scenario: str, out: pathlib.Path) -> str:
 
 
 def _closures(scenario: str):
-    """The open-loop noisy run, and each keyframe pair the closure rule accepts with its true relative pose."""
+    """The open-loop noisy run, and each keyframe pair ``pipeline.truth_closures`` accepts."""
     scene = dataclasses.replace(load_scenario(scenario), rng_seed=NOISY_SEED, **NOISY_SIGMAS)
-    params = pipeline.PipelineParams(enable_closures=False)
-    result = pipeline.run_pipeline(scene, params)
-    stride = params.keyframe_stride
-    truth = {kf: posegraph.Pose2(*result.truth.camera_poses[kf * stride]) for kf in result.graph.nodes}
-    closures = [
-        (older, newer, posegraph.se2_compose(posegraph.se2_inverse(truth[older]), truth[newer]))
-        for newer in sorted(truth)
-        for older in sorted(truth)
-        if newer - older >= params.closure_min_gap
-        and math.hypot(truth[newer].x - truth[older].x, truth[newer].y - truth[older].y) <= params.closure_radius
-    ]
-    return result, closures
+    result = pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=False))
+    return result, pipeline.truth_closures(result.truth, result.params)
 
 
 def _closed(result, older: int, newer: int, rel):

@@ -24,9 +24,10 @@ current pose snapshot and scored against the ground-truth map with a shared
 query set, so combination scores differ only because of the modules, not
 sampling.
 
-Loop-closure *detection* is out of scope: closures come from the simulator's
-ground truth (a keyframe revisiting a previously mapped spot), and each
-closure triggers an immediate optimization event.
+Loop-closure *detection* is out of scope: ``truth_closures``, the closure
+oracle, takes the pairs from the simulator's ground truth (a keyframe
+revisiting a previously mapped spot), and each closure triggers an immediate
+optimization event.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ __all__ = [
     "combo_layers",
     "parse_combos",
     "run_pipeline",
+    "truth_closures",
     "build_combo_map",
     "write_map_artifacts",
     "run_ablation",
@@ -241,25 +243,21 @@ def _calibrate_from_frames(frames: Sequence[FrameObservation], cfg: SceneConfig)
     return calibrate_scale(samples) if samples else ScaleCalibration(1.0)
 
 
-def _close_loops(result: PipelineResult, kf: int, params: PipelineParams, last_closure_kf: int) -> bool:
-    """Loop-closure stage: close and optimize the loop the new keyframe ``kf`` ends, if any; True if one.
+def truth_closures(truth: GroundTruth, params: PipelineParams) -> list[tuple[int, int, Pose2]]:
+    """The closure oracle: each keyframe pair ``(older, newer, rel)`` the ground truth closes, by newer, then older.
 
-    When closures are enabled and the last one is ``closure_min_gap``
-    keyframes back, the partner is the oldest keyframe at least that far back
-    whose true position lies within ``closure_radius``.
+    Keyframe k is frame k * ``keyframe_stride``.  A pair closes a loop when
+    the keyframes are at least ``closure_min_gap`` apart and their true
+    positions lie within ``closure_radius``; ``rel`` is the newer keyframe's
+    true pose in the older one's frame.
     """
-    if not params.enable_closures or kf - last_closure_kf < params.closure_min_gap:
-        return False
-    poses, stride = result.truth.camera_poses, params.keyframe_stride
-    px, py, _ = poses[kf * stride]
-    for older in range(kf - params.closure_min_gap + 1):
-        ox, oy, _ = poses[older * stride]
-        if math.hypot(px - ox, py - oy) <= params.closure_radius:
-            rel = se2_compose(se2_inverse(Pose2(*poses[older * stride])), Pose2(*poses[kf * stride]))
-            result.graph.add_loop_closure(older, kf, rel)
-            result.events.append(result.graph.optimize())
-            return True
-    return False
+    poses = truth.camera_poses[:: params.keyframe_stride]
+    return [
+        (older, newer, se2_compose(se2_inverse(Pose2(*poses[older])), Pose2(*poses[newer])))
+        for newer, (px, py, _) in enumerate(poses)
+        for older in range(newer - params.closure_min_gap + 1)
+        if math.hypot(px - poses[older][0], py - poses[older][1]) <= params.closure_radius
+    ]
 
 
 def _track_humans(
@@ -443,6 +441,11 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
     cal = _calibrate_from_frames(frames, cfg)
     result = PipelineResult(cfg, params, frames, truth, keep, graph, {}, EvidenceStore(), [], cal, [], [], [], [])
 
+    # Each keyframe's oldest partner; it closes when the last closure is ``closure_min_gap`` keyframes back.
+    partners: dict[int, tuple[int, Pose2]] = {}
+    if params.enable_closures:
+        for older, newer, rel in truth_closures(truth, params):
+            partners.setdefault(newer, (older, rel))
     last_closure_kf = -10**9
     odom_acc = Pose2()
     kf = 0
@@ -460,7 +463,10 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
             if at_keyframe:
                 kf = graph.add_keyframe(odom_acc)
                 odom_acc = Pose2()
-                if _close_loops(result, kf, params, last_closure_kf):
+                if kf in partners and kf - last_closure_kf >= params.closure_min_gap:
+                    older, rel = partners[kf]
+                    graph.add_loop_closure(older, kf, rel)
+                    result.events.append(graph.optimize())
                     last_closure_kf = kf
         pose_est = se2_compose(graph.pose(kf), odom_acc)
         matched, source = _track_humans(result, frame, pose_est, params)

@@ -1,7 +1,8 @@
 """INI-style scenario files and the builtin-or-file loader.
 
 Sections: ``[bounds]`` (required), ``[robot]`` (required), ``[camera]``,
-``[scene]``, ``[obstacle.N]`` and ``[human.N]``.  Keys mirror the scene
+``[scene]``, ``[obstacle.N]`` and ``[human.N]``, N a number in ASCII digits
+(obstacles and humans are taken in the order of N).  Keys mirror the scene
 config fields; unknown sections or keys are rejected with their line number,
 as are unparsable or non-finite values.  Waypoint lists are semicolon-separated
 ``t, x, y, yaw`` quadruples.
@@ -114,6 +115,19 @@ def _kind(section: str) -> str:
     return head + dot
 
 
+def _section_name(name: str, lineno: int) -> str:
+    """A known section's name, ``[obstacle.N]`` and ``[human.N]`` with N in plain decimal (``.01`` is ``.1``)."""
+    kind = _kind(name)
+    if kind not in _SCHEMAS:
+        raise ScenarioError(f"line {lineno}: unknown section [{name}]")
+    if not kind.endswith("."):
+        return name
+    number = name[len(kind) :]
+    if not (number.isascii() and number.isdigit()):
+        raise ScenarioError(f"line {lineno}: section [{name}] must be numbered [{kind}N], N in digits 0-9")
+    return f"{kind}{int(number)}"
+
+
 def _required(section: str, values: dict) -> dict:
     """``values``, once they hold every key ``_REQUIRED_KEYS`` names for the section."""
     for key in _REQUIRED_KEYS.get(_kind(section), ()):
@@ -139,9 +153,7 @@ def parse_scenario(text: str) -> SceneConfig:
         if not line or line.startswith("#") or line.startswith(";"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if _kind(current) not in _SCHEMAS:
-                raise ScenarioError(f"line {lineno}: unknown section [{current}]")
+            current = _section_name(line[1:-1].strip().lower(), lineno)
             if current in sections:
                 raise ScenarioError(f"line {lineno}: duplicate section [{current}]")
             sections[current] = {}
@@ -168,13 +180,14 @@ def parse_scenario(text: str) -> SceneConfig:
 
     # Past [bounds], a section's keys are its dataclass's field names; the dataclass supplies the defaults.
     intrinsics = _build("bad camera parameters", CameraIntrinsics, **sections.get("camera", {}))
+    numbered = sorted((s for s in sections if "." in s), key=lambda s: int(s.partition(".")[2]))
     obstacles = [
         _build(f"bad obstacle in [{s}]", ObstacleBox, **_required(s, sections[s]))
-        for s in sorted(sections) if s.startswith("obstacle.")
+        for s in numbered if s.startswith("obstacle.")
     ]
     humans = [
         _build(f"bad trajectory in [{s}]", AgentTrajectory, role="human", **_required(s, sections[s]))
-        for s in sorted(sections) if s.startswith("human.")
+        for s in numbered if s.startswith("human.")
     ]
     robot = _build("bad trajectory in [robot]", AgentTrajectory, role="robot", **sections["robot"])
     return _build(
@@ -210,14 +223,6 @@ y_max = 6
 [scene]
 name = example
 camera_yaw_offset = 0
-
-# The default tall frame, spelled out: the walker's head, about 1.45 m
-# away, would be above the top of a 640x480 frame (f 500, cy 240) in every
-# frame, and never detected.
-[camera]
-f = 400
-cy = 360
-image_height = 720
 
 [obstacle.1]
 center = 0.8, 3.0

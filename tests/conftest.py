@@ -2,6 +2,8 @@ import pytest
 
 from travmap import pipeline, scenesim
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture(scope="session")
 def i_result():

@@ -17,9 +17,10 @@ from travmap.evidence import (
     pose_table,
 )
 from travmap.gridmap import DEFAULT_PRIORITY, CellState, LayerPriority, export_pgm
+from travmap.posegraph import EdgeKind
 from travmap.quality import plan_path
 from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
-from travmap.scenesim import builtin_config, ground_truth_map
+from travmap.scenesim import CameraIntrinsics, builtin_config, ground_truth_map
 
 
 def test_combo_label_roundtrip():
@@ -49,6 +50,22 @@ def test_loop_closure_fires_and_emits_event(i_result):
     assert len(i_result.events) == len(closures)
     ids = [e.event_id for e in i_result.events]
     assert ids == sorted(ids)
+
+
+@pytest.mark.parametrize("stride", [10, 5])
+@pytest.mark.parametrize("kind", ["I", "L", "T"])
+def test_ingest_closes_the_oldest_oracle_pair_once_per_gap(kind, stride):
+    res = pipeline.run_pipeline(builtin_config(kind), pipeline.PipelineParams(keyframe_stride=stride))
+    oracle = pipeline.truth_closures(res.truth, res.params)
+    edges = [e for e in res.graph.edges if e.kind is EdgeKind.LOOP_CLOSURE]
+    assert edges and len(res.events) == len(edges)
+    for e in edges:
+        # The oracle lists pairs by newer, then older keyframe: the first with newer e.j is the oldest.
+        assert next(pair for pair in oracle if pair[1] == e.j) == (e.i, e.j, e.rel)
+    newer = [e.j for e in edges]
+    assert all(b - a >= res.params.closure_min_gap for a, b in zip(newer, newer[1:]))
+    if stride == 10:
+        assert [(e.i, e.j, e.rel) for e in edges] == oracle[:1] and oracle[0][:2] == (0, 175)
 
 
 def test_turning_frames_contribute_no_trail_evidence(i_result):
@@ -197,6 +214,15 @@ def test_example_scene_detects_its_walker():
     assert any(isinstance(rec, PfhEvidence) for rec in res.store.records)
 
 
+def test_example_scene_without_camera_section_detects_its_walker():
+    # The camera defaults alone keep the head of a walker 1.45 m away in the image.
+    assert "[camera]" not in EXAMPLE_SCENARIO
+    config = parse_scenario(EXAMPLE_SCENARIO)
+    assert config.intrinsics == CameraIntrinsics()
+    res = pipeline.run_pipeline(config)
+    assert any(frame.detections for frame in res.frames)
+
+
 @pytest.mark.parametrize("kind, max_false_free", [("I", 0), ("L", 4), ("T", 0)])
 def test_feature_obstacles_outrank_human_evidence(kind, max_false_free):
     """With SfM on top, human evidence paints no robot-radius ring free, and no SfM map routes a user through one."""
@@ -215,14 +241,6 @@ def test_feature_obstacles_outrank_human_evidence(kind, max_false_free):
                     solved += 1
                     assert not any(blocked[j, i] for i, j in user.cells), (label, seed, q)
     assert solved > 0
-
-
-def test_example_scene_without_camera_section_detects_its_walker():
-    # The camera defaults alone keep the head of a walker 1.45 m away in the image.
-    text = EXAMPLE_SCENARIO.replace("[camera]\nf = 400\ncy = 360\nimage_height = 720\n", "")
-    assert "[camera]" not in text
-    res = pipeline.run_pipeline(parse_scenario(text))
-    assert any(frame.detections for frame in res.frames)
 
 
 _NOISY_T = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)

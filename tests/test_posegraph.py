@@ -411,20 +411,12 @@ def test_optimize_matches_scalar_oracle_bit_for_bit(graph, limits):
 
 
 def test_optimize_matches_scalar_oracle_on_every_reanchor_closure():
-    """All keyframe pairs the closure rule accepts on drifted T at seed 3, as perfbench's reanchor closes them."""
+    """All keyframe pairs ``truth_closures`` accepts on drifted T at seed 3, as perfbench's reanchor closes them."""
     scene = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
-    params = pipeline.PipelineParams(enable_closures=False)
-    result = pipeline.run_pipeline(scene, params)
-    truth = {kf: Pose2(*result.truth.camera_poses[kf * params.keyframe_stride]) for kf in result.graph.nodes}
-    pairs = [
-        (older, newer)
-        for newer in sorted(truth)
-        for older in sorted(truth)
-        if newer - older >= params.closure_min_gap
-        and math.hypot(truth[newer].x - truth[older].x, truth[newer].y - truth[older].y) <= params.closure_radius
-    ]
-    assert len(pairs) == 24
-    for older, newer in pairs:
+    result = pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=False))
+    closures = pipeline.truth_closures(result.truth, result.params)
+    assert len(closures) == 24
+    for older, newer, rel in closures:
         graph = copy.deepcopy(result.graph)
-        graph.add_loop_closure(older, newer, se2_compose(se2_inverse(truth[older]), truth[newer]))
+        graph.add_loop_closure(older, newer, rel)
         _assert_optimize_matches_oracle(graph)

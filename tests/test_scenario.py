@@ -130,8 +130,8 @@ def test_unsimulatable_values_rejected_at_parse(key, value):
     [
         pytest.param("center = 0.8, 3.0", "center = nan, 3.0", "center", id="center-nan"),
         pytest.param("top_height = 0.7", "top_height = nan", "top_height", id="top_height-nan"),
-        pytest.param("[camera]\n", "[camera]\ncam_height = nan\n", "cam_height", id="cam_height-nan"),
-        pytest.param("f = 400", "f = nan", "f", id="f-nan"),
+        pytest.param("[obstacle.1]\n", "[camera]\ncam_height = nan\n[obstacle.1]\n", "cam_height", id="cam_height-nan"),
+        pytest.param("[obstacle.1]\n", "[camera]\nf = nan\n[obstacle.1]\n", "f", id="f-nan"),
         pytest.param("waypoints = 0, 1.7, 0.5,", "waypoints = 0, 1.7, nan,", "waypoints", id="human-waypoint-nan"),
         pytest.param("half_extents = 0.3, 1.25", "half_extents = 0.3, inf", "half_extents", id="half_extents-inf"),
     ],
@@ -196,7 +196,31 @@ def test_missing_required_key_message(old, new, message):
 
 def test_camera_checked_before_obstacles():
     # Two faults: the camera's is reported, as the checks run section kind by section kind.
-    text = EXAMPLE_SCENARIO.replace("f = 400", "f = -1").replace("center = 0.8, 3.0\n", "")
+    text = EXAMPLE_SCENARIO.replace("[obstacle.1]\n", "[camera]\nf = -1\n[obstacle.1]\n").replace("center = 0.8, 3.0\n", "")
     with pytest.raises(ScenarioError) as err:
         parse_scenario(text)
     assert str(err.value) == "bad camera parameters: f must be finite and > 0.0, got -1.0"
+
+
+def _obstacle(n, x):
+    return f"\n[obstacle.{n}]\ncenter = {x}, 3.0\nhalf_extents = 0.1, 0.1\ntop_height = 0.7\n"
+
+
+def test_numbered_sections_taken_in_number_order():
+    text = MINIMAL + _obstacle(10, 2.5) + _obstacle(2, 1.5) + _obstacle(1, 0.5)
+    assert [o.center[0] for o in parse_scenario(text).obstacles] == [0.5, 1.5, 2.5]
+
+
+def test_numbered_section_written_twice_rejected():
+    text = MINIMAL + _obstacle(1, 0.5) + _obstacle("01", 1.5)
+    lineno = text.splitlines().index("[obstacle.01]") + 1
+    with pytest.raises(ScenarioError, match=rf"line {lineno}: duplicate section \[obstacle.1\]"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize("header", ["[obstacle.]", "[obstacle.x]", "[obstacle.-1]", "[human. 2]", "[human.\N{SUPERSCRIPT TWO}]"])
+def test_section_numbers_must_be_ascii_digits(header):
+    text = MINIMAL + f"\n{header}\nbody_height = 1.7\n"
+    lineno = text.splitlines().index(header) + 1
+    with pytest.raises(ScenarioError, match=rf"line {lineno}: section .* must be numbered"):
+        parse_scenario(text)
