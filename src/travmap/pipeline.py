@@ -36,7 +36,7 @@ import math
 import pathlib
 from dataclasses import dataclass, field, replace
 from itertools import groupby, islice
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,7 +104,9 @@ _LAYERS_BY_LABEL = {label.lower(): layer for layer, label in _LABELS.items()}
 _REGION_MARGIN_PX = 1.0
 
 #: Pass-between jobs (one tracked human in one frame each) computed in one
-#: numpy pass; bounds the pass's arrays.
+#: numpy pass; bounds the pass's arrays.  One landmark table takes up to 484
+#: jobs (L), and one pass per table raised an I+L+T ablation's peak RSS at
+#: seed 0 from 64 to 76 MB, for no measured time gain.
 _PASS_BLOCK = 64
 
 #: Body height (m) assumed when turning a box's apparent height into depth.
@@ -154,7 +156,7 @@ class PipelineParams:
     gate_px: float = mot.DEFAULT_GATE_PX
     enable_closures: bool = True
     closure_radius: float = 0.5
-    closure_min_gap: int = 20  # keyframes
+    closure_min_gap: int = 20  # keyframes, not time or distance: keyframe_stride changes what closes
     rebuild: RebuildParams = field(default_factory=RebuildParams)
     # SfM on top: humans walk in workspace, so their evidence must not paint a
     # static object's robot-radius ring free.
@@ -173,8 +175,7 @@ class PipelineParams:
             raise ValueError(f"unknown layers {unknown} in priority; layers are {ALL_LAYERS}")
 
 
-@dataclass
-class PositionDiag:
+class PositionDiag(NamedTuple):
     """Per-detection position estimate next to its ground truth."""
 
     frame_index: int
@@ -186,8 +187,7 @@ class PositionDiag:
     true_depth: float
 
 
-@dataclass
-class OcclusionDiag:
+class OcclusionDiag(NamedTuple):
     """One classified pass-between candidate (for the depth-oracle cross-check)."""
 
     frame_index: int
@@ -200,8 +200,7 @@ class OcclusionDiag:
     human_depth_estimate: float
 
 
-@dataclass
-class PairDiag:
+class PairDiag(NamedTuple):
     """Emitted pass-between pair with the depths that justified it."""
 
     frame_index: int
@@ -250,6 +249,10 @@ def truth_closures(truth: GroundTruth, params: PipelineParams) -> list[tuple[int
     the keyframes are at least ``closure_min_gap`` apart and their true
     positions lie within ``closure_radius``; ``rel`` is the newer keyframe's
     true pose in the older one's frame.
+
+    The gap counts keyframes, so a smaller stride shortens it in time and
+    distance: at stride 5 the pairs on T number 261 (24 at stride 10), and
+    ingest closes (44, 64), two poses 0.5 m apart at the first corner.
     """
     poses = truth.camera_poses[:: params.keyframe_stride]
     return [
@@ -322,8 +325,7 @@ def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, np.ndarray]:
     return worlds, row
 
 
-@dataclass(frozen=True)
-class _PassJob:
+class _PassJob(NamedTuple):
     """One tracked human's pass-between inputs in one kept frame, recorded in the frame loop and computed after it."""
 
     store_pos: int  # length of the evidence log when the frame was ingested: where its HO3 records go
@@ -380,9 +382,10 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     have, at ``store_pos`` plus the records earlier jobs inserted after the
     ``n_logged`` the loop logged.
     """
-    worlds, row = jobs[0].table
+    store_pos, frames, prev_frames, cams, tables, track_ids, agent_indexes, regions = zip(*jobs)
+    worlds, row = tables[0]
     # Candidates, job by job, seen ones first: each job's frame, then its previous frame.
-    parts = [f.features for job in jobs for f in (job.frame, job.prev_frame)]
+    parts = [f.features for pair in zip(frames, prev_frames) for f in pair]
     part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     # Column by column: concatenating record arrays costs a dtype promotion per array.
     fid, u, v, visible = (np.concatenate([p[name] for p in parts]) for name in ("feature_id", "u", "v", "visible"))
@@ -394,7 +397,7 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     # Index arrays, not masks, pick the rows: gathering by index is several times faster.
     (pick,) = np.nonzero(visible & (k >= 0) & (seen | ~seen_now[job, fid]))
     # Each candidate projected from its own job's camera only.
-    cams = np.array([j.cam.as_tuple() for j in jobs])
+    cams = np.array([cam.as_tuple() for cam in cams])
     u_pred, _, depth = (a[:, 0] for a in result.config.intrinsics.project(cams[job[pick]], worlds[k[pick]][:, None, :]))
     (in_front,) = np.nonzero(seen[pick] | (depth > 0))
     pick, depth = pick[in_front], depth[in_front]
@@ -402,7 +405,7 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     u = np.where(seen, u[pick], u_pred[in_front])
 
     # Each job's candidates against its human's region.
-    x_min, x_max, y_min, y_max, human_depth = np.array([j.region for j in jobs]).T
+    x_min, x_max, y_min, y_max, human_depth = np.array(regions).T
     front, behind = classify_occlusion(u, seen, (x_min[job], x_max[job]))
     # A landmark seen now occludes the human at the visible-region boundary,
     # so only the column test binds it; one unseen now must also have been
@@ -410,26 +413,21 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     behind &= (y_min[job] <= v) & (v <= y_max[job])
     front_row, behind_row = infer_pass_pairs(job, fid, depth, front, behind, human_depth)
 
-    # Per job: what its diagnostics and records name.
-    who = [(j.frame.frame_index, j.track_id, j.agent_index, j.region[-1]) for j in jobs]
-    hit = front | behind
-    for j, is_front, feature_id, u_i, depth_i in zip(
-        job[hit].tolist(), front[hit].tolist(), *(col[hit].tolist() for col in (fid, u, depth))
-    ):
-        fi, track_id, agent_index, range_est = who[j]
-        label = OcclusionClass.FRONT if is_front else OcclusionClass.BEHIND
-        diag = OcclusionDiag(fi, track_id, agent_index, feature_id, label, u_i, depth_i, range_est)
-        result.occlusion_diags.append(diag)
+    # Per job, as columns: the frame, track and walker its diagnostics and records name.
+    ids = np.array([[f.frame_index for f in frames], track_ids, agent_indexes])
+    (hit,) = np.nonzero(front | behind)
+    label = np.where(front[hit], OcclusionClass.FRONT, OcclusionClass.BEHIND)
+    hit_cols = (*ids[:, job[hit]], fid[hit], label, u[hit], depth[hit], human_depth[job[hit]])
+    result.occlusion_diags.extend(map(OcclusionDiag, *(col.tolist() for col in hit_cols)))
     (paired,) = np.nonzero(front_row >= 0)
     ends = (front_row[paired], behind_row[paired])
-    for j, front_id, behind_id, front_depth, behind_depth in zip(
-        paired.tolist(), *(fid[end].tolist() for end in ends), *(depth[end].tolist() for end in ends)
-    ):
-        fi, track_id, _, range_est = who[j]
-        assert front_depth < range_est < behind_depth, "pass-between pair must straddle the human"
-        at = jobs[j].store_pos + len(result.store.records) - n_logged
-        result.store.add_ho3(front_id, behind_id, track_id, at=at)
-        result.pair_diags.append(PairDiag(fi, track_id, front_id, behind_id, front_depth, behind_depth, range_est))
+    pair_cols = (*ids[:2, paired], *(fid[end] for end in ends), *(depth[end] for end in ends), human_depth[paired])
+    pairs = list(map(PairDiag, *(col.tolist() for col in pair_cols)))
+    for j, pair in zip(paired.tolist(), pairs):
+        assert pair.front_depth < pair.human_depth < pair.behind_depth, "pass-between pair must straddle the human"
+        at = store_pos[j] + len(result.store.records) - n_logged
+        result.store.add_ho3(pair.front_id, pair.behind_id, pair.track_id, at=at)
+    result.pair_diags.extend(pairs)
 
 
 def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:

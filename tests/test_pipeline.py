@@ -9,6 +9,7 @@ from _oracles import pass_between_per_frame
 from travmap import pipeline, quality
 from travmap.evidence import (
     Ho3Evidence,
+    OcclusionClass,
     PfhEvidence,
     RebuildParams,
     SfmEvidence,
@@ -260,6 +261,37 @@ def test_each_landmark_is_logged_once_in_creation_order(scene):
     first_seen = list(dict.fromkeys(fid for ids in seen for fid in ids))
     sfm_ids = [r.feature_id for r in res.store.records if isinstance(r, SfmEvidence)]
     assert sfm_ids == list(res.landmarks) == first_seen
+
+
+@pytest.mark.parametrize("kind", ["L", "T"])
+def test_diagnostics_name_the_walker_they_measure(kind):
+    """On the two-walker scenes, each diagnostic row agrees with the simulated walker it names."""
+    res = pipeline.run_pipeline(builtin_config(kind))
+    detection = {(f.frame_index, d.agent_index): d for f in res.frames for d in f.detections}
+    feature_depth = {
+        (f.frame_index, fid): depth
+        for f in res.frames
+        for fid, depth in zip(f.features["feature_id"].tolist(), f.features["depth"].tolist())
+    }
+    walker = {(d.frame_index, d.track_id): d.agent_index for d in res.position_diags}
+    assert len(walker) == len(res.position_diags)  # one row per frame and track
+    assert set(walker.values()) == {0, 1}
+    for d in res.position_diags:
+        det = detection[(d.frame_index, d.agent_index)]
+        assert (d.true_world, d.true_depth) == (det.world, det.depth)
+
+    assert {d.agent_index for d in res.occlusion_diags} == {0, 1}
+    for d in res.occlusion_diags:
+        assert walker[(d.frame_index, d.track_id)] == d.agent_index
+        in_front = feature_depth[(d.frame_index, d.feature_id)] < detection[(d.frame_index, d.agent_index)].depth
+        assert d.label is (OcclusionClass.FRONT if in_front else OcclusionClass.BEHIND), d
+
+    assert res.pair_diags
+    for p in res.pair_diags:
+        assert p.front_depth < p.human_depth < p.behind_depth
+        fi = p.frame_index
+        human_depth = detection[(fi, walker[(fi, p.track_id)])].depth
+        assert feature_depth[(fi, p.front_id)] < human_depth < feature_depth[(fi, p.behind_id)], p
 
 
 def _unranged_first_walker(scene):

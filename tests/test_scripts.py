@@ -32,3 +32,36 @@ def test_output_digests_repeat(tmp_path, monkeypatch, capsys):
     lines = outputs[0].splitlines()
     assert [line.split()[0] for line in lines] == ["ablate", "ablate", "simulate", "noisy", "reanchor", "posegraph"]
     assert all(len(line.rsplit("sha256=", 1)[1]) == 64 for line in lines)
+
+
+def test_output_digests_closes_a_loop_and_repeats_its_posegraph_line(tmp_path, monkeypatch, capsys):
+    from travmap.scenesim import builtin_config
+
+    # The builtin perimeter loop at 5 fps: its last keyframe returns to its first.
+    loop = "; ".join(f"{t!r}, {x!r}, {y!r}, {yaw!r}" for t, (x, y, yaw) in builtin_config("I").robot.waypoints)
+    scene = tmp_path / "loop.ini"
+    scene.write_text(f"""\
+[bounds]
+x_min = 0
+y_min = 0
+x_max = 3
+y_max = 6
+
+[scene]
+name = loop
+fps = 5
+
+[obstacle.1]
+center = 1.5, 3.0
+half_extents = 0.3, 1.25
+top_height = 0.7
+
+[robot]
+waypoints = {loop}
+""")
+    _run(monkeypatch, "output_digests.py", str(scene), str(scene))
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12 and lines[:6] == lines[6:]
+    reanchor, posegraph = lines[4].split(), lines[5].split()
+    assert [reanchor[0], posegraph[0]] == ["reanchor", "posegraph"]
+    assert reanchor[3] == posegraph[3] != "pairs=0"
