@@ -33,8 +33,8 @@ __all__ = [
 # Tolerance absorbing float noise in extent/resolution ratios (3.0/0.1 style).
 _EXTENT_EPS = 1e-9
 
-#: Padded cells one capsule block evaluates at once; bounds the working arrays of mark_bands.
-_BAND_BLOCK = 1 << 16
+#: (capsule, row) pairs one pass of mark_bands holds; at about 300 bytes of working arrays each, a pass stays near 5 MB.
+_BAND_BLOCK = 1 << 14
 
 
 class CellState(IntEnum):
@@ -151,9 +151,20 @@ class TraversabilityMap:
         """Set every cell whose center lies within ``half_width`` of any segment from ``a[n]`` to ``b[n]``.
 
         ``a`` and ``b`` are ``(N, 2)`` endpoints; ``a[n] == b[n]`` marks a disk.
-        Out-of-bounds portions are clipped silently.  Capsules are evaluated in
-        blocks of at most ``_BAND_BLOCK`` cells (a larger window is a block of
-        its own), each capsule's window padded to the largest of its block.
+        Out-of-bounds portions are clipped silently.
+
+        Capsules are filled a map row at a time.  On each row, the cells whose
+        centers lie on the row's chord of the capsule of radius
+        ``half_width - delta`` are set with no per-cell work.  The cells on the
+        chord of radius ``half_width + delta`` but off the smaller one (a cell
+        or two at a chord end, and usually none) get the exact test: ``t`` is
+        ``(px*dx + py*dy) / seg_len2`` clipped to [0, 1], and the cell is set
+        when ``(px - t*dx)**2 + (py - t*dy)**2 <= half_width**2``, in the
+        operation order of the one-capsule rasterizer.  No other cell is set.
+        ``delta`` exceeds every rounding error of the chords and of the exact
+        test, so the cells set, and the bytes, are those of the exact test run
+        on every cell of the map.  At most ``_BAND_BLOCK`` (capsule, row) pairs
+        are held at once.
         """
         if not half_width >= 0:  # NaN fails too
             raise ValueError(f"half_width must be >= 0, got {half_width}")
@@ -161,35 +172,77 @@ class TraversabilityMap:
         a, b = (np.asarray(p, dtype=float).reshape(-1, 2) for p in (a, b))
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("segment endpoints must be finite")
-        res, origin, size = self.resolution, np.array(self.origin), (self.width, self.height)
-        pad = half_width + res
-        lo = np.clip(np.floor((np.minimum(a, b) - pad - origin) / res), 0, size).astype(np.intp)
-        hi = np.clip(np.ceil((np.maximum(a, b) + pad - origin) / res), 0, size).astype(np.intp)
-        extent = np.maximum(hi - lo, 0)  # window (width, height) per capsule; 0 when clipped away
-        order = np.argsort(extent.prod(axis=1), kind="stable")  # similar windows share a block
-        while len(order):
-            # The longest prefix whose count times its largest width and height fits in a block.
-            head = extent[order[:_BAND_BLOCK]]
-            cost = np.arange(1, len(head) + 1) * np.maximum.accumulate(head, axis=0).prod(axis=1)
-            block, order = np.split(order, [max(1, int(np.searchsorted(cost, _BAND_BLOCK, side="right")))])
-            self._mark_block(a[block], b[block], lo[block], hi[block], half_width, state)
+        res, (ox, oy) = self.resolution, self.origin
+        # delta.  Every value the chords and the exact test work with (cell centers,
+        # offsets from an endpoint, chord ends) is at most `scale` in magnitude and
+        # a few roundings from its exact value, so each is off by a small multiple
+        # of eps * scale.  In the plane, a computed chord end therefore lies that
+        # close to the true capsule of its radius (near a tangent row it can move
+        # further along the row, but the capsule is convex and distance is
+        # 1-Lipschitz, so what lies between two chord ends keeps the bound), and
+        # the exact test decides d <= half_width to the same order.  2**20 * eps *
+        # scale is far above that sum, so a center on the chord for
+        # half_width - delta passes the exact test and one off the chord for
+        # half_width + delta fails it.  Up to a scale of about 1e6 it is also
+        # far below a cell, so few cells lie between the two chords.
+        extent = abs(ox) + abs(oy) + (self.width + self.height) * res
+        scale = extent + np.abs(a).max(initial=0.0) + np.abs(b).max(initial=0.0) + half_width
+        delta = 2.0**20 * np.finfo(float).eps * scale
+        # The rows whose centers lie within half_width + delta of a segment's y-extent.
+        reach = half_width + delta
+        first = _first_center(np.minimum(a[:, 1], b[:, 1]) - reach, oy, res, self.height)
+        last = _last_center(np.maximum(a[:, 1], b[:, 1]) + reach, oy, res, self.height)
+        count = np.maximum(last - first + 1, 0)
+        ends = np.cumsum(count)
+        start = 0
+        while start < len(ends):
+            # The longest run of capsules whose (capsule, row) pairs fit in a block, and at least one capsule.
+            held = ends[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, held + _BAND_BLOCK, side="right")))
+            part = slice(start, stop)
+            self._mark_rows(a[part], b[part], first[part], count[part], half_width, delta, state)
+            start = stop
 
-    def _mark_block(self, a, b, lo, hi, half_width, state) -> None:
-        """One padded ``(N, H, W)`` pass of :meth:`mark_bands`; cells past a capsule's window are masked."""
-        n_cols, n_rows = (hi - lo).max(axis=0)
-        i = lo[:, :1] + np.arange(n_cols)  # (N, W) columns of each window
-        j = lo[:, 1:] + np.arange(n_rows)  # (N, H) rows
-        ox, oy = self.origin
-        px = (ox + (i + 0.5) * self.resolution - a[:, :1])[:, None, :]
-        py = (oy + (j + 0.5) * self.resolution - a[:, 1:])[:, :, None]
-        dx, dy = (b - a).T[:, :, None, None]
-        seg_len2 = dx * dx + dy * dy
-        # A zero-length segment divides by 1, so t = 0 and d2 = px*px + py*py.
-        t = np.clip((px * dx + py * dy) / np.where(seg_len2 == 0.0, 1.0, seg_len2), 0.0, 1.0)
-        mask = (px - t * dx) ** 2 + (py - t * dy) ** 2 <= half_width * half_width
-        mask &= (i < hi[:, :1])[:, None, :] & (j < hi[:, 1:])[:, :, None]
-        n, jj, ii = np.nonzero(mask)
-        self.cells[j[n, jj], i[n, ii]] = int(state)
+    def _mark_rows(self, a, b, first, count, half_width, delta, state) -> None:
+        """One pass of :meth:`mark_bands`: capsule ``k``'s rows ``first[k]`` to ``first[k] + count[k] - 1``."""
+        res, (ox, oy) = self.resolution, self.origin
+        starts = np.cumsum(count) - count  # each capsule's first (capsule, row) pair
+        table = np.array([*_capsule_rows(a, b, delta), first - starts])
+        *capsule, row0 = np.repeat(table, count, axis=1)  # one column per pair
+        j = (row0 + np.arange(len(row0))).astype(np.intp)
+        left, right = _row_chords(*capsule, oy + (j + 0.5) * res, half_width, delta)
+        i0, i1 = _first_center(left, ox, res, self.width), _last_center(right, ox, res, self.width)
+        if half_width <= delta:  # the inner radius is negative: every cell on the outer chord is a border cell
+            i0[0], i1[0] = self.width, -1
+        # The inner run, clamped into the outer chord so the two border runs beside it do not overlap.
+        inner0 = np.minimum(np.maximum(i0[0], i0[1]), i1[1] + 1)
+        inner1 = np.maximum(np.minimum(i1[0], i1[1]), inner0 - 1)
+        full = inner0 <= inner1
+        if full.any():
+            # Inner cells: a difference array over the rows and columns the runs span, summed along rows.
+            r, c0, c1 = j[full], inner0[full], inner1[full] + 1
+            top, base = r.min(), c0.min()
+            shape = (r.max() - top + 1, c1.max() - base + 1)
+            at = (r - top) * shape[1] - base
+            diff = np.bincount(at + c0, minlength=shape[0] * shape[1]) - np.bincount(at + c1, minlength=shape[0] * shape[1])
+            inside = diff.reshape(shape).cumsum(axis=1)[:, :-1] > 0  # the last column only ends runs
+            self.cells[top : top + shape[0], base : base + shape[1] - 1][inside] = int(state)
+        # Border cells: the outer chord's columns left and right of the inner run, each given the exact test.
+        begin = np.concatenate([i0[1], inner1 + 1])
+        width = np.concatenate([inner0 - i0[1], i1[1] - inner1])
+        total = int(width.sum())
+        if total:
+            pair = np.repeat(np.tile(np.arange(len(j)), 2), width)
+            i = np.arange(total) + np.repeat(begin - (np.cumsum(width) - width), width)
+            j, k = j[pair], np.searchsorted(np.cumsum(count), pair, side="right")
+            px = ox + (i + 0.5) * res - a[k, 0]
+            py = oy + (j + 0.5) * res - a[k, 1]
+            dx, dy = (b[k] - a[k]).T
+            seg_len2 = dx * dx + dy * dy
+            # A zero-length segment divides by 1, so t = 0 and d2 = px*px + py*py.
+            t = np.clip((px * dx + py * dy) / np.where(seg_len2 == 0.0, 1.0, seg_len2), 0.0, 1.0)
+            hit = (px - t * dx) ** 2 + (py - t * dy) ** 2 <= half_width * half_width
+            self.cells[j[hit], i[hit]] = int(state)
 
     def same_geometry(self, other: "TraversabilityMap") -> bool:
         return (
@@ -198,6 +251,63 @@ class TraversabilityMap:
             and self.width == other.width
             and self.height == other.height
         )
+
+
+def _first_center(x, o, res, n):
+    """Index of the first of ``n`` cells whose center is at or past ``x`` on an axis, ``n`` if none; ``0`` for NaN."""
+    return np.fmin(np.fmax(np.ceil((x - o) / res - 0.5), 0), n).astype(np.intp)
+
+
+def _last_center(x, o, res, n):
+    """Index of the last of ``n`` cells whose center is at or before ``x`` on an axis, ``-1`` if none or NaN."""
+    return np.fmin(np.fmax(np.floor((x - o) / res - 0.5), -1), n - 1).astype(np.intp)
+
+
+def _capsule_rows(a, b, delta):
+    """``px, py, qx, qy, ux, uy, vx, vy, length`` of :func:`_row_chords`, each with one value per capsule.
+
+    ``p`` and ``q`` are the capsule's ends, ordered so that ``ux = (qx - px) / length >= 0``;
+    ``(vx, vy)`` is ``(ux, uy)`` turned to ``vy >= 0``.  A band shorter than
+    ``delta / 2`` is left out (direction NaN): the disks of radius
+    ``half_width + delta`` cover it with room to spare, and those of radius
+    ``half_width - delta`` lie inside the capsule.
+    """
+    flip = a[:, 0] > b[:, 0]
+    px, py = np.where(flip, b.T, a.T)
+    qx, qy = np.where(flip, a.T, b.T)
+    length = np.hypot(qx - px, qy - py)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux, uy = np.where(2.0 * length > delta, ((qx - px) / length, (qy - py) / length), np.nan)
+    turn = np.where(uy < 0, -1.0, 1.0)
+    return px, py, qx, qy, ux, uy, turn * ux, turn * uy, length
+
+
+def _row_chords(px, py, qx, qy, ux, uy, vx, vy, length, y, half_width, delta):
+    """Where row ``y`` meets the capsule of radius ``half_width - delta`` (row 0) and ``+ delta`` (row 1).
+
+    All arguments but the last two hold one value per (capsule, row) pair.
+    Returns ``(left, right)``, each ``(2, P)``, NaN where the row misses.  The
+    capsule is the disk at ``p``, the disk at ``q`` and the band between them,
+    so its chord is the hull of their chords.
+    """
+    r = np.array([[half_width - delta], [half_width + delta]])
+    pa, pb = y - py, y - qy
+    t = pa * uy
+    c = pa * vx
+    # A row that misses a disk takes the square root of a negative, and a band
+    # along an axis divides by its zero direction component.  Both give NaN or
+    # an infinity, and fmin and fmax skip a NaN piece.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wa, wb = np.sqrt(r * r - pa * pa), np.sqrt(r * r - pb * pb)
+        # The band, in x - px: 0 <= (x - px)*ux + t <= length and |(x - px)*vy - c| <= r.
+        # On an axis one of the two intervals is the whole row or lies at an
+        # infinity; the other is finite, since ux or vy is at least 1/sqrt(2).
+        bl = np.maximum(-t / ux, (c - r) / vy)
+        br = np.minimum((length - t) / ux, (c + r) / vy)
+        gate = 0.0 * np.sqrt(br - bl)  # 0 where the band meets the row, NaN where it does not
+        left = np.fmin(np.fmin(px - wa, qx - wb), px + bl + gate)
+        right = np.fmax(np.fmax(px + wa, qx + wb), px + br + gate)
+    return left, right
 
 
 def _check_resolution(resolution: float) -> None:

@@ -146,7 +146,21 @@ _EdgeArrays = namedtuple("_EdgeArrays", "i j rel rel_inv info")  # rows of i and
 
 
 def _wrap_rows(theta: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(wrap_angle, theta.tolist()), float, len(theta))
+    """``wrap_angle`` of each element, bit for bit.
+
+    ``np.fmod`` is exact, and one fold by ``_TAU`` into (-pi, pi] is exact by
+    Sterbenz's lemma, so each result is the one value of ``theta`` minus a
+    multiple of ``_TAU`` in (-pi, pi], which is what ``wrap_angle`` returns;
+    at ``math.remainder``'s ties both end on pi.  Elements that are not
+    finite go through ``wrap_angle`` itself, so an infinity raises as there.
+    """
+    with np.errstate(invalid="ignore"):  # fmod of an infinity is NaN
+        r = np.fmod(theta, _TAU)
+    r = np.where(r > math.pi, r - _TAU, np.where(r <= -math.pi, r + _TAU, r))
+    odd = ~np.isfinite(theta)
+    if odd.any():
+        r[odd] = [wrap_angle(t) for t in theta[odd].tolist()]
+    return r
 
 
 def _inverse_rows(p: np.ndarray) -> np.ndarray:
@@ -294,13 +308,14 @@ class PoseGraph:
         lam = 1e-3
         for _ in range(max_iters):
             H, b = _normal_equations(X, edges)
-            diag, damping = np.diag_indices_from(H), np.maximum(np.diag(H), 1e-12)
+            diag = np.diag_indices_from(H)
+            undamped = H[diag]
+            damping = np.maximum(undamped, 1e-12)
             trial = None
             while lam <= 1e12:
-                damped = H.copy()
-                damped[diag] += lam * damping
+                H[diag] = undamped + lam * damping  # solve does not write H, so each trial damps it afresh
                 try:
-                    delta = np.linalg.solve(damped, -b)
+                    delta = np.linalg.solve(H, -b)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue

@@ -129,6 +129,49 @@ def test_mark_bands_equals_one_capsule_at_a_time(case):
     assert np.array_equal(single.cells, one_by_one.cells)
 
 
+def _edge_cases():
+    """Capsules whose chord ends fall on cell centers, where only the exact test can decide, and more."""
+    def centers(m, *ij):
+        return np.array([m.cell_to_world(i, j) for i, j in ij])
+
+    m = new_map(0, 0, 3, 6, 0.1)
+    far = new_map(-1234.5, 987.6, -1232.5, 989.1, 0.05)
+    cases = {}
+    for name, grid in (("grid", m), ("far-origin", far)):
+        res = grid.resolution
+        # Horizontal, vertical and 45-degree segments and a disk, each from cell center to cell center.
+        a = centers(grid, (3, 10), (5, 12), (2, 3), (15, 20))
+        b = centers(grid, (20, 10), (5, 25), (15, 16), (15, 20))
+        # Half widths that put centers on a capsule's edge (k cells off an axis segment, k/sqrt(2) off the
+        # diagonal, a 3-4-5 offset from an end) and rows tangent to the end disks.
+        for hw in (0.0, 1e-12, res, 2 * res, 5 * res, math.sqrt(2) * res, 1.5 * math.sqrt(2) * res):
+            cases[f"{name}-hw={hw:.3g}"] = (grid, a, b, hw)
+        # Disks whose tops touch a row of centers, at half widths off the grid.
+        top = centers(grid, (4, 7), (9, 11))
+        for hw in (0.123, 0.3):
+            cases[f"{name}-tangent-hw={hw}"] = (grid, top - (0.0, hw), top - (0.0, hw), hw)
+    outside = np.array([[10.0, 10.0], [-5.0, 3.0], [1.0, -0.31]])
+    cases["clipped-away"] = (m, outside, outside + (2.0, 0.0), 0.3)
+    # More (capsule, row) pairs than one pass holds, each capsule with cells of its own: full-height
+    # lines 0.045 apart with half width 0.02 share no cell center.
+    tall = new_map(0, 0, 30, 20, 0.1)
+    x = np.arange(2 * gridmap._BAND_BLOCK // tall.height + 3) * 0.045
+    low, high = np.full_like(x, -0.2), np.full_like(x, 20.2)
+    cases["several-passes"] = (tall, np.column_stack([x, low]), np.column_stack([x + 3.0, high]), 0.02)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_mark_bands_equals_one_capsule_at_a_time_on_edge_cases(case):
+    grid, a, b, hw = _edge_cases()[case]
+    batched = empty_like(grid)
+    batched.mark_bands(a, b, hw, T)
+    one_by_one = empty_like(grid)
+    for p, q in zip(a, b):
+        mark_band_one_capsule(one_by_one, tuple(p), tuple(q), hw, T)
+    assert np.array_equal(batched.cells, one_by_one.cells)
+
+
 def test_mark_bands_rejects_bad_input():
     m = new_map(0, 0, 3, 6, 0.1)
     with pytest.raises(ValueError):

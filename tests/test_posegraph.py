@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from travmap import pipeline
 from travmap.posegraph import (
+    _TAU,
     EdgeKind,
     Pose2,
     PoseGraph,
+    _wrap_rows,
     se2_compose,
     se2_inverse,
     se2_transform,
@@ -351,6 +353,21 @@ def test_infinite_heading_rejected_naming_theta():
         with pytest.raises(ValueError, match="theta must be finite, got -?inf"):
             Pose2(0, 0, theta)
     assert math.isnan(Pose2(0, 0, math.nan).theta)  # left to the graph's finite checks
+
+
+def test_wrap_rows_matches_wrap_angle_bit_for_bit():
+    """The array wrap the optimizer uses, on the values where a remainder is easiest to get wrong."""
+    odd_pi = [k * math.pi for k in range(-41, 42, 2)]
+    whole_turns = [k * _TAU for k in range(-40, 41)]
+    edges = [math.pi, -math.pi, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, math.nan]
+    beside = [math.nextafter(v, d) for v in (math.pi, -math.pi, _TAU, -_TAU) for d in (-math.inf, math.inf)]
+    theta = np.array(odd_pi + whole_turns + edges + beside)
+    expected = np.array([wrap_angle(t) for t in theta.tolist()])
+    assert _wrap_rows(theta).tobytes() == expected.tobytes()
+    assert _wrap_rows(theta[::-1]).tobytes() == expected[::-1].tobytes()  # a strided view, as optimize passes
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="math domain error"):
+            _wrap_rows(np.array([0.5, bad]))
 
 
 # ---------------------------------------------------------------------------
