@@ -120,7 +120,7 @@ def _check_information(info: Optional[np.ndarray]) -> np.ndarray:
         raise ValueError(f"information matrix must be 3x3, got {info.shape}")
     if not np.isfinite(info).all():
         raise ValueError("information matrix must be finite")
-    if not np.allclose(info, info.T, atol=1e-12):
+    if not np.allclose(info, info.T, rtol=0.0, atol=1e-12):
         raise ValueError("information matrix must be symmetric")
     try:
         np.linalg.cholesky(info)
@@ -135,13 +135,17 @@ def _check_finite_pose(pose: Pose2, what: str) -> None:
 
 
 # The optimizer works on an (N, 3) node array (row 0 is the gauge) and on edge
-# arrays.  Its arithmetic is the scalar SE(2) helpers', bit for bit, so outputs
-# keep their bytes: a reordered sum moves poses by ulps and changes the chi2
-# traces that runs record.  The row twins of se2_inverse/se2_compose keep their
-# operation order and wrap each angle with wrap_angle itself (np.cos/np.sin
-# give math.cos/math.sin's bits), and batched ``@`` on stacks runs the BLAS
-# kernel of a single 3x3 product.  tests/test_posegraph.py checks the optimizer
-# against the scalar reference in tests/_oracles.py.
+# arrays.  Its assembly of H and b and its LM arithmetic are the scalar SE(2)
+# helpers', bit for bit, so a run's outputs depend on nothing but the solve: a
+# reordered sum moves poses by ulps and changes the chi2 traces that runs
+# record.  The row twins of se2_inverse/se2_compose keep their operation order
+# and wrap each angle with wrap_angle itself (np.cos/np.sin give
+# math.cos/math.sin's bits), and batched ``@`` on stacks runs the BLAS kernel of
+# a single 3x3 product.  Each step is solved by ``_solve``, which the scalar
+# reference shares: O(m) along the m chain rows, plus a dense solve on 3|ends|
+# unknowns, the rows of loop-closure endpoints.  tests/test_posegraph.py checks
+# the optimizer against the scalar reference in tests/_oracles.py bit for bit,
+# and ``_solve`` against ``np.linalg.solve``.
 _EdgeArrays = namedtuple("_EdgeArrays", "i j rel rel_inv info")  # rows of i and j, (E, 3), (E, 3), (E, 3, 3)
 
 
@@ -214,6 +218,80 @@ def _normal_equations(X: np.ndarray, edges: _EdgeArrays) -> tuple[np.ndarray, np
     return H, b
 
 
+def _chain_solve(D: np.ndarray, lower: np.ndarray, upper: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Solve a block-tridiagonal system by odd-even (cyclic) block reduction.
+
+    ``D`` holds the (m, 3, 3) diagonal blocks, ``lower[k]`` the block at
+    (k + 1, k) and ``upper[k]`` the one at (k, k + 1); ``R`` is (m, 3, q).
+    The system is padded to 2^p - 1 rows with identity blocks.  Each level
+    solves its even rows' diagonal blocks against their off-diagonal blocks
+    and right-hand sides in one batched ``np.linalg.solve``, folds that into
+    the odd rows, and back substitution reuses it, so the work is O(m) in p
+    levels.  Solving rather than multiplying by explicit block inverses keeps
+    the backward error at the dense LU solve's.  A singular block raises
+    ``LinAlgError``.
+    """
+    m, q = len(D), R.shape[2]
+    size = 2 ** m.bit_length() - 1
+    D = np.concatenate([D, np.broadcast_to(np.eye(3), (size - m, 3, 3))])
+    lo, up = np.zeros((2, size, 3, 3))  # lo[k] is the block at (k, k - 1), up[k] the one at (k, k + 1)
+    lo[1:m], up[: m - 1] = lower, upper
+    R = np.concatenate([R, np.zeros((size - m, 3, q))])
+    levels = []
+    while len(D):
+        F = np.linalg.solve(D[0::2], np.concatenate([lo[0::2], up[0::2], R[0::2]], axis=2))
+        f_lo, f_up, f_r = F[:, :, :3], F[:, :, 3:6], F[:, :, 6:]
+        l_odd, u_odd = lo[1::2], up[1::2]
+        D = D[1::2] - l_odd @ f_up[:-1] - u_odd @ f_lo[1:]
+        lo, up = -l_odd @ f_lo[:-1], -u_odd @ f_up[1:]
+        R = R[1::2] - l_odd @ f_r[:-1] - u_odd @ f_r[1:]
+        levels.append((f_lo, f_up, f_r))
+    Y = R  # empty: the last level's one row was eliminated
+    for f_lo, f_up, f_r in reversed(levels):
+        side = np.concatenate([np.zeros((1, 3, q)), Y, np.zeros((1, 3, q))])
+        full = np.empty((2 * len(Y) + 1, 3, q))
+        full[1::2] = Y
+        full[0::2] = f_r - f_lo @ side[:-1] - f_up @ side[1:]
+        Y = full
+    return Y[:m]
+
+
+def _solve(H: np.ndarray, b: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Solve ``H x = b`` for the normal equations of a keyframe chain.
+
+    Block row k of ``H`` couples only to k - 1 and k + 1, apart from the
+    ``ends``: sorted block rows an edge joins to a free row more than one away.
+    The other rows t form a block-tridiagonal ``H_tt``; one cyclic reduction
+    solves ``H_tt [y, Z] = [b_t, H_tc]``, a dense solve on the Schur
+    complement ``H_cc - H_ct Z`` gives the ends' ``x_c``, and ``x_t = y - Z
+    x_c``.  Each block is read from ``H`` where it sits (``H_ct`` is not
+    taken as ``H_tc`` transposed), and ``H`` is not written.
+    """
+    n = len(b) // 3
+    chain = np.ones(n, dtype=bool)
+    chain[ends] = False
+    chain = np.flatnonzero(chain)
+    if not len(chain):  # every row is an end, so the Schur complement is H itself
+        return np.linalg.solve(H, b)
+    t = (3 * chain[:, None] + np.arange(3)).ravel()
+    c = (3 * ends[:, None] + np.arange(3)).ravel()
+    blocks = H.reshape(n, 3, n, 3)
+    rhs = np.concatenate([b[t, None], H[np.ix_(t, c)]], axis=1).reshape(len(chain), 3, 1 + len(c))
+    yz = _chain_solve(
+        blocks[chain, :, chain, :],
+        blocks[chain[1:], :, chain[:-1], :],
+        blocks[chain[:-1], :, chain[1:], :],
+        rhs,
+    ).reshape(len(t), 1 + len(c))
+    w = H[np.ix_(c, t)] @ yz
+    schur = H[np.ix_(c, c)]
+    schur -= w[:, 1:]
+    x = np.empty(len(b))
+    x[c] = np.linalg.solve(schur, b[c] - w[:, 0])
+    x[t] = yz[:, 0] - yz[:, 1:] @ x[c]
+    return x
+
+
 class PoseGraph:
     """Mutable SE(2) keyframe graph; single writer, snapshot readers."""
 
@@ -280,12 +358,16 @@ class PoseGraph:
     def chi2(self, X: Optional[np.ndarray] = None, edges: Optional[_EdgeArrays] = None) -> float:
         """Sum of e^T info e over the edges, added edge by edge in order.
 
-        At the current poses by default.  ``optimize`` evaluates every trial
-        step here, passing the trial node array and the edge arrays it built
-        once, so each trial step is one ``chi2`` call (as perfbench counts them).
+        At the current poses and over the graph's own edges by default; ``X``
+        is an (N, 3) node array in ``_arrays`` row order.  ``optimize``
+        evaluates every trial step here, passing the trial node array and the
+        edge arrays it built once, so each trial step is one ``chi2`` call (as
+        perfbench counts them).
         """
-        if X is None:
-            _, X, edges = self._arrays()
+        if X is None or edges is None:
+            _, current, own = self._arrays()
+            X = current if X is None else X
+            edges = own if edges is None else edges
         e = _residual_rows(X, edges)
         total = 0.0
         for q in (e[:, None, :] @ edges.info @ e[:, :, None]).ravel().tolist():
@@ -302,6 +384,8 @@ class PoseGraph:
         if not self._connected():
             raise ValueError("pose graph is not connected through node 0")
         order, start, edges = self._arrays()
+        far = (edges.i > 0) & (edges.j > 0) & (np.abs(edges.i - edges.j) > 1)
+        ends = np.unique(np.concatenate([edges.i[far], edges.j[far]])) - 1  # block rows of the free system
         X = start
         chi = self.chi2(X, edges)
         trace = [chi]
@@ -313,9 +397,9 @@ class PoseGraph:
             damping = np.maximum(undamped, 1e-12)
             trial = None
             while lam <= 1e12:
-                H[diag] = undamped + lam * damping  # solve does not write H, so each trial damps it afresh
+                H[diag] = undamped + lam * damping  # _solve does not write H, so each trial damps it afresh
                 try:
-                    delta = np.linalg.solve(H, -b)
+                    delta = _solve(H, -b, ends)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue

@@ -17,7 +17,7 @@ from travmap.evidence import (
 )
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, OcclusionDiag, PairDiag, PipelineResult
-from travmap.posegraph import OptimizationEvent, Pose2, se2_compose, se2_inverse, se2_transform
+from travmap.posegraph import OptimizationEvent, Pose2, _solve, se2_compose, se2_inverse, se2_transform
 from travmap.scenesim import CameraIntrinsics, FrameObservation, HumanDetection, ObstacleBox, _blocked_any
 
 _SQRT2 = math.sqrt(2.0)
@@ -377,16 +377,31 @@ def posegraph_linearize(graph, index):
     return H, b
 
 
+def posegraph_chain_ends(graph):
+    """The sorted free block rows (k for the k-th free node by id) an edge joins to a free row more than one away."""
+    row = {node_id: k for k, node_id in enumerate(sorted(n for n in graph.nodes if n != 0))}
+    ends = set()
+    for edge in graph.edges:
+        if edge.i in row and edge.j in row and abs(row[edge.i] - row[edge.j]) > 1:
+            ends.update((row[edge.i], row[edge.j]))
+    return np.array(sorted(ends), dtype=np.intp)
+
+
 def posegraph_optimize(graph, max_iters=50, tol=1e-9):
-    """``PoseGraph.optimize`` as a scalar loop over ``Pose2`` nodes, kept verbatim.
+    """``PoseGraph.optimize`` as a scalar loop over ``Pose2`` nodes.
 
     The edge-array optimizer must reproduce its poses, chi2 trace, iteration
-    count and moved-node list bit for bit.
+    count and moved-node list bit for bit.  The loop is the scalar one it
+    replaced, except that each step is solved by ``posegraph._solve``, the
+    chain solve both share, on the ends of ``posegraph_chain_ends``.
+    ``_solve`` itself is checked against ``np.linalg.solve`` in
+    tests/test_posegraph.py.
     """
     if not graph._connected():
         raise ValueError("pose graph is not connected through node 0")
     free = sorted(n for n in graph.nodes if n != 0)
     index = {node_id: 3 * k for k, node_id in enumerate(free)}
+    ends = posegraph_chain_ends(graph)
     before = {n: graph.nodes[n] for n in free}
     chi = posegraph_chi2(graph)
     trace = [chi]
@@ -399,7 +414,7 @@ def posegraph_optimize(graph, max_iters=50, tol=1e-9):
         while lam <= 1e12:
             damping = np.diag(np.maximum(np.diag(H), 1e-12))
             try:
-                delta = np.linalg.solve(H + lam * damping, -b)
+                delta = _solve(H + lam * damping, -b, ends)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import posegraph_chi2, posegraph_optimize
+from _oracles import posegraph_chain_ends, posegraph_chi2, posegraph_optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from travmap import pipeline
+from travmap import pipeline, posegraph
 from travmap.posegraph import (
     _TAU,
     EdgeKind,
     Pose2,
     PoseGraph,
+    _normal_equations,
+    _solve,
     _wrap_rows,
     se2_compose,
     se2_inverse,
@@ -95,6 +97,9 @@ def test_add_keyframe_rejects_bad_information():
         g.add_keyframe(Pose2(1, 0, 0), info=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         g.add_keyframe(Pose2(1, 0, 0), info=np.array([[1, 2, 0], [0, 1, 0], [0, 0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):  # within allclose's default rtol, far beyond atol
+        g.add_keyframe(Pose2(1, 0, 0), info=np.array([[1, 0.5, 0], [0.500004, 1, 0], [0, 0, 1.0]]))
+    assert len(g.nodes) == 1 and not g.edges
 
 
 def test_loop_closure_bookkeeping():
@@ -109,6 +114,19 @@ def test_loop_closure_bookkeeping():
         g.add_loop_closure(1, 1, Pose2())
     with pytest.raises(KeyError):
         g.add_loop_closure(0, 99, Pose2())
+
+
+def test_chi2_of_a_node_array_uses_the_graphs_own_edges():
+    g = PoseGraph()
+    g.add_keyframe(Pose2(1, 0, 0.1))
+    g.add_keyframe(Pose2(1, 0, 0.1), info=np.diag([4.0, 2.0, 9.0]))
+    g.add_loop_closure(0, 2, Pose2(2.1, 0.3, 0.15))
+    X = np.array([[0, 0, 0], [1.1, 0.1, 0.05], [1.9, 0.4, 0.3]])
+    moved = copy.deepcopy(g)
+    moved.nodes.update({n: Pose2(*X[n]) for n in (1, 2)})
+    assert g.chi2(X) == moved.chi2() > 0
+    assert g.chi2(X) == g.chi2(X, g._arrays()[2])
+    assert g.chi2(g._arrays()[1]) == g.chi2()
 
 
 def test_optimize_disconnected_rejected():
@@ -427,13 +445,140 @@ def test_optimize_matches_scalar_oracle_bit_for_bit(graph, limits):
     _assert_optimize_matches_oracle(graph, **limits)
 
 
-def test_optimize_matches_scalar_oracle_on_every_reanchor_closure():
-    """All keyframe pairs ``truth_closures`` accepts on drifted T at seed 3, as perfbench's reanchor closes them."""
+@pytest.fixture(scope="module")
+def drifted_t():
+    """The open-loop run of T at seed 3 with odometry noise, and the keyframe pairs ``truth_closures`` accepts."""
     scene = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
     result = pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=False))
-    closures = pipeline.truth_closures(result.truth, result.params)
+    return result, pipeline.truth_closures(result.truth, result.params)
+
+
+def test_optimize_matches_scalar_oracle_on_every_reanchor_closure(drifted_t):
+    """All keyframe pairs ``truth_closures`` accepts on drifted T at seed 3, as perfbench's reanchor closes them."""
+    result, closures = drifted_t
     assert len(closures) == 24
     for older, newer, rel in closures:
         graph = copy.deepcopy(result.graph)
         graph.add_loop_closure(older, newer, rel)
         _assert_optimize_matches_oracle(graph)
+
+
+# ---------------------------------------------------------------------------
+# the chain solve against the dense one
+
+
+def _damped_system(graph: PoseGraph, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``optimize``'s first normal equations, damped as it damps them."""
+    _, X, edges = graph._arrays()
+    H, b = _normal_equations(X, edges)
+    undamped = np.diag(H).copy()
+    H[np.diag_indices_from(H)] = undamped + lam * np.maximum(undamped, 1e-12)
+    return H, -b
+
+
+def _assert_solve_matches_dense(graph: PoseGraph, lam: float = 1e-3) -> None:
+    H, b = _damped_system(graph, lam)
+    before = H.copy()
+    x = _solve(H, b, posegraph_chain_ends(graph))
+    assert H.tobytes() == before.tobytes()
+    assert np.linalg.norm(H @ x - b) <= 1e-13 * np.linalg.norm(H, 2) * np.linalg.norm(x)
+    # Both solves are off the exact solution by about cond(H) * eps, and at
+    # lam = 1e-15 a weakly tied chain reaches cond(H) ~ 1e9, so the bound
+    # widens with the condition number there.
+    dense = np.linalg.solve(H, b)
+    assert np.linalg.norm(x - dense) <= max(1e-9, 1e-13 * np.linalg.cond(H)) * np.linalg.norm(dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=chain_graphs(), lam=st.sampled_from([1e-15, 1e-3, 1.0, 1e3]))
+def test_solve_matches_dense_solve(graph, lam):
+    _assert_solve_matches_dense(graph, lam)
+
+
+def _chain(n: int) -> PoseGraph:
+    rng = np.random.default_rng(n)
+    g = PoseGraph()
+    for _ in range(n - 1):
+        g.add_keyframe(Pose2(rng.uniform(0.2, 1.0), rng.normal(0.0, 0.05), rng.uniform(-1.0, 1.0)))
+    p = g.nodes[1]
+    g.nodes[1] = Pose2(p.x + 0.1, p.y - 0.2, p.theta + 0.1)
+    return g
+
+
+def _close(g: PoseGraph, i: int, j: int) -> None:
+    rel = se2_compose(se2_inverse(g.nodes[i]), g.nodes[j])
+    g.add_loop_closure(i, j, Pose2(rel.x + 0.05, rel.y - 0.03, rel.theta + 0.02))
+
+
+def test_solve_edge_cases():
+    empty = _solve(np.zeros((0, 0)), np.zeros(0), np.zeros(0, dtype=np.intp))  # the gauge-only graph
+    assert empty.shape == (0,)
+
+    to_gauge = _chain(8)
+    _close(to_gauge, 6, 0)  # a diagonal block only: no end
+    adjacent = _chain(8)
+    _close(adjacent, 4, 3)  # inside the tridiagonal band: no end
+    far = _chain(8)
+    _close(far, 2, 6)
+    assert posegraph_chain_ends(to_gauge).tolist() == posegraph_chain_ends(adjacent).tolist() == []
+    assert posegraph_chain_ends(far).tolist() == [1, 5]
+    for graph in (to_gauge, adjacent, far):
+        _assert_solve_matches_dense(graph)
+
+    everywhere = _chain(181)  # as many keyframes as T's graph, each a closure end: no chain rows
+    for j in range(21, 181):
+        _close(everywhere, j - 20, j)
+    assert posegraph_chain_ends(everywhere).tolist() == list(range(180))
+    _assert_solve_matches_dense(everywhere)
+
+
+def test_solve_reads_each_block_where_it_sits():
+    """``H``'s two triangles come from separate products, so the solve may not mirror one into the other."""
+    graph = _chain(30)
+    _close(graph, 3, 17)
+    _close(graph, 25, 9)
+    H, b = _damped_system(graph, 1.0)
+    H = np.triu(H) + 1.25 * np.tril(H, -1)
+    dense = np.linalg.solve(H, b)
+    assert np.linalg.norm(_solve(H, b, posegraph_chain_ends(graph)) - dense) <= 1e-9 * np.linalg.norm(dense)
+
+
+def test_solve_raises_on_a_singular_block():
+    H = np.eye(12)
+    H[3:6, 3:6] = 0.0  # a chain block
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve(H, np.ones(12), np.zeros(0, dtype=np.intp))
+    with pytest.raises(np.linalg.LinAlgError):  # a closure end's block: the Schur complement is singular
+        _solve(H, np.ones(12), np.array([1, 3], dtype=np.intp))
+
+
+def test_optimize_ends_are_the_oracles(monkeypatch):
+    seen = []
+    monkeypatch.setattr(posegraph, "_solve", lambda H, b, ends: seen.append(ends.tolist()) or np.linalg.solve(H, b))
+    for graph in (_chain(5), _chain(12)):
+        _close(graph, 3, 1)
+        _close(graph, 4, 0)
+        _close(graph, 2, 3)
+        seen.clear()
+        graph.optimize(max_iters=1)
+        assert seen and all(ends == posegraph_chain_ends(graph).tolist() == [0, 2] for ends in seen)
+
+
+def test_chain_solve_moves_no_reanchor_output(drifted_t, monkeypatch):
+    """On every closure of drifted T at seed 3, the chain solve and the dense one give the same run and maps."""
+    result, closures = drifted_t
+    rebuild = dataclasses.replace(result.params.rebuild, robot_radius=result.config.robot_radius)
+    for older, newer, rel in closures:
+        runs = []
+        for solve in (_solve, lambda H, b, ends: np.linalg.solve(H, b)):
+            monkeypatch.setattr(posegraph, "_solve", solve)
+            graph = copy.deepcopy(result.graph)
+            graph.add_loop_closure(older, newer, rel)
+            event = graph.optimize()
+            closed = dataclasses.replace(result, graph=graph)
+            maps = [pipeline.build_combo_map(closed, layers, params=rebuild).cells for layers in pipeline.COMBINATIONS]
+            runs.append((event, np.array([graph.nodes[n].as_tuple() for n in sorted(graph.nodes)]), maps))
+        (chain, chain_poses, chain_maps), (dense, dense_poses, dense_maps) = runs
+        assert (chain.iterations, chain.updated) == (dense.iterations, dense.updated)
+        assert np.abs(chain_poses - dense_poses).max() <= 1e-12
+        assert all(np.array_equal(a, b) for a, b in zip(chain_maps, dense_maps))
