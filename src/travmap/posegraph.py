@@ -135,18 +135,33 @@ def _check_finite_pose(pose: Pose2, what: str) -> None:
 
 
 # The optimizer works on an (N, 3) node array (row 0 is the gauge) and on edge
-# arrays.  Its assembly of H and b and its LM arithmetic are the scalar SE(2)
-# helpers', bit for bit, so a run's outputs depend on nothing but the solve: a
-# reordered sum moves poses by ulps and changes the chi2 traces that runs
-# record.  The row twins of se2_inverse/se2_compose keep their operation order
-# and wrap each angle with wrap_angle itself (np.cos/np.sin give
-# math.cos/math.sin's bits), and batched ``@`` on stacks runs the BLAS kernel of
-# a single 3x3 product.  Each step is solved by ``_solve``, which the scalar
-# reference shares: O(m) along the m chain rows, plus a dense solve on 3|ends|
-# unknowns, the rows of loop-closure endpoints.  tests/test_posegraph.py checks
-# the optimizer against the scalar reference in tests/_oracles.py bit for bit,
-# and ``_solve`` against ``np.linalg.solve``.
+# arrays.  Its assembly of the normal equations and its LM arithmetic are the
+# scalar SE(2) helpers', bit for bit, so a run's outputs depend on nothing but
+# the solve: a reordered sum moves poses by ulps and changes the chi2 traces
+# that runs record.  The row twins of se2_inverse/se2_compose keep their
+# operation order and wrap each angle with wrap_angle itself (np.cos/np.sin
+# give math.cos/math.sin's bits), and batched ``@`` on stacks runs the BLAS
+# kernel of a single 3x3 product.  The Hessian is kept as 3x3 blocks, never as
+# a dense matrix: the diagonal, the odometry chain's two off-diagonals and one
+# block per far pair of rows a loop closure joins (``_Blocks``), each entry
+# summed edge by edge in edge order as a dense scatter would sum it.  Each step
+# is solved from the blocks by ``_solve``, which the scalar reference shares:
+# O(m) along the m chain rows, plus a dense solve on 3|ends| unknowns, the rows
+# of loop-closure endpoints.  tests/test_posegraph.py checks the optimizer
+# against the scalar reference in tests/_oracles.py bit for bit, the blocks
+# against its dense H, and ``_solve`` against ``np.linalg.solve``.
 _EdgeArrays = namedtuple("_EdgeArrays", "i j rel rel_inv info")  # rows of i and j, (E, 3), (E, 3), (E, 3, 3)
+# diag[k] is block (k, k), upper[k] block (k, k + 1), lower[k] block (k + 1, k),
+# far[f] block (far_at[f, 0], far_at[f, 1]); rows count the free nodes from 0.
+_Blocks = namedtuple("_Blocks", "diag upper lower far far_at")
+# Where _normal_equations adds each edge's terms: ``terms`` picks the products
+# of two free rows among the edges' flattened (E, 4) ii/jj/ij/ji products and
+# ``entries`` names, for each of their 9 entries, the entry of the stacked
+# diag, upper, lower and far blocks it adds onto; ``grads`` picks the free
+# rows' gradients among the (E, 2) ones and ``rows`` names, for each of their
+# 3 entries, the entry of b.  A flat np.add.at is several times faster than
+# one over (k, 3, 3) blocks, and adds in the same order.
+_Layout = namedtuple("_Layout", "n terms entries grads rows far_at")
 
 
 def _wrap_rows(theta: np.ndarray) -> np.ndarray:
@@ -184,8 +199,31 @@ def _residual_rows(X: np.ndarray, edges: _EdgeArrays) -> np.ndarray:
     return _compose_rows(edges.rel_inv, _compose_rows(_inverse_rows(X)[edges.i], X[edges.j]))
 
 
-def _normal_equations(X: np.ndarray, edges: _EdgeArrays) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Newton H and b over the free rows 1.. of ``X``; row 0 is the gauge."""
+def _layout(edges: _EdgeArrays, n: int) -> _Layout:
+    """The block each of ``_normal_equations``' terms adds onto, for ``n`` free rows."""
+    ri, rj = edges.i - 1, edges.j - 1  # the gauge (row 0) maps to -1
+    rows, cols = np.stack([ri, rj, ri, rj], axis=1).ravel(), np.stack([ri, rj, rj, ri], axis=1).ravel()
+    terms = np.flatnonzero((rows >= 0) & (cols >= 0))
+    rows, cols = rows[terms], cols[terms]
+    chain = max(n - 1, 0)
+    slots = np.where(rows == cols, rows, np.where(cols == rows + 1, n + rows, n + chain + cols))
+    far = np.abs(rows - cols) > 1
+    keys, slot = np.unique(rows[far] * n + cols[far], return_inverse=True)
+    slots[far] = n + 2 * chain + slot
+    at = np.stack([ri, rj], axis=1).ravel()
+    grads = np.flatnonzero(at >= 0)
+    return _Layout(
+        n,
+        terms,
+        (9 * slots[:, None] + np.arange(9)).ravel(),
+        grads,
+        (3 * at[grads, None] + np.arange(3)).ravel(),
+        np.stack(np.divmod(keys, max(n, 1)), axis=1),
+    )
+
+
+def _normal_equations(X: np.ndarray, edges: _EdgeArrays, layout: _Layout) -> tuple[_Blocks, np.ndarray]:
+    """Gauss-Newton H as blocks and b as (n, 3) over the free rows 1.. of ``X``; row 0 is the gauge."""
     e = _residual_rows(X, edges)[:, :, None]
     xi, xj = X[edges.i], X[edges.j]
     ci, si = np.cos(xi[:, 2]), np.sin(xi[:, 2])
@@ -201,21 +239,16 @@ def _normal_equations(X: np.ndarray, edges: _EdgeArrays) -> tuple[np.ndarray, np
     B[:, :2, :2] = RzT @ RiT
     B[:, 2, 2] = 1.0
     AtO, BtO = A.transpose(0, 2, 1) @ edges.info, B.transpose(0, 2, 1) @ edges.info
-    # np.add.at adds in index order, so every entry of H and b sums its terms
-    # edge by edge, in edge order.  The gauge (row 0) maps to negative indices.
-    n, at_i, at_j = 3 * (len(X) - 1), 3 * (edges.i[:, None] - 1), 3 * (edges.j[:, None] - 1)
-    rows, cols = np.broadcast_arrays(
-        np.stack([at_i, at_j, at_i, at_j], axis=1)[..., None] + np.arange(3)[:, None],
-        np.stack([at_i, at_j, at_j, at_i], axis=1)[..., None] + np.arange(3),
-    )
-    blocks = np.stack([AtO @ A, BtO @ B, AtO @ B, BtO @ A], axis=1)
-    at_b = np.stack([at_i, at_j], axis=1) + np.arange(3)
-    grads = np.stack([AtO @ e, BtO @ e], axis=1)[..., 0]
-    H, b = np.zeros((n, n)), np.zeros(n)
-    keep = (rows >= 0) & (cols >= 0)
-    np.add.at(H.reshape(-1), (rows * n + cols)[keep], blocks[keep])
-    np.add.at(b, at_b[at_b >= 0], grads[at_b >= 0])
-    return H, b
+    # np.add.at adds in index order, so every entry of a block and of b sums
+    # its terms edge by edge, in edge order, from zero.
+    n, chain = layout.n, max(layout.n - 1, 0)
+    blocks = np.zeros((n + 2 * chain + len(layout.far_at), 3, 3))
+    products = np.stack([AtO @ A, BtO @ B, AtO @ B, BtO @ A], axis=1).reshape(-1, 9)
+    np.add.at(blocks.reshape(-1), layout.entries, products[layout.terms].ravel())
+    b = np.zeros((n, 3))
+    np.add.at(b.reshape(-1), layout.rows, np.stack([AtO @ e, BtO @ e], axis=1).reshape(-1, 3)[layout.grads].ravel())
+    diag, upper, lower, far = np.split(blocks, [n, n + chain, n + 2 * chain])
+    return _Blocks(diag, upper, lower, far, layout.far_at), b
 
 
 def _chain_solve(D: np.ndarray, lower: np.ndarray, upper: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -256,40 +289,52 @@ def _chain_solve(D: np.ndarray, lower: np.ndarray, upper: np.ndarray, R: np.ndar
     return Y[:m]
 
 
-def _solve(H: np.ndarray, b: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Solve ``H x = b`` for the normal equations of a keyframe chain.
+def _solve(H: _Blocks, b: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Solve ``H x = b`` for the normal equations of a keyframe chain, ``H`` given as blocks.
 
-    Block row k of ``H`` couples only to k - 1 and k + 1, apart from the
-    ``ends``: sorted block rows an edge joins to a free row more than one away.
-    The other rows t form a block-tridiagonal ``H_tt``; one cyclic reduction
-    solves ``H_tt [y, Z] = [b_t, H_tc]``, a dense solve on the Schur
-    complement ``H_cc - H_ct Z`` gives the ends' ``x_c``, and ``x_t = y - Z
-    x_c``.  Each block is read from ``H`` where it sits (``H_ct`` is not
-    taken as ``H_tc`` transposed), and ``H`` is not written.
+    ``b`` is (n, 3), and ``x`` is returned flat.  Block row k of ``H``
+    couples only to k - 1 and k + 1, apart from the ``ends``: the sorted
+    block rows of ``H.far_at``.  The other rows t form a block-tridiagonal
+    ``H_tt``; one cyclic reduction solves ``H_tt [y, Z] = [b_t, H_tc]``, a
+    dense solve on the Schur complement ``H_cc - H_ct Z`` gives the ends'
+    ``x_c``, and ``x_t = y - Z x_c``.  ``H_tc``, ``H_ct`` and ``H_cc`` are the
+    only dense arrays; each of their blocks is copied from the block where it
+    sits in ``H`` (``H_ct`` is not taken as ``H_tc`` transposed), and ``H`` is
+    not written.
     """
-    n = len(b) // 3
-    chain = np.ones(n, dtype=bool)
-    chain[ends] = False
-    chain = np.flatnonzero(chain)
-    if not len(chain):  # every row is an end, so the Schur complement is H itself
-        return np.linalg.solve(H, b)
-    t = (3 * chain[:, None] + np.arange(3)).ravel()
-    c = (3 * ends[:, None] + np.arange(3)).ravel()
-    blocks = H.reshape(n, 3, n, 3)
-    rhs = np.concatenate([b[t, None], H[np.ix_(t, c)]], axis=1).reshape(len(chain), 3, 1 + len(c))
-    yz = _chain_solve(
-        blocks[chain, :, chain, :],
-        blocks[chain[1:], :, chain[:-1], :],
-        blocks[chain[:-1], :, chain[1:], :],
-        rhs,
-    ).reshape(len(t), 1 + len(c))
-    w = H[np.ix_(c, t)] @ yz
-    schur = H[np.ix_(c, c)]
+    n, k = len(b), len(ends)
+    is_chain = np.ones(n + 1, dtype=bool)  # row n, and row -1 that wraps to it, is no row
+    is_chain[ends] = is_chain[n] = False
+    chain = np.flatnonzero(is_chain)
+    m, at = len(chain), np.empty(n, dtype=np.intp)  # each row's place among the chain rows or the ends
+    at[chain], at[ends] = np.arange(m), np.arange(k)
+    cc = np.zeros((k, 3, k, 3))
+    cc[np.arange(k), :, np.arange(k), :] = H.diag[ends]
+    p = np.flatnonzero(np.diff(ends) == 1)  # ends p and p + 1 are neighbouring rows
+    cc[p, :, p + 1, :] = H.upper[ends[p]]
+    cc[p + 1, :, p, :] = H.lower[ends[p]]
+    cc[at[H.far_at[:, 0]], :, at[H.far_at[:, 1]], :] = H.far
+    schur = cc.reshape(3 * k, 3 * k)
+    if not m:  # every row is an end, so the Schur complement is H itself
+        return np.linalg.solve(schur, b.ravel())
+    # An end's only chain blocks are the ones to its chain neighbours.
+    ct, tc = np.zeros((k, 3, m, 3)), np.zeros((m, 3, k, 3))
+    for step, toward, back in ((1, H.upper, H.lower), (-1, H.lower, H.upper)):
+        p = np.flatnonzero(is_chain[ends + step])
+        s, band = at[ends[p] + step], ends[p] + min(step, 0)  # band: the chain block between the two rows
+        ct[p, :, s, :] = toward[band]
+        tc[s, :, p, :] = back[band]
+    gap = np.diff(chain) > 1  # chain rows with ends between them share no block
+    lower, upper = H.lower[chain[:-1]], H.upper[chain[:-1]]
+    lower[gap] = upper[gap] = 0.0
+    rhs = np.concatenate([b[chain, :, None], tc.reshape(m, 3, 3 * k)], axis=2)
+    yz = _chain_solve(H.diag[chain], lower, upper, rhs).reshape(3 * m, 1 + 3 * k)
+    w = ct.reshape(3 * k, 3 * m) @ yz
     schur -= w[:, 1:]
-    x = np.empty(len(b))
-    x[c] = np.linalg.solve(schur, b[c] - w[:, 0])
-    x[t] = yz[:, 0] - yz[:, 1:] @ x[c]
-    return x
+    x = np.empty((n, 3))
+    x[ends] = np.linalg.solve(schur, b[ends].ravel() - w[:, 0]).reshape(k, 3)
+    x[chain] = (yz[:, 0] - yz[:, 1:] @ x[ends].ravel()).reshape(m, 3)
+    return x.ravel()
 
 
 class PoseGraph:
@@ -384,20 +429,20 @@ class PoseGraph:
         if not self._connected():
             raise ValueError("pose graph is not connected through node 0")
         order, start, edges = self._arrays()
-        far = (edges.i > 0) & (edges.j > 0) & (np.abs(edges.i - edges.j) > 1)
-        ends = np.unique(np.concatenate([edges.i[far], edges.j[far]])) - 1  # block rows of the free system
+        layout = _layout(edges, len(start) - 1)
+        ends = np.unique(layout.far_at)  # block rows of the free system
+        d = np.arange(3)  # the diagonal of a 3x3 block
         X = start
         chi = self.chi2(X, edges)
         trace = [chi]
         lam = 1e-3
         for _ in range(max_iters):
-            H, b = _normal_equations(X, edges)
-            diag = np.diag_indices_from(H)
-            undamped = H[diag]
+            H, b = _normal_equations(X, edges, layout)
+            undamped = H.diag[:, d, d]
             damping = np.maximum(undamped, 1e-12)
             trial = None
             while lam <= 1e12:
-                H[diag] = undamped + lam * damping  # _solve does not write H, so each trial damps it afresh
+                H.diag[:, d, d] = undamped + lam * damping  # _solve does not write H, so each trial damps it afresh
                 try:
                     delta = _solve(H, -b, ends)
                 except np.linalg.LinAlgError:

@@ -17,7 +17,7 @@ from travmap.evidence import (
 )
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, OcclusionDiag, PairDiag, PipelineResult
-from travmap.posegraph import OptimizationEvent, Pose2, _solve, se2_compose, se2_inverse, se2_transform
+from travmap.posegraph import OptimizationEvent, Pose2, _Blocks, _solve, se2_compose, se2_inverse, se2_transform
 from travmap.scenesim import CameraIntrinsics, FrameObservation, HumanDetection, ObstacleBox, _blocked_any
 
 _SQRT2 = math.sqrt(2.0)
@@ -377,14 +377,47 @@ def posegraph_linearize(graph, index):
     return H, b
 
 
-def posegraph_chain_ends(graph):
-    """The sorted free block rows (k for the k-th free node by id) an edge joins to a free row more than one away."""
+def posegraph_far_pairs(graph):
+    """The sorted (row, col) pairs of free rows more than one apart that an edge joins, both ways round.
+
+    Row k is the k-th free node by id.
+    """
     row = {node_id: k for k, node_id in enumerate(sorted(n for n in graph.nodes if n != 0))}
-    ends = set()
+    pairs = set()
     for edge in graph.edges:
         if edge.i in row and edge.j in row and abs(row[edge.i] - row[edge.j]) > 1:
-            ends.update((row[edge.i], row[edge.j]))
-    return np.array(sorted(ends), dtype=np.intp)
+            pairs.update(((row[edge.i], row[edge.j]), (row[edge.j], row[edge.i])))
+    return np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+
+
+def posegraph_chain_ends(graph):
+    """The sorted free rows an edge joins to a free row more than one away: those of ``posegraph_far_pairs``."""
+    return np.unique(posegraph_far_pairs(graph))
+
+
+def posegraph_blocks_from_dense(H, far_at):
+    """Cut a dense 3n x 3n ``H`` into the ``posegraph._Blocks`` that ``_solve`` takes, with far blocks at ``far_at``."""
+    n = len(H) // 3
+    blocks, k = H.reshape(n, 3, n, 3), np.arange(n)
+    far_at = np.asarray(far_at, dtype=np.intp).reshape(-1, 2)
+    return _Blocks(
+        blocks[k, :, k, :],
+        blocks[k[:-1], :, k[1:], :],
+        blocks[k[1:], :, k[:-1], :],
+        blocks[far_at[:, 0], :, far_at[:, 1], :],
+        far_at,
+    )
+
+
+def posegraph_dense_from_blocks(blocks):
+    """The dense 3n x 3n matrix of ``posegraph._Blocks``, zero outside its blocks."""
+    n = len(blocks.diag)
+    H, k = np.zeros((n, 3, n, 3)), np.arange(n)
+    H[k, :, k, :] = blocks.diag
+    H[k[:-1], :, k[1:], :] = blocks.upper
+    H[k[1:], :, k[:-1], :] = blocks.lower
+    H[blocks.far_at[:, 0], :, blocks.far_at[:, 1], :] = blocks.far
+    return H.reshape(3 * n, 3 * n)
 
 
 def posegraph_optimize(graph, max_iters=50, tol=1e-9):
@@ -392,8 +425,10 @@ def posegraph_optimize(graph, max_iters=50, tol=1e-9):
 
     The edge-array optimizer must reproduce its poses, chi2 trace, iteration
     count and moved-node list bit for bit.  The loop is the scalar one it
-    replaced, except that each step is solved by ``posegraph._solve``, the
-    chain solve both share, on the ends of ``posegraph_chain_ends``.
+    replaced, with a dense ``H`` damped as a whole, except that each step is
+    solved by ``posegraph._solve``, the chain solve both share: on the blocks
+    ``posegraph_blocks_from_dense`` cuts from the damped ``H`` at the pairs of
+    ``posegraph_far_pairs``, and on the ends of ``posegraph_chain_ends``.
     ``_solve`` itself is checked against ``np.linalg.solve`` in
     tests/test_posegraph.py.
     """
@@ -401,7 +436,7 @@ def posegraph_optimize(graph, max_iters=50, tol=1e-9):
         raise ValueError("pose graph is not connected through node 0")
     free = sorted(n for n in graph.nodes if n != 0)
     index = {node_id: 3 * k for k, node_id in enumerate(free)}
-    ends = posegraph_chain_ends(graph)
+    far_at, ends = posegraph_far_pairs(graph), posegraph_chain_ends(graph)
     before = {n: graph.nodes[n] for n in free}
     chi = posegraph_chi2(graph)
     trace = [chi]
@@ -414,7 +449,7 @@ def posegraph_optimize(graph, max_iters=50, tol=1e-9):
         while lam <= 1e12:
             damping = np.diag(np.maximum(np.diag(H), 1e-12))
             try:
-                delta = _solve(H + lam * damping, -b, ends)
+                delta = _solve(posegraph_blocks_from_dense(H + lam * damping, far_at), -b.reshape(-1, 3), ends)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

@@ -8,7 +8,10 @@ import dataclasses
 import importlib.util
 import pathlib
 
-from travmap import cli, pipeline
+import numpy as np
+
+from travmap import cli, pipeline, posegraph
+from travmap.posegraph import Pose2, PoseGraph
 from travmap.scenario import EXAMPLE_SCENARIO
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -59,6 +62,34 @@ def test_traced_build_counts_pipeline_spans(tmp_path):
     assert t.calls["pipeline.run_pipeline"] == 1
     assert t.calls["pipeline.build_combo_map"] == len(pipeline.COMBINATIONS)
     assert t.calls["scenesim.ground_truth_map"] == 1
+
+
+def test_traced_optimize_counts_one_chi2_per_trial_step(monkeypatch):
+    """``posegraph.accept_ratio`` takes the trial steps as chi2 calls less optimize calls, so each step must be one call."""
+    graph = PoseGraph()
+    for _ in range(11):
+        graph.add_keyframe(Pose2(1.0, 0.0, 0.3))
+    graph.add_loop_closure(2, 11, Pose2(2.0, -2.0, 0.5))  # far enough off that LM rejects some steps
+    steps = []
+    solve = posegraph._solve
+
+    def counting_solve(H, b, ends):
+        x = solve(H, b, ends)
+        steps.append(bool(np.abs(x).max(initial=0.0) >= 1e-13))  # a smaller step ends optimize untried
+        return x
+
+    monkeypatch.setattr(posegraph, "_solve", counting_solve)
+    tracer = _load("tracer")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        event = graph.optimize()
+    finally:
+        t.uninstall()
+    assert t.calls["posegraph.optimize"] == 1
+    assert t.counts["posegraph.iterations"] == event.iterations
+    assert event.iterations < sum(steps)  # some trial steps were rejected
+    assert t.calls["posegraph.chi2"] == 1 + sum(steps)
 
 
 def test_workload_parameters_exist():

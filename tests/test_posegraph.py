@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import posegraph_chain_ends, posegraph_chi2, posegraph_optimize
+from _oracles import (
+    posegraph_blocks_from_dense,
+    posegraph_chain_ends,
+    posegraph_chi2,
+    posegraph_dense_from_blocks,
+    posegraph_far_pairs,
+    posegraph_linearize,
+    posegraph_optimize,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +22,7 @@ from travmap.posegraph import (
     EdgeKind,
     Pose2,
     PoseGraph,
+    _layout,
     _normal_equations,
     _solve,
     _wrap_rows,
@@ -464,23 +473,86 @@ def test_optimize_matches_scalar_oracle_on_every_reanchor_closure(drifted_t):
 
 
 # ---------------------------------------------------------------------------
+# the block assembly against the dense one, bit for bit
+
+
+def _blocks(graph: PoseGraph):
+    """``optimize``'s first normal equations: the blocks of ``H`` and the (n, 3) ``b``."""
+    _, X, edges = graph._arrays()
+    return _normal_equations(X, edges, _layout(edges, len(X) - 1))
+
+
+def _assert_blocks_match_dense(graph: PoseGraph) -> None:
+    free = sorted(n for n in graph.nodes if n != 0)
+    H, b = posegraph_linearize(graph, {node_id: 3 * k for k, node_id in enumerate(free)})
+    expected = posegraph_blocks_from_dense(H, posegraph_far_pairs(graph))
+    blocks, got_b = _blocks(graph)
+    assert blocks.far_at.tolist() == expected.far_at.tolist()
+    for name in ("diag", "upper", "lower", "far"):
+        assert getattr(blocks, name).tobytes() == getattr(expected, name).tobytes(), name
+    assert got_b.tobytes() == b.reshape(-1, 3).tobytes()
+    assert posegraph_dense_from_blocks(blocks).tobytes() == H.tobytes()  # H is zero outside the blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=chain_graphs())
+def test_blocks_match_dense_assembly_bit_for_bit(graph):
+    _assert_blocks_match_dense(graph)
+
+
+def _chain(n: int) -> PoseGraph:
+    rng = np.random.default_rng(n)
+    g = PoseGraph()
+    for _ in range(n - 1):
+        g.add_keyframe(Pose2(rng.uniform(0.2, 1.0), rng.normal(0.0, 0.05), rng.uniform(-1.0, 1.0)))
+    p = g.nodes[1]
+    g.nodes[1] = Pose2(p.x + 0.1, p.y - 0.2, p.theta + 0.1)
+    return g
+
+
+def _close(g: PoseGraph, i: int, j: int, noise: float = 1.0, info=None) -> None:
+    rel = se2_compose(se2_inverse(g.nodes[i]), g.nodes[j])
+    g.add_loop_closure(i, j, Pose2(rel.x + 0.05 * noise, rel.y - 0.03 * noise, rel.theta + 0.02 * noise), info)
+
+
+def test_blocks_match_dense_assembly_on_hand_built_graphs():
+    to_gauge = _chain(10)
+    _close(to_gauge, 7, 0)
+    in_band = _chain(10)
+    _close(in_band, 4, 5)  # |i - j| = 1: adds onto the chain blocks
+    backward = _chain(10)
+    _close(backward, 8, 2)
+    same_pair = _chain(10)  # three terms per entry of the far blocks, so the order of the sum shows
+    rng = np.random.default_rng(5)
+    for i, j, noise in ((2, 7, 1.0), (7, 2, -3.0), (2, 7, 7.5)):
+        _close(same_pair, i, j, noise, _information(rng))
+    adjacent_ends = _chain(12)
+    _close(adjacent_ends, 2, 8)
+    _close(adjacent_ends, 3, 9)
+    assert posegraph_far_pairs(same_pair).tolist() == [[1, 6], [6, 1]]
+    assert posegraph_chain_ends(adjacent_ends).tolist() == [1, 2, 7, 8]
+    for graph in (to_gauge, in_band, backward, same_pair, adjacent_ends):
+        _assert_blocks_match_dense(graph)
+
+
+# ---------------------------------------------------------------------------
 # the chain solve against the dense one
 
 
-def _damped_system(graph: PoseGraph, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """``optimize``'s first normal equations, damped as it damps them."""
-    _, X, edges = graph._arrays()
-    H, b = _normal_equations(X, edges)
-    undamped = np.diag(H).copy()
-    H[np.diag_indices_from(H)] = undamped + lam * np.maximum(undamped, 1e-12)
-    return H, -b
+def _damped_system(graph: PoseGraph, lam: float):
+    """``optimize``'s first normal equations, damped as it damps them: the blocks of ``H`` and ``b``."""
+    blocks, b = _blocks(graph)
+    undamped = blocks.diag[:, range(3), range(3)]
+    blocks.diag[:, range(3), range(3)] = undamped + lam * np.maximum(undamped, 1e-12)
+    return blocks, -b
 
 
 def _assert_solve_matches_dense(graph: PoseGraph, lam: float = 1e-3) -> None:
-    H, b = _damped_system(graph, lam)
-    before = H.copy()
-    x = _solve(H, b, posegraph_chain_ends(graph))
-    assert H.tobytes() == before.tobytes()
+    blocks, b = _damped_system(graph, lam)
+    before = [a.tobytes() for a in blocks]
+    x = _solve(blocks, b, posegraph_chain_ends(graph))
+    assert [a.tobytes() for a in blocks] == before
+    H, b = posegraph_dense_from_blocks(blocks), b.ravel()
     assert np.linalg.norm(H @ x - b) <= 1e-13 * np.linalg.norm(H, 2) * np.linalg.norm(x)
     # Both solves are off the exact solution by about cond(H) * eps, and at
     # lam = 1e-15 a weakly tied chain reaches cond(H) ~ 1e9, so the bound
@@ -495,23 +567,14 @@ def test_solve_matches_dense_solve(graph, lam):
     _assert_solve_matches_dense(graph, lam)
 
 
-def _chain(n: int) -> PoseGraph:
-    rng = np.random.default_rng(n)
-    g = PoseGraph()
-    for _ in range(n - 1):
-        g.add_keyframe(Pose2(rng.uniform(0.2, 1.0), rng.normal(0.0, 0.05), rng.uniform(-1.0, 1.0)))
-    p = g.nodes[1]
-    g.nodes[1] = Pose2(p.x + 0.1, p.y - 0.2, p.theta + 0.1)
-    return g
-
-
-def _close(g: PoseGraph, i: int, j: int) -> None:
-    rel = se2_compose(se2_inverse(g.nodes[i]), g.nodes[j])
-    g.add_loop_closure(i, j, Pose2(rel.x + 0.05, rel.y - 0.03, rel.theta + 0.02))
+def _dense_solve(blocks, b, ends):
+    """``np.linalg.solve`` on the dense ``H`` of the blocks, in ``_solve``'s place."""
+    return np.linalg.solve(posegraph_dense_from_blocks(blocks), b.ravel())
 
 
 def test_solve_edge_cases():
-    empty = _solve(np.zeros((0, 0)), np.zeros(0), np.zeros(0, dtype=np.intp))  # the gauge-only graph
+    gauge_only = PoseGraph(Pose2(1, 2, 0.3))
+    empty = _solve(*_damped_system(gauge_only, 1e-3), np.zeros(0, dtype=np.intp))  # the 0 x 0 system
     assert empty.shape == (0,)
 
     to_gauge = _chain(8)
@@ -530,6 +593,8 @@ def test_solve_edge_cases():
         _close(everywhere, j - 20, j)
     assert posegraph_chain_ends(everywhere).tolist() == list(range(180))
     _assert_solve_matches_dense(everywhere)
+    blocks, b = _damped_system(everywhere, 1e-3)
+    assert _solve(blocks, b, np.arange(180)).tobytes() == _dense_solve(blocks, b, None).tobytes()
 
 
 def test_solve_reads_each_block_where_it_sits():
@@ -537,31 +602,41 @@ def test_solve_reads_each_block_where_it_sits():
     graph = _chain(30)
     _close(graph, 3, 17)
     _close(graph, 25, 9)
-    H, b = _damped_system(graph, 1.0)
+    blocks, b = _damped_system(graph, 1.0)
+    H = posegraph_dense_from_blocks(blocks)
     H = np.triu(H) + 1.25 * np.tril(H, -1)
-    dense = np.linalg.solve(H, b)
-    assert np.linalg.norm(_solve(H, b, posegraph_chain_ends(graph)) - dense) <= 1e-9 * np.linalg.norm(dense)
+    dense = np.linalg.solve(H, b.ravel())
+    skewed = posegraph_blocks_from_dense(H, blocks.far_at)
+    assert np.linalg.norm(_solve(skewed, b, posegraph_chain_ends(graph)) - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_solve_raises_on_a_singular_block():
     H = np.eye(12)
     H[3:6, 3:6] = 0.0  # a chain block
+    blocks = posegraph_blocks_from_dense(H, np.zeros((0, 2), dtype=np.intp))
     with pytest.raises(np.linalg.LinAlgError):
-        _solve(H, np.ones(12), np.zeros(0, dtype=np.intp))
+        _solve(blocks, np.ones((4, 3)), np.zeros(0, dtype=np.intp))
     with pytest.raises(np.linalg.LinAlgError):  # a closure end's block: the Schur complement is singular
-        _solve(H, np.ones(12), np.array([1, 3], dtype=np.intp))
+        _solve(blocks, np.ones((4, 3)), np.array([1, 3], dtype=np.intp))
 
 
 def test_optimize_ends_are_the_oracles(monkeypatch):
     seen = []
-    monkeypatch.setattr(posegraph, "_solve", lambda H, b, ends: seen.append(ends.tolist()) or np.linalg.solve(H, b))
+
+    def recording_solve(H, b, ends):
+        seen.append((ends.tolist(), H.far_at.tolist()))
+        return _dense_solve(H, b, ends)
+
+    monkeypatch.setattr(posegraph, "_solve", recording_solve)
     for graph in (_chain(5), _chain(12)):
         _close(graph, 3, 1)
         _close(graph, 4, 0)
         _close(graph, 2, 3)
         seen.clear()
         graph.optimize(max_iters=1)
-        assert seen and all(ends == posegraph_chain_ends(graph).tolist() == [0, 2] for ends in seen)
+        assert posegraph_far_pairs(graph).tolist() == [[0, 2], [2, 0]]
+        assert seen and all(ends == posegraph_chain_ends(graph).tolist() == [0, 2] for ends, _ in seen)
+        assert all(far_at == posegraph_far_pairs(graph).tolist() for _, far_at in seen)
 
 
 def test_chain_solve_moves_no_reanchor_output(drifted_t, monkeypatch):
@@ -570,7 +645,7 @@ def test_chain_solve_moves_no_reanchor_output(drifted_t, monkeypatch):
     rebuild = dataclasses.replace(result.params.rebuild, robot_radius=result.config.robot_radius)
     for older, newer, rel in closures:
         runs = []
-        for solve in (_solve, lambda H, b, ends: np.linalg.solve(H, b)):
+        for solve in (_solve, _dense_solve):
             monkeypatch.setattr(posegraph, "_solve", solve)
             graph = copy.deepcopy(result.graph)
             graph.add_loop_closure(older, newer, rel)
