@@ -7,9 +7,10 @@ traversable bands, one HO3 record per sighting.  Every record is pose-free:
 landmarks and trail points are stored as offsets in their anchor keyframe's
 frame, and pass-between records are just feature-id pairs, so a pose-graph
 optimization invalidates nothing.  ``rebuild_map`` regenerates the map from any pose
-snapshot: it places the enabled layers' endpoints as arrays, from one pose
-table of the snapshot (``pose_table``) and one table of the landmarks they
-name (``landmark_worlds``), then marks each layer's bands in one batched pass.
+snapshot: it places the enabled layers' endpoints as arrays, from the store's
+per-layer columns, one pose table of the snapshot (``pose_table``) and the
+landmarks they name (``landmark_worlds``), then marks each layer's bands in
+one batched pass, unless that layer's last raster had the same inputs.
 
 Monocular range to a human follows from apparent height: with calibration
 factor k, distance = k * f * H / h_px.  The apparent height h_px fed by the
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import median
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "PfhEvidence",
     "Ho3Evidence",
     "EvidenceError",
+    "EvidenceColumns",
     "EvidenceStore",
     "RebuildParams",
     "calibrate_scale",
@@ -237,31 +239,72 @@ def infer_pass_pairs(
     return best[0], best[1]
 
 
+class EvidenceColumns(NamedTuple):
+    """The store's records as arrays, one group per layer, each in log order."""
+
+    sfm_ids: np.ndarray  # (S,) feature ids
+    pfh_keyframes: np.ndarray  # (P,) anchor keyframe ids
+    pfh_offsets: np.ndarray  # (P, 2) offsets in the anchor keyframe's frame
+    pfh_tracks: np.ndarray  # (P,) track ids
+    pfh_prev: np.ndarray  # (P,) each trail point's previous point in its track; its own row for the track's first
+    ho3_ids: np.ndarray  # (H, 2) front and behind feature ids
+
+
 class EvidenceStore:
     """Insertion-ordered evidence log.
 
     SfM evidence is one record per landmark: a repeated feature id logs
     nothing.  Every trail point and pass-between sighting is its own record.
+    ``records`` is the log; add to it through the ``add_*`` methods, which
+    drop the columns ``columns()`` derives from it.
     """
 
     def __init__(self):
         self.records: list[SfmEvidence | PfhEvidence | Ho3Evidence] = []
         self._sfm: set[int] = set()
+        self._columns: Optional[EvidenceColumns] = None
 
     def add_sfm(self, feature_id: int) -> None:
         if feature_id not in self._sfm:
             self._sfm.add(feature_id)
             self.records.append(SfmEvidence(feature_id))
+            self._columns = None
 
     def add_pfh(self, keyframe_id: int, offset: tuple[float, float], track_id: int) -> None:
         self.records.append(PfhEvidence(keyframe_id, offset, track_id))
+        self._columns = None
 
     def add_ho3(self, front_id: int, behind_id: int, track_id: int, at: Optional[int] = None) -> None:
         """Log a pass-between pair at index ``at`` of the log, by default at its end."""
         self.records.insert(len(self.records) if at is None else at, Ho3Evidence(front_id, behind_id, track_id))
+        self._columns = None
+
+    def columns(self) -> EvidenceColumns:
+        """The log as per-layer arrays, derived once after the last ``add_*``."""
+        if self._columns is None:
+            self._columns = _columns(self.records)
+        return self._columns
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+def _columns(records: Sequence[SfmEvidence | PfhEvidence | Ho3Evidence]) -> EvidenceColumns:
+    trail = [rec for rec in records if isinstance(rec, PfhEvidence)]
+    tracks = np.array([rec.track_id for rec in trail], dtype=np.int64)
+    order = np.argsort(tracks, kind="stable")  # each track's points, in log order
+    same = tracks[order[1:]] == tracks[order[:-1]]
+    prev = np.arange(len(trail))
+    prev[order[1:][same]] = order[:-1][same]
+    return EvidenceColumns(
+        np.array([rec.feature_id for rec in records if isinstance(rec, SfmEvidence)], dtype=np.int64),
+        np.array([rec.keyframe_id for rec in trail], dtype=np.int64),
+        np.array([rec.offset for rec in trail], dtype=float).reshape(-1, 2),
+        tracks,
+        prev,
+        np.array([(rec.front_id, rec.behind_id) for rec in records if isinstance(rec, Ho3Evidence)], dtype=np.int64)
+        .reshape(-1, 2),
+    )
 
 
 @dataclass(frozen=True)
@@ -316,23 +359,85 @@ def landmark_worlds(landmarks: Collection[Landmark], poses: PoseTable) -> np.nda
     return _place(rows[at], np.array([lm.offset for lm in landmarks], dtype=float).reshape(-1, 2))
 
 
-def _trail_ends(trail: Sequence[PfhEvidence], poses: PoseTable) -> tuple[np.ndarray, np.ndarray]:
-    """Each trail point's step (a, b): from its track's previous point in log order to itself.
+def _landmark_ends(ids: np.ndarray, landmarks: Mapping[int, Landmark], poses: PoseTable) -> np.ndarray:
+    """World floor points (N, 2) of the landmarks ``ids`` name; a ``KeyError`` where one cannot be placed."""
+    return landmark_worlds(list(map(landmarks.__getitem__, ids.tolist())), poses)
 
-    A track's first point is a zero-length step.
+
+def _layer_ends(
+    columns: EvidenceColumns, poses: PoseTable, landmarks: Mapping[int, Landmark], enabled: Collection[str]
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each enabled layer's band ends (a, b), (N, 2) in log order; a ``KeyError`` where an end cannot be placed.
+
+    An SfM disk is a band from its landmark to itself, an HO3 band runs from
+    the front landmark to the behind one, and a trail point's band starts at
+    its track's previous point (at itself for the track's first).
     """
-    index, rows = poses
-    try:
-        at = [index[rec.keyframe_id] for rec in trail]
-    except KeyError as err:
-        raise EvidenceError(f"trail evidence anchored to unknown keyframe {err.args[0]}") from None
-    b = _place(rows[at], np.array([rec.offset for rec in trail], dtype=float).reshape(-1, 2))
-    tracks = np.array([rec.track_id for rec in trail], dtype=np.int64)
-    order = np.argsort(tracks, kind="stable")  # each track's points, in log order
-    same = tracks[order[1:]] == tracks[order[:-1]]
-    a = b.copy()
-    a[order[1:][same]] = b[order[:-1][same]]
-    return a, b
+    ends = {}
+    if SFM_LAYER in enabled:
+        disks = _landmark_ends(columns.sfm_ids, landmarks, poses)
+        ends[SFM_LAYER] = (disks, disks)
+    if PFH_LAYER in enabled:
+        index, rows = poses
+        keyframes = columns.pfh_keyframes
+        at = np.fromiter(map(index.__getitem__, keyframes.tolist()), dtype=np.intp, count=len(keyframes))
+        b = _place(rows[at], columns.pfh_offsets)
+        ends[PFH_LAYER] = (b[columns.pfh_prev], b)
+    if HO3_LAYER in enabled:
+        bands = _landmark_ends(columns.ho3_ids.ravel(), landmarks, poses)
+        ends[HO3_LAYER] = (bands[0::2], bands[1::2])
+    return ends
+
+
+def _raise_first_unresolved(records, index: Mapping[int, int], landmarks: Mapping[int, Landmark], enabled) -> None:
+    """Raise ``EvidenceError`` for the first end of an enabled layer, in log order, that cannot be placed."""
+    for rec in records:
+        if isinstance(rec, PfhEvidence):
+            if PFH_LAYER in enabled and rec.keyframe_id not in index:
+                raise EvidenceError(f"trail evidence anchored to unknown keyframe {rec.keyframe_id}") from None
+            continue
+        if isinstance(rec, SfmEvidence):
+            layer, ids = SFM_LAYER, (rec.feature_id,)
+        else:
+            layer, ids = HO3_LAYER, (rec.front_id, rec.behind_id)
+        if layer not in enabled:
+            continue
+        for fid in ids:
+            lm = landmarks.get(fid)
+            if lm is None:
+                raise EvidenceError(f"evidence references unknown feature {fid}") from None
+            if lm.anchor_keyframe not in index:
+                raise EvidenceError(f"landmark {lm.feature_id} anchored to unknown keyframe {lm.anchor_keyframe}") from None
+
+
+#: Each layer's last raster, as (key, read-only cells).  The key holds every
+#: input ``mark_bands`` reads: the grid's origin, resolution and shape, the
+#: half width and state, and the bytes of the band ends.
+_SLOTS: dict[str, tuple[tuple, np.ndarray]] = {}
+
+
+def _layer_map(
+    base: TraversabilityMap, layer: str, a: np.ndarray, b: np.ndarray, half_width: float, state: CellState
+) -> TraversabilityMap:
+    """A map with ``base``'s geometry holding a writable copy of ``layer``'s raster of the bands ``a`` to ``b``.
+
+    The raster is made afresh only when one of its inputs differs from the
+    last one held in ``layer``'s slot.
+    """
+    key = (
+        np.array((*base.origin, base.resolution, half_width), dtype=float).tobytes(),
+        base.cells.shape,
+        int(state),
+        a.tobytes(),
+        b.tobytes(),
+    )
+    slot = _SLOTS.get(layer)
+    if slot is None or slot[0] != key:
+        m = empty_like(base)
+        m.mark_bands(a, b, half_width, state)
+        m.cells.flags.writeable = False
+        slot = _SLOTS[layer] = (key, m.cells)
+    return TraversabilityMap(base.origin, base.resolution, slot[1].copy())
 
 
 def rebuild_map(
@@ -349,9 +454,16 @@ def rebuild_map(
     Landmark disks (inflated by the robot radius) are untraversable; trail
     capsules and pass-between bands are traversable.  When both human-derived
     layers are enabled a cell counts as human-traversable only where both mark
-    it; the final map fuses the enabled layers by priority.  Cost is linear in
-    the number of records regardless of how many optimizations happened.
-    Only the enabled layers' records are resolved.
+    it; the final map fuses the enabled layers by priority.
+
+    Only the enabled layers' records are resolved, from the store's columns
+    and one pose table of ``snapshot``; an end that cannot be placed raises
+    ``EvidenceError`` naming the first such id in log order.  Each layer's
+    raster is reused while its inputs stay the same: the other combinations
+    of one pose snapshot hit, and any moved end misses.  The slot is keyed by
+    every input of the rasterizer (grid geometry, the ends' bytes, half width,
+    state) and holds read-only cells that a hit copies, so a hit returns the
+    bytes a fresh raster would.
     """
     enabled = tuple(enabled)
     for layer in enabled:
@@ -359,27 +471,18 @@ def rebuild_map(
             raise ValueError(f"unknown evidence layer {layer!r}")
     if not enabled:
         raise ValueError("need at least one enabled layer")
-    kinds: dict[type, list] = {SfmEvidence: [], PfhEvidence: [], Ho3Evidence: []}
-    for rec in store.records:
-        kinds[type(rec)].append(rec)
     poses = pose_table(snapshot)
-    # The enabled layers' landmark ends, in one table: one per SfM record, then a front and a behind per HO3 record.
-    sfm = [rec.feature_id for rec in kinds[SfmEvidence]] if SFM_LAYER in enabled else []
-    ho3 = [fid for rec in kinds[Ho3Evidence] for fid in (rec.front_id, rec.behind_id)] if HO3_LAYER in enabled else []
-    table = landmark_worlds([_lookup_landmark(landmarks, fid) for fid in sfm + ho3], poses)
-    disks, bands = table[: len(sfm)], table[len(sfm) :]
-    ends = {SFM_LAYER: (disks, disks), HO3_LAYER: (bands[0::2], bands[1::2])}
-    if PFH_LAYER in enabled:
-        ends[PFH_LAYER] = _trail_ends(kinds[PfhEvidence], poses)
-    # Every band of a layer writes the same state, so one pass per layer marks them in any order.
-    layers = {layer: empty_like(base) for layer in enabled}
-    for layer, m in layers.items():
-        a, b = ends[layer]
-        if layer == SFM_LAYER:
-            m.mark_bands(a, b, params.robot_radius, CellState.UNTRAVERSABLE)
-        else:
-            half_width = params.trail_half_width if layer == PFH_LAYER else params.passage_half_width
-            m.mark_bands(a, b, half_width, CellState.TRAVERSABLE)
+    try:
+        ends = _layer_ends(store.columns(), poses, landmarks, enabled)
+    except KeyError:
+        _raise_first_unresolved(store.records, poses[0], landmarks, enabled)
+        raise
+    marks = {  # each layer's half width and state
+        SFM_LAYER: (params.robot_radius, CellState.UNTRAVERSABLE),
+        PFH_LAYER: (params.trail_half_width, CellState.TRAVERSABLE),
+        HO3_LAYER: (params.passage_half_width, CellState.TRAVERSABLE),
+    }
+    layers = {layer: _layer_map(base, layer, *ends[layer], *marks[layer]) for layer in enabled}
     if PFH_LAYER in layers and HO3_LAYER in layers:
         both = (layers[PFH_LAYER].cells == int(CellState.TRAVERSABLE)) & (
             layers[HO3_LAYER].cells == int(CellState.TRAVERSABLE)
@@ -389,13 +492,6 @@ def rebuild_map(
             cells[:, :] = int(CellState.UNKNOWN)
             cells[both] = int(CellState.TRAVERSABLE)
     return fuse([(layers[layer], layer) for layer in enabled], priority)
-
-
-def _lookup_landmark(landmarks: Mapping[int, Landmark], feature_id: int) -> Landmark:
-    try:
-        return landmarks[feature_id]
-    except KeyError:
-        raise EvidenceError(f"evidence references unknown feature {feature_id}") from None
 
 
 def export_evidence_log(store: EvidenceStore) -> str:

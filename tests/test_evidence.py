@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import infer_pass_pair, paint_expected_map, project_point, rebuild_endpoints
-from travmap import pipeline
+from travmap import evidence, pipeline
 from travmap.evidence import (
     EvidenceError,
     EvidenceStore,
@@ -27,7 +27,7 @@ from travmap.evidence import (
     infer_pass_pairs,
     rebuild_map,
 )
-from travmap.gridmap import CellState, TraversabilityMap, new_map
+from travmap.gridmap import CellState, new_map
 from travmap.pipeline import COMBINATIONS
 from travmap.posegraph import Pose2, se2_compose, se2_inverse
 from travmap.scenesim import CameraIntrinsics, builtin_config
@@ -413,15 +413,15 @@ def test_rebuild_dangling_references_error():
 
 
 def _marked_ends(monkeypatch, store, snapshot, landmarks, enabled):
-    """The (a, b) arrays ``rebuild_map`` hands ``mark_bands``, by layer."""
+    """The (a, b) arrays ``rebuild_map`` hands each layer's rasterizer slot, by layer (hit or miss)."""
     calls = []
-    mark_bands = TraversabilityMap.mark_bands
+    layer_map = evidence._layer_map
 
-    def spy(self, a, b, *args):
+    def spy(base, layer, a, b, *args):
         calls.append((np.array(a), np.array(b)))
-        return mark_bands(self, a, b, *args)
+        return layer_map(base, layer, a, b, *args)
 
-    monkeypatch.setattr(TraversabilityMap, "mark_bands", spy)
+    monkeypatch.setattr(evidence, "_layer_map", spy)
     rebuild_map(store, snapshot, landmarks, new_map(0, 0, 3, 6, 0.1), enabled)
     assert len(calls) == len(enabled)
     return dict(zip(enabled, calls))
@@ -487,6 +487,142 @@ def test_rebuild_names_a_landmarks_unknown_anchor_and_skips_disabled_layers():
         rebuild_map(store, {0: Pose2(), 8: Pose2()}, landmarks, base, ("ho3",))
     with pytest.raises(EvidenceError, match="unknown keyframe 9"):
         rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"))
+
+
+def test_rebuild_names_the_first_unresolved_id_in_log_order():
+    base = new_map(0, 0, 1, 1, 0.1)
+    landmarks = {3: Landmark(3, 0, (0.5, 0.5)), 4: Landmark(4, 8, (0.5, 0.5))}
+    store = EvidenceStore()
+    store.add_sfm(3)
+    store.add_pfh(0, (0.5, 0.5), 0)
+    store.add_ho3(3, 77, 0)  # an unknown feature, logged before the ones below
+    store.add_sfm(88)
+    store.add_sfm(4)  # an unknown anchor
+    store.add_pfh(6, (0.0, 0.0), 0)  # an unknown keyframe
+    with pytest.raises(EvidenceError, match="unknown feature 77"):
+        rebuild_map(store, {0: Pose2()}, landmarks, base)
+    with pytest.raises(EvidenceError, match="unknown feature 88"):
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"))
+    with pytest.raises(EvidenceError, match="unknown keyframe 6"):
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh",))
+    store.add_ho3(4, 3, 0, at=0)
+    with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh", "ho3"))
+
+
+_ADDS = st.lists(
+    st.one_of(
+        st.tuples(st.just("sfm"), st.integers(0, 4)),  # repeats log nothing
+        st.tuples(st.just("pfh"), st.integers(0, 3), st.tuples(st.floats(-2, 2), st.floats(-2, 2)), st.integers(0, 2)),
+        st.tuples(st.just("ho3"), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.integers(0, 60)),
+    ),
+    max_size=40,
+)
+
+
+def _assert_columns_project_the_log(store):
+    columns, records = store.columns(), store.records
+    trail = [rec for rec in records if isinstance(rec, PfhEvidence)]
+    ho3 = [[rec.front_id, rec.behind_id] for rec in records if isinstance(rec, Ho3Evidence)]
+    prev, last = [], {}
+    for row, rec in enumerate(trail):
+        prev.append(last.get(rec.track_id, row))
+        last[rec.track_id] = row
+    assert columns.sfm_ids.tolist() == [rec.feature_id for rec in records if isinstance(rec, SfmEvidence)]
+    assert columns.pfh_keyframes.tolist() == [rec.keyframe_id for rec in trail]
+    assert columns.pfh_offsets.shape == (len(trail), 2)
+    assert columns.pfh_offsets.tolist() == [list(rec.offset) for rec in trail]
+    assert columns.pfh_tracks.tolist() == [rec.track_id for rec in trail]
+    assert columns.pfh_prev.tolist() == prev
+    assert columns.ho3_ids.shape == (len(ho3), 2) and columns.ho3_ids.tolist() == ho3
+
+
+@given(adds=_ADDS)
+@settings(max_examples=60, deadline=None)
+def test_store_columns_are_the_log_in_order(adds):
+    store = EvidenceStore()
+    _assert_columns_project_the_log(store)
+    for kind, *args in adds:
+        if kind == "sfm":
+            store.add_sfm(*args)
+        elif kind == "pfh":
+            store.add_pfh(*args)
+        elif args[0] != args[1]:
+            store.add_ho3(*args[:3], at=args[3] % (len(store) + 1))
+        _assert_columns_project_the_log(store)  # derived after each add, so the next add must drop them
+
+
+def test_an_add_after_a_rebuild_shows_in_the_next_rebuild():
+    snapshot = {0: Pose2(0.5, 0.5, 0.3), 1: Pose2(1.5, 4.0, -1.0)}
+    landmarks = {1: Landmark(1, 0, (1.0, 0.5)), 2: Landmark(2, 0, (1.0, 2.5)), 3: Landmark(3, 1, (0.4, -0.2))}
+    base = new_map(0, 0, 3, 6, 0.1)
+    store = EvidenceStore()
+    adds = [
+        (store.add_sfm, (1,)),
+        (store.add_pfh, (0, (0.2, 1.5), 0)),
+        (store.add_ho3, (1, 2, 0)),
+        (store.add_pfh, (0, (1.0, 1.5), 0)),  # the trail now crosses the band
+        (store.add_sfm, (3,)),
+        (store.add_ho3, (3, 2, 1, 1)),  # inserted mid-log
+        (store.add_pfh, (1, (0.3, 0.3), 1)),
+    ]
+    maps = {layers: rebuild_map(store, snapshot, landmarks, base, layers).cells for layers in COMBINATIONS}
+    for add, args in adds:
+        add(*args)
+        changed = False
+        for layers in COMBINATIONS:
+            out = rebuild_map(store, snapshot, landmarks, base, layers)
+            expected = paint_expected_map(
+                store.records, snapshot, landmarks, base.origin, base.resolution, base.width, base.height, layers
+            )
+            assert np.array_equal(out.cells, expected), (add.__name__, args, layers)
+            changed |= not np.array_equal(out.cells, maps[layers])
+            maps[layers] = out.cells
+        assert changed, (add.__name__, args)  # the record reaches a map, so stale columns would show
+
+
+def _noisy_t_run():
+    scene = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+    return pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=False))
+
+
+def _map_bytes(maps):
+    return [(m.origin, m.resolution, m.cells.shape, m.cells.tobytes()) for m in maps]
+
+
+def test_layer_reuse_cannot_be_seen():
+    result = _noisy_t_run()
+    in_order = _map_bytes([pipeline.build_combo_map(result, layers) for layers in COMBINATIONS])
+    reverse = _map_bytes([pipeline.build_combo_map(result, layers) for layers in COMBINATIONS[::-1]])
+    cold = []
+    for layers in COMBINATIONS:
+        evidence._SLOTS.clear()
+        cold.append(pipeline.build_combo_map(result, layers))
+    assert in_order == reverse[::-1] == _map_bytes(cold)
+    assert len({cells for *_, cells in in_order}) == len(COMBINATIONS)
+
+    # Writing into a returned map cannot reach the next rebuild, and the held rasters cannot be written.
+    for m in cold:
+        m.cells[:] = int(CellState.UNTRAVERSABLE)
+    assert _map_bytes([pipeline.build_combo_map(result, layers) for layers in COMBINATIONS]) == in_order
+    assert set(evidence._SLOTS) == {"sfm", "pfh", "ho3"}
+    for _key, cells in evidence._SLOTS.values():
+        with pytest.raises(ValueError):
+            cells[0, 0] = int(CellState.UNKNOWN)
+
+    # After optimize moves the poses, every layer misses: the next rebuild is the painter's.
+    base = new_map(*result.config.bounds)
+    stale = rebuild_map(result.store, result.graph.snapshot(), result.landmarks, base)
+    older, newer, rel = pipeline.truth_closures(result.truth, result.params)[0]
+    result.graph.add_loop_closure(older, newer, rel)
+    assert result.graph.optimize().updated
+    snapshot = result.graph.snapshot()
+    out = rebuild_map(result.store, snapshot, result.landmarks, base)
+    expected = paint_expected_map(
+        result.store.records, snapshot, result.landmarks, base.origin, base.resolution, base.width, base.height
+    )
+    assert np.array_equal(out.cells, expected)
+    assert not np.array_equal(out.cells, stale.cells)
 
 
 def test_rebuild_matches_painter_after_optimization_small():

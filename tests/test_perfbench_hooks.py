@@ -61,6 +61,8 @@ def test_traced_build_counts_pipeline_spans(tmp_path):
         t.uninstall()
     assert t.calls["pipeline.run_pipeline"] == 1
     assert t.calls["pipeline.build_combo_map"] == len(pipeline.COMBINATIONS)
+    # Every combination's rebuild goes through the wrapped rebuild and fuse, so the per-layer trace sees it.
+    assert t.calls["evidence.rebuild_map"] == t.calls["gridmap.fuse"] == len(pipeline.COMBINATIONS)
     assert t.calls["scenesim.ground_truth_map"] == 1
 
 
