@@ -419,10 +419,10 @@ _SLOTS: dict[str, tuple[tuple, np.ndarray]] = {}
 def _layer_map(
     base: TraversabilityMap, layer: str, a: np.ndarray, b: np.ndarray, half_width: float, state: CellState
 ) -> TraversabilityMap:
-    """A map with ``base``'s geometry holding a writable copy of ``layer``'s raster of the bands ``a`` to ``b``.
+    """A map with ``base``'s geometry holding ``layer``'s read-only raster of the bands ``a`` to ``b``.
 
     The raster is made afresh only when one of its inputs differs from the
-    last one held in ``layer``'s slot.
+    last one held in ``layer``'s slot, whose cells are returned uncopied.
     """
     key = (
         np.array((*base.origin, base.resolution, half_width), dtype=float).tobytes(),
@@ -437,7 +437,7 @@ def _layer_map(
         m.mark_bands(a, b, half_width, state)
         m.cells.flags.writeable = False
         slot = _SLOTS[layer] = (key, m.cells)
-    return TraversabilityMap(base.origin, base.resolution, slot[1].copy())
+    return TraversabilityMap(base.origin, base.resolution, slot[1])
 
 
 def rebuild_map(
@@ -462,8 +462,8 @@ def rebuild_map(
     raster is reused while its inputs stay the same: the other combinations
     of one pose snapshot hit, and any moved end misses.  The slot is keyed by
     every input of the rasterizer (grid geometry, the ends' bytes, half width,
-    state) and holds read-only cells that a hit copies, so a hit returns the
-    bytes a fresh raster would.
+    state) and holds read-only cells, which ``fuse`` only reads, so a hit
+    gives the bytes a fresh raster would.
     """
     enabled = tuple(enabled)
     for layer in enabled:
@@ -484,13 +484,9 @@ def rebuild_map(
     }
     layers = {layer: _layer_map(base, layer, *ends[layer], *marks[layer]) for layer in enabled}
     if PFH_LAYER in layers and HO3_LAYER in layers:
-        both = (layers[PFH_LAYER].cells == int(CellState.TRAVERSABLE)) & (
-            layers[HO3_LAYER].cells == int(CellState.TRAVERSABLE)
-        )
-        for layer in (PFH_LAYER, HO3_LAYER):
-            cells = layers[layer].cells
-            cells[:, :] = int(CellState.UNKNOWN)
-            cells[both] = int(CellState.TRAVERSABLE)
+        free, human = int(CellState.TRAVERSABLE), empty_like(base)
+        human.cells[(layers[PFH_LAYER].cells == free) & (layers[HO3_LAYER].cells == free)] = free
+        layers[PFH_LAYER] = layers[HO3_LAYER] = human
     return fuse([(layers[layer], layer) for layer in enabled], priority)
 
 

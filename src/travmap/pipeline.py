@@ -63,9 +63,12 @@ from .gridmap import LayerPriority, TraversabilityMap, export_pgm, new_map
 from .posegraph import OptimizationEvent, Pose2, PoseGraph, se2_compose, se2_inverse, se2_transform
 from .quality import (
     COMBINATION_ORDER,
+    COMBINATIONS,
+    LAYER_LABELS,
     JourneyQuery,
     QualityReport,
     ReportRow,
+    combo_label,
     evaluate_map,
     oracle_plans,
     sample_queries,
@@ -96,8 +99,7 @@ __all__ = [
     "run_ablation",
 ]
 
-_LABELS = {"sfm": "SfM", "pfh": "PfH", "ho3": "HO3"}
-_LAYERS_BY_LABEL = {label.lower(): layer for layer, label in _LABELS.items()}
+_LAYERS_BY_LABEL = {label.lower(): layer for layer, label in LAYER_LABELS.items()}
 
 #: Candidate features must sit this far (px) inside the box: the boundary
 #: column is where a sight line merely grazes the body, which orders nothing.
@@ -116,10 +118,6 @@ _BODY_HEIGHT = 1.70
 _CALIBRATION_SAMPLES = 25
 
 
-def combo_label(layers: Sequence[str]) -> str:
-    return "+".join(label for layer, label in _LABELS.items() if layer in layers)
-
-
 def combo_layers(label: str) -> tuple[str, ...]:
     layers = []
     for part in label.split("+"):
@@ -129,7 +127,7 @@ def combo_layers(label: str) -> tuple[str, ...]:
         layers.append(layer)
     if not layers or len(set(layers)) != len(layers):
         raise ValueError(f"bad combination {label!r}")
-    return tuple(layer for layer in _LABELS if layer in layers)
+    return tuple(layer for layer in ALL_LAYERS if layer in layers)
 
 
 def parse_combos(labels: Sequence[str], priority: LayerPriority) -> tuple[tuple[str, ...], ...]:
@@ -143,10 +141,6 @@ def parse_combos(labels: Sequence[str], priority: LayerPriority) -> tuple[tuple[
         for layer in layers:
             priority.rank(layer)
     return combos
-
-
-#: Canonical module combinations in report order.
-COMBINATIONS = tuple(combo_layers(label) for label in COMBINATION_ORDER)
 
 
 @dataclass

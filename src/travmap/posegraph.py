@@ -146,10 +146,11 @@ def _check_finite_pose(pose: Pose2, what: str) -> None:
 # block per far pair of rows a loop closure joins (``_Blocks``), each entry
 # summed edge by edge in edge order as a dense scatter would sum it.  Each step
 # is solved from the blocks by ``_solve``, which the scalar reference shares:
-# O(m) along the m chain rows, plus a dense solve on 3|ends| unknowns, the rows
-# of loop-closure endpoints.  tests/test_posegraph.py checks the optimizer
-# against the scalar reference in tests/_oracles.py bit for bit, the blocks
-# against its dense H, and ``_solve`` against ``np.linalg.solve``.
+# O(m) along the m chain rows (a level with an even row count gets one
+# identity row), plus a dense solve on 3|ends| unknowns, the rows of the
+# loop-closure endpoints ``far_at`` names.  tests/test_posegraph.py checks the
+# optimizer against the scalar reference in tests/_oracles.py bit for bit, the
+# blocks against its dense H, and ``_solve`` against ``np.linalg.solve``.
 _EdgeArrays = namedtuple("_EdgeArrays", "i j rel rel_inv info")  # rows of i and j, (E, 3), (E, 3), (E, 3, 3)
 # diag[k] is block (k, k), upper[k] block (k, k + 1), lower[k] block (k + 1, k),
 # far[f] block (far_at[f, 0], far_at[f, 1]); rows count the free nodes from 0.
@@ -231,12 +232,13 @@ def _normal_equations(X: np.ndarray, edges: _EdgeArrays, layout: _Layout) -> tup
     RiT = np.stack([ci, si, -si, ci], axis=1).reshape(-1, 2, 2)
     dRiT = np.stack([-si, ci, -ci, -si], axis=1).reshape(-1, 2, 2)
     RzT = np.stack([cz, sz, -sz, cz], axis=1).reshape(-1, 2, 2)
+    R = RzT @ RiT
     A = np.zeros((len(e), 3, 3))  # d e / d xi
-    A[:, :2, :2] = -RzT @ RiT
+    A[:, :2, :2] = -R
     A[:, :2, 2] = (RzT @ (dRiT @ (xj[:, :2] - xi[:, :2])[:, :, None]))[:, :, 0]
     A[:, 2, 2] = -1.0
     B = np.zeros((len(e), 3, 3))  # d e / d xj
-    B[:, :2, :2] = RzT @ RiT
+    B[:, :2, :2] = R
     B[:, 2, 2] = 1.0
     AtO, BtO = A.transpose(0, 2, 1) @ edges.info, B.transpose(0, 2, 1) @ edges.info
     # np.add.at adds in index order, so every entry of a block and of b sums
@@ -256,45 +258,47 @@ def _chain_solve(D: np.ndarray, lower: np.ndarray, upper: np.ndarray, R: np.ndar
 
     ``D`` holds the (m, 3, 3) diagonal blocks, ``lower[k]`` the block at
     (k + 1, k) and ``upper[k]`` the one at (k, k + 1); ``R`` is (m, 3, q).
-    The system is padded to 2^p - 1 rows with identity blocks.  Each level
-    solves its even rows' diagonal blocks against their off-diagonal blocks
-    and right-hand sides in one batched ``np.linalg.solve``, folds that into
-    the odd rows, and back substitution reuses it, so the work is O(m) in p
-    levels.  Solving rather than multiplying by explicit block inverses keeps
-    the backward error at the dense LU solve's.  A singular block raises
-    ``LinAlgError``.
+    Each level solves its even rows' diagonal blocks against their
+    off-diagonal blocks and right-hand sides in one batched
+    ``np.linalg.solve``, folds that into the odd rows, and back substitution
+    reuses it, so the work is O(m) in log2(m) levels.  A level with an even
+    row count first gets one identity row, coupled to nothing, which back
+    substitution drops.  Solving rather than multiplying by explicit block
+    inverses keeps the backward error at the dense LU solve's.  A singular
+    block raises ``LinAlgError``.
     """
     m, q = len(D), R.shape[2]
-    size = 2 ** m.bit_length() - 1
-    D = np.concatenate([D, np.broadcast_to(np.eye(3), (size - m, 3, 3))])
-    lo, up = np.zeros((2, size, 3, 3))  # lo[k] is the block at (k, k - 1), up[k] the one at (k, k + 1)
-    lo[1:m], up[: m - 1] = lower, upper
-    R = np.concatenate([R, np.zeros((size - m, 3, q))])
+    lo, up = np.zeros((2, m, 3, 3))  # lo[k] is the block at (k, k - 1), up[k] the one at (k, k + 1)
+    lo[1:], up[:-1] = lower, upper
+    pads = (np.eye(3)[None], *np.zeros((2, 1, 3, 3)), np.zeros((1, 3, q)))  # the identity row of D, lo, up and R
     levels = []
     while len(D):
+        rows = len(D)
+        if rows % 2 == 0:  # so that the level's first and last rows are even
+            D, lo, up, R = (np.concatenate([a, pad]) for a, pad in zip((D, lo, up, R), pads))
         F = np.linalg.solve(D[0::2], np.concatenate([lo[0::2], up[0::2], R[0::2]], axis=2))
         f_lo, f_up, f_r = F[:, :, :3], F[:, :, 3:6], F[:, :, 6:]
         l_odd, u_odd = lo[1::2], up[1::2]
         D = D[1::2] - l_odd @ f_up[:-1] - u_odd @ f_lo[1:]
         lo, up = -l_odd @ f_lo[:-1], -u_odd @ f_up[1:]
         R = R[1::2] - l_odd @ f_r[:-1] - u_odd @ f_r[1:]
-        levels.append((f_lo, f_up, f_r))
+        levels.append((rows, f_lo, f_up, f_r))
     Y = R  # empty: the last level's one row was eliminated
-    for f_lo, f_up, f_r in reversed(levels):
+    for rows, f_lo, f_up, f_r in reversed(levels):
         side = np.concatenate([np.zeros((1, 3, q)), Y, np.zeros((1, 3, q))])
         full = np.empty((2 * len(Y) + 1, 3, q))
         full[1::2] = Y
         full[0::2] = f_r - f_lo @ side[:-1] - f_up @ side[1:]
-        Y = full
-    return Y[:m]
+        Y = full[:rows]
+    return Y
 
 
-def _solve(H: _Blocks, b: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _solve(H: _Blocks, b: np.ndarray) -> np.ndarray:
     """Solve ``H x = b`` for the normal equations of a keyframe chain, ``H`` given as blocks.
 
     ``b`` is (n, 3), and ``x`` is returned flat.  Block row k of ``H``
-    couples only to k - 1 and k + 1, apart from the ``ends``: the sorted
-    block rows of ``H.far_at``.  The other rows t form a block-tridiagonal
+    couples only to k - 1 and k + 1, apart from the ends: the block rows
+    ``H.far_at`` names, in order.  The other rows t form a block-tridiagonal
     ``H_tt``; one cyclic reduction solves ``H_tt [y, Z] = [b_t, H_tc]``, a
     dense solve on the Schur complement ``H_cc - H_ct Z`` gives the ends'
     ``x_c``, and ``x_t = y - Z x_c``.  ``H_tc``, ``H_ct`` and ``H_cc`` are the
@@ -302,6 +306,7 @@ def _solve(H: _Blocks, b: np.ndarray, ends: np.ndarray) -> np.ndarray:
     sits in ``H`` (``H_ct`` is not taken as ``H_tc`` transposed), and ``H`` is
     not written.
     """
+    ends = np.unique(H.far_at)
     n, k = len(b), len(ends)
     is_chain = np.ones(n + 1, dtype=bool)  # row n, and row -1 that wraps to it, is no row
     is_chain[ends] = is_chain[n] = False
@@ -430,7 +435,6 @@ class PoseGraph:
             raise ValueError("pose graph is not connected through node 0")
         order, start, edges = self._arrays()
         layout = _layout(edges, len(start) - 1)
-        ends = np.unique(layout.far_at)  # block rows of the free system
         d = np.arange(3)  # the diagonal of a 3x3 block
         X = start
         chi = self.chi2(X, edges)
@@ -444,7 +448,7 @@ class PoseGraph:
             while lam <= 1e12:
                 H.diag[:, d, d] = undamped + lam * damping  # _solve does not write H, so each trial damps it afresh
                 try:
-                    delta = _solve(H, -b, ends)
+                    delta = _solve(H, -b)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue

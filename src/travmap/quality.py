@@ -16,10 +16,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .evidence import ALL_LAYERS
 from .gridmap import CellState, OutOfBoundsError, TraversabilityMap
 from .scenesim import check_bounds, check_report_field
 
@@ -90,16 +92,19 @@ class ReportRow:
         check_report_field("scenario", self.scenario)
 
 
+#: Each evidence layer's name in reports, in layer order.
+LAYER_LABELS = dict(zip(ALL_LAYERS, ("SfM", "PfH", "HO3")))
+
+
+def combo_label(layers: Sequence[str]) -> str:
+    return "+".join(label for layer, label in LAYER_LABELS.items() if layer in layers)
+
+
+#: Every module combination in report order: larger sets first, each in layer order.
+COMBINATIONS = tuple(c for size in range(len(ALL_LAYERS), 0, -1) for c in combinations(ALL_LAYERS, size))
+
 #: Canonical ablation-report row order; combinations not listed sort after, alphabetically.
-COMBINATION_ORDER = (
-    "SfM+PfH+HO3",
-    "SfM+PfH",
-    "SfM+HO3",
-    "PfH+HO3",
-    "SfM",
-    "PfH",
-    "HO3",
-)
+COMBINATION_ORDER = tuple(map(combo_label, COMBINATIONS))
 
 
 def _combo_rank(label: str) -> tuple[int, str]:

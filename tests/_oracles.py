@@ -420,23 +420,53 @@ def posegraph_dense_from_blocks(blocks):
     return H.reshape(3 * n, 3 * n)
 
 
+def posegraph_chain_solve_padded(D, lower, upper, R):
+    """``posegraph._chain_solve`` as it was with the system padded up front to 2^p - 1 rows of identity blocks.
+
+    The odd-even block reduction is the same one; only where the identity
+    rows go differs, so ``_chain_solve`` must return its bytes.
+    """
+    m, q = len(D), R.shape[2]
+    size = 2 ** m.bit_length() - 1
+    D = np.concatenate([D, np.broadcast_to(np.eye(3), (size - m, 3, 3))])
+    lo, up = np.zeros((2, size, 3, 3))  # lo[k] is the block at (k, k - 1), up[k] the one at (k, k + 1)
+    lo[1:m], up[: m - 1] = lower, upper
+    R = np.concatenate([R, np.zeros((size - m, 3, q))])
+    levels = []
+    while len(D):
+        F = np.linalg.solve(D[0::2], np.concatenate([lo[0::2], up[0::2], R[0::2]], axis=2))
+        f_lo, f_up, f_r = F[:, :, :3], F[:, :, 3:6], F[:, :, 6:]
+        l_odd, u_odd = lo[1::2], up[1::2]
+        D = D[1::2] - l_odd @ f_up[:-1] - u_odd @ f_lo[1:]
+        lo, up = -l_odd @ f_lo[:-1], -u_odd @ f_up[1:]
+        R = R[1::2] - l_odd @ f_r[:-1] - u_odd @ f_r[1:]
+        levels.append((f_lo, f_up, f_r))
+    Y = R  # empty: the last level's one row was eliminated
+    for f_lo, f_up, f_r in reversed(levels):
+        side = np.concatenate([np.zeros((1, 3, q)), Y, np.zeros((1, 3, q))])
+        full = np.empty((2 * len(Y) + 1, 3, q))
+        full[1::2] = Y
+        full[0::2] = f_r - f_lo @ side[:-1] - f_up @ side[1:]
+        Y = full
+    return Y[:m]
+
+
 def posegraph_optimize(graph, max_iters=50, tol=1e-9):
     """``PoseGraph.optimize`` as a scalar loop over ``Pose2`` nodes.
 
     The edge-array optimizer must reproduce its poses, chi2 trace, iteration
     count and moved-node list bit for bit.  The loop is the scalar one it
     replaced, with a dense ``H`` damped as a whole, except that each step is
-    solved by ``posegraph._solve``, the chain solve both share: on the blocks
+    solved by ``posegraph._solve``, the chain solve both share, on the blocks
     ``posegraph_blocks_from_dense`` cuts from the damped ``H`` at the pairs of
-    ``posegraph_far_pairs``, and on the ends of ``posegraph_chain_ends``.
-    ``_solve`` itself is checked against ``np.linalg.solve`` in
+    ``posegraph_far_pairs``.  ``_solve`` itself is checked against ``np.linalg.solve`` in
     tests/test_posegraph.py.
     """
     if not graph._connected():
         raise ValueError("pose graph is not connected through node 0")
     free = sorted(n for n in graph.nodes if n != 0)
     index = {node_id: 3 * k for k, node_id in enumerate(free)}
-    far_at, ends = posegraph_far_pairs(graph), posegraph_chain_ends(graph)
+    far_at = posegraph_far_pairs(graph)
     before = {n: graph.nodes[n] for n in free}
     chi = posegraph_chi2(graph)
     trace = [chi]
@@ -449,7 +479,7 @@ def posegraph_optimize(graph, max_iters=50, tol=1e-9):
         while lam <= 1e12:
             damping = np.diag(np.maximum(np.diag(H), 1e-12))
             try:
-                delta = _solve(posegraph_blocks_from_dense(H + lam * damping, far_at), -b.reshape(-1, 3), ends)
+                delta = _solve(posegraph_blocks_from_dense(H + lam * damping, far_at), -b.reshape(-1, 3))
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

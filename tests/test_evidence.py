@@ -625,6 +625,15 @@ def test_layer_reuse_cannot_be_seen():
     assert not np.array_equal(out.cells, stale.cells)
 
 
+def test_layer_map_returns_the_held_raster_uncopied():
+    base = new_map(0, 0, 3, 6, 0.1)
+    a, b = np.array([[1.0, 1.0]]), np.array([[2.0, 3.0]])
+    first = evidence._layer_map(base, "pfh", a, b, 0.2, CellState.TRAVERSABLE)
+    again = evidence._layer_map(base, "pfh", a.copy(), b.copy(), 0.2, CellState.TRAVERSABLE)
+    assert again.cells is first.cells is evidence._SLOTS["pfh"][1]
+    assert not first.cells.flags.writeable and (first.cells == int(CellState.TRAVERSABLE)).any()
+
+
 def test_rebuild_matches_painter_after_optimization_small():
     """Dual-path check: evidence ingested against drifted poses, then re-anchored."""
     from travmap.posegraph import PoseGraph

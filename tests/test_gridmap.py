@@ -213,6 +213,22 @@ def test_fuse_single_layer_identity():
     assert (out.cells == m.cells).all()
 
 
+def test_fuse_only_reads_its_layers():
+    """Read-only layers, one of them under two ids as ``rebuild_map`` passes the PfH and HO3 intersection."""
+    sfm = new_map(0, 0, 1, 1, 0.1)
+    human = empty_like(sfm)
+    sfm.set_cell(0, 0, U)
+    sfm.set_cell(1, 0, U)
+    human.set_cell(0, 0, T)
+    for m in (sfm, human):
+        m.cells.flags.writeable = False
+    before = [m.cells.tobytes() for m in (sfm, human)]
+    out = fuse([(human, "pfh"), (sfm, "sfm"), (human, "ho3")], LayerPriority(("pfh", "sfm", "ho3")))
+    assert [m.cells.tobytes() for m in (sfm, human)] == before
+    assert out.cells.flags.writeable
+    assert (out.state(0, 0), out.state(1, 0), out.state(2, 0)) == (T, U, UNK)  # "ho3" outranks "sfm"
+
+
 def test_export_pgm_2x2_exact_bytes():
     m = new_map(0, 0, 0.2, 0.2, 0.1)
     m.set_cell(0, 0, U)

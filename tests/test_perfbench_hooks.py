@@ -75,8 +75,8 @@ def test_traced_optimize_counts_one_chi2_per_trial_step(monkeypatch):
     steps = []
     solve = posegraph._solve
 
-    def counting_solve(H, b, ends):
-        x = solve(H, b, ends)
+    def counting_solve(H, b):
+        x = solve(H, b)
         steps.append(bool(np.abs(x).max(initial=0.0) >= 1e-13))  # a smaller step ends optimize untried
         return x
 

@@ -7,6 +7,7 @@ import pytest
 from _oracles import (
     posegraph_blocks_from_dense,
     posegraph_chain_ends,
+    posegraph_chain_solve_padded,
     posegraph_chi2,
     posegraph_dense_from_blocks,
     posegraph_far_pairs,
@@ -22,6 +23,7 @@ from travmap.posegraph import (
     EdgeKind,
     Pose2,
     PoseGraph,
+    _chain_solve,
     _layout,
     _normal_equations,
     _solve,
@@ -549,8 +551,9 @@ def _damped_system(graph: PoseGraph, lam: float):
 
 def _assert_solve_matches_dense(graph: PoseGraph, lam: float = 1e-3) -> None:
     blocks, b = _damped_system(graph, lam)
+    assert np.unique(blocks.far_at).tolist() == posegraph_chain_ends(graph).tolist()
     before = [a.tobytes() for a in blocks]
-    x = _solve(blocks, b, posegraph_chain_ends(graph))
+    x = _solve(blocks, b)
     assert [a.tobytes() for a in blocks] == before
     H, b = posegraph_dense_from_blocks(blocks), b.ravel()
     assert np.linalg.norm(H @ x - b) <= 1e-13 * np.linalg.norm(H, 2) * np.linalg.norm(x)
@@ -567,14 +570,14 @@ def test_solve_matches_dense_solve(graph, lam):
     _assert_solve_matches_dense(graph, lam)
 
 
-def _dense_solve(blocks, b, ends):
+def _dense_solve(blocks, b):
     """``np.linalg.solve`` on the dense ``H`` of the blocks, in ``_solve``'s place."""
     return np.linalg.solve(posegraph_dense_from_blocks(blocks), b.ravel())
 
 
 def test_solve_edge_cases():
     gauge_only = PoseGraph(Pose2(1, 2, 0.3))
-    empty = _solve(*_damped_system(gauge_only, 1e-3), np.zeros(0, dtype=np.intp))  # the 0 x 0 system
+    empty = _solve(*_damped_system(gauge_only, 1e-3))  # the 0 x 0 system
     assert empty.shape == (0,)
 
     to_gauge = _chain(8)
@@ -594,7 +597,7 @@ def test_solve_edge_cases():
     assert posegraph_chain_ends(everywhere).tolist() == list(range(180))
     _assert_solve_matches_dense(everywhere)
     blocks, b = _damped_system(everywhere, 1e-3)
-    assert _solve(blocks, b, np.arange(180)).tobytes() == _dense_solve(blocks, b, None).tobytes()
+    assert _solve(blocks, b).tobytes() == _dense_solve(blocks, b).tobytes()
 
 
 def test_solve_reads_each_block_where_it_sits():
@@ -607,25 +610,24 @@ def test_solve_reads_each_block_where_it_sits():
     H = np.triu(H) + 1.25 * np.tril(H, -1)
     dense = np.linalg.solve(H, b.ravel())
     skewed = posegraph_blocks_from_dense(H, blocks.far_at)
-    assert np.linalg.norm(_solve(skewed, b, posegraph_chain_ends(graph)) - dense) <= 1e-9 * np.linalg.norm(dense)
+    assert np.linalg.norm(_solve(skewed, b) - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 def test_solve_raises_on_a_singular_block():
     H = np.eye(12)
     H[3:6, 3:6] = 0.0  # a chain block
-    blocks = posegraph_blocks_from_dense(H, np.zeros((0, 2), dtype=np.intp))
     with pytest.raises(np.linalg.LinAlgError):
-        _solve(blocks, np.ones((4, 3)), np.zeros(0, dtype=np.intp))
+        _solve(posegraph_blocks_from_dense(H, np.zeros((0, 2), dtype=np.intp)), np.ones((4, 3)))
     with pytest.raises(np.linalg.LinAlgError):  # a closure end's block: the Schur complement is singular
-        _solve(blocks, np.ones((4, 3)), np.array([1, 3], dtype=np.intp))
+        _solve(posegraph_blocks_from_dense(H, [(1, 3), (3, 1)]), np.ones((4, 3)))
 
 
 def test_optimize_ends_are_the_oracles(monkeypatch):
     seen = []
 
-    def recording_solve(H, b, ends):
-        seen.append((ends.tolist(), H.far_at.tolist()))
-        return _dense_solve(H, b, ends)
+    def recording_solve(H, b):
+        seen.append((np.unique(H.far_at).tolist(), H.far_at.tolist()))
+        return _dense_solve(H, b)
 
     monkeypatch.setattr(posegraph, "_solve", recording_solve)
     for graph in (_chain(5), _chain(12)):
@@ -637,6 +639,74 @@ def test_optimize_ends_are_the_oracles(monkeypatch):
         assert posegraph_far_pairs(graph).tolist() == [[0, 2], [2, 0]]
         assert seen and all(ends == posegraph_chain_ends(graph).tolist() == [0, 2] for ends, _ in seen)
         assert all(far_at == posegraph_far_pairs(graph).tolist() for _, far_at in seen)
+
+
+def _random_chain(m: int, q: int, rng: np.random.Generator):
+    """A block-tridiagonal system of ``m`` rows with ``q`` right-hand sides, diagonally dominant."""
+    D = rng.normal(size=(m, 3, 3)) + 8.0 * np.eye(3)
+    lower, upper = rng.normal(size=(2, max(m - 1, 0), 3, 3))
+    return D, lower, upper, rng.normal(size=(m, 3, q))
+
+
+@pytest.mark.parametrize("q", [1, 4, 7])
+def test_chain_solve_keeps_the_up_front_padded_bits(q):
+    """Padding a level only where its row count is even changes no bit of the solution."""
+    rng = np.random.default_rng(q)
+    for m in [*range(65), *range(177, 181), *range(255, 258)]:
+        system = _random_chain(m, q, rng)
+        before = [a.tobytes() for a in system]
+        x = _chain_solve(*system)
+        assert [a.tobytes() for a in system] == before
+        assert x.shape == (m, 3, q) and x.tobytes() == posegraph_chain_solve_padded(*system).tobytes(), m
+
+
+def test_chain_solve_keeps_its_bits_on_every_reanchor_closure(drifted_t, monkeypatch):
+    """Each chain solve of optimize on drifted T's closures, against the up-front padded reduction."""
+    result, closures = drifted_t
+    calls = []
+
+    def checked(*system):
+        x = _chain_solve(*system)
+        calls.append(x.tobytes() == posegraph_chain_solve_padded(*system).tobytes())
+        return x
+
+    monkeypatch.setattr(posegraph, "_chain_solve", checked)
+    for older, newer, rel in closures:
+        graph = copy.deepcopy(result.graph)
+        graph.add_loop_closure(older, newer, rel)
+        graph.optimize()
+    assert len(calls) > len(closures) and all(calls)
+
+
+def _many_closures(result, js) -> PoseGraph:
+    """``result``'s open-loop graph closed at each keyframe j of ``js`` to keyframe j - 20 by their true poses."""
+    poses = result.truth.camera_poses[:: result.params.keyframe_stride]
+    graph = copy.deepcopy(result.graph)
+    for j in js:
+        graph.add_loop_closure(j - 20, j, se2_compose(se2_inverse(Pose2(*poses[j - 20])), Pose2(*poses[j])))
+    return graph
+
+
+@pytest.mark.parametrize("regime", ["every second keyframe", "all but the last ten", "every keyframe"])
+def test_optimize_with_many_closures_matches_the_dense_solve(drifted_t, monkeypatch, regime):
+    """Where most keyframes end a closure, the chain solve still gives the dense solve's run."""
+    result, _ = drifted_t
+    n = len(result.graph.nodes)
+    js = {
+        "every second keyframe": range(20, n, 2),
+        "all but the last ten": range(20, n - 10),
+        "every keyframe": range(20, n),
+    }[regime]
+    runs = []
+    for solve in (_solve, _dense_solve):
+        monkeypatch.setattr(posegraph, "_solve", solve)
+        graph = _many_closures(result, js)
+        event = graph.optimize()
+        runs.append((event, np.array([graph.nodes[k].as_tuple() for k in sorted(graph.nodes)])))
+    (chain, chain_poses), (dense, dense_poses) = runs
+    assert chain.iterations > 0 and chain.updated
+    assert (chain.iterations, chain.updated) == (dense.iterations, dense.updated)
+    assert np.abs(chain_poses - dense_poses).max() <= 1e-12
 
 
 def test_chain_solve_moves_no_reanchor_output(drifted_t, monkeypatch):

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from _oracles import dijkstra_cost
 from travmap.gridmap import CellState, OutOfBoundsError, empty_like, new_map
+from travmap import pipeline
 from travmap.quality import (
+    COMBINATION_ORDER,
+    COMBINATIONS,
     JourneyQuery,
     PathPlan,
     QualityReport,
@@ -22,6 +25,21 @@ from travmap.quality import (
 
 T = CellState.TRAVERSABLE
 U = CellState.UNTRAVERSABLE
+
+
+def test_combinations_are_the_report_order():
+    """Derived from the layers, the combinations and their labels are the report's fixed order."""
+    assert COMBINATION_ORDER == ("SfM+PfH+HO3", "SfM+PfH", "SfM+HO3", "PfH+HO3", "SfM", "PfH", "HO3")
+    assert COMBINATIONS == (
+        ("sfm", "pfh", "ho3"),
+        ("sfm", "pfh"),
+        ("sfm", "ho3"),
+        ("pfh", "ho3"),
+        ("sfm",),
+        ("pfh",),
+        ("ho3",),
+    )
+    assert (pipeline.COMBINATIONS, pipeline.COMBINATION_ORDER) == (COMBINATIONS, COMBINATION_ORDER)
 
 _SQRT2 = math.sqrt(2.0)
 
