@@ -62,6 +62,19 @@ def _cli_digest(out: pathlib.Path, *argv: str) -> str:
     return _files_digest(out).hexdigest()
 
 
+def cli_lines(scenario: str, label: str, run_dir: pathlib.Path) -> list[str]:
+    """The ``ablate`` lines at ``ABLATE_SEEDS`` and the ``simulate`` line for ``scenario``, named ``label``.
+
+    Their outputs carry no LAPACK bits, so ``tests/golden_digests.txt`` can pin them.
+    """
+    lines = []
+    for seed in ABLATE_SEEDS:
+        digest = _cli_digest(run_dir / f"ablate{seed}", "ablate", "--scenario", scenario, "--seed", str(seed))
+        lines.append(f"ablate scene={label} seed={seed} sha256={digest}")
+    digest = _cli_digest(run_dir / "simulate", "simulate", "--scenario", scenario, "--seed", str(SIMULATE_SEED))
+    return [*lines, f"simulate scene={label} seed={SIMULATE_SEED} sha256={digest}"]
+
+
 def _noisy_digest(scenario: str, out: pathlib.Path) -> str:
     scene = dataclasses.replace(load_scenario(scenario), rng_seed=NOISY_SEED, **NOISY_SIGMAS)
     result = pipeline.run_pipeline(scene)
@@ -117,11 +130,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for n, scenario in enumerate(args.scenarios):
             run_dir = pathlib.Path(tmp) / str(n)
-            for seed in ABLATE_SEEDS:
-                digest = _cli_digest(run_dir / f"ablate{seed}", "ablate", "--scenario", scenario, "--seed", str(seed))
-                print(f"ablate scene={scenario} seed={seed} sha256={digest}")
-            digest = _cli_digest(run_dir / "simulate", "simulate", "--scenario", scenario, "--seed", str(SIMULATE_SEED))
-            print(f"simulate scene={scenario} seed={SIMULATE_SEED} sha256={digest}")
+            print(*cli_lines(scenario, scenario, run_dir), sep="\n")
             digest = _noisy_digest(scenario, run_dir / "noisy")
             print(f"noisy scene={scenario} seed={NOISY_SEED} sha256={digest}")
             result, closures = _closures(scenario)
