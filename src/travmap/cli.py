@@ -63,15 +63,19 @@ def _params_from_args(args) -> PipelineParams:
 
 def _cmd_simulate(args) -> int:
     scene = dataclasses.replace(load_scenario(args.scenario), rng_seed=args.seed)
-    frames, _truth = simulate_sequence(scene)
+    frames, truth = simulate_sequence(scene)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{scene.name}_frames.jsonl"
     with open(path, "w", encoding="ascii") as fh:
-        for frame in frames:
+        for frame, pose, positions, detected in zip(frames, truth.camera_poses, truth.human_positions, truth.detected):
             # asdict cannot copy a record array; the rows are fresh dicts already, so they skip its deep copy.
             record = dataclasses.asdict(dataclasses.replace(frame, features=[]))
             record["features"] = [dict(zip(FEATURE_DTYPE.names, r)) for r in frame.features.tolist()]
+            # The truth keys each line has always carried, joined back from the ground truth.
+            record["camera_pose"] = pose
+            for det, (agent, depth) in zip(record["detections"], detected):
+                det.update(agent_index=agent, depth=depth, world=positions[agent])
             fh.write(json.dumps(record, sort_keys=True, default=float))
             fh.write("\n")
     print(f"wrote {len(frames)} frames to {path}")

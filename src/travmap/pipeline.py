@@ -1,7 +1,10 @@
 """End-to-end mapping pipeline and the ablation harness.
 
-One pass over a simulated sequence (``run_pipeline``) runs five ingest stages
-on each frame, in order:
+``run_pipeline`` simulates a scene, then passes the frames, which hold only
+sensor output, to ``ingest`` with the truth oracles' outputs: the first true
+camera pose, ``truth_calibration`` and ``truth_closures``.  Last, it joins the
+ground truth once, for the diagnostics.  ``ingest`` reads no ground truth and
+no scene configuration; it runs five stages on each frame, in order:
 
 1. keyframes and loop closure: every ``keyframe_stride`` frames (keyframe k
    is frame k * stride) a pose-graph keyframe is added, and each closure it
@@ -75,9 +78,9 @@ from .quality import (
 )
 from .scenario import load_scenario
 from .scenesim import (
+    CameraIntrinsics,
     FrameObservation,
     GroundTruth,
-    HumanDetection,
     SceneConfig,
     check_bounds,
     ground_truth_map,
@@ -92,7 +95,9 @@ __all__ = [
     "combo_label",
     "combo_layers",
     "parse_combos",
+    "ingest",
     "run_pipeline",
+    "truth_calibration",
     "truth_closures",
     "build_combo_map",
     "write_map_artifacts",
@@ -207,6 +212,24 @@ class PairDiag(NamedTuple):
 
 
 @dataclass
+class Ingest:
+    """What ``ingest`` makes of the frames: graph, landmarks, evidence, tracks, and the diagnostics' sensor side."""
+
+    camera: CameraIntrinsics
+    calibration: ScaleCalibration
+    keep_mask: list[bool]
+    graph: PoseGraph
+    landmarks: dict[int, Landmark] = field(default_factory=dict)
+    store: EvidenceStore = field(default_factory=EvidenceStore)
+    tracks: list[mot.HumanTrack] = field(default_factory=list)
+    events: list[OptimizationEvent] = field(default_factory=list)
+    #: (frame index, track id, its detection's index in the frame, position, range) per ``PositionDiag`` row.
+    sightings: list[tuple[int, int, int, tuple[float, float], float]] = field(default_factory=list)
+    occlusions: list[tuple] = field(default_factory=list)  # ``OcclusionDiag`` rows but their walker
+    pair_diags: list[PairDiag] = field(default_factory=list)
+
+
+@dataclass
 class PipelineResult:
     config: SceneConfig
     params: PipelineParams
@@ -224,14 +247,17 @@ class PipelineResult:
     pair_diags: list[PairDiag]
 
 
-def _calibrate_from_frames(frames: Sequence[FrameObservation], cfg: SceneConfig) -> ScaleCalibration:
-    """Offline scale calibration against ranged detections, as a pre-step.
+def truth_calibration(
+    frames: Sequence[FrameObservation], truth: GroundTruth, intr: CameraIntrinsics
+) -> ScaleCalibration:
+    """The calibration oracle: a ``ScaleCalibration`` against ranged detections, as an offline pre-step.
 
     The simulator's true range plays the role of the externally measured
     distance the scale is calibrated against.
     """
-    intr = cfg.intrinsics
-    ranged = ((det.depth, apparent_height_px(det.y_min, intr, _BODY_HEIGHT)) for f in frames for det in f.detections)
+    boxes = (det for frame in frames for det in frame.detections)
+    ranges = (depth for seen in truth.detected for _, depth in seen)
+    ranged = ((d, apparent_height_px(det.y_min, intr, _BODY_HEIGHT)) for det, d in zip(boxes, ranges))
     samples = list(islice(((d, intr.f, h, _BODY_HEIGHT) for d, h in ranged if h is not None), _CALIBRATION_SAMPLES))
     return calibrate_scale(samples) if samples else ScaleCalibration(1.0)
 
@@ -258,64 +284,58 @@ def truth_closures(truth: GroundTruth, params: PipelineParams) -> list[tuple[int
 
 
 def _track_humans(
-    result: PipelineResult, frame: FrameObservation, pose_est: Pose2, params: PipelineParams
-) -> tuple[list[mot.HumanTrack], dict[tuple, HumanDetection]]:
+    ing: Ingest, frame: FrameObservation, pose_est: Pose2, params: PipelineParams
+) -> list[mot.HumanTrack]:
     """Tracking stage: feed the frame's detections, with position estimates, to the tracker.
 
     Returns the confirmed tracks matched in this frame whose box has a range
-    (the only ones the later stages use), and the simulated detection behind
-    each tracker box (the ground truth the diagnostics use).
+    (the only ones the later stages use), each logged as a sighting.
     """
-    intr, fi = result.config.intrinsics, frame.frame_index
+    intr, fi = ing.camera, frame.frame_index
     points = []
     for det in frame.detections:
         bbox = (det.x_min, det.x_max, det.y_min, det.y_max)
         h_px = apparent_height_px(det.y_min, intr, _BODY_HEIGHT)
-        depth_est = None if h_px is None else estimate_depth(result.calibration, intr.f, _BODY_HEIGHT, h_px)
+        depth_est = None if h_px is None else estimate_depth(ing.calibration, intr.f, _BODY_HEIGHT, h_px)
         world_est = None if h_px is None else human_map_position(pose_est.as_tuple(), intr, bbox, depth_est)
         points.append(mot.TrackPoint(fi, bbox, depth_est, world_est))
-    mot.step(result.tracks, points, params.gate_px)
-    mot.prune(result.tracks)
+    mot.step(ing.tracks, points, params.gate_px)
+    mot.prune(ing.tracks)
 
-    # Every matched track's last box is one of this frame's points.
-    source = {point.bbox: det for point, det in zip(points, frame.detections)}
     # ``depth`` and ``world`` are both None exactly when the box has no range.
-    confirmed = (t for t in result.tracks if t.state is mot.TrackState.CONFIRMED)
+    confirmed = (t for t in ing.tracks if t.state is mot.TrackState.CONFIRMED)
     matched = [t for t in confirmed if t.matched_at(fi) and t.last.depth is not None]
     for track in matched:
-        tp, src = track.last, source[track.last.bbox]
-        result.position_diags.append(
-            PositionDiag(fi, track.track_id, src.agent_index, tp.world, src.world, tp.depth, src.depth)
-        )
-    return matched, source
+        tp = track.last  # one of this frame's points, appended as is
+        ing.sightings.append((fi, track.track_id, points.index(tp), tp.world, tp.depth))
+    return matched
 
 
-def _add_landmarks(result: PipelineResult, frame: FrameObservation, kf: int) -> None:
+def _add_landmarks(ing: Ingest, frame: FrameObservation, kf: int) -> None:
     """Landmark stage: anchor newly seen features to keyframe ``kf``, each logged once as SfM.
 
     Not gated by turning: the turning filter only withholds human-derived evidence.
     """
-    intr = result.config.intrinsics
     seen = frame.features[frame.features["visible"]]
     for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
-        if fid not in result.landmarks:
-            result.landmarks[fid] = Landmark(fid, kf, intr.floor_offset(u, depth))
-            result.store.add_sfm(fid)
+        if fid not in ing.landmarks:
+            ing.landmarks[fid] = Landmark(fid, kf, ing.camera.floor_offset(u, depth))
+            ing.store.add_sfm(fid)
 
 
-def _add_trails(result: PipelineResult, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
+def _add_trails(ing: Ingest, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
     """Trail stage: each matched track's position as PfH evidence relative to keyframe ``kf``."""
-    to_kf = se2_inverse(result.graph.pose(kf))
+    to_kf = se2_inverse(ing.graph.pose(kf))
     for track in matched:
-        result.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
+        ing.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
 
 
-def _landmark_table(result: PipelineResult) -> tuple[np.ndarray, np.ndarray]:
-    """Floor points (x, y, 0) of all landmarks at the current poses, and each feature id's row (-1: none)."""
-    worlds = landmark_worlds(result.landmarks.values(), pose_table(result.graph.nodes))
+def _landmark_table(ing: Ingest, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
+    """Floor points (x, y, 0) of all landmarks at the current poses, and the row of each feature id (-1: none)."""
+    worlds = landmark_worlds(ing.landmarks.values(), pose_table(ing.graph.nodes))
     worlds = np.column_stack((worlds, np.zeros(len(worlds))))
-    row = np.full(len(result.truth.feature_points), -1)
-    row[list(result.landmarks)] = np.arange(len(result.landmarks))
+    row = np.full(n_ids, -1)
+    row[list(ing.landmarks)] = np.arange(len(ing.landmarks))
     return worlds, row
 
 
@@ -328,17 +348,15 @@ class _PassJob(NamedTuple):
     cam: Pose2
     table: tuple[np.ndarray, np.ndarray]  # ``_landmark_table`` at the frame's poses
     track_id: int
-    agent_index: int
     region: tuple[float, float, float, float, float]  # the region's columns, its box's rows, and its range
 
 
 def _record_pass_between(
-    result: PipelineResult,
+    ing: Ingest,
     jobs: list[_PassJob],
     frame: FrameObservation,
     prev_frame: FrameObservation,
     matched: list[mot.HumanTrack],
-    source: dict[tuple, HumanDetection],
     cam: Pose2,
     table: tuple[np.ndarray, np.ndarray],
 ) -> None:
@@ -348,25 +366,22 @@ def _record_pass_between(
         x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
         if x_min < x_max:
             region = (x_min, x_max, tp.bbox[2], tp.bbox[3], tp.depth)
-            agent_index = source[tp.bbox].agent_index
-            jobs.append(
-                _PassJob(len(result.store.records), frame, prev_frame, cam, table, track.track_id, agent_index, region)
-            )
+            jobs.append(_PassJob(len(ing.store.records), frame, prev_frame, cam, table, track.track_id, region))
 
 
-def _pass_between(result: PipelineResult, jobs: Sequence[_PassJob]) -> None:
+def _pass_between(ing: Ingest, jobs: Sequence[_PassJob]) -> None:
     """Pass-between stage, after the frame loop: run the queued jobs in blocks of one landmark table.
 
     Each block is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
     """
-    n_logged = len(result.store.records)
+    n_logged = len(ing.store.records)
     for _, run in groupby(jobs, key=lambda job: id(job.table)):
         run = list(run)
         for start in range(0, len(run), _PASS_BLOCK):
-            _pass_block(result, run[start : start + _PASS_BLOCK], n_logged)
+            _pass_block(ing, run[start : start + _PASS_BLOCK], n_logged)
 
 
-def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int) -> None:
+def _pass_block(ing: Ingest, jobs: Sequence[_PassJob], n_logged: int) -> None:
     """Order landmarks against each job's human in one numpy pass; log straddling pairs as HO3.
 
     A landmark seen in the job's frame inside the human's box is in front;
@@ -376,7 +391,7 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     have, at ``store_pos`` plus the records earlier jobs inserted after the
     ``n_logged`` the loop logged.
     """
-    store_pos, frames, prev_frames, cams, tables, track_ids, agent_indexes, regions = zip(*jobs)
+    store_pos, frames, prev_frames, cams, tables, track_ids, regions = zip(*jobs)
     worlds, row = tables[0]
     # Candidates, job by job, seen ones first: each job's frame, then its previous frame.
     parts = [f.features for pair in zip(frames, prev_frames) for f in pair]
@@ -392,7 +407,7 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     (pick,) = np.nonzero(visible & (k >= 0) & (seen | ~seen_now[job, fid]))
     # Each candidate projected from its own job's camera only.
     cams = np.array([cam.as_tuple() for cam in cams])
-    u_pred, _, depth = (a[:, 0] for a in result.config.intrinsics.project(cams[job[pick]], worlds[k[pick]][:, None, :]))
+    u_pred, _, depth = (a[:, 0] for a in ing.camera.project(cams[job[pick]], worlds[k[pick]][:, None, :]))
     (in_front,) = np.nonzero(seen[pick] | (depth > 0))
     pick, depth = pick[in_front], depth[in_front]
     fid, v, job, seen = fid[pick], v[pick], job[pick], seen[pick]
@@ -407,37 +422,47 @@ def _pass_block(result: PipelineResult, jobs: Sequence[_PassJob], n_logged: int)
     behind &= (y_min[job] <= v) & (v <= y_max[job])
     front_row, behind_row = infer_pass_pairs(job, fid, depth, front, behind, human_depth)
 
-    # Per job, as columns: the frame, track and walker its diagnostics and records name.
-    ids = np.array([[f.frame_index for f in frames], track_ids, agent_indexes])
+    # Per job, as columns: the frame and track its diagnostics and records name.
+    ids = np.array([[f.frame_index for f in frames], track_ids])
     (hit,) = np.nonzero(front | behind)
     label = np.where(front[hit], OcclusionClass.FRONT, OcclusionClass.BEHIND)
     hit_cols = (*ids[:, job[hit]], fid[hit], label, u[hit], depth[hit], human_depth[job[hit]])
-    result.occlusion_diags.extend(map(OcclusionDiag, *(col.tolist() for col in hit_cols)))
+    ing.occlusions.extend(zip(*(col.tolist() for col in hit_cols)))
     (paired,) = np.nonzero(front_row >= 0)
     ends = (front_row[paired], behind_row[paired])
-    pair_cols = (*ids[:2, paired], *(fid[end] for end in ends), *(depth[end] for end in ends), human_depth[paired])
+    pair_cols = (*ids[:, paired], *(fid[end] for end in ends), *(depth[end] for end in ends), human_depth[paired])
     pairs = list(map(PairDiag, *(col.tolist() for col in pair_cols)))
     for j, pair in zip(paired.tolist(), pairs):
         assert pair.front_depth < pair.human_depth < pair.behind_depth, "pass-between pair must straddle the human"
-        at = store_pos[j] + len(result.store.records) - n_logged
-        result.store.add_ho3(pair.front_id, pair.behind_id, pair.track_id, at=at)
-    result.pair_diags.extend(pairs)
+        at = store_pos[j] + len(ing.store.records) - n_logged
+        ing.store.add_ho3(pair.front_id, pair.behind_id, pair.track_id, at=at)
+    ing.pair_diags.extend(pairs)
 
 
-def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:
-    """Simulate a scene and ingest it end to end; returns everything rebuildable."""
-    params = params or PipelineParams()
-    frames, truth = simulate_sequence(cfg)
+def ingest(
+    frames: Sequence[FrameObservation],
+    camera: CameraIntrinsics,
+    params: PipelineParams,
+    origin: Pose2,
+    calibration: ScaleCalibration,
+    closures: Sequence[tuple[int, int, Pose2]],
+) -> Ingest:
+    """The five ingest stages, in one loop over ``frames``; reads no ground truth and no scene configuration.
+
+    What comes from the truth arrives as the oracles' outputs: ``origin``
+    anchors keyframe 0, ``calibration`` scales the range model, and a keyframe
+    closes with its first pair ``(older, newer, rel)`` in ``closures`` once
+    the last closure is ``closure_min_gap`` keyframes back.
+    """
     keep = mot.filter_turning_frames(frames, params.omega_max)
-    graph = PoseGraph(Pose2(*frames[0].camera_pose))
-    cal = _calibrate_from_frames(frames, cfg)
-    result = PipelineResult(cfg, params, frames, truth, keep, graph, {}, EvidenceStore(), [], cal, [], [], [], [])
+    ing = Ingest(camera, calibration, keep, PoseGraph(origin))
+    # Feature ids 64 frames at a time: one array of all of them raised an I+L+T ablation's peak RSS by 1.4 MB.
+    blocks = (np.concatenate([f.features["feature_id"] for f in frames[i : i + 64]]) for i in range(0, len(frames), 64))
+    n_ids = 1 + max(int(ids.max(initial=-1)) for ids in blocks)
 
-    # Each keyframe's oldest partner; it closes when the last closure is ``closure_min_gap`` keyframes back.
     partners: dict[int, tuple[int, Pose2]] = {}
-    if params.enable_closures:
-        for older, newer, rel in truth_closures(truth, params):
-            partners.setdefault(newer, (older, rel))
+    for older, newer, rel in closures:
+        partners.setdefault(newer, (older, rel))
     last_closure_kf = -10**9
     odom_acc = Pose2()
     kf = 0
@@ -453,31 +478,52 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
         if fi > 0:
             odom_acc = se2_compose(odom_acc, Pose2(*frame.odometry))
             if at_keyframe:
-                kf = graph.add_keyframe(odom_acc)
+                kf = ing.graph.add_keyframe(odom_acc)
                 odom_acc = Pose2()
                 if kf in partners and kf - last_closure_kf >= params.closure_min_gap:
                     older, rel = partners[kf]
-                    graph.add_loop_closure(older, kf, rel)
-                    result.events.append(graph.optimize())
+                    ing.graph.add_loop_closure(older, kf, rel)
+                    ing.events.append(ing.graph.optimize())
                     last_closure_kf = kf
-        pose_est = se2_compose(graph.pose(kf), odom_acc)
-        matched, source = _track_humans(result, frame, pose_est, params)
+        pose_est = se2_compose(ing.graph.pose(kf), odom_acc)
+        matched = _track_humans(ing, frame, pose_est, params)
         if at_keyframe:
-            _add_landmarks(result, frame, kf)
+            _add_landmarks(ing, frame, kf)
         if not keep[fi]:
             # Turning frame: feeds the pose graph and the feature map, but
             # contributes no trail or pass-between evidence.
             prev_kept = None
             continue
-        _add_trails(result, kf, matched)
-        if result.landmarks and prev_kept is not None and matched:
-            counts = (len(result.landmarks), len(result.events))
+        _add_trails(ing, kf, matched)
+        if ing.landmarks and prev_kept is not None and matched:
+            counts = (len(ing.landmarks), len(ing.events))
             if counts != table_at:
-                table, table_at = _landmark_table(result), counts
-            _record_pass_between(result, jobs, frame, prev_kept, matched, source, pose_est, table)
+                table, table_at = _landmark_table(ing, n_ids), counts
+            _record_pass_between(ing, jobs, frame, prev_kept, matched, pose_est, table)
         prev_kept = frame
-    _pass_between(result, jobs)
-    return result
+    _pass_between(ing, jobs)
+    return ing
+
+
+def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:
+    """Simulate a scene, ``ingest`` it with the truth oracles' outputs, then join the truth for the diagnostics."""
+    params = params or PipelineParams()
+    frames, truth = simulate_sequence(cfg)
+    closures = truth_closures(truth, params) if params.enable_closures else []
+    cal = truth_calibration(frames, truth, cfg.intrinsics)
+    ing = ingest(frames, cfg.intrinsics, params, Pose2(*truth.camera_poses[0]), cal, closures)
+    # Each row is joined in place, so ingest's rows and the diagnostics never take memory side by side.
+    positions, occlusions, walker = ing.sightings, ing.occlusions, {}
+    for i, (fi, track_id, det, world, depth) in enumerate(positions):
+        agent, true_depth = truth.detected[fi][det]
+        positions[i] = PositionDiag(fi, track_id, agent, world, truth.human_positions[fi][agent], depth, true_depth)
+        walker[fi, track_id] = agent
+    for i, (fi, track_id, *rest) in enumerate(occlusions):
+        occlusions[i] = OcclusionDiag(fi, track_id, walker[fi, track_id], *rest)
+    return PipelineResult(
+        cfg, params, frames, truth, ing.keep_mask, ing.graph, ing.landmarks, ing.store, ing.tracks, cal, ing.events,
+        positions, occlusions, ing.pair_diags,
+    )
 
 
 def build_combo_map(

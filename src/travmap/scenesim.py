@@ -4,9 +4,10 @@ Replaces the real sensing stack with a deterministic simulator.  A scene is a
 3 m x 6 m floor populated with table-sized boxes arranged to leave an I-, L-
 or T-shaped walkway, one or more walking humans, and an observer robot that
 circles the scene with a side-mounted monocular camera.  The simulator emits
-per-frame feature observations (with ground-truth visibility flags), human
-detections as bounding boxes, and odometry, plus the noiseless ground truth
-needed by oracle tests.
+frames that hold only sensor output: feature observations (with visibility
+flags), human detections as bounding boxes, odometry and angular speed.  The
+noiseless ground truth the oracles and diagnostics need (camera poses, walker
+positions, each detection's walker and range) comes apart, as ``GroundTruth``.
 
 Conventions: world yaw 0 looks along +x; the camera frame has z along the
 optical axis, x to the right of heading and y down, so at yaw 0 "right" is
@@ -229,9 +230,6 @@ class HumanDetection:
     x_max: float
     y_min: float
     y_max: float
-    depth: float
-    world: tuple[float, float]
-    agent_index: int
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -242,7 +240,6 @@ class HumanDetection:
 class FrameObservation:
     frame_index: int
     timestamp: float
-    camera_pose: tuple[float, float, float]
     angular_speed: float
     odometry: Optional[tuple[float, float, float]]
     #: ``FEATURE_DTYPE`` rows of the features in front and inside the image.
@@ -264,6 +261,8 @@ class GroundTruth:
     camera_poses: list[tuple[float, float, float]]
     feature_points: dict[int, tuple[float, float, float]]
     human_positions: list[list[tuple[float, float]]]
+    #: Each frame's detections as (walker index, true range along the optical axis), in detection order.
+    detected: list[list[tuple[int, float]]]
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +469,16 @@ def _render_detections(
     cams: np.ndarray,
     origin: np.ndarray,
     cylinders: Sequence[tuple[np.ndarray, float]],
-    positions: Sequence[Sequence[tuple[float, float]]],
-) -> list[list[HumanDetection]]:
-    """Each frame's detection boxes, one per human whose head is in the image and in clear sight.
+) -> tuple[list[list[HumanDetection]], list[list[tuple[int, float]]]]:
+    """Each frame's detection boxes, one per human whose head is in the image and in clear sight, and their truth.
 
     ``cylinders`` holds each human's body axis, one (x, y) per frame, and
-    height; ``positions`` holds each frame's human (x, y) positions.
+    height.  The truth is each box's walker index and range, as
+    ``GroundTruth.detected`` holds them.
     """
     intr = cfg.intrinsics
     detections: list[list[HumanDetection]] = [[] for _ in cams]
+    detected: list[list[tuple[int, float]]] = [[] for _ in cams]
     for h_idx, (axis_xy, bh) in enumerate(cylinders):
         others = cylinders[:h_idx] + cylinders[h_idx + 1 :]
         n_axis = int(round(bh / _BODY_SAMPLE_STEP)) + 1
@@ -508,12 +508,10 @@ def _render_detections(
                     float(head_u[j] + half_w[j]),
                     float(y_min[j]),
                     float(y_max[j]),
-                    float(head_z[j]),
-                    positions[k][h_idx],
-                    h_idx,
                 )
             )
-    return detections
+            detected[k].append((h_idx, float(head_z[j])))
+    return detections, detected
 
 
 def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundTruth]:
@@ -545,18 +543,20 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
     origins = np.column_stack([cams_all[:, :2], np.full(n_frames, intr.cam_height)])[:, None, :]
     xy_all = np.array(human_positions, dtype=float).reshape(n_frames, len(cfg.humans), 1, 2)
     frames: list[FrameObservation] = []
+    detected: list[list[tuple[int, float]]] = []
     for start in range(0, n_frames, _FRAME_BLOCK):
         block = slice(start, start + _FRAME_BLOCK)
         cams, origin = cams_all[block], origins[block]
         cylinders = [(xy_all[block, h_idx], h.body_height) for h_idx, h in enumerate(cfg.humans)]
         features = _render_features(cfg, cams, origin, cylinders, F, fids)
-        detections = _render_detections(cfg, cams, origin, cylinders, human_positions[block])
+        detections, block_detected = _render_detections(cfg, cams, origin, cylinders)
+        detected += block_detected
         for j, (feature_obs, dets) in enumerate(zip(features, detections)):
             k = start + j
             omega, odom = odometry[k]
-            frames.append(FrameObservation(k, times[k], cam_poses[k], omega, odom, feature_obs, dets))
+            frames.append(FrameObservation(k, times[k], omega, odom, feature_obs, dets))
 
-    truth = GroundTruth(cam_poses, feature_points, human_positions)
+    truth = GroundTruth(cam_poses, feature_points, human_positions, detected)
     return frames, truth
 
 

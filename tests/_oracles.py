@@ -16,9 +16,9 @@ from travmap.evidence import (
     infer_pass_pairs,
 )
 from travmap.gridmap import CellState
-from travmap.pipeline import _REGION_MARGIN_PX, OcclusionDiag, PairDiag, PipelineResult
+from travmap.pipeline import _REGION_MARGIN_PX, Ingest, PairDiag
 from travmap.posegraph import OptimizationEvent, Pose2, _Blocks, _solve, se2_compose, se2_inverse, se2_transform
-from travmap.scenesim import CameraIntrinsics, FrameObservation, HumanDetection, ObstacleBox, _blocked_any
+from travmap.scenesim import CameraIntrinsics, FrameObservation, ObstacleBox, _blocked_any
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -260,23 +260,23 @@ def infer_pass_pair(
 
 
 def pass_between_per_frame(
-    result: PipelineResult,
+    ing: Ingest,
     frame: FrameObservation,
     prev_frame: FrameObservation,
     matched: list[mot.HumanTrack],
-    source: dict[tuple, HumanDetection],
     cam: Pose2,
     table: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """The per-frame pass-between stage ``run_pipeline`` ran inside its frame loop before it ran in blocks.
+    """The per-frame pass-between stage the pipeline's frame loop ran before it ran in blocks.
 
-    Kept verbatim so the blocked stage can be compared against it byte for
+    Kept as it was, but for its occlusion rows, which name no walker now, as
+    ``ingest``'s do, so the blocked stage can be compared against it byte for
     byte.  It orders landmarks against each matched human and logs
     straddling pairs as HO3 at once.  A landmark seen in ``frame`` inside
     the human's box is in front; one seen in ``prev_frame``, unseen now and
     predicted inside the box is behind.
     """
-    intr, fi = result.config.intrinsics, frame.frame_index
+    intr, fi = ing.camera, frame.frame_index
     worlds, row = table
     u_pred, _, depth_pred = intr.project(cam.as_tuple(), worlds)
 
@@ -303,7 +303,6 @@ def pass_between_per_frame(
         inner = (bbox[0] + _REGION_MARGIN_PX, bbox[1] - _REGION_MARGIN_PX, bbox[2], bbox[3])
         if inner[0] >= inner[1]:
             continue
-        agent_index = source[bbox].agent_index
         front, behind = classify_occlusion(u, seen, inner)
         # A landmark seen now occludes the human at the visible-region boundary,
         # so only the column test binds it; one unseen now must also have been
@@ -311,16 +310,15 @@ def pass_between_per_frame(
         behind &= (bbox[2] <= cand["v"]) & (cand["v"] <= bbox[3])
         for i in np.flatnonzero(front | behind).tolist():
             label = OcclusionClass.FRONT if front[i] else OcclusionClass.BEHIND
-            result.occlusion_diags.append(
-                OcclusionDiag(fi, track.track_id, agent_index, ids[i], label, us[i], depths[i], tp.depth)
-            )
+            # An ``OcclusionDiag`` row but its walker, which the truth join adds.
+            ing.occlusions.append((fi, track.track_id, ids[i], label, us[i], depths[i], tp.depth))
         pair = infer_pass_pair(id_col, depth_col, front, behind, tp.depth)
         if pair is None:
             continue
         i, j = pair
         assert depths[i] < tp.depth < depths[j], "pass-between pair must straddle the human"
-        result.store.add_ho3(ids[i], ids[j], track.track_id)
-        result.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
+        ing.store.add_ho3(ids[i], ids[j], track.track_id)
+        ing.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
 
 
 def posegraph_residual(graph, edge):

@@ -201,11 +201,11 @@ def test_criterion_07_occlusion_ordering_soundness(i_result):
     t0 = time.perf_counter()
     true_feat = {}
     true_hum = {}
-    for f in i_result.frames:
+    for f, detected in zip(i_result.frames, i_result.truth.detected, strict=True):
         for fid, depth in zip(f.features["feature_id"].tolist(), f.features["depth"].tolist()):
             true_feat[(f.frame_index, fid)] = depth
-        for det in f.detections:
-            true_hum[(f.frame_index, det.agent_index)] = det.depth
+        for agent_index, depth in detected:
+            true_hum[(f.frame_index, agent_index)] = depth
     assert i_result.occlusion_diags, "the I run must classify occlusion candidates"
     for d in i_result.occlusion_diags:
         fd = true_feat[(d.frame_index, d.feature_id)]

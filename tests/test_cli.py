@@ -32,31 +32,41 @@ def test_simulate_dumps_frames(tmp_path, scene_file, capsys):
     assert "features" in first and "detections" in first
 
 
-def _frame_from_line(line: str) -> FrameObservation:
+#: The keys each ``simulate`` line carries from the ground truth, beside the frame's own fields.
+_TRUTH_KEYS = {"camera_pose"}
+_DETECTION_TRUTH_KEYS = {"agent_index", "depth", "world"}
+
+
+def _frame_from_line(line: str) -> tuple[FrameObservation, tuple, list]:
+    """The frame a line holds, and its truth: the camera pose and each detection's (walker, range, position)."""
     record = json.loads(line)
-    assert set(record) == {f.name for f in dataclasses.fields(FrameObservation)}
+    assert set(record) == {f.name for f in dataclasses.fields(FrameObservation)} | _TRUTH_KEYS
     assert all(list(f) == sorted(FEATURE_DTYPE.names) for f in record["features"])
     assert all(type(f["feature_id"]) is int and type(f["visible"]) is bool for f in record["features"])
     rows = [tuple(f[name] for name in FEATURE_DTYPE.names) for f in record["features"]]
-    return FrameObservation(
+    boxes = [{k: v for k, v in d.items() if k not in _DETECTION_TRUTH_KEYS} for d in record["detections"]]
+    frame = FrameObservation(
         record["frame_index"],
         record["timestamp"],
-        tuple(record["camera_pose"]),
         record["angular_speed"],
         None if record["odometry"] is None else tuple(record["odometry"]),
         np.array(rows, dtype=FEATURE_DTYPE),
-        [HumanDetection(**dict(d, world=tuple(d["world"]))) for d in record["detections"]],
+        [HumanDetection(**box) for box in boxes],
     )
+    detected = [(d["agent_index"], d["depth"], tuple(d["world"])) for d in record["detections"]]
+    return frame, tuple(record["camera_pose"]), detected
 
 
 def test_simulate_lines_parse_back_to_frames(tmp_path, scene_file):
     out = tmp_path / "sim"
     assert main(["simulate", "--scenario", scene_file, "--seed", "0", "--out", str(out)]) == 0
     lines = (out / "example_frames.jsonl").read_text().splitlines()
-    frames, _ = simulate_sequence(dataclasses.replace(load_scenario(scene_file), rng_seed=0))
+    frames, truth = simulate_sequence(dataclasses.replace(load_scenario(scene_file), rng_seed=0))
     assert len(lines) == len(frames)
     for line, frame in zip(lines, frames):
-        assert _frame_from_line(line) == frame, frame.frame_index
+        k = frame.frame_index
+        detected = [(agent, depth, truth.human_positions[k][agent]) for agent, depth in truth.detected[k]]
+        assert _frame_from_line(line) == (frame, truth.camera_poses[k], detected), k
     assert sum(len(f.features) for f in frames) > 1000
     assert sum(f.features["visible"].sum() for f in frames) > 0 and sum(len(f.detections) for f in frames) > 0
 

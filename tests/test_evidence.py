@@ -581,17 +581,17 @@ def test_an_add_after_a_rebuild_shows_in_the_next_rebuild():
         assert changed, (add.__name__, args)  # the record reaches a map, so stale columns would show
 
 
-def _noisy_t_run():
+def _noisy_t_run(run):
     scene = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
-    return pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=False))
+    return run(scene, pipeline.PipelineParams(enable_closures=False))
 
 
 def _map_bytes(maps):
     return [(m.origin, m.resolution, m.cells.shape, m.cells.tobytes()) for m in maps]
 
 
-def test_layer_reuse_cannot_be_seen():
-    result = _noisy_t_run()
+def test_layer_reuse_cannot_be_seen(run_shared):
+    result = _noisy_t_run(run_shared)
     in_order = _map_bytes([pipeline.build_combo_map(result, layers) for layers in COMBINATIONS])
     reverse = _map_bytes([pipeline.build_combo_map(result, layers) for layers in COMBINATIONS[::-1]])
     cold = []

@@ -18,10 +18,10 @@ from travmap.evidence import (
     pose_table,
 )
 from travmap.gridmap import DEFAULT_PRIORITY, CellState, LayerPriority, export_pgm
-from travmap.posegraph import EdgeKind
+from travmap.posegraph import EdgeKind, Pose2
 from travmap.quality import plan_path
 from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
-from travmap.scenesim import CameraIntrinsics, builtin_config, ground_truth_map
+from travmap.scenesim import CameraIntrinsics, FrameObservation, HumanDetection, builtin_config, ground_truth_map
 
 
 def test_combo_label_roundtrip():
@@ -55,16 +55,17 @@ def test_loop_closure_fires_and_emits_event(i_result):
 
 @pytest.mark.parametrize("stride", [10, 5])
 @pytest.mark.parametrize("kind", ["I", "L", "T"])
-def test_ingest_closes_the_oldest_oracle_pair_once_per_gap(kind, stride):
-    res = pipeline.run_pipeline(builtin_config(kind), pipeline.PipelineParams(keyframe_stride=stride))
-    oracle = pipeline.truth_closures(res.truth, res.params)
+def test_ingest_closes_the_oldest_oracle_pair_once_per_gap(ingest_shared, kind, stride):
+    params = pipeline.PipelineParams(keyframe_stride=stride)
+    res, truth = ingest_shared(builtin_config(kind), params)
+    oracle = pipeline.truth_closures(truth, params)
     edges = [e for e in res.graph.edges if e.kind is EdgeKind.LOOP_CLOSURE]
     assert edges and len(res.events) == len(edges)
     for e in edges:
         # The oracle lists pairs by newer, then older keyframe: the first with newer e.j is the oldest.
         assert next(pair for pair in oracle if pair[1] == e.j) == (e.i, e.j, e.rel)
     newer = [e.j for e in edges]
-    assert all(b - a >= res.params.closure_min_gap for a, b in zip(newer, newer[1:]))
+    assert all(b - a >= params.closure_min_gap for a, b in zip(newer, newer[1:]))
     if stride == 10:
         assert [(e.i, e.j, e.rel) for e in edges] == oracle[:1] and oracle[0][:2] == (0, 175)
 
@@ -106,11 +107,11 @@ def test_trail_map_covers_walkway(i_result):
     assert free.sum() > 30  # the trail lights up a usable share of the corridor
 
 
-def test_build_combo_map_defaults_to_the_runs_parameters():
+def test_build_combo_map_defaults_to_the_runs_parameters(run_shared):
     params = pipeline.PipelineParams(
         priority=LayerPriority(("ho3", "sfm", "pfh")), rebuild=RebuildParams(trail_half_width=0.15)
     )
-    res = pipeline.run_pipeline(parse_scenario(EXAMPLE_SCENARIO), params)
+    res = run_shared(parse_scenario(EXAMPLE_SCENARIO), params)
     assert res.params is params
     rebuild = dataclasses.replace(params.rebuild, robot_radius=res.config.robot_radius)
     for layers in pipeline.COMBINATIONS:
@@ -188,9 +189,9 @@ waypoints = 0, 0.25, 0.5, 0; 10, 0.25, 5.5, 0
 
 
 @pytest.mark.parametrize("scene", [parse_scenario(EXAMPLE_SCENARIO), builtin_config("I")], ids=["example", "I"])
-def test_non_default_keyframe_stride(scene):
+def test_non_default_keyframe_stride(run_shared, scene):
     stride = 7
-    res = pipeline.run_pipeline(scene, pipeline.PipelineParams(keyframe_stride=stride))
+    res = run_shared(scene, pipeline.PipelineParams(keyframe_stride=stride))
     assert len(res.graph.nodes) == (len(res.frames) - 1) // stride + 1
     assert res.landmarks
     worlds = landmark_worlds(res.landmarks.values(), pose_table(res.graph.snapshot()))
@@ -209,25 +210,25 @@ def test_non_default_keyframe_stride(scene):
         assert pipeline.build_combo_map(res, layers).same_geometry(gt)
 
 
-def test_example_scene_detects_its_walker():
-    res = pipeline.run_pipeline(parse_scenario(EXAMPLE_SCENARIO))
+def test_example_scene_detects_its_walker(run_shared):
+    res = run_shared(parse_scenario(EXAMPLE_SCENARIO))
     assert any(frame.detections for frame in res.frames)
     assert any(isinstance(rec, PfhEvidence) for rec in res.store.records)
 
 
-def test_example_scene_without_camera_section_detects_its_walker():
+def test_example_scene_without_camera_section_detects_its_walker(run_shared):
     # The camera defaults alone keep the head of a walker 1.45 m away in the image.
     assert "[camera]" not in EXAMPLE_SCENARIO
     config = parse_scenario(EXAMPLE_SCENARIO)
     assert config.intrinsics == CameraIntrinsics()
-    res = pipeline.run_pipeline(config)
+    res = run_shared(config)
     assert any(frame.detections for frame in res.frames)
 
 
 @pytest.mark.parametrize("kind, max_false_free", [("I", 0), ("L", 4), ("T", 0)])
-def test_feature_obstacles_outrank_human_evidence(kind, max_false_free):
+def test_feature_obstacles_outrank_human_evidence(run_shared, kind, max_false_free):
     """With SfM on top, human evidence paints no robot-radius ring free, and no SfM map routes a user through one."""
-    res = pipeline.run_pipeline(builtin_config(kind))  # zero noise: the seed draws only the queries
+    res = run_shared(builtin_config(kind))  # zero noise: the seed draws only the queries
     gt = ground_truth_map(res.config)
     blocked = gt.cells != int(CellState.TRAVERSABLE)
     labels = ("SfM+PfH+HO3", "SfM+PfH", "SfM+HO3")
@@ -252,10 +253,10 @@ _NOISY_T = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans
     [builtin_config("I"), builtin_config("L"), builtin_config("T"), _NOISY_T, parse_scenario(EXAMPLE_SCENARIO)],
     ids=["I", "L", "T", "T-noisy", "example"],
 )
-def test_each_landmark_is_logged_once_in_creation_order(scene):
+def test_each_landmark_is_logged_once_in_creation_order(run_shared, scene):
     # Logging SfM once per landmark loses nothing: every feature visible at a
     # keyframe has its one record, placed where it was first seen.
-    res = pipeline.run_pipeline(scene)
+    res = run_shared(scene)
     stride = res.params.keyframe_stride
     seen = [f.features["feature_id"][f.features["visible"]].tolist() for f in res.frames[::stride]]
     first_seen = list(dict.fromkeys(fid for ids in seen for fid in ids))
@@ -264,10 +265,15 @@ def test_each_landmark_is_logged_once_in_creation_order(scene):
 
 
 @pytest.mark.parametrize("kind", ["L", "T"])
-def test_diagnostics_name_the_walker_they_measure(kind):
+def test_diagnostics_name_the_walker_they_measure(run_shared, kind):
     """On the two-walker scenes, each diagnostic row agrees with the simulated walker it names."""
-    res = pipeline.run_pipeline(builtin_config(kind))
-    detection = {(f.frame_index, d.agent_index): d for f in res.frames for d in f.detections}
+    res = run_shared(builtin_config(kind))
+    # Each detection's walker, true position and range, by frame and walker.
+    detection = {
+        (fi, agent_index): (res.truth.human_positions[fi][agent_index], depth)
+        for fi, detected in enumerate(res.truth.detected)
+        for agent_index, depth in detected
+    }
     feature_depth = {
         (f.frame_index, fid): depth
         for f in res.frames
@@ -277,21 +283,46 @@ def test_diagnostics_name_the_walker_they_measure(kind):
     assert len(walker) == len(res.position_diags)  # one row per frame and track
     assert set(walker.values()) == {0, 1}
     for d in res.position_diags:
-        det = detection[(d.frame_index, d.agent_index)]
-        assert (d.true_world, d.true_depth) == (det.world, det.depth)
+        assert (d.true_world, d.true_depth) == detection[(d.frame_index, d.agent_index)]
 
     assert {d.agent_index for d in res.occlusion_diags} == {0, 1}
     for d in res.occlusion_diags:
         assert walker[(d.frame_index, d.track_id)] == d.agent_index
-        in_front = feature_depth[(d.frame_index, d.feature_id)] < detection[(d.frame_index, d.agent_index)].depth
+        in_front = feature_depth[(d.frame_index, d.feature_id)] < detection[(d.frame_index, d.agent_index)][1]
         assert d.label is (OcclusionClass.FRONT if in_front else OcclusionClass.BEHIND), d
 
     assert res.pair_diags
     for p in res.pair_diags:
         assert p.front_depth < p.human_depth < p.behind_depth
         fi = p.frame_index
-        human_depth = detection[(fi, walker[(fi, p.track_id)])].depth
+        human_depth = detection[(fi, walker[(fi, p.track_id)])][1]
         assert feature_depth[(fi, p.front_id)] < human_depth < feature_depth[(fi, p.behind_id)], p
+
+
+@pytest.mark.parametrize("kind", ["I", "L", "T"])
+def test_ingest_maps_from_the_frames_alone(simulated, run_shared, kind):
+    """Given the frames and the truth oracles' outputs, and no ground truth, ``ingest`` logs, optimizes and maps as
+    ``run_pipeline`` does, byte for byte; and no observation type carries a truth field."""
+    for observation in (FrameObservation, HumanDetection):
+        fields = {f.name for f in dataclasses.fields(observation)}
+        assert not fields & {"depth", "world", "agent_index", "camera_pose"}, observation
+
+    scene, params = builtin_config(kind), pipeline.PipelineParams()
+    result = run_shared(scene, params)
+    frames, truth = simulated(scene)
+    oracles = (
+        Pose2(*truth.camera_poses[0]),
+        pipeline.truth_calibration(frames, truth, scene.intrinsics),
+        pipeline.truth_closures(truth, params),
+    )
+    del truth
+    ing = pipeline.ingest(frames, scene.intrinsics, params, *oracles)
+    assert ing.events and export_evidence_log(ing.store) == export_evidence_log(result.store)
+    assert ing.graph.dumps() == result.graph.dumps()
+    from_frames = dataclasses.replace(result, graph=ing.graph, landmarks=ing.landmarks, store=ing.store)
+    for layers in pipeline.COMBINATIONS:
+        got, expected = (pipeline.build_combo_map(res, layers) for res in (from_frames, result))
+        assert export_pgm(got) == export_pgm(expected), layers
 
 
 def _unranged_first_walker(scene):
@@ -301,9 +332,9 @@ def _unranged_first_walker(scene):
     return dataclasses.replace(scene, humans=[first, *scene.humans[1:]], intrinsics=intrinsics)
 
 
-def _pass_between_outputs(scene):
-    """A pipeline run, and its evidence log and pass-between diagnostics as text."""
-    res = pipeline.run_pipeline(scene)
+def _pass_between_outputs(run, scene):
+    """A pipeline run by ``run``, and its evidence log and pass-between diagnostics as text."""
+    res = run(scene)
     return res, (export_evidence_log(res.store), repr(res.occlusion_diags), repr(res.pair_diags))
 
 
@@ -319,7 +350,7 @@ def _pass_between_outputs(scene):
     ],
     ids=["I", "L", "T", "T-noisy", "example", "T-unranged-walker"],
 )
-def test_pass_between_blocks_match_per_frame_stage(monkeypatch, scene, closes):
+def test_pass_between_blocks_match_per_frame_stage(monkeypatch, run_shared, scene, closes):
     """The blocked stage logs what the per-frame stage logged in the loop, in the same order, byte for byte."""
     blocks = collections.Counter()  # blocks per landmark table
     pass_block = pipeline._pass_block
@@ -330,7 +361,7 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, scene, closes):
         pass_block(result, jobs, n_logged)
 
     monkeypatch.setattr(pipeline, "_pass_block", spy)
-    res, blocked = _pass_between_outputs(scene)
+    res, blocked = _pass_between_outputs(run_shared, scene)
     # The input changes tables mid-run, splits one table's jobs over blocks and, but for the example, closes a loop.
     assert len(blocks) > 1 and max(blocks.values()) > 1
     assert bool(res.events) == closes
@@ -339,22 +370,22 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, scene, closes):
         pass_between_per_frame(result, *frame_inputs)
 
     monkeypatch.setattr(pipeline, "_record_pass_between", per_frame_stage)
-    _, per_frame = _pass_between_outputs(scene)
+    _, per_frame = _pass_between_outputs(run_shared, scene)
     assert "OcclusionDiag" in per_frame[1]
     assert blocked == per_frame
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_loop_closure_bounds_landmark_error_under_drift(seed):
+def test_loop_closure_bounds_landmark_error_under_drift(ingest_shared, seed):
     """With odometry noise on T, closing the loop lowers mean and max landmark error."""
     scene = dataclasses.replace(builtin_config("T"), rng_seed=seed, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
 
     def landmark_errors(enable_closures):
-        result = pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=enable_closures))
+        result, truth = ingest_shared(scene, pipeline.PipelineParams(enable_closures=enable_closures))
         assert len(result.events) == int(enable_closures)
         worlds = landmark_worlds(result.landmarks.values(), pose_table(result.graph.snapshot()))
-        truth = result.truth.feature_points
-        return np.array([math.dist(w, truth[fid][:2]) for fid, w in zip(result.landmarks, worlds.tolist())])
+        points = truth.feature_points
+        return np.array([math.dist(w, points[fid][:2]) for fid, w in zip(result.landmarks, worlds.tolist())])
 
     closed, open_loop = landmark_errors(True), landmark_errors(False)
     assert len(closed) == len(open_loop) > 300

@@ -457,10 +457,10 @@ def test_optimize_matches_scalar_oracle_bit_for_bit(graph, limits):
 
 
 @pytest.fixture(scope="module")
-def drifted_t():
+def drifted_t(run_shared):
     """The open-loop run of T at seed 3 with odometry noise, and the keyframe pairs ``truth_closures`` accepts."""
     scene = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
-    result = pipeline.run_pipeline(scene, pipeline.PipelineParams(enable_closures=False))
+    result = run_shared(scene, pipeline.PipelineParams(enable_closures=False))
     return result, pipeline.truth_closures(result.truth, result.params)
 
 

@@ -243,8 +243,8 @@ def test_ground_truth_rotated_box():
 # simulation
 
 
-def test_frame_count_inclusive():
-    frames, _ = simulate_sequence(builtin_config("I"))
+def test_frame_count_inclusive(simulated):
+    frames, _ = simulated(builtin_config("I"))
     assert len(frames) == 1801  # 60 s at 30 fps, endpoints inclusive
 
 
@@ -260,9 +260,9 @@ def test_empty_scene_has_no_observations():
     assert all(len(f.features) == 0 and not f.detections for f in frames)
 
 
-def test_frame_features_are_plain_structured_arrays():
-    frames, _ = simulate_sequence(builtin_config("I"))
-    default = FrameObservation(0, 0.0, (0.0, 0.0, 0.0), 0.0, None).features
+def test_frame_features_are_plain_structured_arrays(simulated):
+    frames, _ = simulated(builtin_config("I"))
+    default = FrameObservation(0, 0.0, 0.0, None).features
     for features in (default, frames[0].features, frames[-1].features):
         assert type(features) is np.ndarray and features.dtype == FEATURE_DTYPE
         assert features.dtype.type is np.void
@@ -272,7 +272,7 @@ def test_frame_features_are_plain_structured_arrays():
 
 def test_frames_compare_features_by_value():
     features = np.array([(3, 10.0, 20.0, 1.5, True), (4, 11.0, 21.0, 2.5, False)], dtype=FEATURE_DTYPE)
-    frame = FrameObservation(0, 0.0, (0.0, 0.0, 0.0), 0.0, None, features)
+    frame = FrameObservation(0, 0.0, 0.0, None, features)
     assert frame == dataclasses.replace(frame, features=features.copy())
     flipped = features.copy()
     flipped["visible"][1] = True
@@ -280,38 +280,39 @@ def test_frames_compare_features_by_value():
     assert frame != dataclasses.replace(frame, frame_index=1)
 
 
-def test_features_roundtrip_through_project_point():
+def test_features_roundtrip_through_project_point(simulated):
     cfg = builtin_config("I")
-    frames, truth = simulate_sequence(cfg)
+    frames, truth = simulated(cfg)
     checked = 0
     for frame in frames[::97]:
         for fobs in frame.features:
-            u, v, depth = project_point(cfg.intrinsics, frame.camera_pose, truth.feature_points[fobs["feature_id"]])
+            cam = truth.camera_poses[frame.frame_index]
+            u, v, depth = project_point(cfg.intrinsics, cam, truth.feature_points[fobs["feature_id"]])
             assert (u, v, depth) == (fobs["u"], fobs["v"], fobs["depth"])
             checked += 1
     assert checked > 100
 
 
-def test_detection_requires_visible_head():
+def test_detection_requires_visible_head(simulated):
     cfg = builtin_config("I")
-    frames, truth = simulate_sequence(cfg)
+    frames, truth = simulated(cfg)
     human = cfg.humans[0]
     checked = 0
     for frame in frames[::53]:
         (hx, hy) = truth.human_positions[frame.frame_index][0]
+        cam = truth.camera_poses[frame.frame_index]
         head = (hx, hy, human.body_height)
         try:
-            u, v, depth = project_point(cfg.intrinsics, frame.camera_pose, head)
+            u, v, depth = project_point(cfg.intrinsics, cam, head)
             in_image = 0 <= u < cfg.intrinsics.image_width and 0 <= v < cfg.intrinsics.image_height
         except BehindCameraError:
             in_image = False
-        visible = in_image and occlusion_test(
-            frame.camera_pose, cfg.intrinsics.cam_height, head, cfg.obstacles, [], exclude_human=None
-        )
-        has_detection = any(d.agent_index == 0 for d in frame.detections)
+        visible = in_image and occlusion_test(cam, cfg.intrinsics.cam_height, head, cfg.obstacles, [], exclude_human=None)
+        walkers = [agent_index for agent_index, _ in truth.detected[frame.frame_index]]
+        has_detection = 0 in walkers
         assert has_detection == visible
         if visible:
-            det = next(d for d in frame.detections if d.agent_index == 0)
+            det = frame.detections[walkers.index(0)]
             assert det.y_min == pytest.approx(v)  # head row tops the box
             assert det.x_min < det.x_max and det.y_min < det.y_max
             checked += 1
@@ -344,10 +345,11 @@ def test_walker_behind_the_camera_is_never_seen():
     behind = AgentTrajectory("human", ((0.0, (0.1, 0.3, 0.0)), (1.0, (0.1, 0.5, 0.0))), body_height=1.7)
     robot = AgentTrajectory("robot", ((0.0, (0.6, 0.3, 0.0)), (1.0, (0.6, 0.5, 0.0))))
     without = dataclasses.replace(_minimal_scene([slab], [ahead]), robot=robot)
-    frames, _ = simulate_sequence(dataclasses.replace(without, humans=[ahead, behind]))
-    frames_without, _ = simulate_sequence(without)
-    assert not any(det.agent_index == 1 for frame in frames for det in frame.detections)
+    frames, truth = simulate_sequence(dataclasses.replace(without, humans=[ahead, behind]))
+    frames_without, truth_without = simulate_sequence(without)
+    assert not any(agent_index == 1 for detected in truth.detected for agent_index, _ in detected)
     assert [frame.detections for frame in frames] == [frame.detections for frame in frames_without]
+    assert truth.detected == truth_without.detected
     assert all(frame.detections for frame in frames)
     assert all(np.array_equal(f.features, g.features) for f, g in zip(frames, frames_without, strict=True))
     assert all(f.features["visible"].any() for f in frames)
@@ -364,11 +366,11 @@ def test_feature_sampling_deterministic_and_spaced():
     assert len(pts) == per_table * len(cfg.obstacles)
 
 
-def test_odometry_composes_to_pose():
+def test_odometry_composes_to_pose(simulated):
     from travmap.posegraph import Pose2, se2_compose
 
-    frames, truth = simulate_sequence(builtin_config("I"))
-    pose = Pose2(*frames[0].camera_pose)
+    frames, truth = simulated(builtin_config("I"))
+    pose = Pose2(*truth.camera_poses[0])
     for frame in frames[1:]:
         pose = se2_compose(pose, Pose2(*frame.odometry))
     assert pose.x == pytest.approx(truth.camera_poses[-1][0], abs=1e-9)
@@ -426,7 +428,8 @@ def _assert_frames_match_single_rays(cfg, frames, truth, ks):
     for k in ks:
         features, heads = _single_ray_reference(cfg, truth, k)
         assert frames[k].features.dtype == FEATURE_DTYPE and np.array_equal(frames[k].features, features), k
-        got = [[d for d in frames[k].detections if d.agent_index == h_idx] for h_idx in range(len(cfg.humans))]
+        walker_boxes = list(zip(truth.detected[k], frames[k].detections, strict=True))
+        got = [[d for (agent_index, _), d in walker_boxes if agent_index == h_idx] for h_idx in range(len(cfg.humans))]
         assert [(len(d) == 1, d[0].y_min if d else None) for d in got] == heads, k
         totals[0] += int(features["visible"].sum())
         totals[1] += int((~features["visible"]).sum())
@@ -454,10 +457,10 @@ def _t_scenes():
     return [cfg, dataclasses.replace(cfg, obstacles=turned)]
 
 
-def test_block_seams_match_single_rays():
+def test_block_seams_match_single_rays(simulated):
     # T: two walkers, so one body can hide the other's head or a feature.
     for cfg in _t_scenes():
-        frames, truth = simulate_sequence(cfg)
+        frames, truth = simulated(cfg)
         visible, hidden, detected = _assert_frames_match_single_rays(cfg, frames, truth, _seam_frames(len(frames)))
         assert visible > 1000 and hidden > 1000 and detected > 20
 
