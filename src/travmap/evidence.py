@@ -30,7 +30,6 @@ import numpy as np
 
 from .gridmap import (
     CellState,
-    DEFAULT_PRIORITY,
     LayerPriority,
     TraversabilityMap,
     empty_like,
@@ -445,16 +444,18 @@ def rebuild_map(
     snapshot: Mapping[int, Pose2],
     landmarks: Mapping[int, Landmark],
     base: TraversabilityMap,
-    enabled: Iterable[str] = ALL_LAYERS,
-    priority: LayerPriority = DEFAULT_PRIORITY,
-    params: RebuildParams = RebuildParams(),
+    enabled: Iterable[str],
+    priority: LayerPriority,
+    params: RebuildParams,
 ) -> TraversabilityMap:
     """Regenerate the traversability map from evidence at the given poses.
 
     Landmark disks (inflated by the robot radius) are untraversable; trail
     capsules and pass-between bands are traversable.  When both human-derived
     layers are enabled a cell counts as human-traversable only where both mark
-    it; the final map fuses the enabled layers by priority.
+    it; the final map fuses the enabled layers by ``priority``.  A run's
+    layers, fusion order and radii are worked out in one place,
+    ``pipeline.build_combo_map``; a direct caller names each of them.
 
     Only the enabled layers' records are resolved, from the store's columns
     and one pose table of ``snapshot``; an end that cannot be placed raises

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "CellState",
     "LayerPriority",
-    "DEFAULT_PRIORITY",
     "OutOfBoundsError",
     "TraversabilityMap",
     "new_map",
@@ -82,11 +81,6 @@ class LayerPriority:
 
     def __repr__(self) -> str:
         return f"LayerPriority({self.order!r})"
-
-
-#: ``fuse``'s and ``rebuild_map``'s default: direct human-trail evidence outranks
-#: occlusion inference outranks feature obstacles.  Runs rank by ``PipelineParams.priority``.
-DEFAULT_PRIORITY = LayerPriority(("sfm", "ho3", "pfh"))
 
 
 @dataclass(eq=False)
@@ -338,10 +332,7 @@ def empty_like(m: TraversabilityMap) -> TraversabilityMap:
     return TraversabilityMap(m.origin, m.resolution, np.full(m.cells.shape, int(CellState.UNKNOWN), dtype=np.uint8))
 
 
-def fuse(
-    layers: Sequence[tuple[TraversabilityMap, str]],
-    priority: LayerPriority = DEFAULT_PRIORITY,
-) -> TraversabilityMap:
+def fuse(layers: Sequence[tuple[TraversabilityMap, str]], priority: LayerPriority) -> TraversabilityMap:
     """Cell-wise fusion: the highest-priority non-UNKNOWN layer wins.
 
     Result is independent of the order layers are listed in; only the

@@ -534,8 +534,10 @@ def build_combo_map(
 ) -> TraversabilityMap:
     """Regenerate the map for one module combination at the current poses.
 
-    ``priority`` and ``params`` default to the run's own: ``result.params.priority``
-    and ``result.params.rebuild`` with the scene's robot radius.
+    This is where a run's fusion order and radii are worked out for
+    ``rebuild_map``, which takes them explicitly: ``priority`` and ``params``
+    default to the run's own, ``result.params.priority`` and
+    ``result.params.rebuild`` with the scene's robot radius.
     """
     return rebuild_map(
         result.store,

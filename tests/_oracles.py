@@ -96,24 +96,17 @@ def mark_band_one_capsule(m, a, b, half_width, state):
     block[mask] = int(state)
 
 
-def paint_expected_map(
-    records,
-    snapshot,
-    landmarks,
-    origin,
-    resolution,
-    width,
-    height,
-    enabled=("sfm", "pfh", "ho3"),
-    robot_radius=0.5,
-    trail_half_width=0.2,
-    passage_half_width=0.3,
-):
-    """Naive per-cell repaint of the evidence under the default layer priority.
+def paint_expected_map(records, snapshot, landmarks, base, enabled, priority, params):
+    """Naive per-cell repaint of the ``enabled`` layers on ``base``'s grid, in ``priority.order``, lowest first.
 
-    Loops over every cell for every record; written without the library's
-    rasterizer or pose helpers so it can serve as an oracle for rebuilds.
+    Takes ``rebuild_map``'s arguments, with the store's records for the
+    store.  Each layer's cells overwrite those of the layers before it; with
+    both human layers enabled, ``pfh`` and ``ho3`` each paint only the cells
+    both mark.  ``params`` gives the radii.  Loops over every cell for every
+    record; written without the library's rasterizer or pose helpers so it can
+    serve as an oracle for rebuilds.
     """
+    origin, resolution, width, height = base.origin, base.resolution, base.width, base.height
 
     def landmark_world(fid):
         lm = landmarks[fid]
@@ -149,7 +142,7 @@ def paint_expected_map(
             if "sfm" not in enabled:
                 continue
             w = landmark_world(rec.feature_id)
-            paint(sfm, w, w, robot_radius)
+            paint(sfm, w, w, params.robot_radius)
         elif isinstance(rec, PfhEvidence):
             if "pfh" not in enabled:
                 continue
@@ -157,26 +150,25 @@ def paint_expected_map(
             c, s = math.cos(p.theta), math.sin(p.theta)
             w = (p.x + c * rec.offset[0] - s * rec.offset[1], p.y + s * rec.offset[0] + c * rec.offset[1])
             prev = last_point.get(rec.track_id, w)
-            paint(pfh, prev, w, trail_half_width)
+            paint(pfh, prev, w, params.trail_half_width)
             last_point[rec.track_id] = w
         elif isinstance(rec, Ho3Evidence):
             if "ho3" not in enabled:
                 continue
-            paint(ho3, landmark_world(rec.front_id), landmark_world(rec.behind_id), passage_half_width)
+            paint(ho3, landmark_world(rec.front_id), landmark_world(rec.behind_id), params.passage_half_width)
 
     if "pfh" in enabled and "ho3" in enabled:
-        human = pfh & ho3
-    elif "pfh" in enabled:
-        human = pfh
-    elif "ho3" in enabled:
-        human = ho3
-    else:
-        human = np.zeros((height, width), dtype=bool)
-
+        pfh = ho3 = pfh & ho3
+    layers = {
+        "sfm": (sfm, CellState.UNTRAVERSABLE),
+        "pfh": (pfh, CellState.TRAVERSABLE),
+        "ho3": (ho3, CellState.TRAVERSABLE),
+    }
     out = np.full((height, width), int(CellState.UNKNOWN), dtype=np.uint8)
-    if "sfm" in enabled:
-        out[sfm] = int(CellState.UNTRAVERSABLE)
-    out[human] = int(CellState.TRAVERSABLE)  # human evidence outranks the feature layer
+    for layer in priority.order:
+        if layer in enabled:
+            painted, state = layers[layer]
+            out[painted] = int(state)
     return out
 
 

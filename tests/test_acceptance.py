@@ -13,8 +13,8 @@ import pytest
 from _oracles import dijkstra_cost, paint_expected_map
 from travmap import pipeline
 from travmap.cli import main as cli_main
-from travmap.evidence import EvidenceStore, Landmark, rebuild_map
-from travmap.gridmap import CellState, export_pgm, new_map
+from travmap.evidence import ALL_LAYERS, EvidenceStore, Landmark, RebuildParams, rebuild_map
+from travmap.gridmap import CellState, LayerPriority, export_pgm, new_map
 from travmap.posegraph import Pose2, PoseGraph, se2_compose, se2_inverse, wrap_angle
 from travmap.quality import JourneyQuery, evaluate_map, plan_path, sample_queries
 from travmap.scenesim import builtin_config, ground_truth_map
@@ -112,6 +112,8 @@ def test_criterion_05_reanchoring_equivalence():
     store = EvidenceStore()
     landmarks: dict[int, Landmark] = {}
     base = new_map(-2.0, -2.0, 4.0, 4.0, 0.1)
+    # The fusion order and radii this criterion was written against: trails on top, 0.5 m robot radius.
+    order, radii = LayerPriority(("sfm", "ho3", "pfh")), RebuildParams()
     true_poses = [Pose2()]
     fid = 0
     rebuilds = []
@@ -142,11 +144,11 @@ def test_criterion_05_reanchoring_equivalence():
             graph.add_loop_closure(4, 8, se2_compose(se2_inverse(true_poses[4]), true_poses[8]))
             ev1 = graph.optimize()
             assert ev1.updated
-            rebuilds.append(rebuild_map(store, graph.snapshot(), landmarks, base))
+            rebuilds.append(rebuild_map(store, graph.snapshot(), landmarks, base, ALL_LAYERS, order, radii))
     graph.add_loop_closure(0, 16, se2_compose(se2_inverse(true_poses[0]), true_poses[16]))
     ev2 = graph.optimize()
     assert ev2.updated
-    incremental = rebuild_map(store, graph.snapshot(), landmarks, base)
+    incremental = rebuild_map(store, graph.snapshot(), landmarks, base, ALL_LAYERS, order, radii)
     incremental_bytes = export_pgm(incremental)
 
     # from scratch: replay the identical evidence stream against the final poses
@@ -160,13 +162,11 @@ def test_criterion_05_reanchoring_equivalence():
             else:
                 replay.add_ho3(rec.front_id, rec.behind_id, rec.track_id)
     final_snapshot = dict(graph.snapshot())
-    scratch_bytes = export_pgm(rebuild_map(replay, final_snapshot, dict(landmarks), base))
+    scratch_bytes = export_pgm(rebuild_map(replay, final_snapshot, dict(landmarks), base, ALL_LAYERS, order, radii))
     assert incremental_bytes == scratch_bytes
 
     # independent painter oracle at the final poses
-    painted = paint_expected_map(
-        store.records, final_snapshot, landmarks, base.origin, base.resolution, base.width, base.height
-    )
+    painted = paint_expected_map(store.records, final_snapshot, landmarks, base, ALL_LAYERS, order, radii)
     painted_map = new_map(-2.0, -2.0, 4.0, 4.0, 0.1)
     painted_map.cells[:, :] = painted
     assert incremental_bytes == export_pgm(painted_map)

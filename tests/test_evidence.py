@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _oracles import infer_pass_pair, paint_expected_map, project_point, rebuild_endpoints
 from travmap import evidence, pipeline
 from travmap.evidence import (
+    ALL_LAYERS,
     EvidenceError,
     EvidenceStore,
     Ho3Evidence,
@@ -27,12 +28,17 @@ from travmap.evidence import (
     infer_pass_pairs,
     rebuild_map,
 )
-from travmap.gridmap import CellState, new_map
+from travmap.gridmap import CellState, LayerPriority, new_map
 from travmap.pipeline import COMBINATIONS
 from travmap.posegraph import Pose2, se2_compose, se2_inverse
 from travmap.scenesim import CameraIntrinsics, builtin_config
 
 INTR = CameraIntrinsics(f=500.0, cx=320.0, cy=240.0, image_width=640, image_height=480, cam_height=0.85)
+
+# The fusion order and radii the rebuild tests were written against: trails
+# over pass-between bands over feature obstacles, 0.5 m robot radius.
+TRAILS_ON_TOP = LayerPriority(("sfm", "ho3", "pfh"))
+RADII = RebuildParams()
 
 FRONT = OcclusionClass.FRONT
 BEHIND = OcclusionClass.BEHIND
@@ -336,14 +342,16 @@ def test_repeated_ho3_sighting_rebuilds_the_same_cells():
     once.add_ho3(1, 2, 0)
     for _ in range(2):
         twice.add_ho3(1, 2, 0)
-    maps = [rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",)) for store in (once, twice)]
+    maps = [
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",), TRAILS_ON_TOP, RADII) for store in (once, twice)
+    ]
     assert (maps[0].cells == int(CellState.TRAVERSABLE)).any()
     assert np.array_equal(maps[0].cells, maps[1].cells)
 
 
 def test_rebuild_empty_store_all_unknown():
     base = new_map(0, 0, 3, 6, 0.1)
-    out = rebuild_map(EvidenceStore(), {0: Pose2()}, {}, base)
+    out = rebuild_map(EvidenceStore(), {0: Pose2()}, {}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert (out.cells == int(CellState.UNKNOWN)).all()
 
 
@@ -353,10 +361,8 @@ def test_rebuild_single_landmark_disk():
     store.add_sfm(0)
     landmarks = {0: Landmark(0, 0, (1.0, 1.0))}
     snapshot = {0: Pose2()}
-    out = rebuild_map(store, snapshot, landmarks, base, enabled=("sfm",))
-    expected = paint_expected_map(
-        store.records, snapshot, landmarks, base.origin, base.resolution, base.width, base.height, enabled=("sfm",)
-    )
+    out = rebuild_map(store, snapshot, landmarks, base, ("sfm",), TRAILS_ON_TOP, RADII)
+    expected = paint_expected_map(store.records, snapshot, landmarks, base, ("sfm",), TRAILS_ON_TOP, RADII)
     assert (out.cells == expected).all()
     assert out.state(*out.world_to_cell(1.0, 1.0)) is CellState.UNTRAVERSABLE
     assert out.state(*out.world_to_cell(2.6, 2.6)) is CellState.UNKNOWN
@@ -367,7 +373,7 @@ def test_rebuild_trail_joins_consecutive_points():
     store = EvidenceStore()
     store.add_pfh(0, (0.5, 0.5), track_id=0)
     store.add_pfh(0, (2.5, 0.5), track_id=0)
-    out = rebuild_map(store, {0: Pose2()}, {}, base, enabled=("pfh",))
+    out = rebuild_map(store, {0: Pose2()}, {}, base, ("pfh",), TRAILS_ON_TOP, RADII)
     # the joining band covers the midpoint between the two trail points
     assert out.state(*out.world_to_cell(1.5, 0.5)) is CellState.TRAVERSABLE
 
@@ -377,7 +383,7 @@ def test_rebuild_separate_tracks_not_joined():
     store = EvidenceStore()
     store.add_pfh(0, (0.5, 0.5), track_id=0)
     store.add_pfh(0, (2.5, 0.5), track_id=1)
-    out = rebuild_map(store, {0: Pose2()}, {}, base, enabled=("pfh",))
+    out = rebuild_map(store, {0: Pose2()}, {}, base, ("pfh",), TRAILS_ON_TOP, RADII)
     assert out.state(*out.world_to_cell(1.5, 0.5)) is CellState.UNKNOWN
 
 
@@ -389,12 +395,12 @@ def test_rebuild_intersection_rule():
     store.add_pfh(0, (0.2, 1.5), track_id=0)  # trail blob near (0.2, 1.5)
     store.add_pfh(0, (1.0, 1.5), track_id=0)  # extends to band crossing point
     store.add_ho3(1, 2, 0)  # vertical passage band at x=1.0
-    both = rebuild_map(store, snapshot, landmarks, base, enabled=("pfh", "ho3"))
+    both = rebuild_map(store, snapshot, landmarks, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
     # traversable only where trail and passage band overlap
     assert both.state(*both.world_to_cell(1.0, 1.5)) is CellState.TRAVERSABLE
     assert both.state(*both.world_to_cell(0.2, 1.5)) is CellState.UNKNOWN  # trail only
     assert both.state(*both.world_to_cell(1.0, 0.6)) is CellState.UNKNOWN  # band only
-    solo = rebuild_map(store, snapshot, landmarks, base, enabled=("pfh",))
+    solo = rebuild_map(store, snapshot, landmarks, base, ("pfh",), TRAILS_ON_TOP, RADII)
     assert solo.state(*solo.world_to_cell(0.2, 1.5)) is CellState.TRAVERSABLE
 
 
@@ -403,12 +409,12 @@ def test_rebuild_dangling_references_error():
     store = EvidenceStore()
     store.add_sfm(42)
     with pytest.raises(EvidenceError) as err:
-        rebuild_map(store, {0: Pose2()}, {}, base)
+        rebuild_map(store, {0: Pose2()}, {}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert "42" in str(err.value)
     store2 = EvidenceStore()
     store2.add_pfh(9, (0.0, 0.0), 0)
     with pytest.raises(EvidenceError) as err:
-        rebuild_map(store2, {0: Pose2()}, {}, base)
+        rebuild_map(store2, {0: Pose2()}, {}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert "9" in str(err.value)
 
 
@@ -422,7 +428,7 @@ def _marked_ends(monkeypatch, store, snapshot, landmarks, enabled):
         return layer_map(base, layer, a, b, *args)
 
     monkeypatch.setattr(evidence, "_layer_map", spy)
-    rebuild_map(store, snapshot, landmarks, new_map(0, 0, 3, 6, 0.1), enabled)
+    rebuild_map(store, snapshot, landmarks, new_map(0, 0, 3, 6, 0.1), enabled, TRAILS_ON_TOP, RADII)
     assert len(calls) == len(enabled)
     return dict(zip(enabled, calls))
 
@@ -477,16 +483,16 @@ def test_rebuild_names_a_landmarks_unknown_anchor_and_skips_disabled_layers():
     store.add_sfm(3)
     store.add_ho3(3, 4, 0)
     with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",))
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",), TRAILS_ON_TOP, RADII)
     # Only the enabled layers' records are resolved: the HO3 end and the dangling ones below are never looked up.
     store.add_ho3(3, 99, 0)
     store.add_pfh(9, (0.0, 0.0), 0)
-    out = rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm",))
+    out = rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm",), TRAILS_ON_TOP, RADII)
     assert out.state(*out.world_to_cell(0.5, 0.5)) is CellState.UNTRAVERSABLE
     with pytest.raises(EvidenceError, match="unknown feature 99"):
-        rebuild_map(store, {0: Pose2(), 8: Pose2()}, landmarks, base, ("ho3",))
+        rebuild_map(store, {0: Pose2(), 8: Pose2()}, landmarks, base, ("ho3",), TRAILS_ON_TOP, RADII)
     with pytest.raises(EvidenceError, match="unknown keyframe 9"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"))
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"), TRAILS_ON_TOP, RADII)
 
 
 def test_rebuild_names_the_first_unresolved_id_in_log_order():
@@ -500,14 +506,14 @@ def test_rebuild_names_the_first_unresolved_id_in_log_order():
     store.add_sfm(4)  # an unknown anchor
     store.add_pfh(6, (0.0, 0.0), 0)  # an unknown keyframe
     with pytest.raises(EvidenceError, match="unknown feature 77"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base)
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     with pytest.raises(EvidenceError, match="unknown feature 88"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"))
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"), TRAILS_ON_TOP, RADII)
     with pytest.raises(EvidenceError, match="unknown keyframe 6"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh",))
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh",), TRAILS_ON_TOP, RADII)
     store.add_ho3(4, 3, 0, at=0)
     with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh", "ho3"))
+        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
 
 
 _ADDS = st.lists(
@@ -566,19 +572,24 @@ def test_an_add_after_a_rebuild_shows_in_the_next_rebuild():
         (store.add_ho3, (3, 2, 1, 1)),  # inserted mid-log
         (store.add_pfh, (1, (0.3, 0.3), 1)),
     ]
-    maps = {layers: rebuild_map(store, snapshot, landmarks, base, layers).cells for layers in COMBINATIONS}
+    orders = (TRAILS_ON_TOP, pipeline.PipelineParams().priority)
+    maps = {
+        (layers, order): rebuild_map(store, snapshot, landmarks, base, layers, order, RADII).cells
+        for layers in COMBINATIONS
+        for order in orders
+    }
     for add, args in adds:
         add(*args)
-        changed = False
-        for layers in COMBINATIONS:
-            out = rebuild_map(store, snapshot, landmarks, base, layers)
-            expected = paint_expected_map(
-                store.records, snapshot, landmarks, base.origin, base.resolution, base.width, base.height, layers
-            )
-            assert np.array_equal(out.cells, expected), (add.__name__, args, layers)
-            changed |= not np.array_equal(out.cells, maps[layers])
-            maps[layers] = out.cells
-        assert changed, (add.__name__, args)  # the record reaches a map, so stale columns would show
+        changed = dict.fromkeys(orders, False)
+        for (layers, order), before in maps.items():
+            out = rebuild_map(store, snapshot, landmarks, base, layers, order, RADII)
+            expected = paint_expected_map(store.records, snapshot, landmarks, base, layers, order, RADII)
+            assert np.array_equal(out.cells, expected), (add.__name__, args, layers, order)
+            changed[order] |= not np.array_equal(out.cells, before)
+            maps[layers, order] = out.cells
+        assert all(changed.values()), (add.__name__, args)  # the record reaches a map, so stale columns would show
+    # The two orders paint some combination differently, so the painter follows the order it is given.
+    assert any(not np.array_equal(maps[layers, orders[0]], maps[layers, orders[1]]) for layers in COMBINATIONS)
 
 
 def _noisy_t_run(run):
@@ -612,14 +623,14 @@ def test_layer_reuse_cannot_be_seen(run_shared):
 
     # After optimize moves the poses, every layer misses: the next rebuild is the painter's.
     base = new_map(*result.config.bounds)
-    stale = rebuild_map(result.store, result.graph.snapshot(), result.landmarks, base)
+    stale = rebuild_map(result.store, result.graph.snapshot(), result.landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     older, newer, rel = pipeline.truth_closures(result.truth, result.params)[0]
     result.graph.add_loop_closure(older, newer, rel)
     assert result.graph.optimize().updated
     snapshot = result.graph.snapshot()
-    out = rebuild_map(result.store, snapshot, result.landmarks, base)
+    out = rebuild_map(result.store, snapshot, result.landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     expected = paint_expected_map(
-        result.store.records, snapshot, result.landmarks, base.origin, base.resolution, base.width, base.height
+        result.store.records, snapshot, result.landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII
     )
     assert np.array_equal(out.cells, expected)
     assert not np.array_equal(out.cells, stale.cells)
@@ -667,10 +678,8 @@ def test_rebuild_matches_painter_after_optimization_small():
     assert event.updated  # the noise was real, poses moved
 
     base = new_map(-2, -2, 3, 3, 0.1)
-    out = rebuild_map(store, graph.snapshot(), landmarks, base)
-    expected = paint_expected_map(
-        store.records, graph.snapshot(), landmarks, base.origin, base.resolution, base.width, base.height
-    )
+    out = rebuild_map(store, graph.snapshot(), landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+    expected = paint_expected_map(store.records, graph.snapshot(), landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert (out.cells == expected).all()
 
 
@@ -711,10 +720,8 @@ def test_rebuild_matches_painter_on_random_stores(poses, anchors, records, enabl
             store.add_ho3(*args)
     base = new_map(-1.0, -0.5, 2.0, 1.5, 0.1)
     params = RebuildParams(*radii)
-    out = rebuild_map(store, snapshot, landmarks, base, enabled, params=params)
-    expected = paint_expected_map(
-        store.records, snapshot, landmarks, base.origin, base.resolution, base.width, base.height, enabled, *radii
-    )
+    out = rebuild_map(store, snapshot, landmarks, base, enabled, TRAILS_ON_TOP, params)
+    expected = paint_expected_map(store.records, snapshot, landmarks, base, enabled, TRAILS_ON_TOP, params)
     assert np.array_equal(out.cells, expected)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from _oracles import mark_band_one_capsule
 from travmap import gridmap
 from travmap.gridmap import (
-    DEFAULT_PRIORITY,
     CellState,
     LayerPriority,
     OutOfBoundsError,
@@ -22,6 +21,8 @@ from travmap.gridmap import (
 T = CellState.TRAVERSABLE
 U = CellState.UNTRAVERSABLE
 UNK = CellState.UNKNOWN
+# The order the fusion tests were written against: trails over pass-between bands over feature obstacles.
+TRAILS_ON_TOP = LayerPriority(("sfm", "ho3", "pfh"))
 
 
 def test_new_map_standard_area():
@@ -202,14 +203,14 @@ def test_fuse_geometry_mismatch():
     a = new_map(0, 0, 1, 1, 0.1)
     b = new_map(0, 0, 2, 1, 0.1)
     with pytest.raises(ValueError):
-        fuse([(a, "sfm"), (b, "pfh")], DEFAULT_PRIORITY)
+        fuse([(a, "sfm"), (b, "pfh")], TRAILS_ON_TOP)
 
 
 def test_fuse_single_layer_identity():
     m = new_map(0, 0, 1, 1, 0.1)
     m.set_cell(3, 4, T)
     m.set_cell(5, 6, U)
-    out = fuse([(m, "pfh")], DEFAULT_PRIORITY)
+    out = fuse([(m, "pfh")], TRAILS_ON_TOP)
     assert (out.cells == m.cells).all()
 
 
@@ -335,9 +336,9 @@ def test_fuse_permutation_invariant(states, order):
     ids = ["sfm", "ho3", "pfh"]
     for k, (i, j, s) in enumerate(states):
         layers[k % 3].set_cell(i, j, s)
-    ref = fuse(list(zip(layers, ids)), DEFAULT_PRIORITY)
+    ref = fuse(list(zip(layers, ids)), TRAILS_ON_TOP)
     shuffled = [(layers[k], ids[k]) for k in order]
-    out = fuse(shuffled, DEFAULT_PRIORITY)
+    out = fuse(shuffled, TRAILS_ON_TOP)
     assert (out.cells == ref.cells).all()
 
 

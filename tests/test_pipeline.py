@@ -17,7 +17,7 @@ from travmap.evidence import (
     landmark_worlds,
     pose_table,
 )
-from travmap.gridmap import DEFAULT_PRIORITY, CellState, LayerPriority, export_pgm
+from travmap.gridmap import CellState, LayerPriority, export_pgm
 from travmap.posegraph import EdgeKind, Pose2
 from travmap.quality import plan_path
 from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
@@ -120,9 +120,10 @@ def test_build_combo_map_defaults_to_the_runs_parameters(run_shared):
 
 
 def test_parse_combos_normalises_and_needs_one():
-    assert pipeline.parse_combos(["PfH+SfM", "HO3"], DEFAULT_PRIORITY) == (("sfm", "pfh"), ("ho3",))
+    trails_on_top = LayerPriority(("sfm", "ho3", "pfh"))
+    assert pipeline.parse_combos(["PfH+SfM", "HO3"], trails_on_top) == (("sfm", "pfh"), ("ho3",))
     with pytest.raises(ValueError, match="at least one"):
-        pipeline.parse_combos([], DEFAULT_PRIORITY)
+        pipeline.parse_combos([], trails_on_top)
 
 
 def test_run_ablation_outputs(tmp_path):
@@ -243,6 +244,19 @@ def test_feature_obstacles_outrank_human_evidence(run_shared, kind, max_false_fr
                     solved += 1
                     assert not any(blocked[j, i] for i, j in user.cells), (label, seed, q)
     assert solved > 0
+
+
+@pytest.mark.parametrize("kind, bounds", [("I", (0, 0, 0)), ("L", (4, 4, 6)), ("T", (0, 0, 0))], ids=["I", "L", "T"])
+def test_sfm_on_top_paints_fewer_blocked_cells_free(run_shared, kind, bounds):
+    """The run's order keeps fused false-free cells under ``bounds``; with trails on top each SfM map has more."""
+    res = run_shared(builtin_config(kind))
+    blocked = ground_truth_map(res.config).cells != int(CellState.TRAVERSABLE)
+    trails_on_top = LayerPriority(("sfm", "ho3", "pfh"))
+    for label, bound in zip(("SfM+PfH+HO3", "SfM+PfH", "SfM+HO3"), bounds):
+        layers = pipeline.combo_layers(label)
+        maps = [pipeline.build_combo_map(res, layers, priority) for priority in (res.params.priority, trails_on_top)]
+        run_order, other = (int(((m.cells == int(CellState.TRAVERSABLE)) & blocked).sum()) for m in maps)
+        assert run_order <= bound and run_order < other, (label, run_order, other)
 
 
 _NOISY_T = dataclasses.replace(builtin_config("T"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
