@@ -1,16 +1,16 @@
 """Traversability evidence: depth model, occlusion ordering, re-anchorable store.
 
-Three evidence streams feed the map.  Feature landmarks mark untraversable
-disks (static objects), one SfM record per landmark.  Human trail points mark
+Three evidence streams feed the map.  Feature landmarks, each its SfM record,
+mark untraversable disks (static objects).  Human trail points mark
 traversable trails.  Pairs of landmarks a human passed between mark
 traversable bands, one HO3 record per sighting.  Every record is pose-free:
 landmarks and trail points are stored as offsets in their anchor keyframe's
 frame, and pass-between records are just feature-id pairs, so a pose-graph
-optimization invalidates nothing.  ``rebuild_map`` regenerates the map from any pose
-snapshot: it places the enabled layers' endpoints as arrays, from the store's
-per-layer columns, one pose table of the snapshot (``pose_table``) and the
-landmarks they name (``landmark_worlds``), then marks each layer's bands in
-one batched pass, unless that layer's last raster had the same inputs.
+optimization invalidates nothing.  ``rebuild_map`` regenerates the map from
+any pose snapshot: it places the enabled layers' endpoints as arrays, from the
+store's per-layer columns and one pose table of the snapshot (``pose_table``),
+then marks each layer's bands in one batched pass, unless that layer's last
+raster had the same inputs.
 
 Monocular range to a human follows from apparent height: with calibration
 factor k, distance = k * f * H / h_px.  The apparent height h_px fed by the
@@ -40,7 +40,6 @@ from .scenesim import CameraIntrinsics, check_bounds
 
 __all__ = [
     "ScaleCalibration",
-    "Landmark",
     "OcclusionClass",
     "SfmEvidence",
     "PfhEvidence",
@@ -81,19 +80,6 @@ class ScaleCalibration:
         check_bounds(("k", self.k, 0.0, False))
 
 
-@dataclass(frozen=True)
-class Landmark:
-    """Floor-projected feature point, stored relative to its anchor keyframe.
-
-    ``offset`` is the (forward, left) back-projection given by
-    ``CameraIntrinsics.floor_offset`` from the anchor keyframe's camera.
-    """
-
-    feature_id: int
-    anchor_keyframe: int
-    offset: tuple[float, float]
-
-
 class OcclusionClass(Enum):
     FRONT = "front"
     BEHIND = "behind"
@@ -101,7 +87,15 @@ class OcclusionClass(Enum):
 
 @dataclass
 class SfmEvidence:
+    """A landmark: a floor-projected feature point, stored relative to its anchor keyframe.
+
+    ``offset`` is the (forward, left) back-projection given by
+    ``CameraIntrinsics.floor_offset`` from the anchor keyframe's camera.
+    """
+
     feature_id: int
+    keyframe_id: int
+    offset: tuple[float, float]
 
 
 @dataclass
@@ -242,31 +236,34 @@ class EvidenceColumns(NamedTuple):
     """The store's records as arrays, one group per layer, each in log order."""
 
     sfm_ids: np.ndarray  # (S,) feature ids
+    sfm_keyframes: np.ndarray  # (S,) anchor keyframe ids
+    sfm_offsets: np.ndarray  # (S, 2) offsets in the anchor keyframe's frame
     pfh_keyframes: np.ndarray  # (P,) anchor keyframe ids
     pfh_offsets: np.ndarray  # (P, 2) offsets in the anchor keyframe's frame
     pfh_tracks: np.ndarray  # (P,) track ids
     pfh_prev: np.ndarray  # (P,) each trail point's previous point in its track; its own row for the track's first
-    ho3_ids: np.ndarray  # (H, 2) front and behind feature ids
+    ho3_rows: np.ndarray  # (H, 2) front and behind landmarks' SfM rows; -1 for a feature with no SfM record
 
 
 class EvidenceStore:
     """Insertion-ordered evidence log.
 
-    SfM evidence is one record per landmark: a repeated feature id logs
-    nothing.  Every trail point and pass-between sighting is its own record.
+    A landmark is its SfM record, logged at its feature's first sighting and
+    kept by feature id in ``landmarks``; a repeated feature id logs nothing.
+    Every trail point and pass-between sighting is its own record.
     ``records`` is the log; add to it through the ``add_*`` methods, which
     drop the columns ``columns()`` derives from it.
     """
 
     def __init__(self):
         self.records: list[SfmEvidence | PfhEvidence | Ho3Evidence] = []
-        self._sfm: set[int] = set()
+        self.landmarks: dict[int, SfmEvidence] = {}
         self._columns: Optional[EvidenceColumns] = None
 
-    def add_sfm(self, feature_id: int) -> None:
-        if feature_id not in self._sfm:
-            self._sfm.add(feature_id)
-            self.records.append(SfmEvidence(feature_id))
+    def add_sfm(self, feature_id: int, keyframe_id: int, offset: tuple[float, float]) -> None:
+        if feature_id not in self.landmarks:
+            self.landmarks[feature_id] = rec = SfmEvidence(feature_id, keyframe_id, offset)
+            self.records.append(rec)
             self._columns = None
 
     def add_pfh(self, keyframe_id: int, offset: tuple[float, float], track_id: int) -> None:
@@ -289,20 +286,24 @@ class EvidenceStore:
 
 
 def _columns(records: Sequence[SfmEvidence | PfhEvidence | Ho3Evidence]) -> EvidenceColumns:
+    disks = [rec for rec in records if isinstance(rec, SfmEvidence)]
     trail = [rec for rec in records if isinstance(rec, PfhEvidence)]
     tracks = np.array([rec.track_id for rec in trail], dtype=np.int64)
     order = np.argsort(tracks, kind="stable")  # each track's points, in log order
     same = tracks[order[1:]] == tracks[order[:-1]]
     prev = np.arange(len(trail))
     prev[order[1:][same]] = order[:-1][same]
+    row = {rec.feature_id: i for i, rec in enumerate(disks)}
+    pairs = [(row.get(r.front_id, -1), row.get(r.behind_id, -1)) for r in records if isinstance(r, Ho3Evidence)]
     return EvidenceColumns(
-        np.array([rec.feature_id for rec in records if isinstance(rec, SfmEvidence)], dtype=np.int64),
+        np.array([rec.feature_id for rec in disks], dtype=np.int64),
+        np.array([rec.keyframe_id for rec in disks], dtype=np.int64),
+        np.array([rec.offset for rec in disks], dtype=float).reshape(-1, 2),
         np.array([rec.keyframe_id for rec in trail], dtype=np.int64),
         np.array([rec.offset for rec in trail], dtype=float).reshape(-1, 2),
         tracks,
         prev,
-        np.array([(rec.front_id, rec.behind_id) for rec in records if isinstance(rec, Ho3Evidence)], dtype=np.int64)
-        .reshape(-1, 2),
+        np.array(pairs, dtype=np.intp).reshape(-1, 2),
     )
 
 
@@ -334,63 +335,59 @@ def pose_table(snapshot: Mapping[int, Pose2]) -> PoseTable:
     return dict(zip(snapshot, range(len(rows)))), np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def _place(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """World points (N, 2) of ``offsets`` (N, 2), each in the frame of its pose row (N, 4).
+def _place(poses: PoseTable, keyframes: list[int], offsets: np.ndarray) -> np.ndarray:
+    """World points (N, 2) of ``offsets`` (N, 2), each in the frame of its keyframe's pose; ``KeyError`` if one has none.
 
     Elementwise in ``se2_transform``'s operation order, so each point has its bits.
     """
-    x, y, c, s = rows.T
+    index, rows = poses
+    x, y, c, s = rows[np.fromiter(map(index.__getitem__, keyframes), dtype=np.intp, count=len(keyframes))].T
     ox, oy = offsets.T
     return np.column_stack((x + c * ox - s * oy, y + s * ox + c * oy))
 
 
-def landmark_worlds(landmarks: Collection[Landmark], poses: PoseTable) -> np.ndarray:
-    """World floor points (N, 2) of ``landmarks``, in order, at the poses of ``poses``.
+def landmark_worlds(landmarks: Collection[SfmEvidence], poses: PoseTable) -> np.ndarray:
+    """World floor points (N, 2) of the SfM records ``landmarks``, in order, at the poses of ``poses``.
 
     A landmark whose anchor keyframe has no pose raises ``EvidenceError`` naming both.
     """
-    index, rows = poses
+    offsets = np.array([lm.offset for lm in landmarks], dtype=float).reshape(-1, 2)
     try:
-        at = [index[lm.anchor_keyframe] for lm in landmarks]
+        return _place(poses, [lm.keyframe_id for lm in landmarks], offsets)
     except KeyError:
-        lm = next(lm for lm in landmarks if lm.anchor_keyframe not in index)
-        raise EvidenceError(f"landmark {lm.feature_id} anchored to unknown keyframe {lm.anchor_keyframe}") from None
-    return _place(rows[at], np.array([lm.offset for lm in landmarks], dtype=float).reshape(-1, 2))
-
-
-def _landmark_ends(ids: np.ndarray, landmarks: Mapping[int, Landmark], poses: PoseTable) -> np.ndarray:
-    """World floor points (N, 2) of the landmarks ``ids`` name; a ``KeyError`` where one cannot be placed."""
-    return landmark_worlds(list(map(landmarks.__getitem__, ids.tolist())), poses)
+        lm = next(lm for lm in landmarks if lm.keyframe_id not in poses[0])
+        raise EvidenceError(f"landmark {lm.feature_id} anchored to unknown keyframe {lm.keyframe_id}") from None
 
 
 def _layer_ends(
-    columns: EvidenceColumns, poses: PoseTable, landmarks: Mapping[int, Landmark], enabled: Collection[str]
+    columns: EvidenceColumns, poses: PoseTable, enabled: Collection[str]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each enabled layer's band ends (a, b), (N, 2) in log order; a ``KeyError`` where an end cannot be placed.
 
     An SfM disk is a band from its landmark to itself, an HO3 band runs from
     the front landmark to the behind one, and a trail point's band starts at
-    its track's previous point (at itself for the track's first).
+    its track's previous point (at itself for the track's first).  HO3 ends
+    are the SfM rows they name, placed as disks and trail points are.
     """
     ends = {}
     if SFM_LAYER in enabled:
-        disks = _landmark_ends(columns.sfm_ids, landmarks, poses)
+        disks = _place(poses, columns.sfm_keyframes.tolist(), columns.sfm_offsets)
         ends[SFM_LAYER] = (disks, disks)
     if PFH_LAYER in enabled:
-        index, rows = poses
-        keyframes = columns.pfh_keyframes
-        at = np.fromiter(map(index.__getitem__, keyframes.tolist()), dtype=np.intp, count=len(keyframes))
-        b = _place(rows[at], columns.pfh_offsets)
+        b = _place(poses, columns.pfh_keyframes.tolist(), columns.pfh_offsets)
         ends[PFH_LAYER] = (b[columns.pfh_prev], b)
     if HO3_LAYER in enabled:
-        bands = _landmark_ends(columns.ho3_ids.ravel(), landmarks, poses)
+        at = columns.ho3_rows.ravel()
+        if (at < 0).any():
+            raise KeyError("pass-between evidence names a feature with no SfM record")
+        bands = _place(poses, columns.sfm_keyframes[at].tolist(), columns.sfm_offsets[at])
         ends[HO3_LAYER] = (bands[0::2], bands[1::2])
     return ends
 
 
-def _raise_first_unresolved(records, index: Mapping[int, int], landmarks: Mapping[int, Landmark], enabled) -> None:
+def _raise_first_unresolved(store: EvidenceStore, index: Mapping[int, int], enabled) -> None:
     """Raise ``EvidenceError`` for the first end of an enabled layer, in log order, that cannot be placed."""
-    for rec in records:
+    for rec in store.records:
         if isinstance(rec, PfhEvidence):
             if PFH_LAYER in enabled and rec.keyframe_id not in index:
                 raise EvidenceError(f"trail evidence anchored to unknown keyframe {rec.keyframe_id}") from None
@@ -402,11 +399,11 @@ def _raise_first_unresolved(records, index: Mapping[int, int], landmarks: Mappin
         if layer not in enabled:
             continue
         for fid in ids:
-            lm = landmarks.get(fid)
+            lm = store.landmarks.get(fid)
             if lm is None:
                 raise EvidenceError(f"evidence references unknown feature {fid}") from None
-            if lm.anchor_keyframe not in index:
-                raise EvidenceError(f"landmark {lm.feature_id} anchored to unknown keyframe {lm.anchor_keyframe}") from None
+            if lm.keyframe_id not in index:
+                raise EvidenceError(f"landmark {lm.feature_id} anchored to unknown keyframe {lm.keyframe_id}") from None
 
 
 #: Each layer's last raster, as (key, read-only cells).  The key holds every
@@ -442,7 +439,6 @@ def _layer_map(
 def rebuild_map(
     store: EvidenceStore,
     snapshot: Mapping[int, Pose2],
-    landmarks: Mapping[int, Landmark],
     base: TraversabilityMap,
     enabled: Iterable[str],
     priority: LayerPriority,
@@ -458,7 +454,8 @@ def rebuild_map(
     ``pipeline.build_combo_map``; a direct caller names each of them.
 
     Only the enabled layers' records are resolved, from the store's columns
-    and one pose table of ``snapshot``; an end that cannot be placed raises
+    and one pose table of ``snapshot``, a pass-between end through its
+    feature's SfM record; an end that cannot be placed raises
     ``EvidenceError`` naming the first such id in log order.  Each layer's
     raster is reused while its inputs stay the same: the other combinations
     of one pose snapshot hit, and any moved end misses.  The slot is keyed by
@@ -474,9 +471,9 @@ def rebuild_map(
         raise ValueError("need at least one enabled layer")
     poses = pose_table(snapshot)
     try:
-        ends = _layer_ends(store.columns(), poses, landmarks, enabled)
+        ends = _layer_ends(store.columns(), poses, enabled)
     except KeyError:
-        _raise_first_unresolved(store.records, poses[0], landmarks, enabled)
+        _raise_first_unresolved(store, poses[0], enabled)
         raise
     marks = {  # each layer's half width and state
         SFM_LAYER: (params.robot_radius, CellState.UNTRAVERSABLE),
@@ -492,7 +489,11 @@ def rebuild_map(
 
 
 def export_evidence_log(store: EvidenceStore) -> str:
-    """One line per record, replayable for debugging."""
+    """One line per record, in log order, for debugging.
+
+    An ``SFM`` line names only its feature, not the landmark's anchor keyframe
+    or offset, so the log alone cannot rebuild the SfM or HO3 layers.
+    """
     lines = []
     for rec in store.records:
         if isinstance(rec, SfmEvidence):

@@ -11,8 +11,8 @@ no scene configuration; it runs five stages on each frame, in order:
    ends is added and optimized at once;
 2. tracking: human detections, with depth and position estimates, go to the
    tracker;
-3. landmarks (keyframes only): each new feature is anchored and logged once
-   as SfM evidence;
+3. landmarks (keyframes only): each feature's first sighting is anchored to
+   the keyframe and logged as its SfM record, which is the landmark;
 4. trails (kept frames): each matched confirmed track with a range is
    logged as PfH evidence relative to the newest keyframe;
 5. pass-between (kept frames after a kept frame): each such track's inputs
@@ -47,7 +47,6 @@ from . import mot
 from .evidence import (
     ALL_LAYERS,
     EvidenceStore,
-    Landmark,
     OcclusionClass,
     RebuildParams,
     ScaleCalibration,
@@ -213,13 +212,12 @@ class PairDiag(NamedTuple):
 
 @dataclass
 class Ingest:
-    """What ``ingest`` makes of the frames: graph, landmarks, evidence, tracks, and the diagnostics' sensor side."""
+    """What ``ingest`` makes of the frames: graph, evidence, tracks, and the diagnostics' sensor side."""
 
     camera: CameraIntrinsics
     calibration: ScaleCalibration
     keep_mask: list[bool]
     graph: PoseGraph
-    landmarks: dict[int, Landmark] = field(default_factory=dict)
     store: EvidenceStore = field(default_factory=EvidenceStore)
     tracks: list[mot.HumanTrack] = field(default_factory=list)
     events: list[OptimizationEvent] = field(default_factory=list)
@@ -237,7 +235,6 @@ class PipelineResult:
     truth: GroundTruth
     keep_mask: list[bool]
     graph: PoseGraph
-    landmarks: dict[int, Landmark]
     store: EvidenceStore
     tracks: list[mot.HumanTrack]
     calibration: ScaleCalibration
@@ -318,9 +315,8 @@ def _add_landmarks(ing: Ingest, frame: FrameObservation, kf: int) -> None:
     """
     seen = frame.features[frame.features["visible"]]
     for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
-        if fid not in ing.landmarks:
-            ing.landmarks[fid] = Landmark(fid, kf, ing.camera.floor_offset(u, depth))
-            ing.store.add_sfm(fid)
+        if fid not in ing.store.landmarks:
+            ing.store.add_sfm(fid, kf, ing.camera.floor_offset(u, depth))
 
 
 def _add_trails(ing: Ingest, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
@@ -332,10 +328,10 @@ def _add_trails(ing: Ingest, kf: int, matched: Sequence[mot.HumanTrack]) -> None
 
 def _landmark_table(ing: Ingest, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
     """Floor points (x, y, 0) of all landmarks at the current poses, and the row of each feature id (-1: none)."""
-    worlds = landmark_worlds(ing.landmarks.values(), pose_table(ing.graph.nodes))
+    worlds = landmark_worlds(ing.store.landmarks.values(), pose_table(ing.graph.nodes))
     worlds = np.column_stack((worlds, np.zeros(len(worlds))))
     row = np.full(n_ids, -1)
-    row[list(ing.landmarks)] = np.arange(len(ing.landmarks))
+    row[list(ing.store.landmarks)] = np.arange(len(worlds))
     return worlds, row
 
 
@@ -495,8 +491,8 @@ def ingest(
             prev_kept = None
             continue
         _add_trails(ing, kf, matched)
-        if ing.landmarks and prev_kept is not None and matched:
-            counts = (len(ing.landmarks), len(ing.events))
+        if ing.store.landmarks and prev_kept is not None and matched:
+            counts = (len(ing.store.landmarks), len(ing.events))
             if counts != table_at:
                 table, table_at = _landmark_table(ing, n_ids), counts
             _record_pass_between(ing, jobs, frame, prev_kept, matched, pose_est, table)
@@ -521,7 +517,7 @@ def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> P
     for i, (fi, track_id, *rest) in enumerate(occlusions):
         occlusions[i] = OcclusionDiag(fi, track_id, walker[fi, track_id], *rest)
     return PipelineResult(
-        cfg, params, frames, truth, ing.keep_mask, ing.graph, ing.landmarks, ing.store, ing.tracks, cal, ing.events,
+        cfg, params, frames, truth, ing.keep_mask, ing.graph, ing.store, ing.tracks, cal, ing.events,
         positions, occlusions, ing.pair_diags,
     )
 
@@ -539,14 +535,14 @@ def build_combo_map(
     default to the run's own, ``result.params.priority`` and
     ``result.params.rebuild`` with the scene's robot radius.
     """
+    # By keyword: perfbench/tracer.py's ``_on_rebuild`` reads ``enabled`` by name or at position 4 (``priority``).
     return rebuild_map(
         result.store,
         result.graph.snapshot(),
-        result.landmarks,
         new_map(*result.config.bounds),
-        layers,
-        priority or result.params.priority,
-        params or replace(result.params.rebuild, robot_radius=result.config.robot_radius),
+        enabled=layers,
+        priority=priority or result.params.priority,
+        params=params or replace(result.params.rebuild, robot_radius=result.config.robot_radius),
     )
 
 

@@ -96,21 +96,23 @@ def mark_band_one_capsule(m, a, b, half_width, state):
     block[mask] = int(state)
 
 
-def paint_expected_map(records, snapshot, landmarks, base, enabled, priority, params):
+def paint_expected_map(records, snapshot, base, enabled, priority, params):
     """Naive per-cell repaint of the ``enabled`` layers on ``base``'s grid, in ``priority.order``, lowest first.
 
     Takes ``rebuild_map``'s arguments, with the store's records for the
-    store.  Each layer's cells overwrite those of the layers before it; with
-    both human layers enabled, ``pfh`` and ``ho3`` each paint only the cells
-    both mark.  ``params`` gives the radii.  Loops over every cell for every
-    record; written without the library's rasterizer or pose helpers so it can
-    serve as an oracle for rebuilds.
+    store; each landmark is the ``SfmEvidence`` record of its feature.  Each
+    layer's cells overwrite those of the layers before it; with both human
+    layers enabled, ``pfh`` and ``ho3`` each paint only the cells both mark.
+    ``params`` gives the radii.  Loops over every cell for every record;
+    written without the library's rasterizer or pose helpers so it can serve
+    as an oracle for rebuilds.
     """
     origin, resolution, width, height = base.origin, base.resolution, base.width, base.height
+    landmarks = {rec.feature_id: rec for rec in records if isinstance(rec, SfmEvidence)}
 
     def landmark_world(fid):
         lm = landmarks[fid]
-        p = snapshot[lm.anchor_keyframe]
+        p = snapshot[lm.keyframe_id]
         c, s = math.cos(p.theta), math.sin(p.theta)
         ox, oy = lm.offset
         return (p.x + c * ox - s * oy, p.y + s * ox + c * oy)
@@ -172,17 +174,19 @@ def paint_expected_map(records, snapshot, landmarks, base, enabled, priority, pa
     return out
 
 
-def rebuild_endpoints(records, snapshot, landmarks, enabled=("sfm", "pfh", "ho3")):
+def rebuild_endpoints(records, snapshot, enabled=("sfm", "pfh", "ho3")):
     """Per-record reference for the band ends ``rebuild_map`` marks: {layer: (a, b)}, (N, 2) arrays in log order.
 
     Each end is placed on its own by ``se2_transform``; a disk is a band from
-    a point to itself, and a trail point's band starts at its track's
-    previous point (at itself for the track's first).
+    a point to itself, a trail point's band starts at its track's previous
+    point (at itself for the track's first), and each landmark is the
+    ``SfmEvidence`` record of its feature.
     """
+    landmarks = {rec.feature_id: rec for rec in records if isinstance(rec, SfmEvidence)}
 
     def landmark_world(fid):
         lm = landmarks[fid]
-        return se2_transform(snapshot[lm.anchor_keyframe], lm.offset)
+        return se2_transform(snapshot[lm.keyframe_id], lm.offset)
 
     ends = {layer: [] for layer in enabled}
     last_point = {}

@@ -13,7 +13,7 @@ import pytest
 from _oracles import dijkstra_cost, paint_expected_map
 from travmap import pipeline
 from travmap.cli import main as cli_main
-from travmap.evidence import ALL_LAYERS, EvidenceStore, Landmark, RebuildParams, rebuild_map
+from travmap.evidence import ALL_LAYERS, EvidenceStore, RebuildParams, rebuild_map
 from travmap.gridmap import CellState, LayerPriority, export_pgm, new_map
 from travmap.posegraph import Pose2, PoseGraph, se2_compose, se2_inverse, wrap_angle
 from travmap.quality import JourneyQuery, evaluate_map, plan_path, sample_queries
@@ -110,7 +110,6 @@ def test_criterion_05_reanchoring_equivalence():
     rng = np.random.default_rng(55)
     graph = PoseGraph()
     store = EvidenceStore()
-    landmarks: dict[int, Landmark] = {}
     base = new_map(-2.0, -2.0, 4.0, 4.0, 0.1)
     # The fusion order and radii this criterion was written against: trails on top, 0.5 m robot radius.
     order, radii = LayerPriority(("sfm", "ho3", "pfh")), RebuildParams()
@@ -120,11 +119,9 @@ def test_criterion_05_reanchoring_equivalence():
 
     def ingest(kf: int):
         nonlocal fid
-        landmarks[fid] = Landmark(fid, kf, (0.9, 0.35))
-        store.add_sfm(fid)
+        store.add_sfm(fid, kf, (0.9, 0.35))
         fid += 1
-        landmarks[fid] = Landmark(fid, kf, (0.9, -0.35))
-        store.add_sfm(fid)
+        store.add_sfm(fid, kf, (0.9, -0.35))
         fid += 1
         store.add_pfh(kf, (0.7, 0.0), track_id=0)
         store.add_ho3(fid - 2, fid - 1, 0)
@@ -144,11 +141,11 @@ def test_criterion_05_reanchoring_equivalence():
             graph.add_loop_closure(4, 8, se2_compose(se2_inverse(true_poses[4]), true_poses[8]))
             ev1 = graph.optimize()
             assert ev1.updated
-            rebuilds.append(rebuild_map(store, graph.snapshot(), landmarks, base, ALL_LAYERS, order, radii))
+            rebuilds.append(rebuild_map(store, graph.snapshot(), base, ALL_LAYERS, order, radii))
     graph.add_loop_closure(0, 16, se2_compose(se2_inverse(true_poses[0]), true_poses[16]))
     ev2 = graph.optimize()
     assert ev2.updated
-    incremental = rebuild_map(store, graph.snapshot(), landmarks, base, ALL_LAYERS, order, radii)
+    incremental = rebuild_map(store, graph.snapshot(), base, ALL_LAYERS, order, radii)
     incremental_bytes = export_pgm(incremental)
 
     # from scratch: replay the identical evidence stream against the final poses
@@ -156,17 +153,17 @@ def test_criterion_05_reanchoring_equivalence():
     for rec in store.records:
         for _ in range(getattr(rec, "weight", 1)):  # PfH records are never folded: one observation each
             if hasattr(rec, "feature_id"):
-                replay.add_sfm(rec.feature_id)
+                replay.add_sfm(rec.feature_id, rec.keyframe_id, rec.offset)
             elif hasattr(rec, "offset"):
                 replay.add_pfh(rec.keyframe_id, rec.offset, rec.track_id)
             else:
                 replay.add_ho3(rec.front_id, rec.behind_id, rec.track_id)
     final_snapshot = dict(graph.snapshot())
-    scratch_bytes = export_pgm(rebuild_map(replay, final_snapshot, dict(landmarks), base, ALL_LAYERS, order, radii))
+    scratch_bytes = export_pgm(rebuild_map(replay, final_snapshot, base, ALL_LAYERS, order, radii))
     assert incremental_bytes == scratch_bytes
 
     # independent painter oracle at the final poses
-    painted = paint_expected_map(store.records, final_snapshot, landmarks, base, ALL_LAYERS, order, radii)
+    painted = paint_expected_map(store.records, final_snapshot, base, ALL_LAYERS, order, radii)
     painted_map = new_map(-2.0, -2.0, 4.0, 4.0, 0.1)
     painted_map.cells[:, :] = painted
     assert incremental_bytes == export_pgm(painted_map)

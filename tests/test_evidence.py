@@ -13,7 +13,6 @@ from travmap.evidence import (
     EvidenceError,
     EvidenceStore,
     Ho3Evidence,
-    Landmark,
     OcclusionClass,
     PfhEvidence,
     RebuildParams,
@@ -323,8 +322,8 @@ def test_ho3_pair_must_be_distinct():
 
 def test_store_folds_duplicates():
     store = EvidenceStore()
-    store.add_sfm(3)
-    store.add_sfm(3)
+    store.add_sfm(3, 0, (1.0, 0.5))
+    store.add_sfm(3, 2, (-0.4, 2.0))  # a later sighting with other geometry logs nothing
     store.add_ho3(1, 2, 0)
     store.add_ho3(1, 2, 0)
     store.add_pfh(0, (1.0, 0.0), 0)
@@ -332,37 +331,38 @@ def test_store_folds_duplicates():
     assert len(store.records) == 5  # one sfm record, ho3 sightings and trail points kept
     assert [r.feature_id for r in store.records if isinstance(r, SfmEvidence)] == [3]
     assert [r for r in store.records if isinstance(r, Ho3Evidence)] == [Ho3Evidence(1, 2, 0)] * 2
+    assert store.landmarks == {3: SfmEvidence(3, 0, (1.0, 0.5))}  # the first sighting's geometry
+    assert store.landmarks[3] is store.records[0]
 
 
 def test_repeated_ho3_sighting_rebuilds_the_same_cells():
     # A band marked twice is the same band.
-    landmarks = {1: Landmark(1, 0, (1.0, 0.5)), 2: Landmark(2, 0, (1.0, 2.5))}
     base = new_map(0, 0, 3, 6, 0.1)
     once, twice = EvidenceStore(), EvidenceStore()
+    for store in (once, twice):
+        store.add_sfm(1, 0, (1.0, 0.5))
+        store.add_sfm(2, 0, (1.0, 2.5))
     once.add_ho3(1, 2, 0)
     for _ in range(2):
         twice.add_ho3(1, 2, 0)
-    maps = [
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",), TRAILS_ON_TOP, RADII) for store in (once, twice)
-    ]
+    maps = [rebuild_map(store, {0: Pose2()}, base, ("ho3",), TRAILS_ON_TOP, RADII) for store in (once, twice)]
     assert (maps[0].cells == int(CellState.TRAVERSABLE)).any()
     assert np.array_equal(maps[0].cells, maps[1].cells)
 
 
 def test_rebuild_empty_store_all_unknown():
     base = new_map(0, 0, 3, 6, 0.1)
-    out = rebuild_map(EvidenceStore(), {0: Pose2()}, {}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+    out = rebuild_map(EvidenceStore(), {0: Pose2()}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert (out.cells == int(CellState.UNKNOWN)).all()
 
 
 def test_rebuild_single_landmark_disk():
     base = new_map(0, 0, 3, 3, 0.1)
     store = EvidenceStore()
-    store.add_sfm(0)
-    landmarks = {0: Landmark(0, 0, (1.0, 1.0))}
+    store.add_sfm(0, 0, (1.0, 1.0))
     snapshot = {0: Pose2()}
-    out = rebuild_map(store, snapshot, landmarks, base, ("sfm",), TRAILS_ON_TOP, RADII)
-    expected = paint_expected_map(store.records, snapshot, landmarks, base, ("sfm",), TRAILS_ON_TOP, RADII)
+    out = rebuild_map(store, snapshot, base, ("sfm",), TRAILS_ON_TOP, RADII)
+    expected = paint_expected_map(store.records, snapshot, base, ("sfm",), TRAILS_ON_TOP, RADII)
     assert (out.cells == expected).all()
     assert out.state(*out.world_to_cell(1.0, 1.0)) is CellState.UNTRAVERSABLE
     assert out.state(*out.world_to_cell(2.6, 2.6)) is CellState.UNKNOWN
@@ -373,7 +373,7 @@ def test_rebuild_trail_joins_consecutive_points():
     store = EvidenceStore()
     store.add_pfh(0, (0.5, 0.5), track_id=0)
     store.add_pfh(0, (2.5, 0.5), track_id=0)
-    out = rebuild_map(store, {0: Pose2()}, {}, base, ("pfh",), TRAILS_ON_TOP, RADII)
+    out = rebuild_map(store, {0: Pose2()}, base, ("pfh",), TRAILS_ON_TOP, RADII)
     # the joining band covers the midpoint between the two trail points
     assert out.state(*out.world_to_cell(1.5, 0.5)) is CellState.TRAVERSABLE
 
@@ -383,42 +383,43 @@ def test_rebuild_separate_tracks_not_joined():
     store = EvidenceStore()
     store.add_pfh(0, (0.5, 0.5), track_id=0)
     store.add_pfh(0, (2.5, 0.5), track_id=1)
-    out = rebuild_map(store, {0: Pose2()}, {}, base, ("pfh",), TRAILS_ON_TOP, RADII)
+    out = rebuild_map(store, {0: Pose2()}, base, ("pfh",), TRAILS_ON_TOP, RADII)
     assert out.state(*out.world_to_cell(1.5, 0.5)) is CellState.UNKNOWN
 
 
 def test_rebuild_intersection_rule():
     base = new_map(0, 0, 3, 3, 0.1)
     snapshot = {0: Pose2()}
-    landmarks = {1: Landmark(1, 0, (1.0, 0.5)), 2: Landmark(2, 0, (1.0, 2.5))}
     store = EvidenceStore()
+    store.add_sfm(1, 0, (1.0, 0.5))
+    store.add_sfm(2, 0, (1.0, 2.5))
     store.add_pfh(0, (0.2, 1.5), track_id=0)  # trail blob near (0.2, 1.5)
     store.add_pfh(0, (1.0, 1.5), track_id=0)  # extends to band crossing point
     store.add_ho3(1, 2, 0)  # vertical passage band at x=1.0
-    both = rebuild_map(store, snapshot, landmarks, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
+    both = rebuild_map(store, snapshot, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
     # traversable only where trail and passage band overlap
     assert both.state(*both.world_to_cell(1.0, 1.5)) is CellState.TRAVERSABLE
     assert both.state(*both.world_to_cell(0.2, 1.5)) is CellState.UNKNOWN  # trail only
     assert both.state(*both.world_to_cell(1.0, 0.6)) is CellState.UNKNOWN  # band only
-    solo = rebuild_map(store, snapshot, landmarks, base, ("pfh",), TRAILS_ON_TOP, RADII)
+    solo = rebuild_map(store, snapshot, base, ("pfh",), TRAILS_ON_TOP, RADII)
     assert solo.state(*solo.world_to_cell(0.2, 1.5)) is CellState.TRAVERSABLE
 
 
 def test_rebuild_dangling_references_error():
     base = new_map(0, 0, 1, 1, 0.1)
     store = EvidenceStore()
-    store.add_sfm(42)
+    store.add_sfm(42, 5, (0.0, 0.0))  # anchored to a keyframe the snapshot lacks
     with pytest.raises(EvidenceError) as err:
-        rebuild_map(store, {0: Pose2()}, {}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+        rebuild_map(store, {0: Pose2()}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert "42" in str(err.value)
     store2 = EvidenceStore()
     store2.add_pfh(9, (0.0, 0.0), 0)
     with pytest.raises(EvidenceError) as err:
-        rebuild_map(store2, {0: Pose2()}, {}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+        rebuild_map(store2, {0: Pose2()}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert "9" in str(err.value)
 
 
-def _marked_ends(monkeypatch, store, snapshot, landmarks, enabled):
+def _marked_ends(monkeypatch, store, snapshot, enabled):
     """The (a, b) arrays ``rebuild_map`` hands each layer's rasterizer slot, by layer (hit or miss)."""
     calls = []
     layer_map = evidence._layer_map
@@ -428,15 +429,15 @@ def _marked_ends(monkeypatch, store, snapshot, landmarks, enabled):
         return layer_map(base, layer, a, b, *args)
 
     monkeypatch.setattr(evidence, "_layer_map", spy)
-    rebuild_map(store, snapshot, landmarks, new_map(0, 0, 3, 6, 0.1), enabled, TRAILS_ON_TOP, RADII)
+    rebuild_map(store, snapshot, new_map(0, 0, 3, 6, 0.1), enabled, TRAILS_ON_TOP, RADII)
     assert len(calls) == len(enabled)
     return dict(zip(enabled, calls))
 
 
-def _assert_ends_match_reference(monkeypatch, store, snapshot, landmarks):
+def _assert_ends_match_reference(monkeypatch, store, snapshot):
     for enabled in COMBINATIONS:
-        got = _marked_ends(monkeypatch, store, snapshot, landmarks, enabled)
-        expected = rebuild_endpoints(store.records, snapshot, landmarks, enabled)
+        got = _marked_ends(monkeypatch, store, snapshot, enabled)
+        expected = rebuild_endpoints(store.records, snapshot, enabled)
         for layer in enabled:
             for g, e in zip(got[layer], expected[layer]):
                 assert g.shape == e.shape and g.tobytes() == e.tobytes(), (enabled, layer)
@@ -448,24 +449,24 @@ def test_rebuild_ends_keep_their_bits_on_a_noisy_run(monkeypatch):
     snapshot = result.graph.snapshot()
     assert any(type(p.x) is np.float64 for p in snapshot.values())
     assert {type(rec) for rec in result.store.records} == {SfmEvidence, PfhEvidence, Ho3Evidence}
-    _assert_ends_match_reference(monkeypatch, result.store, snapshot, result.landmarks)
+    _assert_ends_match_reference(monkeypatch, result.store, snapshot)
 
 
 def test_rebuild_ends_chain_each_track_in_log_order(monkeypatch):
     snapshot = {0: Pose2(0.4, 1.1, 0.7), 1: Pose2(1.9, 3.3, -2.2)}
-    landmarks = {1: Landmark(1, 0, (1.0, 0.5)), 2: Landmark(2, 1, (0.3, -0.6)), 5: Landmark(5, 1, (0.9, 0.1))}
     store = EvidenceStore()
-    store.add_sfm(2)
+    store.add_sfm(5, 1, (0.9, 0.1))
+    store.add_sfm(2, 1, (0.3, -0.6))
     store.add_pfh(0, (0.1, 0.2), track_id=4)
     store.add_pfh(1, (0.3, 0.1), track_id=7)  # the two tracks interleave
     store.add_pfh(0, (0.5, 0.2), track_id=4)
     store.add_pfh(0, (0.5, 0.2), track_id=4)  # a zero-length step
-    store.add_sfm(1)
+    store.add_sfm(1, 0, (1.0, 0.5))
     store.add_pfh(1, (0.6, 0.4), track_id=7)
     store.add_ho3(5, 1, 4)
     store.add_ho3(2, 5, 7, at=3)  # inserted mid-log
-    _assert_ends_match_reference(monkeypatch, store, snapshot, landmarks)
-    a, b = _marked_ends(monkeypatch, store, snapshot, landmarks, ("pfh",))["pfh"]
+    _assert_ends_match_reference(monkeypatch, store, snapshot)
+    a, b = _marked_ends(monkeypatch, store, snapshot, ("pfh",))["pfh"]
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])  # each track's first point
     assert np.array_equal(a[3], b[3]) and np.array_equal(a[3], b[2])  # the repeated point
     # Many points of a few tracks, in shuffled turns: a sort that is not stable would reorder a track.
@@ -473,52 +474,54 @@ def test_rebuild_ends_chain_each_track_in_log_order(monkeypatch):
     tracks, keyframes, offsets = rng.integers(0, 3, 300), rng.integers(0, 2, 300), rng.uniform(-1, 1, (300, 2))
     for track_id, kf, offset in zip(tracks.tolist(), keyframes.tolist(), offsets.tolist()):
         store.add_pfh(kf, tuple(offset), track_id)
-    _assert_ends_match_reference(monkeypatch, store, snapshot, landmarks)
+    _assert_ends_match_reference(monkeypatch, store, snapshot)
 
 
 def test_rebuild_names_a_landmarks_unknown_anchor_and_skips_disabled_layers():
     base = new_map(0, 0, 1, 1, 0.1)
-    landmarks = {3: Landmark(3, 0, (0.5, 0.5)), 4: Landmark(4, 8, (0.5, 0.5))}
     store = EvidenceStore()
-    store.add_sfm(3)
+    store.add_sfm(3, 0, (0.5, 0.5))
+    store.add_sfm(4, 8, (0.5, 0.5))
     store.add_ho3(3, 4, 0)
     with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("ho3",), TRAILS_ON_TOP, RADII)
+        rebuild_map(store, {0: Pose2()}, base, ("ho3",), TRAILS_ON_TOP, RADII)
+    with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
+        rebuild_map(store, {0: Pose2()}, base, ("sfm",), TRAILS_ON_TOP, RADII)  # its SfM disk names it too
     # Only the enabled layers' records are resolved: the HO3 end and the dangling ones below are never looked up.
-    store.add_ho3(3, 99, 0)
+    store.add_ho3(3, 99, 0)  # 99 has no SfM record
     store.add_pfh(9, (0.0, 0.0), 0)
-    out = rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm",), TRAILS_ON_TOP, RADII)
+    out = rebuild_map(store, {0: Pose2(), 8: Pose2()}, base, ("sfm",), TRAILS_ON_TOP, RADII)
     assert out.state(*out.world_to_cell(0.5, 0.5)) is CellState.UNTRAVERSABLE
     with pytest.raises(EvidenceError, match="unknown feature 99"):
-        rebuild_map(store, {0: Pose2(), 8: Pose2()}, landmarks, base, ("ho3",), TRAILS_ON_TOP, RADII)
+        rebuild_map(store, {0: Pose2(), 8: Pose2()}, base, ("ho3",), TRAILS_ON_TOP, RADII)
     with pytest.raises(EvidenceError, match="unknown keyframe 9"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"), TRAILS_ON_TOP, RADII)
+        rebuild_map(store, {0: Pose2(), 8: Pose2()}, base, ("sfm", "pfh"), TRAILS_ON_TOP, RADII)
 
 
 def test_rebuild_names_the_first_unresolved_id_in_log_order():
     base = new_map(0, 0, 1, 1, 0.1)
-    landmarks = {3: Landmark(3, 0, (0.5, 0.5)), 4: Landmark(4, 8, (0.5, 0.5))}
     store = EvidenceStore()
-    store.add_sfm(3)
+    store.add_sfm(3, 0, (0.5, 0.5))
     store.add_pfh(0, (0.5, 0.5), 0)
     store.add_ho3(3, 77, 0)  # an unknown feature, logged before the ones below
-    store.add_sfm(88)
-    store.add_sfm(4)  # an unknown anchor
+    store.add_sfm(88, 5, (0.5, 0.5))  # an unknown anchor
+    store.add_sfm(4, 8, (0.5, 0.5))  # another unknown anchor
     store.add_pfh(6, (0.0, 0.0), 0)  # an unknown keyframe
     with pytest.raises(EvidenceError, match="unknown feature 77"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
-    with pytest.raises(EvidenceError, match="unknown feature 88"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("sfm", "pfh"), TRAILS_ON_TOP, RADII)
+        rebuild_map(store, {0: Pose2()}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+    with pytest.raises(EvidenceError, match="landmark 88 anchored to unknown keyframe 5"):
+        rebuild_map(store, {0: Pose2()}, base, ("sfm", "pfh"), TRAILS_ON_TOP, RADII)
     with pytest.raises(EvidenceError, match="unknown keyframe 6"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh",), TRAILS_ON_TOP, RADII)
+        rebuild_map(store, {0: Pose2()}, base, ("pfh",), TRAILS_ON_TOP, RADII)
     store.add_ho3(4, 3, 0, at=0)
     with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
-        rebuild_map(store, {0: Pose2()}, landmarks, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
+        rebuild_map(store, {0: Pose2()}, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
 
 
 _ADDS = st.lists(
     st.one_of(
-        st.tuples(st.just("sfm"), st.integers(0, 4)),  # repeats log nothing
+        # Repeats log nothing, whatever keyframe and offset they carry.
+        st.tuples(st.just("sfm"), st.integers(0, 4), st.integers(0, 3), st.tuples(st.floats(-2, 2), st.floats(-2, 2))),
         st.tuples(st.just("pfh"), st.integers(0, 3), st.tuples(st.floats(-2, 2), st.floats(-2, 2)), st.integers(0, 2)),
         st.tuples(st.just("ho3"), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.integers(0, 60)),
     ),
@@ -528,19 +531,26 @@ _ADDS = st.lists(
 
 def _assert_columns_project_the_log(store):
     columns, records = store.columns(), store.records
+    disks = [rec for rec in records if isinstance(rec, SfmEvidence)]
     trail = [rec for rec in records if isinstance(rec, PfhEvidence)]
     ho3 = [[rec.front_id, rec.behind_id] for rec in records if isinstance(rec, Ho3Evidence)]
+    sfm_ids = [rec.feature_id for rec in disks]
     prev, last = [], {}
     for row, rec in enumerate(trail):
         prev.append(last.get(rec.track_id, row))
         last[rec.track_id] = row
     assert columns.sfm_ids.tolist() == [rec.feature_id for rec in records if isinstance(rec, SfmEvidence)]
+    assert columns.sfm_keyframes.tolist() == [rec.keyframe_id for rec in disks]
+    assert columns.sfm_offsets.shape == (len(disks), 2)
+    assert columns.sfm_offsets.tolist() == [list(rec.offset) for rec in disks]
+    assert list(store.landmarks.values()) == disks  # one record per feature, in log order
     assert columns.pfh_keyframes.tolist() == [rec.keyframe_id for rec in trail]
     assert columns.pfh_offsets.shape == (len(trail), 2)
     assert columns.pfh_offsets.tolist() == [list(rec.offset) for rec in trail]
     assert columns.pfh_tracks.tolist() == [rec.track_id for rec in trail]
     assert columns.pfh_prev.tolist() == prev
-    assert columns.ho3_ids.shape == (len(ho3), 2) and columns.ho3_ids.tolist() == ho3
+    rows = [[sfm_ids.index(fid) if fid in sfm_ids else -1 for fid in pair] for pair in ho3]
+    assert columns.ho3_rows.shape == (len(ho3), 2) and columns.ho3_rows.tolist() == rows
 
 
 @given(adds=_ADDS)
@@ -560,21 +570,21 @@ def test_store_columns_are_the_log_in_order(adds):
 
 def test_an_add_after_a_rebuild_shows_in_the_next_rebuild():
     snapshot = {0: Pose2(0.5, 0.5, 0.3), 1: Pose2(1.5, 4.0, -1.0)}
-    landmarks = {1: Landmark(1, 0, (1.0, 0.5)), 2: Landmark(2, 0, (1.0, 2.5)), 3: Landmark(3, 1, (0.4, -0.2))}
     base = new_map(0, 0, 3, 6, 0.1)
     store = EvidenceStore()
     adds = [
-        (store.add_sfm, (1,)),
+        (store.add_sfm, (1, 0, (1.0, 0.5))),
         (store.add_pfh, (0, (0.2, 1.5), 0)),
+        (store.add_sfm, (2, 0, (1.0, 2.5))),
         (store.add_ho3, (1, 2, 0)),
         (store.add_pfh, (0, (1.0, 1.5), 0)),  # the trail now crosses the band
-        (store.add_sfm, (3,)),
+        (store.add_sfm, (3, 1, (0.4, -0.2))),
         (store.add_ho3, (3, 2, 1, 1)),  # inserted mid-log
         (store.add_pfh, (1, (0.3, 0.3), 1)),
     ]
     orders = (TRAILS_ON_TOP, pipeline.PipelineParams().priority)
     maps = {
-        (layers, order): rebuild_map(store, snapshot, landmarks, base, layers, order, RADII).cells
+        (layers, order): rebuild_map(store, snapshot, base, layers, order, RADII).cells
         for layers in COMBINATIONS
         for order in orders
     }
@@ -582,8 +592,8 @@ def test_an_add_after_a_rebuild_shows_in_the_next_rebuild():
         add(*args)
         changed = dict.fromkeys(orders, False)
         for (layers, order), before in maps.items():
-            out = rebuild_map(store, snapshot, landmarks, base, layers, order, RADII)
-            expected = paint_expected_map(store.records, snapshot, landmarks, base, layers, order, RADII)
+            out = rebuild_map(store, snapshot, base, layers, order, RADII)
+            expected = paint_expected_map(store.records, snapshot, base, layers, order, RADII)
             assert np.array_equal(out.cells, expected), (add.__name__, args, layers, order)
             changed[order] |= not np.array_equal(out.cells, before)
             maps[layers, order] = out.cells
@@ -623,15 +633,13 @@ def test_layer_reuse_cannot_be_seen(run_shared):
 
     # After optimize moves the poses, every layer misses: the next rebuild is the painter's.
     base = new_map(*result.config.bounds)
-    stale = rebuild_map(result.store, result.graph.snapshot(), result.landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+    stale = rebuild_map(result.store, result.graph.snapshot(), base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     older, newer, rel = pipeline.truth_closures(result.truth, result.params)[0]
     result.graph.add_loop_closure(older, newer, rel)
     assert result.graph.optimize().updated
     snapshot = result.graph.snapshot()
-    out = rebuild_map(result.store, snapshot, result.landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
-    expected = paint_expected_map(
-        result.store.records, snapshot, result.landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII
-    )
+    out = rebuild_map(result.store, snapshot, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+    expected = paint_expected_map(result.store.records, snapshot, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert np.array_equal(out.cells, expected)
     assert not np.array_equal(out.cells, stale.cells)
 
@@ -652,7 +660,6 @@ def test_rebuild_matches_painter_after_optimization_small():
     rng = np.random.default_rng(7)
     graph = PoseGraph()
     store = EvidenceStore()
-    landmarks = {}
     true_poses = [Pose2()]
     fid = 0
     for k in range(8):
@@ -664,11 +671,9 @@ def test_rebuild_matches_painter_after_optimization_small():
             odom_true.theta + rng.normal(0, 0.02),
         )
         kf = graph.add_keyframe(noisy)
-        landmarks[fid] = Landmark(fid, kf, (0.8, 0.3))
-        store.add_sfm(fid)
+        store.add_sfm(fid, kf, (0.8, 0.3))
         fid += 1
-        landmarks[fid] = Landmark(fid, kf, (0.8, -0.3))
-        store.add_sfm(fid)
+        store.add_sfm(fid, kf, (0.8, -0.3))
         fid += 1
         store.add_pfh(kf, (0.6, 0.0), track_id=0)
         store.add_ho3(fid - 2, fid - 1, 0)
@@ -678,8 +683,8 @@ def test_rebuild_matches_painter_after_optimization_small():
     assert event.updated  # the noise was real, poses moved
 
     base = new_map(-2, -2, 3, 3, 0.1)
-    out = rebuild_map(store, graph.snapshot(), landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
-    expected = paint_expected_map(store.records, graph.snapshot(), landmarks, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+    out = rebuild_map(store, graph.snapshot(), base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
+    expected = paint_expected_map(store.records, graph.snapshot(), base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     assert (out.cells == expected).all()
 
 
@@ -709,25 +714,26 @@ _RECORDS = st.lists(
 @settings(max_examples=50, deadline=None)
 def test_rebuild_matches_painter_on_random_stores(poses, anchors, records, enabled, radii):
     snapshot = {kf: Pose2(*pose) for kf, pose in enumerate(poses)}
-    landmarks = {fid: Landmark(fid, kf, offset) for fid, (kf, offset) in enumerate(anchors)}
     store = EvidenceStore()
     for kind, *args in records:
         if kind == "sfm":
-            store.add_sfm(*args)
+            store.add_sfm(args[0], *anchors[args[0]])
         elif kind == "pfh":
             store.add_pfh(*args)
         elif args[0] != args[1]:
+            for fid in args[:2]:  # each landmark is logged before the first HO3 record naming it
+                store.add_sfm(fid, *anchors[fid])
             store.add_ho3(*args)
     base = new_map(-1.0, -0.5, 2.0, 1.5, 0.1)
     params = RebuildParams(*radii)
-    out = rebuild_map(store, snapshot, landmarks, base, enabled, TRAILS_ON_TOP, params)
-    expected = paint_expected_map(store.records, snapshot, landmarks, base, enabled, TRAILS_ON_TOP, params)
+    out = rebuild_map(store, snapshot, base, enabled, TRAILS_ON_TOP, params)
+    expected = paint_expected_map(store.records, snapshot, base, enabled, TRAILS_ON_TOP, params)
     assert np.array_equal(out.cells, expected)
 
 
 def test_export_log_format():
     store = EvidenceStore()
-    store.add_sfm(4)
+    store.add_sfm(4, 2, (0.75, 0.5))
     store.add_pfh(2, (1.5, -0.25), 3)
     store.add_ho3(7, 9, 3)
     store.add_ho3(7, 9, 3)

@@ -11,6 +11,7 @@ import pathlib
 import numpy as np
 
 from travmap import cli, pipeline, posegraph
+from travmap.evidence import ALL_LAYERS, Ho3Evidence, PfhEvidence, SfmEvidence
 from travmap.posegraph import Pose2, PoseGraph
 from travmap.scenario import EXAMPLE_SCENARIO
 
@@ -64,6 +65,22 @@ def test_traced_build_counts_pipeline_spans(tmp_path):
     # Every combination's rebuild goes through the wrapped rebuild and fuse, so the per-layer trace sees it.
     assert t.calls["evidence.rebuild_map"] == t.calls["gridmap.fuse"] == len(pipeline.COMBINATIONS)
     assert t.calls["scenesim.ground_truth_map"] == 1
+
+
+def test_traced_rebuild_counts_the_enabled_layers_records(i_result):
+    """``_on_rebuild`` reads ``enabled`` by name or at position 4, so ``build_combo_map`` must pass it by name."""
+    tracer = _load("tracer")
+    kinds = {"sfm": SfmEvidence, "pfh": PfhEvidence, "ho3": Ho3Evidence}
+    for layers in (("pfh",), ALL_LAYERS):
+        t = tracer.Tracer()
+        t.install()
+        try:
+            pipeline.build_combo_map(i_result, layers)
+        finally:
+            t.uninstall()
+        expected = sum(isinstance(rec, tuple(kinds[layer] for layer in layers)) for rec in i_result.store.records)
+        assert 0 < t.counts["evidence.records_rebuilt"] == expected, layers
+    assert expected > sum(isinstance(rec, PfhEvidence) for rec in i_result.store.records)
 
 
 def test_traced_optimize_counts_one_chi2_per_trial_step(monkeypatch):

@@ -39,8 +39,9 @@ def test_calibration_recovers_unit_scale(i_result):
 
 
 def test_landmarks_match_true_feature_positions(i_result):
-    worlds = landmark_worlds(i_result.landmarks.values(), pose_table(i_result.graph.snapshot()))
-    for fid, (wx, wy) in zip(i_result.landmarks, worlds.tolist()):
+    landmarks = i_result.store.landmarks
+    worlds = landmark_worlds(landmarks.values(), pose_table(i_result.graph.snapshot()))
+    for fid, (wx, wy) in zip(landmarks, worlds.tolist()):
         tx, ty, _ = i_result.truth.feature_points[fid]
         assert math.hypot(wx - tx, wy - ty) < 1e-9
 
@@ -194,10 +195,11 @@ def test_non_default_keyframe_stride(run_shared, scene):
     stride = 7
     res = run_shared(scene, pipeline.PipelineParams(keyframe_stride=stride))
     assert len(res.graph.nodes) == (len(res.frames) - 1) // stride + 1
-    assert res.landmarks
-    worlds = landmark_worlds(res.landmarks.values(), pose_table(res.graph.snapshot()))
-    for (fid, lm), (wx, wy) in zip(res.landmarks.items(), worlds.tolist()):
-        assert lm.anchor_keyframe in res.graph.nodes
+    landmarks = res.store.landmarks
+    assert landmarks
+    worlds = landmark_worlds(landmarks.values(), pose_table(res.graph.snapshot()))
+    for (fid, lm), (wx, wy) in zip(landmarks.items(), worlds.tolist()):
+        assert lm.keyframe_id in res.graph.nodes
         # noiseless odometry: a landmark lands on its feature only if keyframe k is frame k * stride
         tx, ty, _ = res.truth.feature_points[fid]
         assert math.hypot(wx - tx, wy - ty) < 1e-9
@@ -205,7 +207,7 @@ def test_non_default_keyframe_stride(run_shared, scene):
         if isinstance(rec, PfhEvidence):
             assert rec.keyframe_id in res.graph.nodes
         elif isinstance(rec, Ho3Evidence):
-            assert rec.front_id in res.landmarks and rec.behind_id in res.landmarks
+            assert rec.front_id in landmarks and rec.behind_id in landmarks
     gt = ground_truth_map(scene)
     for layers in pipeline.COMBINATIONS:
         assert pipeline.build_combo_map(res, layers).same_geometry(gt)
@@ -275,7 +277,7 @@ def test_each_landmark_is_logged_once_in_creation_order(run_shared, scene):
     seen = [f.features["feature_id"][f.features["visible"]].tolist() for f in res.frames[::stride]]
     first_seen = list(dict.fromkeys(fid for ids in seen for fid in ids))
     sfm_ids = [r.feature_id for r in res.store.records if isinstance(r, SfmEvidence)]
-    assert sfm_ids == list(res.landmarks) == first_seen
+    assert sfm_ids == list(res.store.landmarks) == first_seen
 
 
 @pytest.mark.parametrize("kind", ["L", "T"])
@@ -333,7 +335,7 @@ def test_ingest_maps_from_the_frames_alone(simulated, run_shared, kind):
     ing = pipeline.ingest(frames, scene.intrinsics, params, *oracles)
     assert ing.events and export_evidence_log(ing.store) == export_evidence_log(result.store)
     assert ing.graph.dumps() == result.graph.dumps()
-    from_frames = dataclasses.replace(result, graph=ing.graph, landmarks=ing.landmarks, store=ing.store)
+    from_frames = dataclasses.replace(result, graph=ing.graph, store=ing.store)
     for layers in pipeline.COMBINATIONS:
         got, expected = (pipeline.build_combo_map(res, layers) for res in (from_frames, result))
         assert export_pgm(got) == export_pgm(expected), layers
@@ -397,9 +399,10 @@ def test_loop_closure_bounds_landmark_error_under_drift(ingest_shared, seed):
     def landmark_errors(enable_closures):
         result, truth = ingest_shared(scene, pipeline.PipelineParams(enable_closures=enable_closures))
         assert len(result.events) == int(enable_closures)
-        worlds = landmark_worlds(result.landmarks.values(), pose_table(result.graph.snapshot()))
+        landmarks = result.store.landmarks
+        worlds = landmark_worlds(landmarks.values(), pose_table(result.graph.snapshot()))
         points = truth.feature_points
-        return np.array([math.dist(w, points[fid][:2]) for fid, w in zip(result.landmarks, worlds.tolist())])
+        return np.array([math.dist(w, points[fid][:2]) for fid, w in zip(landmarks, worlds.tolist())])
 
     closed, open_loop = landmark_errors(True), landmark_errors(False)
     assert len(closed) == len(open_loop) > 300
