@@ -211,6 +211,12 @@ class SceneConfig:
             ("robot_radius", self.robot_radius, 0.0, True), ("rng_seed", self.rng_seed, 0, True),
             ("camera_yaw_offset", self.camera_yaw_offset, -math.inf, False),
         )
+        # Scenario files set the roles; a role swapped through the API would fail deep in the simulation.
+        for idx, human in enumerate(self.humans):
+            if human.role != "human":
+                raise ValueError(f"humans[{idx}] must have role 'human', got {human.role!r}")
+        if self.robot.role != "robot":
+            raise ValueError(f"robot must have role 'robot', got {self.robot.role!r}")
         if not any(x_min <= x <= x_max and y_min <= y <= y_max for _, (x, y, _) in self.robot.waypoints):
             raise ValueError(f"robot has no waypoint inside the bounds {self.bounds}")
         # Output file and directory names are built from it, so it must not leave the output directory.
@@ -273,14 +279,18 @@ def _slab(o, d, lo: float, hi: float):
     """Entry and exit parameters t of the lines o + t * d through the slab lo <= x <= hi.
 
     A line parallel to the slab (|d| < 1e-12) is inside it for every t or for none.
+    ``d`` is an array; ``o`` is an array of its shape or one number.
     """
-    parallel = np.abs(d) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (lo - o) / d
         t2 = (hi - o) / d
-    inside = (lo <= o) & (o <= hi)
-    near = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
-    far = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    near = np.minimum(t1, t2)
+    far = np.maximum(t1, t2)
+    parallel = np.abs(d) < 1e-12
+    if parallel.any():
+        inside = np.broadcast_to((lo <= o) & (o <= hi), near.shape)[parallel]
+        near[parallel] = np.where(inside, -np.inf, np.inf)
+        far[parallel] = np.where(inside, np.inf, -np.inf)
     return near, far
 
 
@@ -302,66 +312,132 @@ def _penetrates(nears: Sequence[np.ndarray], fars: Sequence[np.ndarray]) -> np.n
     return (t_exit - t_enter) > _RAY_EPS
 
 
-def _box_blocked(origin: np.ndarray, targets: np.ndarray, box: ObstacleBox) -> np.ndarray:
-    """True where the segment origin->target penetrates the box volume.
+def _footprint_slabs(o, t, box: ObstacleBox):
+    """The x and y slabs of ``box`` for the lines from ``o`` to ``t``, both (x, y) in its frame: (nears, fars)."""
+    slabs = [_slab(o[k], t[k] - o[k], -box.half_extents[k], box.half_extents[k]) for k in range(2)]
+    return tuple(zip(*slabs))
 
-    ``origin`` (..., 3) and ``targets`` (..., 3) broadcast against each other.
+
+def _circle_crossings(ox, oy, c0, dx, dy, a):
+    """The lines (ox, oy) + t * (dx, dy) that can cross a body's circle, and their entry and exit t.
+
+    ``ox``, ``oy`` is the line's start less the body axis, ``c0`` is
+    ox**2 + oy**2 - r**2 and ``a`` is dx**2 + dy**2.  Returns the indices of
+    the lines that meet the circle or run vertical (a < 1e-18), with their
+    t_lo and t_hi; every other line has t_lo = +inf, so it is never blocked.
     """
-    o = (*_to_box_frame(origin[..., 0], origin[..., 1], box), origin[..., 2])
-    t = (*_to_box_frame(targets[..., 0], targets[..., 1], box), targets[..., 2])
-    lo = (-box.half_extents[0], -box.half_extents[1], 0.0)
-    hi = (box.half_extents[0], box.half_extents[1], box.top_height)
-    slabs = [_slab(o[axis], t[axis] - o[axis], lo[axis], hi[axis]) for axis in range(3)]
-    return _penetrates(*zip(*slabs))
-
-
-def _cylinder_blocked(
-    origin: np.ndarray,
-    targets: np.ndarray,
-    axis_xy: np.ndarray,
-    radius: float,
-    height: float,
-) -> np.ndarray:
-    """True where the segment origin->target penetrates the vertical cylinder.
-
-    ``origin`` (..., 3), ``targets`` (..., 3) and ``axis_xy`` (..., 2) broadcast
-    against each other.
-    """
-    ox = origin[..., 0] - axis_xy[..., 0]
-    oy = origin[..., 1] - axis_xy[..., 1]
-    d = targets - origin
-    a = d[..., 0] ** 2 + d[..., 1] ** 2
-    b = 2.0 * (ox * d[..., 0] + oy * d[..., 1])
-    c0 = ox * ox + oy * oy - radius * radius
+    b = 2.0 * (ox * dx + oy * dy)
     disc = b * b - 4.0 * a * c0
-    sq = np.sqrt(np.maximum(disc, 0.0))
     tiny = a < 1e-18
+    hit = np.flatnonzero((disc >= 0.0) | tiny)
+    b, disc, a, c0, tiny = b[hit], disc[hit], a[hit], c0[hit], tiny[hit]
+    sq = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_lo = (-b - sq) / (2.0 * a)
         t_hi = (-b + sq) / (2.0 * a)
     inside_circle = c0 <= 0.0
     t_lo = np.where(tiny, np.where(inside_circle, -np.inf, np.inf), t_lo)
     t_hi = np.where(tiny, np.where(inside_circle, np.inf, -np.inf), t_hi)
-    empty = disc < 0.0
-    t_lo = np.where(empty & ~tiny, np.inf, t_lo)
-    t_hi = np.where(empty & ~tiny, -np.inf, t_hi)
-    z_lo, z_hi = _slab(origin[..., 2], d[..., 2], 0.0, height)
-    return _penetrates((t_lo, z_lo), (t_hi, z_hi))
+    return hit, t_lo, t_hi
 
 
-def _blocked_any(
-    origin: np.ndarray,
-    targets: np.ndarray,
-    obstacles: Sequence[ObstacleBox],
-    cylinders: Sequence[tuple[np.ndarray, float]],
-) -> np.ndarray:
-    """True where any box or body cylinder ((x, y) axis, height) blocks origin->target; shapes broadcast."""
-    blocked = np.zeros(np.broadcast_shapes(origin.shape[:-1], targets.shape[:-1]), dtype=bool)
-    for box in obstacles:
-        blocked |= _box_blocked(origin, targets, box)
-    for axis_xy, height in cylinders:
-        blocked |= _cylinder_blocked(origin, targets, axis_xy, HUMAN_BODY_RADIUS, height)
-    return blocked
+class _SightLines:
+    """Sight-line tests from each frame's camera to the features and to the walkers' body axes.
+
+    A sight line runs from the camera at ``cam_height`` to its target and is
+    blocked where it penetrates a box or another walker's body cylinder.  Each
+    term of the test is computed once, for the thing it depends on:
+
+    * per feature, each box's view of it (its box-frame x and y), and the z
+      slab of its sight line for each box and each body, which depend only
+      on its z;
+    * per body-axis sample (every ``_BODY_SAMPLE_STEP`` from a walker's feet
+      to its head), the z slabs likewise;
+    * per frame, each box's view of the camera and of each walker, and for
+      each body the camera's offset from its axis (``ox``, ``oy``) and ``c0``
+      of the circle test;
+    * per (frame, target) pair, what needs both ends: the direction, the x and
+      y slabs and the circle quadratic, finished only for the pairs that can
+      meet the circle.
+
+    A test gathers the per-frame and per-target terms by index.  Every term
+    is elementwise, so a pair keeps the bits it would have if tested alone.
+    """
+
+    def __init__(
+        self,
+        boxes: Sequence[ObstacleBox],
+        cam_height: float,
+        cam_xy: np.ndarray,
+        bodies: Sequence[tuple[np.ndarray, float]],
+        F: np.ndarray,
+    ):
+        """``cam_xy`` (frames, 2) holds each frame's camera; ``bodies`` each walker's axis (frames, 2) and height."""
+        self.boxes = boxes
+        self.cam_height = cam_height
+        self.cam_x, self.cam_y = cam_xy[:, 0], cam_xy[:, 1]
+        self.cam_in_boxes = [_to_box_frame(self.cam_x, self.cam_y, box) for box in boxes]
+        self.body_xy = [xy for xy, _ in bodies]
+        self.heights = [height for _, height in bodies]
+        self.bodies_in_boxes = [[_to_box_frame(xy[:, 0], xy[:, 1], box) for box in boxes] for xy in self.body_xy]
+        self.cam_to_bodies = []
+        for xy in self.body_xy:
+            ox = self.cam_x - xy[:, 0]
+            oy = self.cam_y - xy[:, 1]
+            self.cam_to_bodies.append((ox, oy, ox * ox + oy * oy - HUMAN_BODY_RADIUS * HUMAN_BODY_RADIUS))
+        tops = [box.top_height for box in boxes]
+        self.F = F
+        self.features_in_boxes = [_to_box_frame(F[:, 0], F[:, 1], box) for box in boxes]
+        self.feature_box_z = self._z_slabs(F[:, 2], tops)
+        self.feature_body_z = self._z_slabs(F[:, 2], self.heights)
+        self.samples = [np.linspace(0.0, h, int(round(h / _BODY_SAMPLE_STEP)) + 1) for h in self.heights]
+        self.sample_box_z = [self._z_slabs(z, tops) for z in self.samples]
+        self.sample_body_z = [self._z_slabs(z, self.heights) for z in self.samples]
+
+    def _z_slabs(self, z: np.ndarray, heights: Sequence[float]):
+        """For each height h, the slab 0 <= z <= h of the sight lines from the camera to the heights ``z``."""
+        dz = z - self.cam_height
+        return [_slab(self.cam_height, dz, 0.0, h) for h in heights]
+
+    def features_blocked(self, frames: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """True where a box or a body blocks the sight line from frame ``frames[i]`` to feature ``cols[i]``."""
+        blocked = np.zeros(len(frames), dtype=bool)
+        for (cx, cy), (fx, fy), (z_near, z_far), box in zip(
+            self.cam_in_boxes, self.features_in_boxes, self.feature_box_z, self.boxes
+        ):
+            (x_near, y_near), (x_far, y_far) = _footprint_slabs((cx[frames], cy[frames]), (fx[cols], fy[cols]), box)
+            blocked |= _penetrates((x_near, y_near, z_near[cols]), (x_far, y_far, z_far[cols]))
+        dx = self.F[cols, 0] - self.cam_x[frames]
+        dy = self.F[cols, 1] - self.cam_y[frames]
+        a = dx**2 + dy**2
+        for (ox, oy, c0), (z_near, z_far) in zip(self.cam_to_bodies, self.feature_body_z):
+            hit, t_lo, t_hi = _circle_crossings(ox[frames], oy[frames], c0[frames], dx, dy, a)
+            pairs = cols[hit]
+            blocked[hit] |= _penetrates((t_lo, z_near[pairs]), (t_hi, z_far[pairs]))
+        return blocked
+
+    def body_blocked(self, walker: int, frames: np.ndarray) -> np.ndarray:
+        """True where a box or another body blocks frame ``frames[i]``'s sight line to ``walker``'s sample j.
+
+        The samples are ``samples[walker]``, heights along the body axis.
+        A frame's samples share x and y, so the x and y slabs and the circle
+        quadratic run per frame, (frames,), and only the z slabs, held per
+        sample, (samples,), broadcast to (frames, samples).
+        """
+        blocked = np.zeros((len(frames), len(self.samples[walker])), dtype=bool)
+        for (cx, cy), (tx, ty), (z_near, z_far), box in zip(
+            self.cam_in_boxes, self.bodies_in_boxes[walker], self.sample_box_z[walker], self.boxes
+        ):
+            (x_near, y_near), (x_far, y_far) = _footprint_slabs((cx[frames], cy[frames]), (tx[frames], ty[frames]), box)
+            blocked |= _penetrates((x_near[:, None], y_near[:, None], z_near), (x_far[:, None], y_far[:, None], z_far))
+        dx = self.body_xy[walker][frames, 0] - self.cam_x[frames]
+        dy = self.body_xy[walker][frames, 1] - self.cam_y[frames]
+        a = dx**2 + dy**2
+        for other, ((ox, oy, c0), (z_near, z_far)) in enumerate(zip(self.cam_to_bodies, self.sample_body_z[walker])):
+            if other != walker:
+                hit, t_lo, t_hi = _circle_crossings(ox[frames], oy[frames], c0[frames], dx, dy, a)
+                blocked[hit] |= _penetrates((t_lo[:, None], z_near), (t_hi[:, None], z_far))
+        return blocked
 
 
 # ---------------------------------------------------------------------------
@@ -442,49 +518,47 @@ def _odometry(
 
 
 def _render_features(
-    cfg: SceneConfig,
-    cams: np.ndarray,
-    origin: np.ndarray,
-    cylinders: Sequence[tuple[np.ndarray, float]],
-    F: np.ndarray,
-    fids: np.ndarray,
+    cfg: SceneConfig, cams: np.ndarray, start: int, sights: _SightLines, fids: np.ndarray
 ) -> list[np.ndarray]:
-    """Each frame's rows of the features ``F`` (ids ``fids``) that lie in front and inside the image."""
+    """Each frame's rows of the features (ids ``fids``) that lie in front and inside the image.
+
+    ``cams`` are the camera poses of frames ``start``, ``start + 1``, ...
+    Projection runs per (frame, feature) pair of the block; the sight-line
+    test only for the kept pairs, on the terms ``sights`` holds per frame and
+    per feature.
+    """
     intr = cfg.intrinsics
-    u, v, depth = intr.project(cams, F)
+    u, v, depth = intr.project(cams, sights.F)
     cand = (depth > _RAY_EPS) & (u >= 0) & (u < intr.image_width) & (v >= 0) & (v < intr.image_height)
     rows, cols = np.nonzero(cand)
-    # Sight lines only for the kept (frame, feature) pairs; every test is elementwise, so each keeps its bits.
-    pair_cylinders = [(axis_xy[rows, 0], height) for axis_xy, height in cylinders]
-    visible = ~_blocked_any(origin[rows, 0], F[cols], cfg.obstacles, pair_cylinders)
+    visible = ~sights.features_blocked(rows + start, cols)
     out = np.empty(len(rows), FEATURE_DTYPE)
-    columns = (fids[cols], u[rows, cols], v[rows, cols], depth[rows, cols], visible)
+    columns = (fids[cols], u[cand], v[cand], depth[cand], visible)
     for name, column in zip(FEATURE_DTYPE.names, columns):
         out[name] = column
-    return np.split(out, np.cumsum(cand.sum(axis=1))[:-1])
+    ends = np.cumsum(cand.sum(axis=1)).tolist()
+    return [out[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _render_detections(
-    cfg: SceneConfig,
-    cams: np.ndarray,
-    origin: np.ndarray,
-    cylinders: Sequence[tuple[np.ndarray, float]],
+    cfg: SceneConfig, cams: np.ndarray, start: int, sights: _SightLines
 ) -> tuple[list[list[HumanDetection]], list[list[tuple[int, float]]]]:
     """Each frame's detection boxes, one per human whose head is in the image and in clear sight, and their truth.
 
-    ``cylinders`` holds each human's body axis, one (x, y) per frame, and
-    height.  The truth is each box's walker index and range, as
-    ``GroundTruth.detected`` holds them.
+    ``cams`` are the camera poses of frames ``start``, ``start + 1``, ...
+    Each human's body axis is sampled every ``_BODY_SAMPLE_STEP`` from the
+    floor to the head; the samples are projected per (frame, sample), and
+    sight-line tested only in the frames whose head is in view, the x and y
+    terms once per frame and the z slab once per sample.  The truth is each
+    box's walker index and range, as ``GroundTruth.detected`` holds them.
     """
     intr = cfg.intrinsics
     detections: list[list[HumanDetection]] = [[] for _ in cams]
     detected: list[list[tuple[int, float]]] = [[] for _ in cams]
-    for h_idx, (axis_xy, bh) in enumerate(cylinders):
-        others = cylinders[:h_idx] + cylinders[h_idx + 1 :]
-        n_axis = int(round(bh / _BODY_SAMPLE_STEP)) + 1
-        axis_pts = np.empty((len(cams), n_axis, 3))
-        axis_pts[..., :2] = axis_xy
-        axis_pts[..., 2] = np.linspace(0.0, bh, n_axis)
+    for h_idx, (axis_xy, z) in enumerate(zip(sights.body_xy, sights.samples)):
+        axis_pts = np.empty((len(cams), len(z), 3))
+        axis_pts[..., :2] = axis_xy[start : start + len(cams), None, :]
+        axis_pts[..., 2] = z
         u_a, v_a, z_a = intr.project(cams, axis_pts)
         head_u, head_v, head_z = u_a[:, -1], v_a[:, -1], z_a[:, -1]
         in_view = np.flatnonzero(
@@ -492,9 +566,7 @@ def _render_detections(
             & (0 <= head_u) & (head_u < intr.image_width)
             & (0 <= head_v) & (head_v < intr.image_height)
         )
-        # Sight lines only for the frames whose head is in view; every test is elementwise.
-        in_view_others = [(xy[in_view], height) for xy, height in others]
-        blocked = _blocked_any(origin[in_view], axis_pts[in_view], cfg.obstacles, in_view_others)
+        blocked = sights.body_blocked(h_idx, in_view + start)
         v_a, head_u, head_z = v_a[in_view], head_u[in_view], head_z[in_view]
         y_min = np.where(blocked, np.inf, v_a).min(axis=1)
         y_max = np.where(blocked, -np.inf, v_a).max(axis=1)
@@ -522,7 +594,9 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
     output.  Projection runs on blocks of ``_FRAME_BLOCK`` frames at once;
     sight-line tests run only for what a frame keeps: the (frame, feature)
     pairs in front of the camera and inside the image, and the frames whose
-    human head is.
+    human head is.  Their terms that depend on one feature or one frame only
+    are computed once for the scene (``_SightLines``); per pair runs only
+    what needs both ends.
     """
     intr = cfg.intrinsics
     feature_points = sample_feature_points(cfg)
@@ -539,17 +613,15 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
     odometry = _odometry(cam_poses, cfg)
 
     cams_all = np.array(cam_poses, dtype=float)
-    # (frames, 1, 3): one camera centre per frame, broadcast over that frame's targets.
-    origins = np.column_stack([cams_all[:, :2], np.full(n_frames, intr.cam_height)])[:, None, :]
-    xy_all = np.array(human_positions, dtype=float).reshape(n_frames, len(cfg.humans), 1, 2)
+    xy_all = np.array(human_positions, dtype=float).reshape(n_frames, len(cfg.humans), 2)
+    bodies = [(xy_all[:, h_idx], h.body_height) for h_idx, h in enumerate(cfg.humans)]
+    sights = _SightLines(cfg.obstacles, intr.cam_height, cams_all[:, :2], bodies, F)
     frames: list[FrameObservation] = []
     detected: list[list[tuple[int, float]]] = []
     for start in range(0, n_frames, _FRAME_BLOCK):
-        block = slice(start, start + _FRAME_BLOCK)
-        cams, origin = cams_all[block], origins[block]
-        cylinders = [(xy_all[block, h_idx], h.body_height) for h_idx, h in enumerate(cfg.humans)]
-        features = _render_features(cfg, cams, origin, cylinders, F, fids)
-        detections, block_detected = _render_detections(cfg, cams, origin, cylinders)
+        cams = cams_all[start : start + _FRAME_BLOCK]
+        features = _render_features(cfg, cams, start, sights, fids)
+        detections, block_detected = _render_detections(cfg, cams, start, sights)
         detected += block_detected
         for j, (feature_obs, dets) in enumerate(zip(features, detections)):
             k = start + j

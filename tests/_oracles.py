@@ -1,5 +1,6 @@
 """Independent reference implementations used only to cross-check results."""
 
+import functools
 import heapq
 import math
 from typing import Optional, Sequence
@@ -18,7 +19,7 @@ from travmap.evidence import (
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, Ingest, PairDiag
 from travmap.posegraph import OptimizationEvent, Pose2, _Blocks, _solve, se2_compose, se2_inverse, se2_transform
-from travmap.scenesim import CameraIntrinsics, FrameObservation, ObstacleBox, _blocked_any
+from travmap.scenesim import _RAY_EPS, HUMAN_BODY_RADIUS, CameraIntrinsics, FrameObservation, ObstacleBox
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -221,6 +222,102 @@ def project_point(
     return float(u[0]), float(v[0]), float(depth[0])
 
 
+# Sight lines, each term computed per (origin, target) pair: the simulator's
+# formulas before it computed each term once per feature or per frame, kept
+# as the reference it is checked against.
+
+
+def slab(o, d, lo: float, hi: float):
+    """Entry and exit parameters t of the lines o + t * d through the slab lo <= x <= hi.
+
+    A line parallel to the slab (|d| < 1e-12) is inside it for every t or for none.
+    """
+    parallel = np.abs(d) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - o) / d
+        t2 = (hi - o) / d
+    inside = (lo <= o) & (o <= hi)
+    near = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+    far = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+    return near, far
+
+
+def _penetrates(nears, fars) -> np.ndarray:
+    """True where [0, 1 - _RAY_EPS) and every (near, far) interval of the segment parameter share more than _RAY_EPS."""
+    t_enter = functools.reduce(np.maximum, nears, 0.0)
+    t_exit = functools.reduce(np.minimum, fars, 1.0 - _RAY_EPS)
+    return (t_exit - t_enter) > _RAY_EPS
+
+
+def box_blocked(origin: np.ndarray, targets: np.ndarray, box: ObstacleBox) -> np.ndarray:
+    """True where the segment origin->target penetrates the box volume.
+
+    ``origin`` (..., 3) and ``targets`` (..., 3) broadcast against each other.
+    """
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+
+    def in_box_frame(p):
+        dx = p[..., 0] - box.center[0]
+        dy = p[..., 1] - box.center[1]
+        return c * dx + s * dy, -s * dx + c * dy, p[..., 2]
+
+    o = in_box_frame(origin)
+    t = in_box_frame(targets)
+    lo = (-box.half_extents[0], -box.half_extents[1], 0.0)
+    hi = (box.half_extents[0], box.half_extents[1], box.top_height)
+    slabs = [slab(o[axis], t[axis] - o[axis], lo[axis], hi[axis]) for axis in range(3)]
+    return _penetrates(*zip(*slabs))
+
+
+def cylinder_blocked(
+    origin: np.ndarray,
+    targets: np.ndarray,
+    axis_xy: np.ndarray,
+    radius: float,
+    height: float,
+) -> np.ndarray:
+    """True where the segment origin->target penetrates the vertical cylinder.
+
+    ``origin`` (..., 3), ``targets`` (..., 3) and ``axis_xy`` (..., 2) broadcast
+    against each other.
+    """
+    ox = origin[..., 0] - axis_xy[..., 0]
+    oy = origin[..., 1] - axis_xy[..., 1]
+    d = targets - origin
+    a = d[..., 0] ** 2 + d[..., 1] ** 2
+    b = 2.0 * (ox * d[..., 0] + oy * d[..., 1])
+    c0 = ox * ox + oy * oy - radius * radius
+    disc = b * b - 4.0 * a * c0
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    tiny = a < 1e-18
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_lo = (-b - sq) / (2.0 * a)
+        t_hi = (-b + sq) / (2.0 * a)
+    inside_circle = c0 <= 0.0
+    t_lo = np.where(tiny, np.where(inside_circle, -np.inf, np.inf), t_lo)
+    t_hi = np.where(tiny, np.where(inside_circle, np.inf, -np.inf), t_hi)
+    empty = disc < 0.0
+    t_lo = np.where(empty & ~tiny, np.inf, t_lo)
+    t_hi = np.where(empty & ~tiny, -np.inf, t_hi)
+    z_lo, z_hi = slab(origin[..., 2], d[..., 2], 0.0, height)
+    return _penetrates((t_lo, z_lo), (t_hi, z_hi))
+
+
+def blocked_any(
+    origin: np.ndarray,
+    targets: np.ndarray,
+    obstacles: Sequence[ObstacleBox],
+    cylinders: Sequence[tuple[np.ndarray, float]],
+) -> np.ndarray:
+    """True where any box or body cylinder ((x, y) axis, height) blocks origin->target; shapes broadcast."""
+    blocked = np.zeros(np.broadcast_shapes(origin.shape[:-1], targets.shape[:-1]), dtype=bool)
+    for box in obstacles:
+        blocked |= box_blocked(origin, targets, box)
+    for axis_xy, height in cylinders:
+        blocked |= cylinder_blocked(origin, targets, axis_xy, HUMAN_BODY_RADIUS, height)
+    return blocked
+
+
 def occlusion_test(
     cam_pose: tuple[float, float, float],
     cam_height: float,
@@ -237,7 +334,7 @@ def occlusion_test(
     origin = np.array([cam_pose[0], cam_pose[1], cam_height])
     targets = np.array([target], dtype=float)
     cylinders = [(np.asarray(xy, dtype=float), h) for idx, (xy, h) in enumerate(humans) if idx != exclude_human]
-    return not bool(_blocked_any(origin, targets, obstacles, cylinders)[0])
+    return not bool(blocked_any(origin, targets, obstacles, cylinders)[0])
 
 
 def infer_pass_pair(

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import BehindCameraError, occlusion_test, project_point
+from _oracles import BehindCameraError, blocked_any, occlusion_test, project_point, slab
 
 from travmap import scenesim
 from travmap.gridmap import CellState
@@ -73,6 +73,20 @@ def test_human_height_validated():
 def test_waypoint_times_strictly_increasing():
     with pytest.raises(ValueError):
         AgentTrajectory("robot", ((0.0, (0, 0, 0)), (0.0, (1, 0, 0))))
+
+
+def test_scene_rejects_a_robot_among_the_humans():
+    cfg = builtin_config("I")
+    robot_as_human = AgentTrajectory("robot", cfg.humans[0].waypoints)
+    with pytest.raises(ValueError, match=r"^humans\[1\] must have role 'human', got 'robot'"):
+        dataclasses.replace(cfg, humans=[cfg.humans[0], robot_as_human])
+
+
+def test_scene_rejects_a_human_robot():
+    cfg = builtin_config("I")
+    human_as_robot = AgentTrajectory("human", cfg.robot.waypoints, body_height=1.7)
+    with pytest.raises(ValueError, match="^robot must have role 'robot', got 'human'"):
+        dataclasses.replace(cfg, robot=human_as_robot)
 
 
 @pytest.mark.parametrize(
@@ -489,3 +503,112 @@ def test_box_frame_rotation_rounds_alike_alone_and_in_blocks(yaw):
     alone = np.array([scenesim._to_box_frame(x, y, box) for x, y in xy])
     rows = np.array([np.concatenate(scenesim._to_box_frame(xy[k : k + 1, 0], xy[k : k + 1, 1], box)) for k in range(len(xy))])
     assert block.tobytes() == alone.tobytes() == rows.tobytes()
+    # Sight lines rotate each frame's camera and each feature once, then gather them per pair.
+    idx = np.random.default_rng(1).integers(0, len(xy), size=5000)
+    gathered_first = np.column_stack(scenesim._to_box_frame(xy[idx, 0], xy[idx, 1], box))
+    assert block[idx].tobytes() == gathered_first.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# sight lines against the per-pair reference on edge cases
+
+#: A box with dyadic sizes, so that at yaw 0 points on its faces sit on the slab bounds exactly.
+_EDGE_BOX = dict(center=(1.0, 2.0), half_extents=(0.25, 0.5), top_height=0.75)
+_EDGE_HEIGHTS = (0.0, 0.125, 0.5, 0.75, 0.875, 1.25)  # the floor, the test's camera heights (0.75 is the top), above
+
+
+def test_slab_matches_reference_bit_for_bit():
+    lo, hi = -0.25, 0.25
+    o = np.array([lo, hi, 0.0, 0.1, -0.3, 0.3, lo - 1e-14, hi + 1e-14, lo + 1e-14])
+    d = np.array([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 0.5, -0.5, 1e-300, 3.0])
+    o, d = (a.ravel() for a in np.meshgrid(o, d))
+    got = scenesim._slab(o, d, lo, hi)
+    want = slab(o, d, lo, hi)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    # a scalar start, as the per-feature z slabs use
+    got = scenesim._slab(0.75, d, 0.0, 0.75)
+    want = slab(np.full_like(d, 0.75), d, 0.0, 0.75)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def _edge_scene(yaw):
+    """``_EDGE_BOX`` turned to ``yaw``, and cameras (frames, 2), features (n, 3) and two walkers around it.
+
+    Built in the box's frame and turned into the world, the segments take in
+    lines parallel to each slab (inside it, outside it and on its bound),
+    lines through a corner and within 1e-10 or 1e-8 of it, targets on the
+    faces and on the top, and vertical segments inside and outside a body
+    circle.
+    """
+    rng = np.random.default_rng(7)
+    hx, hy = _EDGE_BOX["half_extents"]
+    corner = np.array([hx, hy])
+    graze = np.array([-1.0, 1.0])  # a line along it through the corner only touches the box
+    inward = np.array([-1.0, -1.0]) / math.sqrt(2.0)
+    cams = [
+        rng.uniform(-1.5, 1.5, size=(12, 2)),
+        [(hx, -1.0), (-hx, 1.25), (0.125, -1.5), (1.0, hy), (-1.0, -hy), (0.5, 0.25), (0.125, 0.25)],
+        [corner + graze + offset * inward for offset in (0.0, 1e-10, -1e-10, 1e-8)],
+    ]
+    cams = np.concatenate([np.asarray(c, dtype=float) for c in cams])
+    z = rng.choice(_EDGE_HEIGHTS, size=len(cams))
+    feats = [
+        np.column_stack([rng.uniform(-1.5, 1.5, size=(16, 2)), rng.choice(_EDGE_HEIGHTS, size=16)]),
+        # parallel to the x slab, then to the y slab: at random, and across the box low down
+        np.column_stack([cams[:, 0], rng.uniform(-1.5, 1.5, len(cams)), z]),
+        np.column_stack([cams[:, 0], -cams[:, 1], np.full(len(cams), 0.125)]),
+        np.column_stack([rng.uniform(-1.5, 1.5, len(cams)), cams[:, 1], z[::-1]]),
+        np.column_stack([-cams[:, 0], cams[:, 1], np.full(len(cams), 0.125)]),
+        np.column_stack([cams, z]),  # vertical
+        np.column_stack([cams + [1e-10, 0.0], z[::-1]]),  # vertical within a < 1e-18
+        [(hx, 0.125, 0.5), (-hx, -0.25, 0.125), (0.125, hy, 0.75), (0.0, -hy, 0.25)],  # on a face
+        [(0.125, 0.25, 0.75), (-0.125, -0.375, 0.75), (0.25, 0.5, 0.75)],  # on the top
+        [(*(corner - graze + offset * inward), height) for offset in (0.0, 1e-10, -1e-8) for height in (0.125, 0.75)],
+    ]
+    feats = np.concatenate([np.asarray(f, dtype=float) for f in feats])
+    # Walker 0 stands by some cameras (inside its circle, on it) and walker 1 on the others' sight lines.
+    near_cam = cams + rng.choice([0.0, 0.125, 0.25, 0.5], size=(len(cams), 1)) * [1.0, 0.0]
+    between = 0.5 * (cams + rng.uniform(-1.5, 1.5, size=cams.shape))
+
+    c, s = math.cos(yaw), math.sin(yaw)
+    center = np.array(_EDGE_BOX["center"])
+
+    def to_world(xy):
+        return center + np.column_stack([c * xy[:, 0] - s * xy[:, 1], s * xy[:, 0] + c * xy[:, 1]])
+
+    walkers = [(to_world(near_cam), 1.5), (to_world(between), 1.75)]
+    F = np.column_stack([to_world(feats[:, :2]), feats[:, 2]])
+    return ObstacleBox(yaw=yaw, **_EDGE_BOX), to_world(cams), F, walkers
+
+
+@pytest.mark.parametrize("cam_height", (0.5, 0.75, 0.875))  # the box top is 0.75
+@pytest.mark.parametrize("yaw", (0.0, *_ODD_YAWS))
+def test_sight_lines_match_per_pair_reference_on_edge_cases(yaw, cam_height):
+    box, cams, F, walkers = _edge_scene(yaw)
+    n_frames, n_features = len(cams), len(F)
+    origin = np.column_stack([cams, np.full(n_frames, cam_height)])
+    rows, cols = (a.ravel() for a in np.indices((n_frames, n_features)))
+
+    # The cases are there: lines parallel to each slab, vertical lines.
+    o = scenesim._to_box_frame(origin[rows, 0], origin[rows, 1], box)
+    t = scenesim._to_box_frame(F[cols, 0], F[cols, 1], box)
+    assert all((np.abs(t[k] - o[k]) < 1e-12).sum() >= n_frames for k in range(2))
+    assert (F[cols, 2] == cam_height).sum() >= n_frames
+    a = (F[cols, 0] - origin[rows, 0]) ** 2 + (F[cols, 1] - origin[rows, 1]) ** 2
+    assert (a < 1e-18).sum() >= 2 * n_frames
+
+    # The box alone (a walker only as a target), the bodies alone, and both.
+    frames = np.arange(n_frames)
+    for boxes, bodies in (([box], []), ([box], walkers[:1]), ([], walkers), ([box], walkers)):
+        sights = scenesim._SightLines(boxes, cam_height, cams, bodies, F)
+        want = blocked_any(origin[rows], F[cols], boxes, [(xy[rows], height) for xy, height in bodies])
+        assert np.array_equal(sights.features_blocked(rows, cols), want)
+        assert want.sum() > 100 and (~want).sum() > 100
+        for walker, ((xy, _), z) in enumerate(zip(bodies, sights.samples)):
+            targets = np.empty((n_frames, len(z), 3))
+            targets[..., :2] = xy[:, None, :]
+            targets[..., 2] = z
+            others = [(other[:, None, :], h) for k, (other, h) in enumerate(bodies) if k != walker]
+            want = blocked_any(origin[:, None, :], targets, boxes, others)
+            assert np.array_equal(sights.body_blocked(walker, frames), want)
+            assert want.any() and not want.all()
