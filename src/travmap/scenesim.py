@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gridmap import CellState, TraversabilityMap, new_map
-from .posegraph import Pose2, se2_compose, se2_inverse, wrap_angle
+from .posegraph import _compose_rows, _inverse_rows, _wrap_rows
 
 __all__ = [
     "HUMAN_BODY_RADIUS",
@@ -139,7 +139,7 @@ class ObstacleBox:
 
 @dataclass(frozen=True)
 class AgentTrajectory:
-    """Piecewise-linear timed path; yaw interpolates along the shortest arc."""
+    """Piecewise-linear timed path of (t, (x, y, yaw)) waypoints; yaw interpolates along the shortest arc."""
 
     role: str  # "human" | "robot"
     waypoints: tuple[tuple[float, tuple[float, float, float]], ...]
@@ -151,7 +151,9 @@ class AgentTrajectory:
         times = [t for t, _ in self.waypoints]
         if len(times) < 1:
             raise ValueError("trajectory needs at least one waypoint")
-        for t, pose in self.waypoints:
+        for idx, (t, pose) in enumerate(self.waypoints):
+            if len(pose) != 3:
+                raise ValueError(f"waypoint {idx} pose must be (x, y, yaw), got {pose!r}")
             numbers = zip(("t", "x", "y", "yaw"), (t, *pose))
             check_bounds(*((f"waypoint {name}", v, -math.inf, False) for name, v in numbers))
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -167,21 +169,21 @@ class AgentTrajectory:
     def duration(self) -> float:
         return self.waypoints[-1][0]
 
-    def pose_at(self, t: float) -> tuple[float, float, float]:
-        """Pose at time t, clamped to the first/last waypoint outside the range."""
-        wps = self.waypoints
-        if t <= wps[0][0]:
-            return wps[0][1]
-        if t >= wps[-1][0]:
-            return wps[-1][1]
-        for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
-            if t0 <= t <= t1:
-                frac = (t - t0) / (t1 - t0)
-                x = p0[0] + frac * (p1[0] - p0[0])
-                y = p0[1] + frac * (p1[1] - p0[1])
-                yaw = wrap_angle(p0[2] + frac * wrap_angle(p1[2] - p0[2]))
-                return (x, y, yaw)
-        raise AssertionError("unreachable")
+    def poses_at(self, times: np.ndarray) -> np.ndarray:
+        """Poses (n, 3) at ``times`` (n,), clamped to the first/last waypoint's pose as given outside their range.
+
+        A time on an interior waypoint takes the segment that ends there, with frac = 1.
+        """
+        T, P = (np.array(column, dtype=float) for column in zip(*self.waypoints))
+        out = np.where((times <= T[0])[:, None], P[0], P[-1])
+        inside = np.flatnonzero((T[0] < times) & (times < T[-1]))
+        t = times[inside]
+        end = np.searchsorted(T, t, side="left")
+        p0, p1 = P[end - 1], P[end]
+        frac = (t - T[end - 1]) / (T[end] - T[end - 1])
+        out[inside, :2] = p0[:, :2] + frac[:, None] * (p1[:, :2] - p0[:, :2])
+        out[inside, 2] = _wrap_rows(p0[:, 2] + frac * _wrap_rows(p1[:, 2] - p0[:, 2]))
+        return out
 
 
 @dataclass
@@ -262,7 +264,7 @@ class FrameObservation:
 
 @dataclass
 class GroundTruth:
-    """Noiseless trajectories and geometry for oracle checks."""
+    """Noiseless trajectories and geometry for oracle checks, as plain floats: per frame, the camera and each walker."""
 
     camera_poses: list[tuple[float, float, float]]
     feature_points: dict[int, tuple[float, float, float]]
@@ -497,24 +499,21 @@ def sample_feature_points(cfg: SceneConfig) -> dict[int, tuple[float, float, flo
 
 
 def _odometry(
-    cam_poses: Sequence[tuple[float, float, float]], cfg: SceneConfig
-) -> list[tuple[float, Optional[tuple[float, float, float]]]]:
-    """Angular speed and (noisy) odometry from the previous frame, frame by frame; frame 0 has none."""
-    rng = np.random.default_rng(cfg.rng_seed)
-    add_noise = cfg.odom_sigma_trans > 0 or cfg.odom_sigma_rot > 0
-    out = [(0.0, None)]
-    for prev, cam in zip(cam_poses, cam_poses[1:]):
-        rel = se2_compose(se2_inverse(Pose2(*prev)), Pose2(*cam))
-        omega = wrap_angle(cam[2] - prev[2]) * cfg.fps
-        if add_noise:
-            eps = rng.normal(0.0, 1.0, size=3)
-            rel = Pose2(
-                rel.x + cfg.odom_sigma_trans * eps[0],
-                rel.y + cfg.odom_sigma_trans * eps[1],
-                rel.theta + cfg.odom_sigma_rot * eps[2],
-            )
-        out.append((omega, rel.as_tuple()))
-    return out
+    cams: np.ndarray, cfg: SceneConfig
+) -> tuple[list[float], list[Optional[tuple[float, float, float]]]]:
+    """Each frame's angular speed and (noisy) odometry from the previous pose in ``cams`` (n, 3); frame 0 has none.
+
+    All frames at once, with posegraph's row twins of the ``Pose2`` steps and
+    their bits.  The noise is one (n - 1, 3) block from ``default_rng(cfg.rng_seed)``,
+    the stream three draws per frame would give.
+    """
+    rel = _compose_rows(_inverse_rows(cams[:-1]), cams[1:])
+    omega = _wrap_rows(cams[1:, 2] - cams[:-1, 2]) * cfg.fps
+    if cfg.odom_sigma_trans > 0 or cfg.odom_sigma_rot > 0:
+        eps = np.random.default_rng(cfg.rng_seed).normal(0.0, 1.0, size=rel.shape)
+        rel[:, :2] += cfg.odom_sigma_trans * eps[:, :2]
+        rel[:, 2] = _wrap_rows(rel[:, 2] + cfg.odom_sigma_rot * eps[:, 2])
+    return [0.0, *omega.tolist()], [None, *map(tuple, rel.tolist())]
 
 
 def _render_features(
@@ -591,12 +590,13 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
 
     Frames run from t=0 through the end of the robot trajectory, endpoints
     inclusive.  Identical configs (including rng_seed) produce identical
-    output.  Projection runs on blocks of ``_FRAME_BLOCK`` frames at once;
-    sight-line tests run only for what a frame keeps: the (frame, feature)
-    pairs in front of the camera and inside the image, and the frames whose
-    human head is.  Their terms that depend on one feature or one frame only
-    are computed once for the scene (``_SightLines``); per pair runs only
-    what needs both ends.
+    output.  Poses and odometry are computed for all frames at once.
+    Projection runs on blocks of ``_FRAME_BLOCK`` frames at once; sight-line
+    tests run only for what a frame keeps: the (frame, feature) pairs in
+    front of the camera and inside the image, and the frames whose human
+    head is.  Their terms that depend on one feature or one frame only are
+    computed once for the scene (``_SightLines``); per pair runs only what
+    needs both ends.
     """
     intr = cfg.intrinsics
     feature_points = sample_feature_points(cfg)
@@ -604,18 +604,15 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
     F = np.array([feature_points[fid] for fid in fids.tolist()], dtype=float).reshape(-1, 3)
 
     n_frames = int(math.floor(cfg.robot.duration * cfg.fps + 1e-9)) + 1
-    times = [k / cfg.fps for k in range(n_frames)]
-    cam_poses = []
-    for t in times:
-        rx, ry, heading = cfg.robot.pose_at(t)
-        cam_poses.append((rx, ry, wrap_angle(heading + cfg.camera_yaw_offset)))
-    human_positions = [[h.pose_at(t)[:2] for h in cfg.humans] for t in times]
-    odometry = _odometry(cam_poses, cfg)
+    times = np.arange(n_frames) / cfg.fps
+    robot = cfg.robot.poses_at(times)
+    cams_all = np.column_stack([robot[:, :2], _wrap_rows(robot[:, 2] + cfg.camera_yaw_offset)])
+    walkers = np.array([h.poses_at(times)[:, :2] for h in cfg.humans]).reshape(len(cfg.humans), n_frames, 2)
+    omegas, odometry = _odometry(cams_all, cfg)
 
-    cams_all = np.array(cam_poses, dtype=float)
-    xy_all = np.array(human_positions, dtype=float).reshape(n_frames, len(cfg.humans), 2)
-    bodies = [(xy_all[:, h_idx], h.body_height) for h_idx, h in enumerate(cfg.humans)]
+    bodies = [(xy, h.body_height) for xy, h in zip(walkers, cfg.humans)]
     sights = _SightLines(cfg.obstacles, intr.cam_height, cams_all[:, :2], bodies, F)
+    timestamps = times.tolist()
     frames: list[FrameObservation] = []
     detected: list[list[tuple[int, float]]] = []
     for start in range(0, n_frames, _FRAME_BLOCK):
@@ -623,13 +620,12 @@ def simulate_sequence(cfg: SceneConfig) -> tuple[list[FrameObservation], GroundT
         features = _render_features(cfg, cams, start, sights, fids)
         detections, block_detected = _render_detections(cfg, cams, start, sights)
         detected += block_detected
-        for j, (feature_obs, dets) in enumerate(zip(features, detections)):
-            k = start + j
-            omega, odom = odometry[k]
-            frames.append(FrameObservation(k, times[k], omega, odom, feature_obs, dets))
+        for k, feature_obs, dets in zip(range(start, n_frames), features, detections):
+            frames.append(FrameObservation(k, timestamps[k], omegas[k], odometry[k], feature_obs, dets))
 
-    truth = GroundTruth(cam_poses, feature_points, human_positions, detected)
-    return frames, truth
+    camera_poses = list(map(tuple, cams_all.tolist()))
+    human_positions = [list(map(tuple, row)) for row in walkers.transpose(1, 0, 2).tolist()]
+    return frames, GroundTruth(camera_poses, feature_points, human_positions, detected)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,16 @@ from travmap.evidence import (
 )
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, Ingest, PairDiag
-from travmap.posegraph import OptimizationEvent, Pose2, _Blocks, _solve, se2_compose, se2_inverse, se2_transform
+from travmap.posegraph import (
+    OptimizationEvent,
+    Pose2,
+    _Blocks,
+    _solve,
+    se2_compose,
+    se2_inverse,
+    se2_transform,
+    wrap_angle,
+)
 from travmap.scenesim import _RAY_EPS, HUMAN_BODY_RADIUS, CameraIntrinsics, FrameObservation, ObstacleBox
 
 _SQRT2 = math.sqrt(2.0)
@@ -203,6 +212,49 @@ def rebuild_endpoints(records, snapshot, enabled=("sfm", "pfh", "ho3")):
             ends["ho3"].append((landmark_world(rec.front_id), landmark_world(rec.behind_id)))
     stacked = {layer: np.array(pairs, dtype=float).reshape(-1, 2, 2) for layer, pairs in ends.items()}
     return {layer: (pairs[:, 0], pairs[:, 1]) for layer, pairs in stacked.items()}
+
+
+# Kinematics frame by frame: the simulator's per-frame steps before it
+# computed all frames at once, kept as the reference they are checked against.
+
+
+def trajectory_pose_at(trajectory, t: float) -> tuple[float, float, float]:
+    """``AgentTrajectory.poses_at`` at one time, scanning the waypoints from the start."""
+    wps = trajectory.waypoints
+    if t <= wps[0][0]:
+        return wps[0][1]
+    if t >= wps[-1][0]:
+        return wps[-1][1]
+    for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
+        if t0 <= t <= t1:
+            frac = (t - t0) / (t1 - t0)
+            x = p0[0] + frac * (p1[0] - p0[0])
+            y = p0[1] + frac * (p1[1] - p0[1])
+            yaw = wrap_angle(p0[2] + frac * wrap_angle(p1[2] - p0[2]))
+            return (x, y, yaw)
+    raise AssertionError("unreachable")
+
+
+def odometry_per_frame(cam_poses, cfg) -> list[tuple[float, Optional[tuple[float, float, float]]]]:
+    """``scenesim._odometry`` as (angular speed, odometry) per frame, composing ``Pose2`` steps.
+
+    The noise is three draws per frame; ``tolist`` keeps them plain floats.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    add_noise = cfg.odom_sigma_trans > 0 or cfg.odom_sigma_rot > 0
+    out = [(0.0, None)]
+    for prev, cam in zip(cam_poses, cam_poses[1:]):
+        rel = se2_compose(se2_inverse(Pose2(*prev)), Pose2(*cam))
+        omega = wrap_angle(cam[2] - prev[2]) * cfg.fps
+        if add_noise:
+            eps = rng.normal(0.0, 1.0, size=3).tolist()
+            rel = Pose2(
+                rel.x + cfg.odom_sigma_trans * eps[0],
+                rel.y + cfg.odom_sigma_trans * eps[1],
+                rel.theta + cfg.odom_sigma_rot * eps[2],
+            )
+        out.append((omega, rel.as_tuple()))
+    return out
 
 
 class BehindCameraError(ValueError):

@@ -447,9 +447,12 @@ def test_rebuild_ends_keep_their_bits_on_a_noisy_run(monkeypatch):
     scene = dataclasses.replace(builtin_config("I"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
     result = pipeline.run_pipeline(scene)
     snapshot = result.graph.snapshot()
-    assert any(type(p.x) is np.float64 for p in snapshot.values())
     assert {type(rec) for rec in result.store.records} == {SfmEvidence, PfhEvidence, Ho3Evidence}
     _assert_ends_match_reference(monkeypatch, result.store, snapshot)
+    # Poses built from numpy scalars, as a caller's arrays would give them, keep the bits too.
+    scalars = {node: Pose2(*map(np.float64, pose.as_tuple())) for node, pose in snapshot.items()}
+    assert all(type(p.x) is np.float64 and type(p.y) is np.float64 for p in scalars.values())
+    _assert_ends_match_reference(monkeypatch, result.store, scalars)
 
 
 def test_rebuild_ends_chain_each_track_in_log_order(monkeypatch):

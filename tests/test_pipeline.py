@@ -280,6 +280,21 @@ def test_each_landmark_is_logged_once_in_creation_order(run_shared, scene):
     assert sfm_ids == list(res.store.landmarks) == first_seen
 
 
+def test_a_noisy_run_holds_plain_floats(run_shared):
+    # Noisy odometry once held numpy scalars, which reached the graph, the
+    # trails and the diagnostics, and made their repr depend on numpy's.
+    scene = dataclasses.replace(builtin_config("I"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+    res = run_shared(scene)
+    groups = {
+        "odometry": [v for frame in res.frames[1:] for v in frame.odometry],
+        "graph poses": [v for pose in res.graph.nodes.values() for v in (pose.x, pose.y, pose.theta)],
+        "PfH offsets": [v for rec in res.store.records if isinstance(rec, PfhEvidence) for v in rec.offset],
+        "position estimates": [v for diag in res.position_diags for v in (*diag.estimated, diag.estimated_depth)],
+    }
+    for name, values in groups.items():
+        assert values and {type(v) for v in values} == {float}, name
+
+
 @pytest.mark.parametrize("kind", ["L", "T"])
 def test_diagnostics_name_the_walker_they_measure(run_shared, kind):
     """On the two-walker scenes, each diagnostic row agrees with the simulated walker it names."""

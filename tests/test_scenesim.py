@@ -3,7 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import BehindCameraError, blocked_any, occlusion_test, project_point, slab
+from _oracles import (
+    BehindCameraError,
+    blocked_any,
+    occlusion_test,
+    odometry_per_frame,
+    project_point,
+    slab,
+    trajectory_pose_at,
+)
 
 from travmap import scenesim
 from travmap.gridmap import CellState
@@ -73,6 +81,13 @@ def test_human_height_validated():
 def test_waypoint_times_strictly_increasing():
     with pytest.raises(ValueError):
         AgentTrajectory("robot", ((0.0, (0, 0, 0)), (0.0, (1, 0, 0))))
+
+
+@pytest.mark.parametrize("pose", [(1.0, 0.0), (1.0, 0.0, 0.0, 0.5)], ids=["two numbers", "four numbers"])
+@pytest.mark.parametrize("role, height", [("robot", None), ("human", 1.7)])
+def test_waypoint_pose_must_be_three_numbers(pose, role, height):
+    with pytest.raises(ValueError, match=r"^waypoint 1 pose must be \(x, y, yaw\), got "):
+        AgentTrajectory(role, ((0.0, (0.0, 0.0, 0.0)), (1.0, pose), (2.0, (2.0, 0.0, 0.0))), body_height=height)
 
 
 def test_scene_rejects_a_robot_among_the_humans():
@@ -400,6 +415,91 @@ def test_odometry_noise_seeded():
     assert a == b
     c, _ = simulate_sequence(dataclasses.replace(cfg, rng_seed=5))
     assert a != c
+
+
+# ---------------------------------------------------------------------------
+# kinematics against the per-frame reference
+
+
+def _assert_poses_match_scan(trajectory, times):
+    """``poses_at`` has the bits of the per-time scan at each of ``times``; ``repr`` shows a -0.0."""
+    got = trajectory.poses_at(np.array(times, dtype=float))
+    want = [trajectory_pose_at(trajectory, t) for t in times]
+    assert got.shape == (len(times), 3)
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+    assert repr(got.tolist()) == repr([[float(v) for v in pose] for pose in want])
+
+
+@pytest.mark.parametrize("kind", ["I", "L", "T"])
+def test_simulated_kinematics_match_the_per_frame_reference(simulated, kind):
+    cfg = builtin_config(kind)
+    frames, truth = simulated(cfg)
+    times = [frame.timestamp for frame in frames]
+    assert times == [k / cfg.fps for k in range(len(frames))]
+    for trajectory in (cfg.robot, *cfg.humans):
+        _assert_poses_match_scan(trajectory, times)
+    robot = [trajectory_pose_at(cfg.robot, t) for t in times]
+    cams = [(x, y, wrap_angle(yaw + cfg.camera_yaw_offset)) for x, y, yaw in robot]
+    walkers = [[trajectory_pose_at(h, t)[:2] for h in cfg.humans] for t in times]
+    assert repr(truth.camera_poses) == repr(cams) and repr(truth.human_positions) == repr(walkers)
+
+
+def _on_and_around(trajectory):
+    """Each waypoint's time, the floats either side of it, a time between each pair, and times before and after."""
+    t = np.array([t for t, _ in trajectory.waypoints], dtype=float)
+    mids = (t[:-1] + t[1:]) / 2
+    around = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), mids, [t[0] - 1.0, t[-1] + 1.0]])
+    return sorted(around.tolist())
+
+
+def test_poses_at_matches_the_scan_on_and_around_every_waypoint():
+    # Neither 5.7 + (0.3 - 5.7) nor 1.7 + (0.3 - 1.7) is 0.3, so an interior
+    # waypoint interpolated with frac = 1 on the segment ending there differs
+    # from the same waypoint with frac = 0 on the next.
+    trajectory = AgentTrajectory(
+        "robot",
+        (
+            (0.0, (5.7, 1.7, 3.0)),
+            (1.0, (0.3, 0.3, -3.0)),
+            (2.5, (0.3, 0.3, -3.0)),
+            (3.0, (1.0, 2.0, -0.0)),
+            (4.2, (1.7, 0.3, 1.2)),
+        ),
+    )
+    _assert_poses_match_scan(trajectory, _on_and_around(trajectory))
+    got = trajectory.poses_at(np.array([-1.0, 0.0, 1.0, 4.2, 9.0]))
+    assert got[[0, 1, 4]].tolist() == [[5.7, 1.7, 3.0], [5.7, 1.7, 3.0], [1.7, 0.3, 1.2]]  # clamped to the ends
+    assert got[2].tolist() != [0.3, 0.3, -3.0]  # frac = 1 on the first segment, not the second waypoint itself
+
+
+@pytest.mark.parametrize(
+    "waypoints",
+    [
+        ((2.0, (1.0, 2.0, 0.5)),),
+        ((0.0, (1.0, 1.0, 0.0)), (2.0, (1.0, 1.0, math.pi / 2)), (4.0, (1.0, 1.0, -math.pi / 2))),
+        ((0.0, (0.0, 0.0, 3.0)), (1.0, (1.0, 0.0, -3.0)), (2.0, (2.0, 0.0, 3.0))),
+        ((0.0, (0.0, 0.0, 0.0)), (1.0, (0.0, 1.0, math.pi)), (2.0, (0.0, 2.0, 0.0)), (3.0, (0.0, 3.0, -math.pi))),
+        ((0.0, (0.0, 0.0, -math.pi / 2)), (0.7, (0.0, 1.0, math.pi / 2)), (1.3, (0.0, 1.0, 7.0))),
+    ],
+    ids=["one waypoint", "turn in place", "yaw across +-pi both ways", "steps of exactly pi", "half turns, unwrapped"],
+)
+def test_poses_at_matches_the_scan_on_edge_cases(waypoints):
+    trajectory = AgentTrajectory("robot", waypoints)
+    times = _on_and_around(trajectory) + np.linspace(-0.5, 5.0, 331).tolist()
+    _assert_poses_match_scan(trajectory, sorted(times))
+
+
+@pytest.mark.parametrize("fps", [30.0, 7.0])
+@pytest.mark.parametrize("trans, rot", [(0.0, 0.0), (0.005, 0.0025)], ids=["noiseless", "noisy"])
+def test_odometry_matches_the_per_frame_pose2_loop(simulated, fps, trans, rot):
+    cfg = dataclasses.replace(builtin_config("T"), fps=fps, rng_seed=3, odom_sigma_trans=trans, odom_sigma_rot=rot)
+    frames, truth = simulated(cfg)
+    assert len(frames) == int(60 * fps) + 1
+    got = [(frame.angular_speed, frame.odometry) for frame in frames]
+    want = odometry_per_frame(truth.camera_poses, cfg)
+    assert repr(got) == repr(want)
+    assert np.array([g[1] for g in got[1:]]).tobytes() == np.array([w[1] for w in want[1:]]).tobytes()
+    assert np.array([g[0] for g in got]).tobytes() == np.array([w[0] for w in want]).tobytes()
 
 
 # ---------------------------------------------------------------------------
