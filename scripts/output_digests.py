@@ -77,8 +77,7 @@ def cli_lines(scenario: str, label: str, run_dir: pathlib.Path) -> list[str]:
 
 def _noisy_digest(scenario: str, out: pathlib.Path) -> str:
     scene = dataclasses.replace(load_scenario(scenario), rng_seed=NOISY_SEED, **NOISY_SIGMAS)
-    result = pipeline.run_pipeline(scene)
-    maps = {pipeline.combo_label(layers): pipeline.build_combo_map(result, layers) for layers in pipeline.COMBINATIONS}
+    result, maps = pipeline.map_scene(scene, pipeline.COMBINATIONS, pipeline.PipelineParams())
     pipeline.write_map_artifacts(out, result, pipeline.ground_truth_map(scene), maps)
     h = _files_digest(out)
     for records in (result.events, result.position_diags, result.occlusion_diags, result.pair_diags):

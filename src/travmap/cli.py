@@ -12,6 +12,7 @@ writes its files to ``--out`` and prints ``report.csv``.  Several run every
 scene at every seed, each into ``<out>/<scene name>/seed<k>/`` with the same
 files a single run writes, and print one matrix: per combination and scene,
 the mean score over the seeds and the solved journeys out of all queries.
+Each seed draws its own queries; a scene that draws no noise is mapped once.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 from . import pipeline
 from .evidence import RebuildParams
 from .gridmap import LayerPriority, import_pgm
-from .pipeline import PipelineParams, RunConfig, combo_label, parse_combos, run_ablation, write_map_artifacts
+from .pipeline import PipelineParams, RunConfig, parse_combos, run_ablation, write_map_artifacts
 from .quality import QualityReport, ReportRow, evaluate_map, oracle_plans, sample_queries
 from .scenario import load_scenario
 from .scenesim import FEATURE_DTYPE, check_report_field, simulate_sequence
@@ -86,10 +87,9 @@ def _cmd_build(args) -> int:
     params = _params_from_args(args)
     combos = parse_combos(args.combos.split(","), params.priority)
     scene = dataclasses.replace(load_scenario(args.scenario), rng_seed=args.seed)
-    # Called through ``pipeline``, where ``ablate`` calls them too, so a wrapper
+    # Called through ``pipeline``, where ``ablate`` calls it too, so a wrapper
     # installed there (a tracer's, say) sees both commands.
-    result = pipeline.run_pipeline(scene, params)
-    maps = {combo_label(layers): pipeline.build_combo_map(result, layers) for layers in combos}
+    result, maps = pipeline.map_scene(scene, combos, params)
     out = write_map_artifacts(args.out, result, pipeline.ground_truth_map(scene), maps)
     print(f"wrote maps and evidence log to {out}")
     return 0
@@ -120,12 +120,13 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    params = _params_from_args(args)
     config = functools.partial(
         RunConfig,
         combos=tuple(args.combos.split(",")),
         n_queries=args.queries,
         min_separation=args.min_separation,
-        params=_params_from_args(args),
+        params=params,
     )
     if len(args.scenario) == len(args.seed) == 1:
         output = run_ablation(config(scenario=args.scenario[0], seed=args.seed[0], out_dir=args.out))
@@ -141,18 +142,20 @@ def _cmd_ablate(args) -> int:
         if repeated:
             raise ValueError(f"duplicate {what} {', '.join(repeated)}: each run needs its own directory")
     runs = [
-        config(scenario=source, seed=seed, out_dir=str(pathlib.Path(args.out, name, f"seed{seed}")))
+        [config(scenario=source, seed=seed, out_dir=str(pathlib.Path(args.out, name, f"seed{seed}"))) for seed in args.seed]
         for source, name in zip(args.scenario, names)
-        for seed in args.seed
     ]
-    for scene in scenes:
-        gt = pipeline.ground_truth_map(scene)
-        for seed in args.seed:
-            sample_queries(gt, args.queries, seed, args.min_separation)
+    truths = [pipeline.ground_truth_map(scene) for scene in scenes]
+    queries = [[sample_queries(gt, r.n_queries, r.seed, r.min_separation) for r in rs] for gt, rs in zip(truths, runs)]
+    combos = parse_combos(args.combos.split(","), params.priority)
     rows = []
-    for run_cfg in runs:
-        rows += run_ablation(run_cfg).report.rows
-        print(f"maps and report written to {run_cfg.out_dir}")
+    for scene, gt, scene_runs, scene_queries in zip(scenes, truths, runs, queries):
+        mapped = None
+        for run_cfg, seed_queries in zip(scene_runs, scene_queries):
+            if mapped is None or scene.noisy:
+                mapped = pipeline.map_scene(dataclasses.replace(scene, rng_seed=run_cfg.seed), combos, params)
+            rows += pipeline.score_maps(*mapped, gt, seed_queries, run_cfg.out_dir).rows
+            print(f"maps and report written to {run_cfg.out_dir}")
 
     labels = list(dict.fromkeys(row.combination for row in rows))
     cells = {}

@@ -2,9 +2,10 @@
 
 ``run_pipeline`` simulates a scene, then passes the frames, which hold only
 sensor output, to ``ingest`` with the truth oracles' outputs: the first true
-camera pose, ``truth_calibration`` and ``truth_closures``.  Last, it joins the
-ground truth once, for the diagnostics.  ``ingest`` reads no ground truth and
-no scene configuration; it runs five stages on each frame, in order:
+camera pose, ``truth_calibration`` and ``truth_closures``.  Last, it attaches
+the scene and ground truth to ingest's result and joins the truth once, for the
+diagnostics.  ``ingest`` reads no ground truth and no scene configuration; it
+runs five stages on each frame, in order:
 
 1. keyframes and loop closure: every ``keyframe_stride`` frames (keyframe k
    is frame k * stride) a pose-graph keyframe is added, and each closure it
@@ -22,10 +23,10 @@ no scene configuration; it runs five stages on each frame, in order:
    their frame had.
    Turning frames are not kept.
 
-Maps for any module combination are then regenerated from the evidence at the
-current pose snapshot and scored against the ground-truth map with a shared
-query set, so combination scores differ only because of the modules, not
-sampling.
+An ablation run maps, then scores.  ``map_scene`` regenerates one map per
+module combination from the evidence at the current pose snapshot, and
+``score_maps`` scores each against the ground-truth map on one shared query
+set, so combination scores differ only because of the modules, not sampling.
 
 Loop-closure *detection* is out of scope: ``truth_closures``, the closure
 oracle, takes the pairs from the simulator's ground truth (a keyframe
@@ -99,6 +100,8 @@ __all__ = [
     "truth_calibration",
     "truth_closures",
     "build_combo_map",
+    "map_scene",
+    "score_maps",
     "write_map_artifacts",
     "run_ablation",
 ]
@@ -211,37 +214,25 @@ class PairDiag(NamedTuple):
 
 
 @dataclass
-class Ingest:
-    """What ``ingest`` makes of the frames: graph, evidence, tracks, and the diagnostics' sensor side."""
+class PipelineResult:
+    """What ``ingest`` makes of the frames; ``run_pipeline`` attaches ``config`` and ``truth`` and joins the truth in.
 
-    camera: CameraIntrinsics
+    Before the join, a ``position_diags`` row is (frame index, track id, its detection's index in the frame,
+    position, range) and an ``occlusion_diags`` row lacks its walker."""
+
+    params: PipelineParams
+    frames: Sequence[FrameObservation]
     calibration: ScaleCalibration
     keep_mask: list[bool]
     graph: PoseGraph
     store: EvidenceStore = field(default_factory=EvidenceStore)
     tracks: list[mot.HumanTrack] = field(default_factory=list)
     events: list[OptimizationEvent] = field(default_factory=list)
-    #: (frame index, track id, its detection's index in the frame, position, range) per ``PositionDiag`` row.
-    sightings: list[tuple[int, int, int, tuple[float, float], float]] = field(default_factory=list)
-    occlusions: list[tuple] = field(default_factory=list)  # ``OcclusionDiag`` rows but their walker
+    position_diags: list[PositionDiag] = field(default_factory=list)
+    occlusion_diags: list[OcclusionDiag] = field(default_factory=list)
     pair_diags: list[PairDiag] = field(default_factory=list)
-
-
-@dataclass
-class PipelineResult:
-    config: SceneConfig
-    params: PipelineParams
-    frames: list[FrameObservation]
-    truth: GroundTruth
-    keep_mask: list[bool]
-    graph: PoseGraph
-    store: EvidenceStore
-    tracks: list[mot.HumanTrack]
-    calibration: ScaleCalibration
-    events: list[OptimizationEvent]
-    position_diags: list[PositionDiag]
-    occlusion_diags: list[OcclusionDiag]
-    pair_diags: list[PairDiag]
+    config: Optional[SceneConfig] = None
+    truth: Optional[GroundTruth] = None
 
 
 def truth_calibration(
@@ -281,57 +272,57 @@ def truth_closures(truth: GroundTruth, params: PipelineParams) -> list[tuple[int
 
 
 def _track_humans(
-    ing: Ingest, frame: FrameObservation, pose_est: Pose2, params: PipelineParams
+    res: PipelineResult, camera: CameraIntrinsics, frame: FrameObservation, pose_est: Pose2
 ) -> list[mot.HumanTrack]:
     """Tracking stage: feed the frame's detections, with position estimates, to the tracker.
 
     Returns the confirmed tracks matched in this frame whose box has a range
-    (the only ones the later stages use), each logged as a sighting.
+    (the only ones the later stages use), each logged as a position row.
     """
-    intr, fi = ing.camera, frame.frame_index
+    fi = frame.frame_index
     points = []
     for det in frame.detections:
         bbox = (det.x_min, det.x_max, det.y_min, det.y_max)
-        h_px = apparent_height_px(det.y_min, intr, _BODY_HEIGHT)
-        depth_est = None if h_px is None else estimate_depth(ing.calibration, intr.f, _BODY_HEIGHT, h_px)
-        world_est = None if h_px is None else human_map_position(pose_est.as_tuple(), intr, bbox, depth_est)
+        h_px = apparent_height_px(det.y_min, camera, _BODY_HEIGHT)
+        depth_est = None if h_px is None else estimate_depth(res.calibration, camera.f, _BODY_HEIGHT, h_px)
+        world_est = None if h_px is None else human_map_position(pose_est.as_tuple(), camera, bbox, depth_est)
         points.append(mot.TrackPoint(fi, bbox, depth_est, world_est))
-    mot.step(ing.tracks, points, params.gate_px)
-    mot.prune(ing.tracks)
+    mot.step(res.tracks, points, res.params.gate_px)
+    mot.prune(res.tracks)
 
     # ``depth`` and ``world`` are both None exactly when the box has no range.
-    confirmed = (t for t in ing.tracks if t.state is mot.TrackState.CONFIRMED)
+    confirmed = (t for t in res.tracks if t.state is mot.TrackState.CONFIRMED)
     matched = [t for t in confirmed if t.matched_at(fi) and t.last.depth is not None]
     for track in matched:
         tp = track.last  # one of this frame's points, appended as is
-        ing.sightings.append((fi, track.track_id, points.index(tp), tp.world, tp.depth))
+        res.position_diags.append((fi, track.track_id, points.index(tp), tp.world, tp.depth))
     return matched
 
 
-def _add_landmarks(ing: Ingest, frame: FrameObservation, kf: int) -> None:
+def _add_landmarks(res: PipelineResult, camera: CameraIntrinsics, frame: FrameObservation, kf: int) -> None:
     """Landmark stage: anchor newly seen features to keyframe ``kf``, each logged once as SfM.
 
     Not gated by turning: the turning filter only withholds human-derived evidence.
     """
     seen = frame.features[frame.features["visible"]]
     for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
-        if fid not in ing.store.landmarks:
-            ing.store.add_sfm(fid, kf, ing.camera.floor_offset(u, depth))
+        if fid not in res.store.landmarks:
+            res.store.add_sfm(fid, kf, camera.floor_offset(u, depth))
 
 
-def _add_trails(ing: Ingest, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
+def _add_trails(res: PipelineResult, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
     """Trail stage: each matched track's position as PfH evidence relative to keyframe ``kf``."""
-    to_kf = se2_inverse(ing.graph.pose(kf))
+    to_kf = se2_inverse(res.graph.pose(kf))
     for track in matched:
-        ing.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
+        res.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
 
 
-def _landmark_table(ing: Ingest, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
+def _landmark_table(res: PipelineResult, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
     """Floor points (x, y, 0) of all landmarks at the current poses, and the row of each feature id (-1: none)."""
-    worlds = landmark_worlds(ing.store.landmarks.values(), pose_table(ing.graph.nodes))
+    worlds = landmark_worlds(res.store.landmarks.values(), pose_table(res.graph.nodes))
     worlds = np.column_stack((worlds, np.zeros(len(worlds))))
     row = np.full(n_ids, -1)
-    row[list(ing.store.landmarks)] = np.arange(len(worlds))
+    row[list(res.store.landmarks)] = np.arange(len(worlds))
     return worlds, row
 
 
@@ -348,7 +339,7 @@ class _PassJob(NamedTuple):
 
 
 def _record_pass_between(
-    ing: Ingest,
+    res: PipelineResult,
     jobs: list[_PassJob],
     frame: FrameObservation,
     prev_frame: FrameObservation,
@@ -362,22 +353,22 @@ def _record_pass_between(
         x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
         if x_min < x_max:
             region = (x_min, x_max, tp.bbox[2], tp.bbox[3], tp.depth)
-            jobs.append(_PassJob(len(ing.store.records), frame, prev_frame, cam, table, track.track_id, region))
+            jobs.append(_PassJob(len(res.store.records), frame, prev_frame, cam, table, track.track_id, region))
 
 
-def _pass_between(ing: Ingest, jobs: Sequence[_PassJob]) -> None:
+def _pass_between(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob]) -> None:
     """Pass-between stage, after the frame loop: run the queued jobs in blocks of one landmark table.
 
     Each block is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
     """
-    n_logged = len(ing.store.records)
+    n_logged = len(res.store.records)
     for _, run in groupby(jobs, key=lambda job: id(job.table)):
         run = list(run)
         for start in range(0, len(run), _PASS_BLOCK):
-            _pass_block(ing, run[start : start + _PASS_BLOCK], n_logged)
+            _pass_block(res, camera, run[start : start + _PASS_BLOCK], n_logged)
 
 
-def _pass_block(ing: Ingest, jobs: Sequence[_PassJob], n_logged: int) -> None:
+def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob], n_logged: int) -> None:
     """Order landmarks against each job's human in one numpy pass; log straddling pairs as HO3.
 
     A landmark seen in the job's frame inside the human's box is in front;
@@ -403,7 +394,7 @@ def _pass_block(ing: Ingest, jobs: Sequence[_PassJob], n_logged: int) -> None:
     (pick,) = np.nonzero(visible & (k >= 0) & (seen | ~seen_now[job, fid]))
     # Each candidate projected from its own job's camera only.
     cams = np.array([cam.as_tuple() for cam in cams])
-    u_pred, _, depth = (a[:, 0] for a in ing.camera.project(cams[job[pick]], worlds[k[pick]][:, None, :]))
+    u_pred, _, depth = (a[:, 0] for a in camera.project(cams[job[pick]], worlds[k[pick]][:, None, :]))
     (in_front,) = np.nonzero(seen[pick] | (depth > 0))
     pick, depth = pick[in_front], depth[in_front]
     fid, v, job, seen = fid[pick], v[pick], job[pick], seen[pick]
@@ -423,16 +414,16 @@ def _pass_block(ing: Ingest, jobs: Sequence[_PassJob], n_logged: int) -> None:
     (hit,) = np.nonzero(front | behind)
     label = np.where(front[hit], OcclusionClass.FRONT, OcclusionClass.BEHIND)
     hit_cols = (*ids[:, job[hit]], fid[hit], label, u[hit], depth[hit], human_depth[job[hit]])
-    ing.occlusions.extend(zip(*(col.tolist() for col in hit_cols)))
+    res.occlusion_diags.extend(zip(*(col.tolist() for col in hit_cols)))
     (paired,) = np.nonzero(front_row >= 0)
     ends = (front_row[paired], behind_row[paired])
     pair_cols = (*ids[:, paired], *(fid[end] for end in ends), *(depth[end] for end in ends), human_depth[paired])
     pairs = list(map(PairDiag, *(col.tolist() for col in pair_cols)))
     for j, pair in zip(paired.tolist(), pairs):
         assert pair.front_depth < pair.human_depth < pair.behind_depth, "pass-between pair must straddle the human"
-        at = store_pos[j] + len(ing.store.records) - n_logged
-        ing.store.add_ho3(pair.front_id, pair.behind_id, pair.track_id, at=at)
-    ing.pair_diags.extend(pairs)
+        at = store_pos[j] + len(res.store.records) - n_logged
+        res.store.add_ho3(pair.front_id, pair.behind_id, pair.track_id, at=at)
+    res.pair_diags.extend(pairs)
 
 
 def ingest(
@@ -442,7 +433,7 @@ def ingest(
     origin: Pose2,
     calibration: ScaleCalibration,
     closures: Sequence[tuple[int, int, Pose2]],
-) -> Ingest:
+) -> PipelineResult:
     """The five ingest stages, in one loop over ``frames``; reads no ground truth and no scene configuration.
 
     What comes from the truth arrives as the oracles' outputs: ``origin``
@@ -451,7 +442,7 @@ def ingest(
     the last closure is ``closure_min_gap`` keyframes back.
     """
     keep = mot.filter_turning_frames(frames, params.omega_max)
-    ing = Ingest(camera, calibration, keep, PoseGraph(origin))
+    res = PipelineResult(params, frames, calibration, keep, PoseGraph(origin))
     # Feature ids 64 frames at a time: one array of all of them raised an I+L+T ablation's peak RSS by 1.4 MB.
     blocks = (np.concatenate([f.features["feature_id"] for f in frames[i : i + 64]]) for i in range(0, len(frames), 64))
     n_ids = 1 + max(int(ids.max(initial=-1)) for ids in blocks)
@@ -474,52 +465,50 @@ def ingest(
         if fi > 0:
             odom_acc = se2_compose(odom_acc, Pose2(*frame.odometry))
             if at_keyframe:
-                kf = ing.graph.add_keyframe(odom_acc)
+                kf = res.graph.add_keyframe(odom_acc)
                 odom_acc = Pose2()
                 if kf in partners and kf - last_closure_kf >= params.closure_min_gap:
                     older, rel = partners[kf]
-                    ing.graph.add_loop_closure(older, kf, rel)
-                    ing.events.append(ing.graph.optimize())
+                    res.graph.add_loop_closure(older, kf, rel)
+                    res.events.append(res.graph.optimize())
                     last_closure_kf = kf
-        pose_est = se2_compose(ing.graph.pose(kf), odom_acc)
-        matched = _track_humans(ing, frame, pose_est, params)
+        pose_est = se2_compose(res.graph.pose(kf), odom_acc)
+        matched = _track_humans(res, camera, frame, pose_est)
         if at_keyframe:
-            _add_landmarks(ing, frame, kf)
+            _add_landmarks(res, camera, frame, kf)
         if not keep[fi]:
             # Turning frame: feeds the pose graph and the feature map, but
             # contributes no trail or pass-between evidence.
             prev_kept = None
             continue
-        _add_trails(ing, kf, matched)
-        if ing.store.landmarks and prev_kept is not None and matched:
-            counts = (len(ing.store.landmarks), len(ing.events))
+        _add_trails(res, kf, matched)
+        if res.store.landmarks and prev_kept is not None and matched:
+            counts = (len(res.store.landmarks), len(res.events))
             if counts != table_at:
-                table, table_at = _landmark_table(ing, n_ids), counts
-            _record_pass_between(ing, jobs, frame, prev_kept, matched, pose_est, table)
+                table, table_at = _landmark_table(res, n_ids), counts
+            _record_pass_between(res, jobs, frame, prev_kept, matched, pose_est, table)
         prev_kept = frame
-    _pass_between(ing, jobs)
-    return ing
+    _pass_between(res, camera, jobs)
+    return res
 
 
 def run_pipeline(cfg: SceneConfig, params: Optional[PipelineParams] = None) -> PipelineResult:
-    """Simulate a scene, ``ingest`` it with the truth oracles' outputs, then join the truth for the diagnostics."""
+    """Simulate a scene, ``ingest`` it with the truth oracles' outputs, then attach the scene and join the truth."""
     params = params or PipelineParams()
     frames, truth = simulate_sequence(cfg)
     closures = truth_closures(truth, params) if params.enable_closures else []
     cal = truth_calibration(frames, truth, cfg.intrinsics)
-    ing = ingest(frames, cfg.intrinsics, params, Pose2(*truth.camera_poses[0]), cal, closures)
+    res = ingest(frames, cfg.intrinsics, params, Pose2(*truth.camera_poses[0]), cal, closures)
+    res.config, res.truth = cfg, truth
     # Each row is joined in place, so ingest's rows and the diagnostics never take memory side by side.
-    positions, occlusions, walker = ing.sightings, ing.occlusions, {}
+    positions, occlusions, walker = res.position_diags, res.occlusion_diags, {}
     for i, (fi, track_id, det, world, depth) in enumerate(positions):
         agent, true_depth = truth.detected[fi][det]
         positions[i] = PositionDiag(fi, track_id, agent, world, truth.human_positions[fi][agent], depth, true_depth)
         walker[fi, track_id] = agent
     for i, (fi, track_id, *rest) in enumerate(occlusions):
         occlusions[i] = OcclusionDiag(fi, track_id, walker[fi, track_id], *rest)
-    return PipelineResult(
-        cfg, params, frames, truth, ing.keep_mask, ing.graph, ing.store, ing.tracks, cal, ing.events,
-        positions, occlusions, ing.pair_diags,
-    )
+    return res
 
 
 def build_combo_map(
@@ -544,6 +533,26 @@ def build_combo_map(
         priority=priority or result.params.priority,
         params=params or replace(result.params.rebuild, robot_radius=result.config.robot_radius),
     )
+
+
+def map_scene(scene: SceneConfig, combos, params: PipelineParams) -> tuple[PipelineResult, dict[str, TraversabilityMap]]:
+    """The mapping step: ``run_pipeline`` on ``scene``, then one map per combination in ``combos``, by label."""
+    result = run_pipeline(scene, params)
+    return result, {combo_label(layers): build_combo_map(result, layers) for layers in combos}
+
+
+def score_maps(
+    result: PipelineResult, maps: dict[str, TraversabilityMap], ground_truth: TraversabilityMap, queries, out_dir=None
+) -> QualityReport:
+    """The scoring step: a report row per map on ``queries``; with ``out_dir``, writes the artifacts and ``report.csv``."""
+    oracles = oracle_plans(ground_truth, queries)
+    scored = {label: evaluate_map(combo_map, ground_truth, queries, oracles) for label, combo_map in maps.items()}
+    rows = [ReportRow(label, result.config.name, ev.score, ev.n_queries, ev.n_failed) for label, ev in scored.items()]
+    report = QualityReport(rows)
+    if out_dir is not None:
+        out = write_map_artifacts(out_dir, result, ground_truth, maps)
+        (out / "report.csv").write_text(report.to_csv(), encoding="ascii")
+    return report
 
 
 def write_map_artifacts(
@@ -589,32 +598,13 @@ class AblationOutput:
 
 
 def run_ablation(run_cfg: RunConfig) -> AblationOutput:
-    """Full ablation pass: one simulation, one query set, one map per combination.
-
-    When ``out_dir`` is set, writes the map artifacts (``write_map_artifacts``)
-    and ``report.csv``; all outputs are byte-reproducible for a fixed seed.
-    """
+    """One ablation run, the mapping and the scoring step for one scene at one seed; byte-reproducible per seed."""
     combos = parse_combos(run_cfg.combos, run_cfg.params.priority)
     scene = replace(load_scenario(run_cfg.scenario), rng_seed=run_cfg.seed)
-
     gt = ground_truth_map(scene)
     # The queries depend only on the ground truth and the seed: sampling them
     # first fails a setting no query set can meet before simulating.
     queries = sample_queries(gt, run_cfg.n_queries, run_cfg.seed, run_cfg.min_separation)
-    oracles = oracle_plans(gt, queries)
-    result = run_pipeline(scene, run_cfg.params)
-
-    maps: dict[str, TraversabilityMap] = {}
-    rows = []
-    for layers in combos:
-        label = combo_label(layers)
-        combo_map = build_combo_map(result, layers)
-        ev = evaluate_map(combo_map, gt, queries, oracles)
-        maps[label] = combo_map
-        rows.append(ReportRow(label, scene.name, ev.score, ev.n_queries, ev.n_failed))
-    report = QualityReport(rows)
-
-    if run_cfg.out_dir is not None:
-        out = write_map_artifacts(run_cfg.out_dir, result, gt, maps)
-        (out / "report.csv").write_text(report.to_csv(), encoding="ascii")
+    result, maps = map_scene(scene, combos, run_cfg.params)
+    report = score_maps(result, maps, gt, queries, run_cfg.out_dir)
     return AblationOutput(report, gt, maps, queries, result)

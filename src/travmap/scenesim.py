@@ -221,10 +221,17 @@ class SceneConfig:
             raise ValueError(f"robot must have role 'robot', got {self.robot.role!r}")
         if not any(x_min <= x <= x_max and y_min <= y <= y_max for _, (x, y, _) in self.robot.waypoints):
             raise ValueError(f"robot has no waypoint inside the bounds {self.bounds}")
+        if self.robot.duration < 0:  # frames run from t = 0 through the robot's last waypoint
+            raise ValueError(f"robot's last waypoint time {self.robot.duration} s is before t = 0, the first frame")
         # Output file and directory names are built from it, so it must not leave the output directory.
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"name must be a plain file-name part (no '/', '\\' or NUL), got {self.name!r}")
         check_report_field("name", self.name)
+
+    @property
+    def noisy(self) -> bool:
+        """Whether the simulation draws odometry noise, the one thing it reads ``rng_seed`` for."""
+        return self.odom_sigma_trans > 0 or self.odom_sigma_rot > 0
 
 
 #: One row per feature a frame sees: its id, image position, depth along the
@@ -509,7 +516,7 @@ def _odometry(
     """
     rel = _compose_rows(_inverse_rows(cams[:-1]), cams[1:])
     omega = _wrap_rows(cams[1:, 2] - cams[:-1, 2]) * cfg.fps
-    if cfg.odom_sigma_trans > 0 or cfg.odom_sigma_rot > 0:
+    if cfg.noisy:
         eps = np.random.default_rng(cfg.rng_seed).normal(0.0, 1.0, size=rel.shape)
         rel[:, :2] += cfg.odom_sigma_trans * eps[:, :2]
         rel[:, 2] = _wrap_rows(rel[:, 2] + cfg.odom_sigma_rot * eps[:, 2])

@@ -17,7 +17,7 @@ from travmap.evidence import (
     infer_pass_pairs,
 )
 from travmap.gridmap import CellState
-from travmap.pipeline import _REGION_MARGIN_PX, Ingest, PairDiag
+from travmap.pipeline import _REGION_MARGIN_PX, PairDiag, PipelineResult
 from travmap.posegraph import (
     OptimizationEvent,
     Pose2,
@@ -405,7 +405,8 @@ def infer_pass_pair(
 
 
 def pass_between_per_frame(
-    ing: Ingest,
+    res: PipelineResult,
+    intr: CameraIntrinsics,
     frame: FrameObservation,
     prev_frame: FrameObservation,
     matched: list[mot.HumanTrack],
@@ -421,7 +422,7 @@ def pass_between_per_frame(
     the human's box is in front; one seen in ``prev_frame``, unseen now and
     predicted inside the box is behind.
     """
-    intr, fi = ing.camera, frame.frame_index
+    fi = frame.frame_index
     worlds, row = table
     u_pred, _, depth_pred = intr.project(cam.as_tuple(), worlds)
 
@@ -456,14 +457,14 @@ def pass_between_per_frame(
         for i in np.flatnonzero(front | behind).tolist():
             label = OcclusionClass.FRONT if front[i] else OcclusionClass.BEHIND
             # An ``OcclusionDiag`` row but its walker, which the truth join adds.
-            ing.occlusions.append((fi, track.track_id, ids[i], label, us[i], depths[i], tp.depth))
+            res.occlusion_diags.append((fi, track.track_id, ids[i], label, us[i], depths[i], tp.depth))
         pair = infer_pass_pair(id_col, depth_col, front, behind, tp.depth)
         if pair is None:
             continue
         i, j = pair
         assert depths[i] < tp.depth < depths[j], "pass-between pair must straddle the human"
-        ing.store.add_ho3(ids[i], ids[j], track.track_id)
-        ing.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
+        res.store.add_ho3(ids[i], ids[j], track.track_id)
+        res.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
 
 
 def posegraph_residual(graph, edge):

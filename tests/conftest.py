@@ -41,7 +41,8 @@ def run_shared(simulated):
 def ingest_shared(simulated):
     """``pipeline.ingest`` on the shared simulation of a scene, given the truth oracles' outputs as ``run_pipeline`` gives them.
 
-    Returns the ``Ingest`` and the simulation's ground truth.
+    Returns the ``PipelineResult`` that ``ingest`` makes, with no scene or truth attached, and the
+    simulation's ground truth.
     """
 
     def run(scene, params):

@@ -224,22 +224,29 @@ def test_criterion_08_directional_trends():
     t0 = time.perf_counter()
     seeds = range(10)
 
-    fused_scores, sfm_scores = [], []
-    for seed in seeds:
-        out = pipeline.run_ablation(pipeline.RunConfig(scenario="T", combos=("SfM+PfH+HO3", "SfM"), seed=seed))
-        rows = {r.combination: r.score for r in out.report.rows}
-        fused_scores.append(rows["SfM+PfH+HO3"])
-        sfm_scores.append(rows["SfM"])
-    fused_mean = float(np.mean(fused_scores))
-    sfm_mean = float(np.mean(sfm_scores))
+    def scores(kind, combos):
+        """Each combination's score per seed, as ``ablate`` scores them.
+
+        The scene draws no noise, so it is mapped once; each seed draws its own queries.
+        """
+        scene, params = builtin_config(kind), pipeline.PipelineParams()
+        assert not scene.noisy
+        gt = ground_truth_map(scene)
+        mapped = pipeline.map_scene(scene, pipeline.parse_combos(combos, params.priority), params)
+        out = {c: [] for c in combos}
+        for seed in seeds:
+            queries = sample_queries(gt, pipeline.RunConfig.n_queries, seed, pipeline.RunConfig.min_separation)
+            for r in pipeline.score_maps(*mapped, gt, queries).rows:
+                out[r.combination].append(r.score)
+        return out
+
+    t_scores = scores("T", ("SfM+PfH+HO3", "SfM"))
+    fused_mean = float(np.mean(t_scores["SfM+PfH+HO3"]))
+    sfm_mean = float(np.mean(t_scores["SfM"]))
     assert fused_mean < sfm_mean, f"T-config: fused {fused_mean} must beat SfM alone {sfm_mean} strictly"
 
     combos = ("SfM+PfH", "SfM", "PfH", "HO3")
-    i_scores = {c: [] for c in combos}
-    for seed in seeds:
-        out = pipeline.run_ablation(pipeline.RunConfig(scenario="I", combos=combos, seed=seed))
-        for r in out.report.rows:
-            i_scores[r.combination].append(r.score)
+    i_scores = scores("I", combos)
     means = {c: float(np.mean(v)) for c, v in i_scores.items()}
     for single in ("SfM", "PfH", "HO3"):
         assert means["SfM+PfH"] <= means[single] + 1e-12, f"I-config: SfM+PfH vs {single}: {means}"

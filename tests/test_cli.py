@@ -227,6 +227,15 @@ def test_scene_name_cannot_leave_out_dir(tmp_path, no_simulation, command):
     assert [p.name for p in tmp_path.iterdir()] == ["scene.ini"]
 
 
+def test_ablate_rejects_a_robot_that_ends_before_time_zero(tmp_path, no_simulation):
+    scene = tmp_path / "scene.ini"
+    robot = "waypoints = 0, 0.25, 0.5, 0; 12, 0.25, 5.5, 0"
+    scene.write_text(EXAMPLE_SCENARIO.replace(robot, "waypoints = -12, 0.25, 0.5, 0; -1, 0.25, 5.5, 0"))
+    with pytest.raises(ScenarioError, match=r"^invalid scene: robot's last waypoint time -1.0 s is before t = 0"):
+        main(["ablate", "--scenario", str(scene), "--out", str(tmp_path / "out")])
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.ini"]
+
+
 def test_scene_name_cannot_split_report_rows(tmp_path, no_simulation):
     scene = tmp_path / "scene.ini"
     scene.write_text(EXAMPLE_SCENARIO.replace("name = example", "name = a,b"))
@@ -327,3 +336,55 @@ def test_ablate_over_scenes_and_seeds_prints_the_matrix(sweep):
             assert float(row[column]) == pytest.approx(sum(float(cell[2]) for cell in cells) / 2, abs=5e-5 + 1e-6)
             solved = sum(int(cell[3]) - int(cell[4]) for cell in cells)
             assert row[column + 1] == f"{solved}/{sum(int(cell[3]) for cell in cells)}"
+
+
+#: The README example with odometry noise, so that its simulation reads the seed.
+_NOISY_EXAMPLE = EXAMPLE_SCENARIO.replace(
+    "name = example", "name = noisy\nodom_sigma_trans = 0.005\nodom_sigma_rot = 0.0025"
+)
+
+
+@pytest.fixture(scope="module")
+def noisy_sweep(tmp_path_factory):
+    """One ``ablate`` over the example scene and its noisy copy at seeds 0 and 7.
+
+    Returns the output directory, the noisy copy's path, and the scene name of each ``run_pipeline`` call.
+    """
+    root = tmp_path_factory.mktemp("noisy_sweep")
+    sources = [root / "example.ini", root / "noisy.ini"]
+    for path, text in zip(sources, (EXAMPLE_SCENARIO, _NOISY_EXAMPLE)):
+        path.write_text(text)
+    calls = []
+    run_pipeline = pipeline.run_pipeline
+
+    def counting_run_pipeline(scene, params=None):
+        calls.append(scene.name)
+        return run_pipeline(scene, params)
+
+    out = root / "out"
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(pipeline, "run_pipeline", counting_run_pipeline)
+        argv = ["ablate", "--scenario", *map(str, sources), "--seed", "0", "7", "--queries", "2", "--out", str(out)]
+        assert main(argv) == 0
+    return out, str(sources[1]), calls
+
+
+def test_ablate_sweep_maps_a_noisy_scene_afresh_at_each_seed(tmp_path, noisy_sweep):
+    out, scene, _ = noisy_sweep
+    assert load_scenario(scene).noisy
+    for seed in (0, 7):
+        single = tmp_path / f"seed{seed}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["ablate", "--scenario", scene, "--seed", str(seed), "--queries", "2", "--out", str(single)]) == 0
+        run = out / "noisy" / f"seed{seed}"
+        names = sorted(p.name for p in single.iterdir())
+        assert sorted(p.name for p in run.iterdir()) == names and "evidence.log" in names
+        for file_name in names:
+            assert (run / file_name).read_bytes() == (single / file_name).read_bytes(), (seed, file_name)
+    logs = [(out / "noisy" / f"seed{seed}" / "evidence.log").read_bytes() for seed in (0, 7)]
+    assert logs[0] != logs[1]
+
+
+def test_ablate_sweep_runs_the_pipeline_once_per_noiseless_scene(noisy_sweep):
+    _, _, calls = noisy_sweep
+    assert calls == ["example", "noisy", "noisy"]

@@ -386,10 +386,10 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, run_shared, scen
     blocks = collections.Counter()  # blocks per landmark table
     pass_block = pipeline._pass_block
 
-    def spy(result, jobs, n_logged):
+    def spy(result, camera, jobs, n_logged):
         assert all(job.table is jobs[0].table for job in jobs) and len(jobs) <= pipeline._PASS_BLOCK
         blocks[id(jobs[0].table)] += 1
-        pass_block(result, jobs, n_logged)
+        pass_block(result, camera, jobs, n_logged)
 
     monkeypatch.setattr(pipeline, "_pass_block", spy)
     res, blocked = _pass_between_outputs(run_shared, scene)
@@ -398,7 +398,7 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, run_shared, scen
     assert bool(res.events) == closes
 
     def per_frame_stage(result, jobs, *frame_inputs):
-        pass_between_per_frame(result, *frame_inputs)
+        pass_between_per_frame(result, scene.intrinsics, *frame_inputs)
 
     monkeypatch.setattr(pipeline, "_record_pass_between", per_frame_stage)
     _, per_frame = _pass_between_outputs(run_shared, scene)

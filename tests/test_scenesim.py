@@ -97,6 +97,16 @@ def test_scene_rejects_a_robot_among_the_humans():
         dataclasses.replace(cfg, humans=[cfg.humans[0], robot_as_human])
 
 
+def test_scene_rejects_a_robot_that_ends_before_time_zero():
+    """Frames run from t = 0 through the robot's last waypoint, so one before 0 leaves no frame to simulate."""
+    cfg = builtin_config("I")
+    early = AgentTrajectory("robot", ((-12.0, (0.25, 0.5, 0.0)), (-1.0, (0.25, 5.5, 0.0))))
+    with pytest.raises(ValueError, match=r"^robot's last waypoint time -1.0 s is before t = 0"):
+        dataclasses.replace(cfg, robot=early)
+    at_zero = AgentTrajectory("robot", ((-1.0, (0.25, 0.5, 0.0)), (0.0, (0.25, 0.6, 0.0))))
+    assert dataclasses.replace(cfg, robot=at_zero).robot.duration == 0.0
+
+
 def test_scene_rejects_a_human_robot():
     cfg = builtin_config("I")
     human_as_robot = AgentTrajectory("human", cfg.robot.waypoints, body_height=1.7)
@@ -415,6 +425,14 @@ def test_odometry_noise_seeded():
     assert a == b
     c, _ = simulate_sequence(dataclasses.replace(cfg, rng_seed=5))
     assert a != c
+
+
+@pytest.mark.parametrize("trans, rot", [(0.0, 0.0), (0.005, 0.0), (0.0, 0.0025)], ids=["noiseless", "trans", "rot"])
+def test_the_seed_changes_the_frames_only_when_noisy(simulated, trans, rot):
+    cfg = dataclasses.replace(builtin_config("I"), odom_sigma_trans=trans, odom_sigma_rot=rot)
+    assert cfg.noisy == (trans > 0 or rot > 0)
+    (a, _), (b, _) = (simulated(dataclasses.replace(cfg, rng_seed=seed)) for seed in (0, 7))
+    assert (a == b) is not cfg.noisy
 
 
 # ---------------------------------------------------------------------------
