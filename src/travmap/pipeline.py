@@ -17,10 +17,13 @@ runs five stages on each frame, in order:
 4. trails (kept frames): each matched confirmed track with a range is
    logged as PfH evidence relative to the newest keyframe;
 5. pass-between (kept frames after a kept frame): each such track's inputs
-   are recorded in the loop as one job; after it, landmarks are ordered
-   against each job's human in blocks of jobs, one numpy pass per block, and
-   straddling pairs are logged as HO3 evidence at the position in the log
-   their frame had.
+   are recorded in the loop as one job, with its closure epoch and landmark
+   count; the landmark table is built once per epoch, before each closure
+   and after the loop.  After the loop, landmarks are ordered against each
+   job's human in blocks of one epoch's jobs, one numpy pass per block that
+   reads each frame once and projects only the candidates seen in the
+   human's columns or unseen now within its box's rows, and straddling pairs
+   are logged as HO3 evidence at the position in the log their frame had.
    Turning frames are not kept.
 
 An ablation run maps, then scores.  ``map_scene`` regenerates one map per
@@ -113,9 +116,9 @@ _LAYERS_BY_LABEL = {label.lower(): layer for layer, label in LAYER_LABELS.items(
 _REGION_MARGIN_PX = 1.0
 
 #: Pass-between jobs (one tracked human in one frame each) computed in one
-#: numpy pass; bounds the pass's arrays.  One landmark table takes up to 484
-#: jobs (L), and one pass per table raised an I+L+T ablation's peak RSS at
-#: seed 0 from 64 to 76 MB, for no measured time gain.
+#: numpy pass; bounds the pass's arrays.  One closure epoch takes up to 1,493
+#: jobs (T), and one pass per epoch raised an I+L+T ablation's peak RSS at
+#: seed 0 from 57 to 70 MB, for no measured time gain.
 _PASS_BLOCK = 64
 
 #: Body height (m) assumed when turning a box's apparent height into depth.
@@ -333,7 +336,7 @@ class _PassJob(NamedTuple):
     frame: FrameObservation
     prev_frame: FrameObservation
     cam: Pose2
-    table: tuple[np.ndarray, np.ndarray]  # ``_landmark_table`` at the frame's poses
+    table: tuple[int, int]  # closure events and landmarks so far: its table is that many rows of that epoch's
     track_id: int
     region: tuple[float, float, float, float, float]  # the region's columns, its box's rows, and its range
 
@@ -345,9 +348,9 @@ def _record_pass_between(
     prev_frame: FrameObservation,
     matched: list[mot.HumanTrack],
     cam: Pose2,
-    table: tuple[np.ndarray, np.ndarray],
 ) -> None:
     """Pass-between stage, in the frame loop: queue one job per matched human whose box leaves a region."""
+    table = (len(res.events), len(res.store.landmarks))
     for track in matched:
         tp = track.last
         x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
@@ -356,64 +359,85 @@ def _record_pass_between(
             jobs.append(_PassJob(len(res.store.records), frame, prev_frame, cam, table, track.track_id, region))
 
 
-def _pass_between(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob]) -> None:
-    """Pass-between stage, after the frame loop: run the queued jobs in blocks of one landmark table.
+def _pass_between(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob], tables: list) -> None:
+    """Pass-between stage, after the frame loop: run the queued jobs in blocks of one closure epoch.
 
-    Each block is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
+    ``tables[e]`` is ``_landmark_table`` at epoch e's poses, those after e
+    closure events.  Landmarks are only appended and poses only move at a
+    closure, so a job's table is the first ``job.table[1]`` rows of its
+    epoch's.  Each block is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
     """
     n_logged = len(res.store.records)
-    for _, run in groupby(jobs, key=lambda job: id(job.table)):
+    for epoch, run in groupby(jobs, key=lambda job: job.table[0]):
         run = list(run)
         for start in range(0, len(run), _PASS_BLOCK):
-            _pass_block(res, camera, run[start : start + _PASS_BLOCK], n_logged)
+            _pass_block(res, camera, run[start : start + _PASS_BLOCK], tables[epoch], n_logged)
 
 
-def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob], n_logged: int) -> None:
+def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob], table: tuple, n_logged: int) -> None:
     """Order landmarks against each job's human in one numpy pass; log straddling pairs as HO3.
 
     A landmark seen in the job's frame inside the human's box is in front;
     one seen in its previous frame, unseen now and predicted inside the box
-    is behind.  Records, diagnostics and log positions are as if each job had
-    run in the frame loop: a job's new HO3 records go where its frame's would
-    have, at ``store_pos`` plus the records earlier jobs inserted after the
+    is behind.  Each distinct frame of the jobs is read once, for its visible
+    landmarks.  A job takes its frame's rows, then those of its previous
+    frame that its frame lacks, and projects only the ones that can still be
+    in front (seen inside the region's columns) or behind (within its rows).
+    Records, diagnostics and log positions are as if each job had run in the
+    frame loop: a job's new HO3 records go where its frame's would have, at
+    ``store_pos`` plus the records earlier jobs inserted after the
     ``n_logged`` the loop logged.
     """
     store_pos, frames, prev_frames, cams, tables, track_ids, regions = zip(*jobs)
-    worlds, row = tables[0]
-    # Candidates, job by job, seen ones first: each job's frame, then its previous frame.
-    parts = [f.features for pair in zip(frames, prev_frames) for f in pair]
+    worlds, row = table
+    distinct = {f.frame_index: f for f in (*frames, *prev_frames)}
+    parts = [f.features for f in distinct.values()]
     part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     # Column by column: concatenating record arrays costs a dtype promotion per array.
     fid, u, v, visible = (np.concatenate([p[name] for p in parts]) for name in ("feature_id", "u", "v", "visible"))
-    job, seen = part // 2, part % 2 == 0
-    seen_now = np.zeros((len(jobs), len(row)), dtype=bool)  # by job and feature id
-    now = np.flatnonzero(visible & seen)
-    seen_now[job[now], fid[now]] = True
     k = row[fid]
     # Index arrays, not masks, pick the rows: gathering by index is several times faster.
-    (pick,) = np.nonzero(visible & (k >= 0) & (seen | ~seen_now[job, fid]))
-    # Each candidate projected from its own job's camera only.
-    cams = np.array([cam.as_tuple() for cam in cams])
-    u_pred, _, depth = (a[:, 0] for a in camera.project(cams[job[pick]], worlds[k[pick]][:, None, :]))
-    (in_front,) = np.nonzero(seen[pick] | (depth > 0))
-    pick, depth = pick[in_front], depth[in_front]
-    fid, v, job, seen = fid[pick], v[pick], job[pick], seen[pick]
-    u = np.where(seen, u[pick], u_pred[in_front])
+    (lm,) = np.nonzero(visible & (k >= 0))
+    part, fid, u, v, k = part[lm], fid[lm], u[lm], v[lm], k[lm]
+    index = {fi: i for i, fi in enumerate(distinct)}
+    now, before = (np.array([index[f.frame_index] for f in side]) for side in (frames, prev_frames))
+    seen_now = np.zeros((len(parts), len(row)), dtype=bool)  # by frame and feature id
+    seen_now[part, fid] = True
+    after = np.zeros(len(parts), dtype=np.intp)  # the frame a previous frame comes before
+    after[before] = now
+    (gone,) = np.nonzero(~seen_now[after[part], fid])
+    # Frame p's rows are group p, its rows gone from the frame after it group p + len(parts), each in feature order.
+    src, group = np.concatenate((np.arange(len(part)), gone)), np.concatenate((part, part[gone] + len(parts)))
 
-    # Each job's candidates against its human's region.
+    # Each job over its frame's rows (seen), then its previous frame's gone rows.
+    sides = np.column_stack((now, before + len(parts))).ravel()
+    count = np.bincount(group, minlength=2 * len(parts))
+    n = count[sides]
+    rows = src[np.arange(n.sum()) + np.repeat(np.cumsum(count)[sides] - np.cumsum(n), n)]
+    job, seen = np.repeat(np.arange(len(jobs)), n[::2] + n[1::2]), np.repeat(np.arange(len(n)) % 2 == 0, n)
     x_min, x_max, y_min, y_max, human_depth = np.array(regions).T
-    front, behind = classify_occlusion(u, seen, (x_min[job], x_max[job]))
+    front, _ = classify_occlusion(u[rows], seen, (x_min[job], x_max[job]))
     # A landmark seen now occludes the human at the visible-region boundary,
     # so only the column test binds it; one unseen now must also have been
     # last seen within the box's rows.
-    behind &= (y_min[job] <= v) & (v <= y_max[job])
+    behind = ~seen & (y_min[job] <= v[rows]) & (v[rows] <= y_max[job])
+    n_landmarks = np.array([t[1] for t in tables])
+    (pick,) = np.nonzero((front | behind) & (k[rows] < n_landmarks[job]))
+    rows, job, seen = rows[pick], job[pick], seen[pick]
+
+    # Each candidate projected from its own job's camera only.
+    cams = np.array([cam.as_tuple() for cam in cams])
+    u_pred, _, depth = (a[:, 0] for a in camera.project(cams[job], worlds[k[rows]][:, None, :]))
+    u = np.where(seen, u[rows], u_pred)
+    front, behind = classify_occlusion(u, seen, (x_min[job], x_max[job]))
+    (hit,) = np.nonzero(front | (behind & (depth > 0)))
+    fid, u, depth, job, front, behind = fid[rows[hit]], u[hit], depth[hit], job[hit], front[hit], behind[hit]
     front_row, behind_row = infer_pass_pairs(job, fid, depth, front, behind, human_depth)
 
     # Per job, as columns: the frame and track its diagnostics and records name.
     ids = np.array([[f.frame_index for f in frames], track_ids])
-    (hit,) = np.nonzero(front | behind)
-    label = np.where(front[hit], OcclusionClass.FRONT, OcclusionClass.BEHIND)
-    hit_cols = (*ids[:, job[hit]], fid[hit], label, u[hit], depth[hit], human_depth[job[hit]])
+    label = np.where(front, OcclusionClass.FRONT, OcclusionClass.BEHIND)
+    hit_cols = (*ids[:, job], fid, label, u, depth, human_depth[job])
     res.occlusion_diags.extend(zip(*(col.tolist() for col in hit_cols)))
     (paired,) = np.nonzero(front_row >= 0)
     ends = (front_row[paired], behind_row[paired])
@@ -453,9 +477,7 @@ def ingest(
     last_closure_kf = -10**9
     odom_acc = Pose2()
     kf = 0
-    # The landmark table, and the (landmark, event) counts it was built at:
-    # landmarks are only added, and poses only move when a closure is optimized.
-    table, table_at = None, None
+    tables = []  # ``_landmark_table`` per closure epoch: poses move only when a closure is optimized
     prev_kept = None  # the previous frame, if it was kept
     jobs: list[_PassJob] = []
 
@@ -469,6 +491,7 @@ def ingest(
                 odom_acc = Pose2()
                 if kf in partners and kf - last_closure_kf >= params.closure_min_gap:
                     older, rel = partners[kf]
+                    tables.append(_landmark_table(res, n_ids))
                     res.graph.add_loop_closure(older, kf, rel)
                     res.events.append(res.graph.optimize())
                     last_closure_kf = kf
@@ -483,12 +506,10 @@ def ingest(
             continue
         _add_trails(res, kf, matched)
         if res.store.landmarks and prev_kept is not None and matched:
-            counts = (len(res.store.landmarks), len(res.events))
-            if counts != table_at:
-                table, table_at = _landmark_table(res, n_ids), counts
-            _record_pass_between(res, jobs, frame, prev_kept, matched, pose_est, table)
+            _record_pass_between(res, jobs, frame, prev_kept, matched, pose_est)
         prev_kept = frame
-    _pass_between(res, camera, jobs)
+    tables.append(_landmark_table(res, n_ids))
+    _pass_between(res, camera, jobs, tables)
     return res
 
 

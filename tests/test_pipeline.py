@@ -12,16 +12,25 @@ from travmap.evidence import (
     OcclusionClass,
     PfhEvidence,
     RebuildParams,
+    ScaleCalibration,
     SfmEvidence,
+    classify_occlusion,
     export_evidence_log,
     landmark_worlds,
     pose_table,
 )
 from travmap.gridmap import CellState, LayerPriority, export_pgm
-from travmap.posegraph import EdgeKind, Pose2
+from travmap.posegraph import EdgeKind, Pose2, PoseGraph
 from travmap.quality import plan_path
 from travmap.scenario import EXAMPLE_SCENARIO, parse_scenario
-from travmap.scenesim import CameraIntrinsics, FrameObservation, HumanDetection, builtin_config, ground_truth_map
+from travmap.scenesim import (
+    FEATURE_DTYPE,
+    CameraIntrinsics,
+    FrameObservation,
+    HumanDetection,
+    builtin_config,
+    ground_truth_map,
+)
 
 
 def test_combo_label_roundtrip():
@@ -363,47 +372,100 @@ def _unranged_first_walker(scene):
     return dataclasses.replace(scene, humans=[first, *scene.humans[1:]], intrinsics=intrinsics)
 
 
-def _pass_between_outputs(run, scene):
+def _pass_between_outputs(run, scene, params=None):
     """A pipeline run by ``run``, and its evidence log and pass-between diagnostics as text."""
-    res = run(scene)
+    res = run(scene, params)
     return res, (export_evidence_log(res.store), repr(res.occlusion_diags), repr(res.pair_diags))
 
 
-@pytest.mark.parametrize(
-    "scene, closes",
-    [
-        (builtin_config("I"), True),
-        (builtin_config("L"), True),
-        (builtin_config("T"), True),
-        (_NOISY_T, True),
-        (parse_scenario(EXAMPLE_SCENARIO), False),
-        (_unranged_first_walker(builtin_config("T")), True),
-    ],
-    ids=["I", "L", "T", "T-noisy", "example", "T-unranged-walker"],
-)
-def test_pass_between_blocks_match_per_frame_stage(monkeypatch, run_shared, scene, closes):
-    """The blocked stage logs what the per-frame stage logged in the loop, in the same order, byte for byte."""
-    blocks = collections.Counter()  # blocks per landmark table
-    pass_block = pipeline._pass_block
+_NOISY_L = dataclasses.replace(builtin_config("L"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+#: Closures as little as five keyframes apart: 32 closure events on noisy L and T, each one moving the poses.
+_MANY_CLOSURES = pipeline.PipelineParams(closure_min_gap=5)
 
-    def spy(result, camera, jobs, n_logged):
-        assert all(job.table is jobs[0].table for job in jobs) and len(jobs) <= pipeline._PASS_BLOCK
-        blocks[id(jobs[0].table)] += 1
-        pass_block(result, camera, jobs, n_logged)
+
+@pytest.mark.parametrize(
+    "scene, params, closes",
+    [
+        (builtin_config("I"), None, True),
+        (builtin_config("L"), None, True),
+        (builtin_config("T"), None, True),
+        (_NOISY_T, None, True),
+        (parse_scenario(EXAMPLE_SCENARIO), None, False),
+        (_unranged_first_walker(builtin_config("T")), None, True),
+        (_NOISY_L, _MANY_CLOSURES, True),
+        (_NOISY_T, _MANY_CLOSURES, True),
+    ],
+    ids=["I", "L", "T", "T-noisy", "example", "T-unranged-walker", "L-noisy-gap5", "T-noisy-gap5"],
+)
+def test_pass_between_blocks_match_per_frame_stage(monkeypatch, simulated, run_shared, scene, params, closes):
+    """The blocked stage logs what the per-frame stage logged in the loop, in the same order, byte for byte.
+
+    The per-frame reference builds its own landmark table at each frame's
+    poses, so it does not share the blocked stage's one table per closure epoch.
+    """
+    blocks = collections.Counter()  # blocks per closure epoch
+    tables = []
+    pass_block, landmark_table = pipeline._pass_block, pipeline._landmark_table
+
+    def spy(result, camera, jobs, table, n_logged):
+        epochs = {job.table[0] for job in jobs}
+        assert len(epochs) == 1 and len(jobs) <= pipeline._PASS_BLOCK
+        blocks[epochs.pop()] += 1
+        pass_block(result, camera, jobs, table, n_logged)
+
+    def counted_table(result, n_ids):
+        tables.append(landmark_table(result, n_ids))
+        return tables[-1]
 
     monkeypatch.setattr(pipeline, "_pass_block", spy)
-    res, blocked = _pass_between_outputs(run_shared, scene)
-    # The input changes tables mid-run, splits one table's jobs over blocks and, but for the example, closes a loop.
-    assert len(blocks) > 1 and max(blocks.values()) > 1
-    assert bool(res.events) == closes
+    monkeypatch.setattr(pipeline, "_landmark_table", counted_table)
+    res, blocked = _pass_between_outputs(run_shared, scene, params)
+    # One table per closure epoch at most; one epoch's jobs split over blocks; and, with closures, more than one epoch.
+    epochs = len(res.events) + 1
+    assert len(tables) <= epochs and len(blocks) <= epochs and max(blocks.values()) > 1
+    assert (epochs > 1) == closes
+    if params is _MANY_CLOSURES:
+        assert len(res.events) == 32 and len(blocks) > 16
 
-    def per_frame_stage(result, jobs, *frame_inputs):
-        pass_between_per_frame(result, scene.intrinsics, *frame_inputs)
+    frames, _ = simulated(scene)
+    n_ids = 1 + max(int(f.features["feature_id"].max(initial=-1)) for f in frames)
+
+    def per_frame_stage(result, jobs, frame, prev_frame, matched, cam):
+        table = landmark_table(result, n_ids)  # at this frame's poses
+        pass_between_per_frame(result, scene.intrinsics, frame, prev_frame, matched, cam, table)
 
     monkeypatch.setattr(pipeline, "_record_pass_between", per_frame_stage)
-    _, per_frame = _pass_between_outputs(run_shared, scene)
+    _, per_frame = _pass_between_outputs(run_shared, scene, params)
     assert "OcclusionDiag" in per_frame[1]
     assert blocked == per_frame
+
+
+def test_pass_block_column_bounds_are_inclusive():
+    """Landmarks seen exactly on the region's column bounds are in front, and one ulp outside them are not.
+
+    The block culls seen candidates by column before it projects anything,
+    so the cull must keep ``classify_occlusion``'s inclusive bounds.
+    """
+    camera = CameraIntrinsics()
+    x_min, x_max, human_depth = 300.0, 340.0, 2.0
+    us = np.array([x_min, x_max, np.nextafter(x_min, -np.inf), np.nextafter(x_max, np.inf)])
+    features = np.zeros(len(us), FEATURE_DTYPE)
+    features["feature_id"], features["u"], features["v"], features["visible"] = np.arange(len(us)), us, 400.0, True
+    prev_frame, frame = FrameObservation(0, 0.0, 0.0, None), FrameObservation(1, 0.1, 0.0, None, features)
+    # Each landmark 1 m ahead of a camera at the origin, on its own column's ray.
+    worlds = np.column_stack((np.ones(len(us)), (camera.cx - us) / camera.f, np.zeros(len(us))))
+    frames = [prev_frame, frame]
+    res = pipeline.PipelineResult(pipeline.PipelineParams(), frames, ScaleCalibration(1.0), [True, True], PoseGraph())
+    job = pipeline._PassJob(0, frame, prev_frame, Pose2(), (0, len(us)), 7, (x_min, x_max, 0.0, 720.0, human_depth))
+    pipeline._pass_block(res, camera, [job], (worlds, np.arange(len(us))), 0)
+
+    front, behind = classify_occlusion(us, np.ones(len(us), dtype=bool), (x_min, x_max))
+    assert front.tolist() == [True, True, False, False] and not behind.any()
+    assert [(row[2], row[3], row[4]) for row in res.occlusion_diags] == [
+        (0, OcclusionClass.FRONT, x_min),
+        (1, OcclusionClass.FRONT, x_max),
+    ]
+    assert not res.pair_diags and not res.store.records
 
 
 @pytest.mark.parametrize("seed", [0, 3])
