@@ -29,7 +29,7 @@ from . import pipeline
 from .evidence import RebuildParams
 from .gridmap import LayerPriority, import_pgm
 from .pipeline import PipelineParams, RunConfig, parse_combos, run_ablation, write_map_artifacts
-from .quality import QualityReport, ReportRow, evaluate_map, oracle_plans, sample_queries
+from .quality import sample_queries
 from .scenario import load_scenario
 from .scenesim import FEATURE_DTYPE, check_report_field, simulate_sequence
 
@@ -98,19 +98,17 @@ def _cmd_build(args) -> int:
 def _cmd_evaluate(args) -> int:
     # The report's text fields, checked before any map is read.
     check_report_field("--label", args.label)
-    for candidate in args.maps:
-        check_report_field(f"the file stem of map {candidate}", pathlib.Path(candidate).stem)
-    gt = import_pgm(pathlib.Path(args.ground_truth).read_bytes(), (args.origin_x, args.origin_y), args.resolution)
+    paths = [pathlib.Path(candidate) for candidate in args.maps]
+    for path in paths:
+        check_report_field(f"the file stem of map {path}", path.stem)
+    origin = (args.origin_x, args.origin_y)
+    gt = import_pgm(pathlib.Path(args.ground_truth).read_bytes(), origin, args.resolution)
     queries = sample_queries(gt, args.queries, args.seed, args.min_separation)
-    oracles = oracle_plans(gt, queries)
-    rows = []
-    for candidate in args.maps:
-        path = pathlib.Path(candidate)
-        m = import_pgm(path.read_bytes(), (args.origin_x, args.origin_y), args.resolution)
-        ev = evaluate_map(m, gt, queries, oracles)
-        rows.append(ReportRow(path.stem, args.label, ev.score, ev.n_queries, ev.n_failed))
-        print(f"{path.stem}: score {ev.score:.4f} m ({ev.n_failed}/{ev.n_queries} failed)")
-    report = QualityReport(rows)
+    # One map read at a time, in order; two paths with the same stem are two rows.
+    maps = ((path.stem, import_pgm(path.read_bytes(), origin, args.resolution)) for path in paths)
+    report = pipeline.score_maps(maps, gt, queries, args.label)
+    for row in report.rows:
+        print(f"{row.combination}: score {row.score:.4f} m ({row.n_failed}/{row.n_queries} failed)")
     if args.out:
         out = pathlib.Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -154,7 +152,10 @@ def _cmd_ablate(args) -> int:
         for run_cfg, seed_queries in zip(scene_runs, scene_queries):
             if mapped is None or scene.noisy:
                 mapped = pipeline.map_scene(dataclasses.replace(scene, rng_seed=run_cfg.seed), combos, params)
-            rows += pipeline.score_maps(*mapped, gt, seed_queries, run_cfg.out_dir).rows
+            result, maps = mapped
+            report = pipeline.score_maps(maps.items(), gt, seed_queries, scene.name)
+            write_map_artifacts(run_cfg.out_dir, result, gt, maps, report)
+            rows += report.rows
             print(f"maps and report written to {run_cfg.out_dir}")
 
     labels = list(dict.fromkeys(row.combination for row in rows))

@@ -35,7 +35,7 @@ from .gridmap import (
     empty_like,
     fuse,
 )
-from .posegraph import Pose2, se2_transform
+from .posegraph import Pose2, _transform_rows
 from .scenesim import CameraIntrinsics, check_bounds
 
 __all__ = [
@@ -136,10 +136,10 @@ def calibrate_scale(samples: Iterable[tuple[float, float, float, float]]) -> Sca
     return ScaleCalibration(median(ks))
 
 
-def estimate_depth(cal: ScaleCalibration, f: float, body_height: float, h_px: float) -> float:
-    """Range to a human of height ``body_height`` appearing ``h_px`` pixels tall."""
-    # Comparisons that NaN fails, written inline: this runs once per detection.
-    if not h_px > 0:
+def estimate_depth(cal: ScaleCalibration, f: float, body_height: float, h_px) -> np.ndarray:
+    """Range to a human of height ``body_height`` appearing ``h_px`` pixels tall, for each element of ``h_px``."""
+    h_px = np.asarray(h_px, dtype=float)
+    if not (h_px > 0).all():  # NaN fails too
         raise ValueError("apparent height must be positive")
     if not 0 < f < math.inf:
         raise ValueError(f"f must be finite and positive, got {f}")
@@ -148,42 +148,47 @@ def estimate_depth(cal: ScaleCalibration, f: float, body_height: float, h_px: fl
     return cal.k * f * body_height / h_px
 
 
-def apparent_height_px(y_min: float, intr: CameraIntrinsics, body_height: float) -> Optional[float]:
-    """Full-body pixel height reconstructed from the head row of a detection.
+def apparent_height_px(y_min, intr: CameraIntrinsics, body_height: float) -> np.ndarray:
+    """Full-body pixel height reconstructed from the head row ``y_min`` of each detection.
 
     The head is the one body point guaranteed measurable whenever a detection
     exists, so the apparent height is inferred from how far the head row sits
     above the horizon instead of from the (possibly clipped) box height.
-    Returns None when the geometry degenerates (head at or below the horizon,
-    or a body no taller than the camera mount).
+    NaN where the geometry degenerates (head at or below the horizon, or a
+    body no taller than the camera mount); a ``y_min`` that is not finite
+    raises ``ValueError`` naming the first.
     """
-    # Comparisons that NaN fails, written inline: this runs once per detection.
-    if not -math.inf < y_min < math.inf:
-        raise ValueError(f"y_min must be finite, got {y_min}")
+    y_min = np.asarray(y_min, dtype=float)
+    odd = ~np.isfinite(y_min)
+    if odd.any():
+        raise ValueError(f"y_min must be finite, got {y_min[odd].tolist()[0]}")
     if not 0 < body_height < math.inf:
         raise ValueError(f"body_height must be finite and positive, got {body_height}")
     if body_height <= intr.cam_height:
-        return None
+        return np.full(y_min.shape, np.nan)
     rows_above_horizon = intr.cy - y_min
-    if rows_above_horizon <= 0:
-        return None
-    return rows_above_horizon * body_height / (body_height - intr.cam_height)
+    # A head far above the image overflows to an infinite height, as Python float arithmetic does.
+    with np.errstate(over="ignore"):
+        h_px = rows_above_horizon * body_height / (body_height - intr.cam_height)
+    return np.where(rows_above_horizon > 0, h_px, np.nan)
 
 
 def human_map_position(
-    cam_pose: tuple[float, float, float],
-    intr: CameraIntrinsics,
-    bbox: tuple[float, float, float, float],
-    depth: float,
-) -> tuple[float, float]:
-    """Floor-plane position of a detection given its estimated range.
+    cam_poses: np.ndarray, intr: CameraIntrinsics, boxes: np.ndarray, depth: np.ndarray
+) -> np.ndarray:
+    """Floor-plane positions (N, 2) of detections ``boxes`` (N, 4) at ranges ``depth`` (N,).
 
-    The box's center column is back-projected by ``CameraIntrinsics.floor_offset``,
-    the same model that anchors landmarks, and placed in the world at ``cam_pose``.
+    Each box's center column is back-projected by ``CameraIntrinsics.floor_offset``,
+    the same model that anchors landmarks, and placed in the world at its
+    camera pose, its row of ``cam_poses`` (N, 3).  A range that is not
+    positive and finite raises ``ValueError`` naming the first.
     """
-    if not 0 < depth < math.inf:  # NaN fails too
-        raise ValueError(f"depth must be positive and finite, got {depth}")
-    return se2_transform(Pose2(*cam_pose), intr.floor_offset(0.5 * (bbox[0] + bbox[1]), depth))
+    depth = np.asarray(depth, dtype=float)
+    bad = ~((0 < depth) & (depth < math.inf))  # NaN fails too
+    if bad.any():
+        raise ValueError(f"depth must be positive and finite, got {depth[bad].tolist()[0]}")
+    u = 0.5 * (boxes[:, 0] + boxes[:, 1])
+    return _transform_rows(np.asarray(cam_poses, dtype=float), np.column_stack(intr.floor_offset(u, depth)))
 
 
 def classify_occlusion(u: np.ndarray, seen: np.ndarray, bbox: tuple) -> tuple[np.ndarray, np.ndarray]:

@@ -289,9 +289,10 @@ def _row_chords(px, py, qx, qy, ux, uy, vx, vy, length, y, half_width, delta):
     t = pa * uy
     c = pa * vx
     # A row that misses a disk takes the square root of a negative, and a band
-    # along an axis divides by its zero direction component.  Both give NaN or
-    # an infinity, and fmin and fmax skip a NaN piece.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # along an axis divides by its zero direction component, or overflows when
+    # that component is subnormal (2e-313, say).  Each gives NaN or an
+    # infinity, and fmin and fmax skip a NaN piece.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         wa, wb = np.sqrt(r * r - pa * pa), np.sqrt(r * r - pb * pb)
         # The band, in x - px: 0 <= (x - px)*ux + t <= length and |(x - px)*vy - c| <= r.
         # On an axis one of the two intervals is the whole row or lies at an

@@ -4,27 +4,37 @@
 sensor output, to ``ingest`` with the truth oracles' outputs: the first true
 camera pose, ``truth_calibration`` and ``truth_closures``.  Last, it attaches
 the scene and ground truth to ingest's result and joins the truth once, for the
-diagnostics.  ``ingest`` reads no ground truth and no scene configuration; it
-runs five stages on each frame, in order:
+diagnostics.  ``ingest`` reads no ground truth and no scene configuration.  It
+runs in two passes, then computes pass-between:
 
-1. keyframes and loop closure: every ``keyframe_stride`` frames (keyframe k
-   is frame k * stride) a pose-graph keyframe is added, and each closure it
-   ends is added and optimized at once;
-2. tracking: human detections, with depth and position estimates, go to the
-   tracker;
-3. landmarks (keyframes only): each feature's first sighting is anchored to
-   the keyframe and logged as its SfM record, which is the landmark;
-4. trails (kept frames): each matched confirmed track with a range is
-   logged as PfH evidence relative to the newest keyframe;
-5. pass-between (kept frames after a kept frame): each such track's inputs
-   are recorded in the loop as one job, with its closure epoch and landmark
-   count; the landmark table is built once per epoch, before each closure
-   and after the loop.  After the loop, landmarks are ordered against each
-   job's human in blocks of one epoch's jobs, one numpy pass per block that
-   reads each frame once and projects only the candidates seen in the
-   human's columns or unseen now within its box's rows, and straddling pairs
-   are logged as HO3 evidence at the position in the log their frame had.
-   Turning frames are not kept.
+1. the array pass (``_array_pass``), which needs no loop over frames:
+   odometry accumulates along every keyframe interval at once; the keyframes
+   alone are walked, each added to the pose graph (keyframe k is frame
+   k * ``keyframe_stride``) and each closure it ends added and optimized at
+   once, with the poses kept before each closure (the closure epochs'); then
+   every frame's pose estimate, and every detection's range, map position
+   and trail offset in its keyframe's frame, each in one array expression;
+2. the frame loop, which keeps what is sequential:
+   - tracking: each frame's track points go to the tracker, and each
+     matched confirmed track with a range is logged as a position row
+     naming its own detection;
+   - landmarks (keyframes only): the features seen for the first time,
+     found by a mask over feature ids, are anchored to the keyframe and
+     logged as SfM records, which are the landmarks;
+   - trails (kept frames): each such track's precomputed offset is logged
+     as PfH evidence;
+   - pass-between (kept frames after a kept frame): each such track is
+     queued as one job, by frame, detection row, closure epoch and landmark
+     count;
+3. pass-between, after the loop: each closure epoch's landmark table is
+   built once, from its poses, and landmarks are ordered against each job's
+   human in blocks of one epoch's jobs, one numpy pass per block that reads
+   each frame once and projects only the candidates seen in the human's
+   columns or unseen now within its box's rows; straddling pairs are logged
+   as HO3 evidence at the position in the log their frame had.
+
+Turning frames are not kept: they feed the pose graph and the landmarks,
+but no trail or pass-between evidence.
 
 An ablation run maps, then scores.  ``map_scene`` regenerates one map per
 module combination from the evidence at the current pose snapshot, and
@@ -42,8 +52,8 @@ from __future__ import annotations
 import math
 import pathlib
 from dataclasses import dataclass, field, replace
-from itertools import groupby, islice
-from typing import NamedTuple, Optional, Sequence
+from itertools import accumulate, groupby
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +64,7 @@ from .evidence import (
     OcclusionClass,
     RebuildParams,
     ScaleCalibration,
+    SfmEvidence,
     apparent_height_px,
     calibrate_scale,
     classify_occlusion,
@@ -66,7 +77,17 @@ from .evidence import (
     rebuild_map,
 )
 from .gridmap import LayerPriority, TraversabilityMap, export_pgm, new_map
-from .posegraph import OptimizationEvent, Pose2, PoseGraph, se2_compose, se2_inverse, se2_transform
+from .posegraph import (
+    OptimizationEvent,
+    Pose2,
+    PoseGraph,
+    _compose_rows,
+    _inverse_rows,
+    _transform_rows,
+    _wrap_rows,
+    se2_compose,
+    se2_inverse,
+)
 from .quality import (
     COMBINATION_ORDER,
     COMBINATIONS,
@@ -246,10 +267,11 @@ def truth_calibration(
     The simulator's true range plays the role of the externally measured
     distance the scale is calibrated against.
     """
-    boxes = (det for frame in frames for det in frame.detections)
-    ranges = (depth for seen in truth.detected for _, depth in seen)
-    ranged = ((d, apparent_height_px(det.y_min, intr, _BODY_HEIGHT)) for det, d in zip(boxes, ranges))
-    samples = list(islice(((d, intr.f, h, _BODY_HEIGHT) for d, h in ranged if h is not None), _CALIBRATION_SAMPLES))
+    h_px = apparent_height_px([det.y_min for frame in frames for det in frame.detections], intr, _BODY_HEIGHT)
+    ranges = [depth for seen in truth.detected for _, depth in seen]
+    (ranged,) = np.nonzero(~np.isnan(h_px[: len(ranges)]))
+    ranged = ranged[:_CALIBRATION_SAMPLES]
+    samples = [(ranges[i], intr.f, h, _BODY_HEIGHT) for i, h in zip(ranged.tolist(), h_px[ranged].tolist())]
     return calibrate_scale(samples) if samples else ScaleCalibration(1.0)
 
 
@@ -274,107 +296,217 @@ def truth_closures(truth: GroundTruth, params: PipelineParams) -> list[tuple[int
     ]
 
 
-def _track_humans(
-    res: PipelineResult, camera: CameraIntrinsics, frame: FrameObservation, pose_est: Pose2
-) -> list[mot.HumanTrack]:
-    """Tracking stage: feed the frame's detections, with position estimates, to the tracker.
+class _Rows(NamedTuple):
+    """What ingest's array pass computes, by frame and by detection.
 
-    Returns the confirmed tracks matched in this frame whose box has a range
-    (the only ones the later stages use), each logged as a position row.
+    Detections are numbered over all frames in order: frame fi's are rows ``first[fi]`` to ``first[fi + 1]``.
     """
-    fi = frame.frame_index
-    points = []
-    for det in frame.detections:
-        bbox = (det.x_min, det.x_max, det.y_min, det.y_max)
-        h_px = apparent_height_px(det.y_min, camera, _BODY_HEIGHT)
-        depth_est = None if h_px is None else estimate_depth(res.calibration, camera.f, _BODY_HEIGHT, h_px)
-        world_est = None if h_px is None else human_map_position(pose_est.as_tuple(), camera, bbox, depth_est)
-        points.append(mot.TrackPoint(fi, bbox, depth_est, world_est))
+
+    poses: np.ndarray  # (N, 3) each frame's pose estimate
+    epoch: list[int]  # each frame's closure epoch: the closure events up to its keyframe
+    epoch_poses: list[dict[int, Pose2]]  # each epoch's poses: the graph before each closure, then the final graph
+    first: list[int]  # N + 1 detection rows
+    points: list[mot.TrackPoint]  # each detection's track point: its box, and its range and position if it has a range
+    trails: list[Optional[tuple[float, float]]]  # each ranged detection's position in its keyframe's frame
+    regions: np.ndarray  # (D, 5) each detection's pass-between region: its columns inside the margin, its rows, its range
+    passable: list[bool]  # each detection's region keeps a column
+
+
+def _poses(res: PipelineResult, closures: Sequence[tuple[int, int, Pose2]]) -> tuple:
+    """Keyframes and loop closure, then every frame's pose estimate.
+
+    Odometry accumulates along each keyframe interval, every interval at
+    once, one ``_compose_rows`` per position inside the stride.  Keyframe k
+    (frame k * stride) then joins the graph, and the first closure it ends
+    is added and optimized at once, once the last closure is
+    ``closure_min_gap`` keyframes back.  A frame's estimate is its
+    keyframe's pose at that keyframe composed with the odometry since, in
+    one ``_compose_rows``.  Returns the frames' estimates (N, 3), each
+    keyframe's pose at its own keyframe (after the closure it ends), each
+    frame's closure epoch, and each epoch's poses.
+    """
+    frames, params, graph = res.frames, res.params, res.graph
+    stride, n = params.keyframe_stride, len(frames)
+    steps = np.zeros((-(-(n - 1) // stride) * stride, 3))  # frames 1.., padded to whole intervals
+    if n > 1:
+        steps[: n - 1] = [frame.odometry for frame in frames[1:]]
+    steps[:, 2] = _wrap_rows(steps[:, 2])  # as ``Pose2`` wraps it
+    steps = steps.reshape(-1, stride, 3)
+    since = np.zeros_like(steps)  # since[m, j]: the odometry from keyframe m to frame m * stride + j + 1
+    total = np.zeros((len(steps), 3))
+    for j in range(stride):
+        total = since[:, j] = _compose_rows(total, steps[:, j])
+
+    partners: dict[int, tuple[int, Pose2]] = {}
+    for older, newer, rel in closures:
+        partners.setdefault(newer, (older, rel))
+    last_closure_kf = -10**9
+    keyframe_poses, epochs, epoch_poses = [graph.pose(0).as_tuple()], [0], []
+    for kf, odom in enumerate(since[: (n - 1) // stride, -1].tolist(), start=1):
+        graph.add_keyframe(Pose2(*odom))
+        if kf in partners and kf - last_closure_kf >= params.closure_min_gap:
+            older, rel = partners[kf]
+            epoch_poses.append(graph.snapshot())
+            graph.add_loop_closure(older, kf, rel)
+            res.events.append(graph.optimize())
+            last_closure_kf = kf
+        keyframe_poses.append(graph.pose(kf).as_tuple())
+        epochs.append(len(res.events))
+    epoch_poses.append(graph.snapshot())
+
+    odometry = np.zeros((n, 3))  # a keyframe is no step past itself
+    odometry[1:] = since.reshape(-1, 3)[: n - 1]
+    odometry[stride::stride] = 0.0
+    keyframe_of = np.arange(n) // stride
+    keyframe_poses = np.array(keyframe_poses)
+    poses = _compose_rows(keyframe_poses[keyframe_of], odometry)
+    return poses, keyframe_poses, [epochs[k] for k in keyframe_of.tolist()], epoch_poses
+
+
+def _array_pass(res: PipelineResult, camera: CameraIntrinsics, closures: Sequence[tuple[int, int, Pose2]]) -> _Rows:
+    """The array pass: each frame's pose estimate (``_poses``), then each detection's range, position and trail offset.
+
+    A detection has a range when its head is above the horizon.  Its map
+    position is placed from its frame's estimate, and its trail offset is
+    that position in its keyframe's frame, at the keyframe's own pose.
+    """
+    poses, keyframe_poses, epoch, epoch_poses = _poses(res, closures)
+    frames = res.frames
+    counts = [len(frame.detections) for frame in frames]
+    at = np.repeat(np.arange(len(frames)), counts)  # each detection's frame
+    boxes = [(det.x_min, det.x_max, det.y_min, det.y_max) for frame in frames for det in frame.detections]
+    box = np.array(boxes, dtype=float).reshape(-1, 4)
+    h_px = apparent_height_px(box[:, 2], camera, _BODY_HEIGHT)
+    (ranged,) = np.nonzero(~np.isnan(h_px))
+    depth = np.full(len(boxes), np.nan)
+    depth[ranged] = estimate_depth(res.calibration, camera.f, _BODY_HEIGHT, h_px[ranged])
+    world = human_map_position(poses[at[ranged]], camera, box[ranged], depth[ranged])
+    keyframe = at[ranged] // res.params.keyframe_stride
+    trail = _transform_rows(_inverse_rows(keyframe_poses)[keyframe], world)
+
+    depths, worlds, trails = [None] * len(boxes), [None] * len(boxes), [None] * len(boxes)
+    for i, d, w, t in zip(ranged.tolist(), depth[ranged].tolist(), world.tolist(), trail.tolist()):
+        depths[i], worlds[i], trails[i] = d, tuple(w), tuple(t)
+    columns = (box[:, 0] + _REGION_MARGIN_PX, box[:, 1] - _REGION_MARGIN_PX)
+    regions = np.column_stack((*columns, box[:, 2], box[:, 3], depth))
+    return _Rows(
+        poses,
+        epoch,
+        epoch_poses,
+        [0, *accumulate(counts)],
+        list(map(mot.TrackPoint, at.tolist(), boxes, depths, worlds)),
+        trails,
+        regions,
+        (columns[0] < columns[1]).tolist(),
+    )
+
+
+def _track_humans(res: PipelineResult, rows: _Rows, fi: int) -> list[tuple[int, mot.HumanTrack]]:
+    """Tracking stage: feed frame ``fi``'s track points to the tracker.
+
+    Returns the confirmed tracks matched in this frame whose point has a
+    range (the only ones the later stages use), each with its detection's
+    row, and logs each as a position row.
+    """
+    lo, hi = rows.first[fi], rows.first[fi + 1]
+    points = rows.points[lo:hi]
     mot.step(res.tracks, points, res.params.gate_px)
     mot.prune(res.tracks)
 
     # ``depth`` and ``world`` are both None exactly when the box has no range.
     confirmed = (t for t in res.tracks if t.state is mot.TrackState.CONFIRMED)
-    matched = [t for t in confirmed if t.matched_at(fi) and t.last.depth is not None]
-    for track in matched:
-        tp = track.last  # one of this frame's points, appended as is
-        res.position_diags.append((fi, track.track_id, points.index(tp), tp.world, tp.depth))
+    tracked = [t for t in confirmed if t.matched_at(fi) and t.last.depth is not None]
+    if not tracked:
+        return []
+    # Each track's last point is one of this frame's, appended as is: found by identity, as equal boxes are two detections.
+    row = {id(point): lo + d for d, point in enumerate(points)}
+    matched = [(row[id(track.last)], track) for track in tracked]
+    for r, track in matched:
+        res.position_diags.append((fi, track.track_id, r - lo, track.last.world, track.last.depth))
     return matched
 
 
-def _add_landmarks(res: PipelineResult, camera: CameraIntrinsics, frame: FrameObservation, kf: int) -> None:
-    """Landmark stage: anchor newly seen features to keyframe ``kf``, each logged once as SfM.
+def _add_landmarks(
+    res: PipelineResult, camera: CameraIntrinsics, frame: FrameObservation, kf: int, logged: np.ndarray
+) -> None:
+    """Landmark stage: anchor the features first seen at keyframe ``kf`` to it, each logged once as SfM.
 
-    Not gated by turning: the turning filter only withholds human-derived evidence.
+    ``logged`` marks the feature ids logged so far.  Not gated by turning:
+    the turning filter only withholds human-derived evidence.
     """
-    seen = frame.features[frame.features["visible"]]
-    for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
-        if fid not in res.store.landmarks:
-            res.store.add_sfm(fid, kf, camera.floor_offset(u, depth))
+    features = frame.features
+    (new,) = np.nonzero(features["visible"] & ~logged[features["feature_id"]])
+    fids = features["feature_id"][new]
+    logged[fids] = True
+    forward, left = camera.floor_offset(features["u"][new], features["depth"][new])
+    for fid, offset in zip(fids.tolist(), zip(forward.tolist(), left.tolist())):
+        res.store.add_sfm(fid, kf, offset)
 
 
-def _add_trails(res: PipelineResult, kf: int, matched: Sequence[mot.HumanTrack]) -> None:
+def _add_trails(res: PipelineResult, rows: _Rows, kf: int, matched: Sequence[tuple[int, mot.HumanTrack]]) -> None:
     """Trail stage: each matched track's position as PfH evidence relative to keyframe ``kf``."""
-    to_kf = se2_inverse(res.graph.pose(kf))
-    for track in matched:
-        res.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
+    for r, track in matched:
+        res.store.add_pfh(kf, rows.trails[r], track.track_id)
 
 
-def _landmark_table(res: PipelineResult, n_ids: int) -> tuple[np.ndarray, np.ndarray]:
-    """Floor points (x, y, 0) of all landmarks at the current poses, and the row of each feature id (-1: none)."""
-    worlds = landmark_worlds(res.store.landmarks.values(), pose_table(res.graph.nodes))
-    worlds = np.column_stack((worlds, np.zeros(len(worlds))))
-    row = np.full(n_ids, -1)
-    row[list(res.store.landmarks)] = np.arange(len(worlds))
-    return worlds, row
+def _landmark_table(landmarks: Sequence[SfmEvidence], poses: dict[int, Pose2]) -> np.ndarray:
+    """Floor points (x, y, 0) of ``landmarks`` at ``poses``."""
+    worlds = landmark_worlds(landmarks, pose_table(poses))
+    return np.column_stack((worlds, np.zeros(len(worlds))))
 
 
 class _PassJob(NamedTuple):
     """One tracked human's pass-between inputs in one kept frame, recorded in the frame loop and computed after it."""
 
     store_pos: int  # length of the evidence log when the frame was ingested: where its HO3 records go
-    frame: FrameObservation
-    prev_frame: FrameObservation
-    cam: Pose2
-    table: tuple[int, int]  # closure events and landmarks so far: its table is that many rows of that epoch's
+    frame: int  # its frame's index; the frame before it was kept too
+    detection: int  # its detection's row: its region's, and its frame's camera pose
+    epoch: int  # closure events by its frame: its landmark table is that epoch's
+    n_landmarks: int  # landmarks logged by its frame: the rows of its table it may use
     track_id: int
-    region: tuple[float, float, float, float, float]  # the region's columns, its box's rows, and its range
 
 
 def _record_pass_between(
-    res: PipelineResult,
-    jobs: list[_PassJob],
-    frame: FrameObservation,
-    prev_frame: FrameObservation,
-    matched: list[mot.HumanTrack],
-    cam: Pose2,
+    res: PipelineResult, jobs: list[_PassJob], rows: _Rows, fi: int, matched: Sequence[tuple[int, mot.HumanTrack]]
 ) -> None:
     """Pass-between stage, in the frame loop: queue one job per matched human whose box leaves a region."""
-    table = (len(res.events), len(res.store.landmarks))
-    for track in matched:
-        tp = track.last
-        x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
-        if x_min < x_max:
-            region = (x_min, x_max, tp.bbox[2], tp.bbox[3], tp.depth)
-            jobs.append(_PassJob(len(res.store.records), frame, prev_frame, cam, table, track.track_id, region))
+    at, epoch, n_landmarks = len(res.store.records), rows.epoch[fi], len(res.store.landmarks)
+    for r, track in matched:
+        if rows.passable[r]:
+            jobs.append(_PassJob(at, fi, r, epoch, n_landmarks, track.track_id))
 
 
-def _pass_between(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob], tables: list) -> None:
+def _pass_between(
+    res: PipelineResult, camera: CameraIntrinsics, rows: _Rows, jobs: Sequence[_PassJob], n_ids: int
+) -> None:
     """Pass-between stage, after the frame loop: run the queued jobs in blocks of one closure epoch.
 
-    ``tables[e]`` is ``_landmark_table`` at epoch e's poses, those after e
-    closure events.  Landmarks are only appended and poses only move at a
-    closure, so a job's table is the first ``job.table[1]`` rows of its
-    epoch's.  Each block is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
+    Each epoch's landmark table is built once, at its poses
+    (``rows.epoch_poses``), with as many landmarks as its last job may use:
+    landmarks are only appended and poses only move at a closure, so a job's
+    table is the first ``job.n_landmarks`` rows of its epoch's.  Each block
+    is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
     """
     n_logged = len(res.store.records)
-    for epoch, run in groupby(jobs, key=lambda job: job.table[0]):
+    landmarks = list(res.store.landmarks.values())
+    row = np.full(n_ids, -1)  # each feature id's landmark row; -1: none
+    row[list(res.store.landmarks)] = np.arange(len(landmarks))
+    for epoch, run in groupby(jobs, key=lambda job: job.epoch):
         run = list(run)
+        table = (_landmark_table(landmarks[: run[-1].n_landmarks], rows.epoch_poses[epoch]), row)
         for start in range(0, len(run), _PASS_BLOCK):
-            _pass_block(res, camera, run[start : start + _PASS_BLOCK], tables[epoch], n_logged)
+            _pass_block(res, camera, run[start : start + _PASS_BLOCK], table, n_logged, rows.poses, rows.regions)
 
 
-def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_PassJob], table: tuple, n_logged: int) -> None:
+def _pass_block(
+    res: PipelineResult,
+    camera: CameraIntrinsics,
+    jobs: Sequence[_PassJob],
+    table: tuple,
+    n_logged: int,
+    cams: np.ndarray,
+    regions: np.ndarray,
+) -> None:
     """Order landmarks against each job's human in one numpy pass; log straddling pairs as HO3.
 
     A landmark seen in the job's frame inside the human's box is in front;
@@ -382,16 +514,17 @@ def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_P
     is behind.  Each distinct frame of the jobs is read once, for its visible
     landmarks.  A job takes its frame's rows, then those of its previous
     frame that its frame lacks, and projects only the ones that can still be
-    in front (seen inside the region's columns) or behind (within its rows).
-    Records, diagnostics and log positions are as if each job had run in the
-    frame loop: a job's new HO3 records go where its frame's would have, at
-    ``store_pos`` plus the records earlier jobs inserted after the
-    ``n_logged`` the loop logged.
+    in front (seen inside the region's columns) or behind (within its rows),
+    from its frame's row of ``cams``; its region is its detection's row of
+    ``regions``.  Records, diagnostics and log positions are as if each job
+    had run in the frame loop: a job's new HO3 records go where its frame's
+    would have, at ``store_pos`` plus the records earlier jobs inserted
+    after the ``n_logged`` the loop logged.
     """
-    store_pos, frames, prev_frames, cams, tables, track_ids, regions = zip(*jobs)
+    store_pos, fis, detections, _, n_landmarks, track_ids = zip(*jobs)
     worlds, row = table
-    distinct = {f.frame_index: f for f in (*frames, *prev_frames)}
-    parts = [f.features for f in distinct.values()]
+    distinct = {fi: i for i, fi in enumerate(dict.fromkeys((*fis, *(fi - 1 for fi in fis))))}
+    parts = [res.frames[fi].features for fi in distinct]
     part = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
     # Column by column: concatenating record arrays costs a dtype promotion per array.
     fid, u, v, visible = (np.concatenate([p[name] for p in parts]) for name in ("feature_id", "u", "v", "visible"))
@@ -399,8 +532,7 @@ def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_P
     # Index arrays, not masks, pick the rows: gathering by index is several times faster.
     (lm,) = np.nonzero(visible & (k >= 0))
     part, fid, u, v, k = part[lm], fid[lm], u[lm], v[lm], k[lm]
-    index = {fi: i for i, fi in enumerate(distinct)}
-    now, before = (np.array([index[f.frame_index] for f in side]) for side in (frames, prev_frames))
+    now, before = (np.array([distinct[fi] for fi in side]) for side in (fis, [fi - 1 for fi in fis]))
     seen_now = np.zeros((len(parts), len(row)), dtype=bool)  # by frame and feature id
     seen_now[part, fid] = True
     after = np.zeros(len(parts), dtype=np.intp)  # the frame a previous frame comes before
@@ -415,19 +547,17 @@ def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_P
     n = count[sides]
     rows = src[np.arange(n.sum()) + np.repeat(np.cumsum(count)[sides] - np.cumsum(n), n)]
     job, seen = np.repeat(np.arange(len(jobs)), n[::2] + n[1::2]), np.repeat(np.arange(len(n)) % 2 == 0, n)
-    x_min, x_max, y_min, y_max, human_depth = np.array(regions).T
+    x_min, x_max, y_min, y_max, human_depth = regions[list(detections)].T
     front, _ = classify_occlusion(u[rows], seen, (x_min[job], x_max[job]))
     # A landmark seen now occludes the human at the visible-region boundary,
     # so only the column test binds it; one unseen now must also have been
     # last seen within the box's rows.
     behind = ~seen & (y_min[job] <= v[rows]) & (v[rows] <= y_max[job])
-    n_landmarks = np.array([t[1] for t in tables])
-    (pick,) = np.nonzero((front | behind) & (k[rows] < n_landmarks[job]))
+    (pick,) = np.nonzero((front | behind) & (k[rows] < np.array(n_landmarks)[job]))
     rows, job, seen = rows[pick], job[pick], seen[pick]
 
     # Each candidate projected from its own job's camera only.
-    cams = np.array([cam.as_tuple() for cam in cams])
-    u_pred, _, depth = (a[:, 0] for a in camera.project(cams[job], worlds[k[rows]][:, None, :]))
+    u_pred, _, depth = (a[:, 0] for a in camera.project(cams[list(fis)][job], worlds[k[rows]][:, None, :]))
     u = np.where(seen, u[rows], u_pred)
     front, behind = classify_occlusion(u, seen, (x_min[job], x_max[job]))
     (hit,) = np.nonzero(front | (behind & (depth > 0)))
@@ -435,7 +565,7 @@ def _pass_block(res: PipelineResult, camera: CameraIntrinsics, jobs: Sequence[_P
     front_row, behind_row = infer_pass_pairs(job, fid, depth, front, behind, human_depth)
 
     # Per job, as columns: the frame and track its diagnostics and records name.
-    ids = np.array([[f.frame_index for f in frames], track_ids])
+    ids = np.array([fis, track_ids])
     label = np.where(front, OcclusionClass.FRONT, OcclusionClass.BEHIND)
     hit_cols = (*ids[:, job], fid, label, u, depth, human_depth[job])
     res.occlusion_diags.extend(zip(*(col.tolist() for col in hit_cols)))
@@ -458,58 +588,38 @@ def ingest(
     calibration: ScaleCalibration,
     closures: Sequence[tuple[int, int, Pose2]],
 ) -> PipelineResult:
-    """The five ingest stages, in one loop over ``frames``; reads no ground truth and no scene configuration.
+    """The array pass, then the frame loop, then pass-between; reads no ground truth and no scene configuration.
 
     What comes from the truth arrives as the oracles' outputs: ``origin``
     anchors keyframe 0, ``calibration`` scales the range model, and a keyframe
     closes with its first pair ``(older, newer, rel)`` in ``closures`` once
-    the last closure is ``closure_min_gap`` keyframes back.
+    the last closure is ``closure_min_gap`` keyframes back.  Frame i has
+    ``frame_index`` i.
     """
     keep = mot.filter_turning_frames(frames, params.omega_max)
     res = PipelineResult(params, frames, calibration, keep, PoseGraph(origin))
+    rows = _array_pass(res, camera, closures)
     # Feature ids 64 frames at a time: one array of all of them raised an I+L+T ablation's peak RSS by 1.4 MB.
     blocks = (np.concatenate([f.features["feature_id"] for f in frames[i : i + 64]]) for i in range(0, len(frames), 64))
     n_ids = 1 + max(int(ids.max(initial=-1)) for ids in blocks)
-
-    partners: dict[int, tuple[int, Pose2]] = {}
-    for older, newer, rel in closures:
-        partners.setdefault(newer, (older, rel))
-    last_closure_kf = -10**9
-    odom_acc = Pose2()
-    kf = 0
-    tables = []  # ``_landmark_table`` per closure epoch: poses move only when a closure is optimized
-    prev_kept = None  # the previous frame, if it was kept
+    logged = np.zeros(n_ids, dtype=bool)  # the feature ids with a landmark
     jobs: list[_PassJob] = []
-
-    for frame in frames:
-        fi = frame.frame_index
-        at_keyframe = fi % params.keyframe_stride == 0
-        if fi > 0:
-            odom_acc = se2_compose(odom_acc, Pose2(*frame.odometry))
-            if at_keyframe:
-                kf = res.graph.add_keyframe(odom_acc)
-                odom_acc = Pose2()
-                if kf in partners and kf - last_closure_kf >= params.closure_min_gap:
-                    older, rel = partners[kf]
-                    tables.append(_landmark_table(res, n_ids))
-                    res.graph.add_loop_closure(older, kf, rel)
-                    res.events.append(res.graph.optimize())
-                    last_closure_kf = kf
-        pose_est = se2_compose(res.graph.pose(kf), odom_acc)
-        matched = _track_humans(res, camera, frame, pose_est)
-        if at_keyframe:
-            _add_landmarks(res, camera, frame, kf)
+    prev_kept = False
+    for fi, frame in enumerate(frames):
+        matched = _track_humans(res, rows, fi)
+        kf, offset = divmod(fi, params.keyframe_stride)
+        if offset == 0:
+            _add_landmarks(res, camera, frame, kf, logged)
         if not keep[fi]:
             # Turning frame: feeds the pose graph and the feature map, but
             # contributes no trail or pass-between evidence.
-            prev_kept = None
+            prev_kept = False
             continue
-        _add_trails(res, kf, matched)
-        if res.store.landmarks and prev_kept is not None and matched:
-            _record_pass_between(res, jobs, frame, prev_kept, matched, pose_est)
-        prev_kept = frame
-    tables.append(_landmark_table(res, n_ids))
-    _pass_between(res, camera, jobs, tables)
+        _add_trails(res, rows, kf, matched)
+        if res.store.landmarks and prev_kept and matched:
+            _record_pass_between(res, jobs, rows, fi, matched)
+        prev_kept = True
+    _pass_between(res, camera, rows, jobs, n_ids)
     return res
 
 
@@ -563,23 +673,30 @@ def map_scene(scene: SceneConfig, combos, params: PipelineParams) -> tuple[Pipel
 
 
 def score_maps(
-    result: PipelineResult, maps: dict[str, TraversabilityMap], ground_truth: TraversabilityMap, queries, out_dir=None
+    maps: Iterable[tuple[str, TraversabilityMap]], ground_truth: TraversabilityMap, queries, scenario: str
 ) -> QualityReport:
-    """The scoring step: a report row per map on ``queries``; with ``out_dir``, writes the artifacts and ``report.csv``."""
+    """The scoring step: one report row per ``(label, map)`` pair of ``maps``, in order, on ``queries``.
+
+    Each row names ``scenario``; each oracle path is planned once, for all the maps.
+    """
     oracles = oracle_plans(ground_truth, queries)
-    scored = {label: evaluate_map(combo_map, ground_truth, queries, oracles) for label, combo_map in maps.items()}
-    rows = [ReportRow(label, result.config.name, ev.score, ev.n_queries, ev.n_failed) for label, ev in scored.items()]
-    report = QualityReport(rows)
-    if out_dir is not None:
-        out = write_map_artifacts(out_dir, result, ground_truth, maps)
-        (out / "report.csv").write_text(report.to_csv(), encoding="ascii")
-    return report
+    rows = []
+    for label, combo_map in maps:
+        ev = evaluate_map(combo_map, ground_truth, queries, oracles)
+        rows.append(ReportRow(label, scenario, ev.score, ev.n_queries, ev.n_failed))
+    return QualityReport(rows)
 
 
 def write_map_artifacts(
-    out_dir, result: PipelineResult, ground_truth: TraversabilityMap, maps: dict[str, TraversabilityMap]
+    out_dir,
+    result: PipelineResult,
+    ground_truth: TraversabilityMap,
+    maps: dict[str, TraversabilityMap],
+    report: Optional[QualityReport] = None,
 ) -> pathlib.Path:
-    """Write ``ground_truth.pgm``, ``<scene>_<combo>.pgm`` for each of ``maps`` and ``evidence.log``.
+    """Write ``ground_truth.pgm``, ``<scene>_<combo>.pgm`` for each of ``maps``, ``evidence.log`` and ``report.csv``.
+
+    ``report.csv`` is written only when a ``report`` is given.
 
     Returns the output directory, created if missing.
     """
@@ -589,6 +706,8 @@ def write_map_artifacts(
     for label, combo_map in maps.items():
         (out / f"{result.config.name}_{label}.pgm").write_bytes(export_pgm(combo_map))
     (out / "evidence.log").write_text(export_evidence_log(result.store), encoding="ascii")
+    if report is not None:
+        (out / "report.csv").write_text(report.to_csv(), encoding="ascii")
     return out
 
 
@@ -627,5 +746,7 @@ def run_ablation(run_cfg: RunConfig) -> AblationOutput:
     # first fails a setting no query set can meet before simulating.
     queries = sample_queries(gt, run_cfg.n_queries, run_cfg.seed, run_cfg.min_separation)
     result, maps = map_scene(scene, combos, run_cfg.params)
-    report = score_maps(result, maps, gt, queries, run_cfg.out_dir)
+    report = score_maps(maps.items(), gt, queries, scene.name)
+    if run_cfg.out_dir is not None:
+        write_map_artifacts(run_cfg.out_dir, result, gt, maps, report)
     return AblationOutput(report, gt, maps, queries, result)

@@ -138,8 +138,8 @@ def _check_finite_pose(pose: Pose2, what: str) -> None:
 # arrays.  Its assembly of the normal equations and its LM arithmetic are the
 # scalar SE(2) helpers', bit for bit, so a run's outputs depend on nothing but
 # the solve: a reordered sum moves poses by ulps and changes the chi2 traces
-# that runs record.  The row twins of se2_inverse/se2_compose keep their
-# operation order and wrap each angle with wrap_angle itself (np.cos/np.sin
+# that runs record.  The row twins of se2_inverse/se2_compose/se2_transform
+# keep their operation order and wrap each angle with wrap_angle itself (np.cos/np.sin
 # give math.cos/math.sin's bits), and batched ``@`` on stacks runs the BLAS
 # kernel of a single 3x3 product.  The Hessian is kept as 3x3 blocks, never as
 # a dense matrix: the diagonal, the odometry chain's two off-diagonals and one
@@ -193,6 +193,13 @@ def _compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = a[:, 0] + c * b[:, 0] - s * b[:, 1]
     y = a[:, 1] + s * b[:, 0] + c * b[:, 1]
     return np.stack([x, y, _wrap_rows(a[:, 2] + b[:, 2])], axis=1)
+
+
+def _transform_rows(p: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``se2_transform`` of each point (N, 2) by its pose (N, 3), in its operation order."""
+    c, s = np.cos(p[:, 2]), np.sin(p[:, 2])
+    px, py = points[:, 0], points[:, 1]
+    return np.stack([p[:, 0] + c * px - s * py, p[:, 1] + s * px + c * py], axis=1)
 
 
 def _residual_rows(X: np.ndarray, edges: _EdgeArrays) -> np.ndarray:

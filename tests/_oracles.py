@@ -21,6 +21,7 @@ from travmap.pipeline import _REGION_MARGIN_PX, PairDiag, PipelineResult
 from travmap.posegraph import (
     OptimizationEvent,
     Pose2,
+    PoseGraph,
     _Blocks,
     _solve,
     se2_compose,
@@ -404,6 +405,40 @@ def infer_pass_pair(
     return None if i[0] < 0 else (int(i[0]), int(j[0]))
 
 
+def scalar_estimate_depth(cal, f: float, body_height: float, h_px: float) -> float:
+    """``evidence.estimate_depth`` as it was for one detection, before it took arrays."""
+    if not h_px > 0:
+        raise ValueError("apparent height must be positive")
+    if not 0 < f < math.inf:
+        raise ValueError(f"f must be finite and positive, got {f}")
+    if not 0 < body_height < math.inf:
+        raise ValueError(f"body_height must be finite and positive, got {body_height}")
+    return cal.k * f * body_height / h_px
+
+
+def scalar_apparent_height_px(y_min: float, intr: CameraIntrinsics, body_height: float) -> Optional[float]:
+    """``evidence.apparent_height_px`` as it was for one detection, before it took arrays; None for NaN."""
+    if not -math.inf < y_min < math.inf:
+        raise ValueError(f"y_min must be finite, got {y_min}")
+    if not 0 < body_height < math.inf:
+        raise ValueError(f"body_height must be finite and positive, got {body_height}")
+    if body_height <= intr.cam_height:
+        return None
+    rows_above_horizon = intr.cy - y_min
+    if rows_above_horizon <= 0:
+        return None
+    return rows_above_horizon * body_height / (body_height - intr.cam_height)
+
+
+def scalar_human_map_position(
+    cam_pose: tuple[float, float, float], intr: CameraIntrinsics, bbox: tuple[float, float, float, float], depth: float
+) -> tuple[float, float]:
+    """``evidence.human_map_position`` as it was for one detection, before it took arrays."""
+    if not 0 < depth < math.inf:
+        raise ValueError(f"depth must be positive and finite, got {depth}")
+    return se2_transform(Pose2(*cam_pose), intr.floor_offset(0.5 * (bbox[0] + bbox[1]), depth))
+
+
 def pass_between_per_frame(
     res: PipelineResult,
     intr: CameraIntrinsics,
@@ -465,6 +500,91 @@ def pass_between_per_frame(
         assert depths[i] < tp.depth < depths[j], "pass-between pair must straddle the human"
         res.store.add_ho3(ids[i], ids[j], track.track_id)
         res.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
+
+
+def ingest_front_end_per_frame(
+    frames: Sequence[FrameObservation],
+    intr: CameraIntrinsics,
+    params,
+    origin: Pose2,
+    calibration,
+    closures: Sequence[tuple[int, int, Pose2]],
+) -> tuple[PipelineResult, list[tuple], list[dict[int, Pose2]]]:
+    """``pipeline.ingest``'s stages before pass-between as one scalar loop over the frames, as they ran before the array pass.
+
+    Per frame: odometry composed onto the running sum, the keyframe and its
+    closure, the pose estimate, each detection's range and position, the
+    tracker, then the landmarks (keyframes) and trail offsets (kept frames).
+    Returns the result (no HO3 records or pass-between diagnostics), the
+    pass-between jobs as ``(store_pos, frame, previous frame, camera pose,
+    (closure events, landmarks), track id, region)`` and the poses before
+    each closure and after the last frame.  A position row names its
+    detection by identity, as ``ingest`` does.
+    """
+    keep = mot.filter_turning_frames(frames, params.omega_max)
+    res = PipelineResult(params, frames, calibration, keep, PoseGraph(origin))
+    body_height = 1.70
+    partners: dict[int, tuple[int, Pose2]] = {}
+    for older, newer, rel in closures:
+        partners.setdefault(newer, (older, rel))
+    last_closure_kf = -10**9
+    odom_acc, kf, prev_kept = Pose2(), 0, None
+    jobs, snapshots = [], []
+    for frame in frames:
+        fi = frame.frame_index
+        at_keyframe = fi % params.keyframe_stride == 0
+        if fi > 0:
+            odom_acc = se2_compose(odom_acc, Pose2(*frame.odometry))
+            if at_keyframe:
+                kf = res.graph.add_keyframe(odom_acc)
+                odom_acc = Pose2()
+                if kf in partners and kf - last_closure_kf >= params.closure_min_gap:
+                    older, rel = partners[kf]
+                    snapshots.append(res.graph.snapshot())
+                    res.graph.add_loop_closure(older, kf, rel)
+                    res.events.append(res.graph.optimize())
+                    last_closure_kf = kf
+        pose_est = se2_compose(res.graph.pose(kf), odom_acc)
+
+        points = []
+        for det in frame.detections:
+            bbox = (det.x_min, det.x_max, det.y_min, det.y_max)
+            h_px = scalar_apparent_height_px(det.y_min, intr, body_height)
+            depth = None if h_px is None else scalar_estimate_depth(calibration, intr.f, body_height, h_px)
+            world = None if h_px is None else scalar_human_map_position(pose_est.as_tuple(), intr, bbox, depth)
+            points.append(mot.TrackPoint(fi, bbox, depth, world))
+        mot.step(res.tracks, points, params.gate_px)
+        mot.prune(res.tracks)
+        confirmed = (t for t in res.tracks if t.state is mot.TrackState.CONFIRMED)
+        matched = [t for t in confirmed if t.matched_at(fi) and t.last.depth is not None]
+        for track in matched:
+            tp = track.last
+            det = next(d for d, point in enumerate(points) if point is tp)
+            res.position_diags.append((fi, track.track_id, det, tp.world, tp.depth))
+
+        if at_keyframe:
+            seen = frame.features[frame.features["visible"]]
+            for fid, u, depth in zip(seen["feature_id"].tolist(), seen["u"].tolist(), seen["depth"].tolist()):
+                if fid not in res.store.landmarks:
+                    res.store.add_sfm(fid, kf, intr.floor_offset(u, depth))
+        if not keep[fi]:
+            prev_kept = None
+            continue
+        to_kf = se2_inverse(res.graph.pose(kf))
+        for track in matched:
+            res.store.add_pfh(kf, se2_transform(to_kf, track.last.world), track.track_id)
+        if res.store.landmarks and prev_kept is not None and matched:
+            table = (len(res.events), len(res.store.landmarks))
+            for track in matched:
+                tp = track.last
+                x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
+                if x_min < x_max:
+                    region = (x_min, x_max, tp.bbox[2], tp.bbox[3], tp.depth)
+                    job = (len(res.store.records), fi, prev_kept.frame_index, pose_est.as_tuple(), table, track.track_id)
+                    jobs.append((*job, region))
+        prev_kept = frame
+    snapshots.append(res.graph.snapshot())
+    return res, jobs, snapshots
 
 
 def posegraph_residual(graph, edge):

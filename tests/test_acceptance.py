@@ -236,7 +236,7 @@ def test_criterion_08_directional_trends():
         out = {c: [] for c in combos}
         for seed in seeds:
             queries = sample_queries(gt, pipeline.RunConfig.n_queries, seed, pipeline.RunConfig.min_separation)
-            for r in pipeline.score_maps(*mapped, gt, queries).rows:
+            for r in pipeline.score_maps(mapped[1].items(), gt, queries, scene.name).rows:
                 out[r.combination].append(r.score)
         return out
 

@@ -135,6 +135,23 @@ def test_evaluate_shares_oracle_plans_across_maps(tmp_path, capsys, monkeypatch)
     assert expected["blank"].n_failed == 5
 
 
+def test_evaluate_lists_maps_with_the_same_stem_as_two_rows(tmp_path, capsys):
+    gt = new_map(0, 0, 2, 2, 0.1)
+    gt.cells[:, :] = int(CellState.TRAVERSABLE)
+    (tmp_path / "gt.pgm").write_bytes(export_pgm(gt))
+    paths = [tmp_path / "a" / "cand.pgm", tmp_path / "b" / "cand.pgm"]
+    for path, m in zip(paths, (gt, empty_like(gt))):
+        path.parent.mkdir()
+        path.write_bytes(export_pgm(m))
+    args = ["evaluate", "--ground-truth", str(tmp_path / "gt.pgm"), "--queries", "5", "--min-separation", "1.0"]
+    assert main([*args, "--maps", *map(str, paths), "--out", str(tmp_path / "eval")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "cand: score 0.0000 m (0/5 failed)"
+    assert printed[1].startswith("cand: score ") and printed[1].endswith(" m (5/5 failed)")
+    report = (tmp_path / "eval" / "report.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in report[1:]] == [["cand", "external"]] * 2
+
+
 def test_ablate_report_shape(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(

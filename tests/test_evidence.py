@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import infer_pass_pair, paint_expected_map, project_point, rebuild_endpoints
+from _oracles import (
+    infer_pass_pair,
+    paint_expected_map,
+    project_point,
+    rebuild_endpoints,
+    scalar_apparent_height_px,
+    scalar_estimate_depth,
+    scalar_human_map_position,
+)
 from travmap import evidence, pipeline
 from travmap.evidence import (
     ALL_LAYERS,
@@ -143,8 +151,8 @@ def test_apparent_height_full_body_equivalence():
 
 
 def test_apparent_height_degenerate_geometry():
-    assert apparent_height_px(INTR.cy + 5.0, INTR, 1.7) is None  # head below horizon
-    assert apparent_height_px(100.0, INTR, 0.5) is None  # shorter than the mount
+    assert math.isnan(apparent_height_px(INTR.cy + 5.0, INTR, 1.7))  # head below horizon
+    assert math.isnan(apparent_height_px(100.0, INTR, 0.5))  # shorter than the mount
 
 
 @pytest.mark.parametrize(
@@ -163,29 +171,73 @@ def test_apparent_height_rejects_non_finite_inputs_naming_the_field(y_min, body_
         apparent_height_px(y_min, INTR, body_height)
 
 
+@given(
+    y_min=st.lists(st.floats(-400.0, 800.0), max_size=8),
+    body_height=st.sampled_from([0.5, 0.85, 1.7, 1.83]),
+    k=st.floats(0.1, 5.0),
+    poses=st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5), st.floats(-3.14, 3.14)), min_size=8, max_size=8),
+    columns=st.lists(st.floats(0.0, 600.0), min_size=8, max_size=8),
+)
+def test_range_estimators_match_the_scalar_forms_bit_for_bit(y_min, body_height, k, poses, columns):
+    """Each element of the array estimators is what the scalar forms gave for its detection, None as NaN."""
+    cal = ScaleCalibration(k)
+    h_px = apparent_height_px(np.array(y_min, float), INTR, body_height)
+    scalar = [scalar_apparent_height_px(y, INTR, body_height) for y in y_min]
+    assert [None if math.isnan(h) else h for h in h_px.tolist()] == scalar
+    ranged = [i for i, h in enumerate(scalar) if h is not None]
+    depth = estimate_depth(cal, INTR.f, body_height, h_px[ranged])
+    assert depth.tolist() == [scalar_estimate_depth(cal, INTR.f, body_height, scalar[i]) for i in ranged]
+    boxes = [(u - 20.0, u + 20.0, y_min[i], y_min[i] + 50.0) for i, u in zip(ranged, columns)]
+    cams = np.array(poses[: len(ranged)], float).reshape(-1, 3)
+    worlds = human_map_position(cams, INTR, np.array(boxes, float).reshape(-1, 4), depth)
+    expected = [scalar_human_map_position(p, INTR, b, d) for p, b, d in zip(poses, boxes, depth.tolist())]
+    assert [tuple(w) for w in worlds.tolist()] == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_range_estimators_raise_as_the_scalar_forms_do(bad):
+    """An array with one bad element raises the scalar form's ``ValueError`` for it."""
+    with pytest.raises(ValueError) as scalar:
+        scalar_apparent_height_px(bad, INTR, 1.7)
+    with pytest.raises(ValueError, match=f"^{scalar.value}$"):
+        apparent_height_px(np.array([100.0, bad, 120.0]), INTR, 1.7)
+    with pytest.raises(ValueError, match="^apparent height must be positive$"):
+        estimate_depth(ScaleCalibration(1.0), INTR.f, 1.7, np.array([100.0, -abs(bad), 120.0]))
+    with pytest.raises(ValueError) as scalar:
+        scalar_human_map_position((0.0, 0.0, 0.0), INTR, (0.0, 10.0, 0.0, 10.0), abs(bad))
+    boxes = np.array([(0.0, 10.0, 0.0, 10.0)] * 3)
+    with pytest.raises(ValueError, match=f"^{scalar.value}$"):
+        human_map_position(np.zeros((3, 3)), INTR, boxes, np.array([2.0, abs(bad), 3.0]))
+
+
 # ---------------------------------------------------------------------------
 # image -> map transform
 
 
+def _map_position(cam_pose, bbox, depth):
+    """``human_map_position`` of one detection."""
+    return tuple(human_map_position(np.array([cam_pose], float), INTR, np.array([bbox], float), [depth])[0].tolist())
+
+
 def test_human_map_position_on_axis():
-    pos = human_map_position((0, 0, 0), INTR, (INTR.cx - 20, INTR.cx + 20, 100, 300), 3.0)
+    pos = _map_position((0, 0, 0), (INTR.cx - 20, INTR.cx + 20, 100, 300), 3.0)
     assert pos == pytest.approx((3.0, 0.0))
 
 
 def test_human_map_position_lateral():
     bbox = (INTR.cx + 100 - 20, INTR.cx + 100 + 20, 100, 300)
-    pos = human_map_position((0, 0, 0), INTR, bbox, 3.0)
+    pos = _map_position((0, 0, 0), bbox, 3.0)
     assert pos == pytest.approx((3.0, -0.6))
 
 
 def test_human_map_position_requires_positive_depth():
     with pytest.raises(ValueError):
-        human_map_position((0, 0, 0), INTR, (0, 10, 0, 10), 0.0)
+        _map_position((0, 0, 0), (0, 10, 0, 10), 0.0)
     with pytest.raises(ValueError, match="depth must be positive"):
-        human_map_position((0, 0, 0), INTR, (0, 10, 0, 10), math.nan)
+        _map_position((0, 0, 0), (0, 10, 0, 10), math.nan)
     # A box centred on cx would put an infinite range at (nan, nan).
     with pytest.raises(ValueError, match="depth must be positive and finite, got inf"):
-        human_map_position((0, 0, 0), INTR, (INTR.cx - 20, INTR.cx + 20, 100, 300), math.inf)
+        _map_position((0, 0, 0), (INTR.cx - 20, INTR.cx + 20, 100, 300), math.inf)
 
 
 @given(
@@ -200,7 +252,7 @@ def test_human_map_position_roundtrips_projection(cx, cy, yaw, depth, lateral):
     c, s = math.cos(yaw), math.sin(yaw)
     world = (cx + depth * c + lateral * s, cy + depth * s - lateral * c)
     u, v, z = project_point(INTR, (cx, cy, yaw), (world[0], world[1], 1.7))
-    recovered = human_map_position((cx, cy, yaw), INTR, (u - 30, u + 30, v, v + 100), z)
+    recovered = _map_position((cx, cy, yaw), (u - 30, u + 30, v, v + 100), z)
     assert recovered[0] == pytest.approx(world[0], abs=1e-9)
     assert recovered[1] == pytest.approx(world[1], abs=1e-9)
     # and the reverse: re-projecting the recovered point lands on the same column

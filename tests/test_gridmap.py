@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import mark_band_one_capsule
@@ -355,6 +355,7 @@ def test_world_cell_roundtrip_everywhere():
     hw=st.floats(0, 0.5),
 )
 @settings(max_examples=60)
+@example(ax=0.0, ay=0.0, bx=2.2250738585e-313, by=1.0, hw=0.0)  # a subnormal direction component overflows
 def test_mark_band_never_overrasters(ax, ay, bx, by, hw):
     m = new_map(0, 0, 3, 6, 0.1)
     m.mark_band((ax, ay), (bx, by), hw, T)
@@ -367,3 +368,13 @@ def test_mark_band_never_overrasters(ax, ay, bx, by, hw):
         t = min(1.0, max(0.0, (px * dx + py * dy) / L2)) if L2 else 0.0
         d = math.hypot(px - t * dx, py - t * dy)
         assert d <= bound
+
+
+@pytest.mark.parametrize("hw", [0.0, 0.05, 0.2])
+@pytest.mark.parametrize("bx", [5e-324, -1e-310, 2.2e-313, 1e-300])
+def test_mark_band_with_a_subnormal_direction_paints_the_axis_band(bx, hw):
+    """A band whose x direction is subnormal, or all but zero, paints the cells of the one along the y axis."""
+    axis, tilted = new_map(0, 0, 3, 6, 0.1), new_map(0, 0, 3, 6, 0.1)
+    axis.mark_band((0.0, 0.0), (0.0, 1.0), hw, T)
+    tilted.mark_band((0.0, 0.0), (bx, 1.0), hw, T)
+    assert np.array_equal(tilted.cells, axis.cells)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import pass_between_per_frame
+from _oracles import ingest_front_end_per_frame, pass_between_per_frame
 
 from travmap import pipeline, quality
 from travmap.evidence import (
@@ -365,6 +365,28 @@ def test_ingest_maps_from_the_frames_alone(simulated, run_shared, kind):
         assert export_pgm(got) == export_pgm(expected), layers
 
 
+def test_equal_boxes_keep_their_own_detection_index():
+    """Two tracks matched to two detections equal by value each name their own detection in their position row.
+
+    Two walkers 50 px apart are tracked for six frames; in the seventh both
+    boxes are the same box, between them.  Matching by value would name the
+    first box for both, and the truth join would then name one walker twice.
+    """
+    camera = CameraIntrinsics()
+
+    def box(x):
+        return HumanDetection(x - 20.0, x + 20.0, 100.0, 400.0)
+
+    xs = [(200.0, 250.0)] * 6 + [(225.0, 225.0)]
+    frames = [
+        FrameObservation(fi, fi / 30, 0.0, None if fi == 0 else (0.0, 0.0, 0.0), detections=[box(x) for x in pair])
+        for fi, pair in enumerate(xs)
+    ]
+    res = pipeline.ingest(frames, camera, pipeline.PipelineParams(), Pose2(), ScaleCalibration(1.0), [])
+    last = [(track_id, det) for fi, track_id, det, _, _ in res.position_diags if fi == 6]
+    assert last == [(0, 0), (1, 1)]
+
+
 def _unranged_first_walker(scene):
     """``scene`` with its first walker shorter than the camera mount: its head is below the horizon, so no range."""
     first = dataclasses.replace(scene.humans[0], body_height=1.55)
@@ -400,21 +422,22 @@ _MANY_CLOSURES = pipeline.PipelineParams(closure_min_gap=5)
 def test_pass_between_blocks_match_per_frame_stage(monkeypatch, simulated, run_shared, scene, params, closes):
     """The blocked stage logs what the per-frame stage logged in the loop, in the same order, byte for byte.
 
-    The per-frame reference builds its own landmark table at each frame's
-    poses, so it does not share the blocked stage's one table per closure epoch.
+    The per-frame reference builds its own landmark table at each frame, at
+    its epoch's poses and of the landmarks logged so far, so it does not
+    share the blocked stage's one table per closure epoch.
     """
     blocks = collections.Counter()  # blocks per closure epoch
     tables = []
     pass_block, landmark_table = pipeline._pass_block, pipeline._landmark_table
 
-    def spy(result, camera, jobs, table, n_logged):
-        epochs = {job.table[0] for job in jobs}
+    def spy(result, camera, jobs, table, n_logged, cams, regions):
+        epochs = {job.epoch for job in jobs}
         assert len(epochs) == 1 and len(jobs) <= pipeline._PASS_BLOCK
         blocks[epochs.pop()] += 1
-        pass_block(result, camera, jobs, table, n_logged)
+        pass_block(result, camera, jobs, table, n_logged, cams, regions)
 
-    def counted_table(result, n_ids):
-        tables.append(landmark_table(result, n_ids))
+    def counted_table(landmarks, poses):
+        tables.append(landmark_table(landmarks, poses))
         return tables[-1]
 
     monkeypatch.setattr(pipeline, "_pass_block", spy)
@@ -430,14 +453,78 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, simulated, run_s
     frames, _ = simulated(scene)
     n_ids = 1 + max(int(f.features["feature_id"].max(initial=-1)) for f in frames)
 
-    def per_frame_stage(result, jobs, frame, prev_frame, matched, cam):
-        table = landmark_table(result, n_ids)  # at this frame's poses
-        pass_between_per_frame(result, scene.intrinsics, frame, prev_frame, matched, cam, table)
+    def per_frame_stage(result, jobs, rows, fi, matched):
+        # The landmarks so far, at this frame's epoch's poses.
+        worlds = landmark_table(list(result.store.landmarks.values()), rows.epoch_poses[rows.epoch[fi]])
+        row = np.full(n_ids, -1)
+        row[list(result.store.landmarks)] = np.arange(len(worlds))
+        tracks = [track for _, track in matched]
+        cam = Pose2(*rows.poses[fi].tolist())
+        pass_between_per_frame(result, scene.intrinsics, frames[fi], frames[fi - 1], tracks, cam, (worlds, row))
 
     monkeypatch.setattr(pipeline, "_record_pass_between", per_frame_stage)
     _, per_frame = _pass_between_outputs(run_shared, scene, params)
     assert "OcclusionDiag" in per_frame[1]
     assert blocked == per_frame
+
+
+#: The builtin scenes draw no noise, so any seed gives seed 0's frames; the noisy ones at seed 3.
+_FRONT_END_SCENES = {
+    **{kind: builtin_config(kind) for kind in "ILT"},
+    **{
+        f"{kind}-noisy": dataclasses.replace(builtin_config(kind), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
+        for kind in "ILT"
+    },
+}
+_FRONT_END_PARAMS = {
+    "default": pipeline.PipelineParams(),
+    "gap5": pipeline.PipelineParams(closure_min_gap=5),
+    "stride3": pipeline.PipelineParams(keyframe_stride=3),
+    "stride1-gap60": pipeline.PipelineParams(keyframe_stride=1, closure_min_gap=60),
+}
+
+
+@pytest.mark.parametrize("params", _FRONT_END_PARAMS.values(), ids=_FRONT_END_PARAMS.keys())
+@pytest.mark.parametrize("scene", _FRONT_END_SCENES.values(), ids=_FRONT_END_SCENES.keys())
+def test_array_pass_matches_the_per_frame_front_end(monkeypatch, simulated, scene, params):
+    """Up to pass-between, ``ingest`` logs, tracks, optimizes and queues jobs as the scalar per-frame loop did, bit for bit.
+
+    Compared by ``repr``: the graph, the events, the track histories, the
+    position rows, the log before HO3 records go in, the jobs (with their
+    camera poses and regions) and each closure epoch's poses.
+    """
+    frames, truth = simulated(scene)
+    oracles = (
+        Pose2(*truth.camera_poses[0]),
+        pipeline.truth_calibration(frames, truth, scene.intrinsics),
+        pipeline.truth_closures(truth, params),
+    )
+    seen = {}
+    pass_between = pipeline._pass_between
+
+    def spy(res, camera, rows, jobs, n_ids):
+        seen.update(records=repr(res.store.records), rows=rows, jobs=jobs)
+        pass_between(res, camera, rows, jobs, n_ids)
+
+    monkeypatch.setattr(pipeline, "_pass_between", spy)
+    res = pipeline.ingest(frames, scene.intrinsics, params, *oracles)
+    ref, ref_jobs, ref_epochs = ingest_front_end_per_frame(frames, scene.intrinsics, params, *oracles)
+
+    assert res.graph.dumps() == ref.graph.dumps()
+    assert repr(res.events) == repr(ref.events)
+    assert repr(res.tracks) == repr(ref.tracks)
+    assert repr(res.position_diags) == repr(ref.position_diags)
+    assert seen["records"] == repr(ref.store.records)
+    rows = seen["rows"]
+    jobs = [
+        (
+            job.store_pos, job.frame, job.frame - 1, tuple(rows.poses[job.frame].tolist()), (job.epoch, job.n_landmarks),
+            job.track_id, tuple(rows.regions[job.detection].tolist()),
+        )
+        for job in seen["jobs"]
+    ]
+    assert jobs and repr(jobs) == repr(ref_jobs)
+    assert repr(rows.epoch_poses) == repr(ref_epochs)
 
 
 def test_pass_block_column_bounds_are_inclusive():
@@ -456,8 +543,9 @@ def test_pass_block_column_bounds_are_inclusive():
     worlds = np.column_stack((np.ones(len(us)), (camera.cx - us) / camera.f, np.zeros(len(us))))
     frames = [prev_frame, frame]
     res = pipeline.PipelineResult(pipeline.PipelineParams(), frames, ScaleCalibration(1.0), [True, True], PoseGraph())
-    job = pipeline._PassJob(0, frame, prev_frame, Pose2(), (0, len(us)), 7, (x_min, x_max, 0.0, 720.0, human_depth))
-    pipeline._pass_block(res, camera, [job], (worlds, np.arange(len(us))), 0)
+    job = pipeline._PassJob(0, 1, 0, 0, len(us), 7)
+    cams, regions = np.zeros((2, 3)), np.array([(x_min, x_max, 0.0, 720.0, human_depth)])
+    pipeline._pass_block(res, camera, [job], (worlds, np.arange(len(us))), 0, cams, regions)
 
     front, behind = classify_occlusion(us, np.ones(len(us), dtype=bool), (x_min, x_max))
     assert front.tolist() == [True, True, False, False] and not behind.any()

@@ -1,4 +1,4 @@
-"""Smoke run of ``scripts/output_digests.py``, the one script under ``scripts/``.
+"""Smoke runs of the two scripts under ``scripts/``: ``output_digests.py`` and ``stage_times.py``.
 
 Ablations over several scenes and seeds are ``travmap ablate`` runs; ``test_cli.py`` covers them.
 """
@@ -65,3 +65,17 @@ waypoints = {loop}
     reanchor, posegraph = lines[4].split(), lines[5].split()
     assert [reanchor[0], posegraph[0]] == ["reanchor", "posegraph"]
     assert reanchor[3] == posegraph[3] != "pairs=0"
+
+
+def test_stage_times_prints_every_stage(tmp_path, monkeypatch, capsys):
+    from travmap.scenario import EXAMPLE_SCENARIO
+
+    scene = tmp_path / "scene.ini"
+    scene.write_text(EXAMPLE_SCENARIO)
+    _run(monkeypatch, "stage_times.py", str(scene), "--repeats", "1")
+    lines = capsys.readouterr().out.splitlines()
+    stages = ["simulate", "ground truth", "ingest", "rest of ingest", "poses", "optimize", "detections", "tracking"]
+    stages += ["landmarks", "trails", "pass-between", "queries", "oracle plans", "rebuild", "evaluate", "write"]
+    stages += ["rest of pass", "pass"]
+    assert [line[:24].strip() for line in lines[1:]] == stages
+    assert all(float(line[24:33]) >= 0.0 for line in lines[1:])  # the example closes no loop: optimize reads 0.0
