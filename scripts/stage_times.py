@@ -11,17 +11,18 @@ range, in ms:
 * simulate (``simulate_sequence``), ground truth (``ground_truth_map``);
 * ingest, then its parts: poses (the keyframe and odometry pass), optimize
   (``PoseGraph.optimize``), detections (each detection's range, position and
-  trail offset), tracking, landmarks, trails, pass-between, and the rest of
-  ingest (its frame loop and set-up);
+  trail offset), tracking (the one loop over frames), landmarks,
+  pass-between, log (the merge of the evidence layers into the log), and the
+  rest of ingest (its trail rows, pass-between jobs and set-up);
 * queries (``sample_queries``), oracle plans (``oracle_plans``), rebuild
   (``build_combo_map``), evaluate (``evaluate_map``), write
   (``write_map_artifacts``), and the rest of the pass.
 
 Stages are timed by wrapping those functions under the names their callers
-look them up by.  Ingest's parts run once per frame or keyframe, and wrapping
-them adds call overhead to ingest, so they are timed in passes of their own,
-which alternate with the passes that time the other stages.  A part whose
-function a tree does not have (an older checkout's) prints as ``-``::
+look them up by.  Ingest's parts are timed in passes of their own, which
+alternate with the passes that time the other stages, so that the ingest
+line holds all of ingest.  A part whose function a tree does not have (an
+older checkout's) prints as ``-``::
 
     PYTHONPATH=src python scripts/stage_times.py --repeats 15
 """
@@ -53,10 +54,9 @@ INGEST_PARTS = (
     (PoseGraph, "optimize", "optimize"),
     (pipeline, "_array_pass", "detections"),
     (pipeline, "_track_humans", "tracking"),
-    (pipeline, "_add_landmarks", "landmarks"),
-    (pipeline, "_add_trails", "trails"),
-    (pipeline, "_record_pass_between", "pass-between"),
+    (pipeline, "_landmarks", "landmarks"),
     (pipeline, "_pass_between", "pass-between"),
+    (pipeline, "_log", "log"),
 )
 REST = "rest of pass"
 

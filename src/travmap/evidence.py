@@ -275,9 +275,8 @@ class EvidenceStore:
         self.records.append(PfhEvidence(keyframe_id, offset, track_id))
         self._columns = None
 
-    def add_ho3(self, front_id: int, behind_id: int, track_id: int, at: Optional[int] = None) -> None:
-        """Log a pass-between pair at index ``at`` of the log, by default at its end."""
-        self.records.insert(len(self.records) if at is None else at, Ho3Evidence(front_id, behind_id, track_id))
+    def add_ho3(self, front_id: int, behind_id: int, track_id: int) -> None:
+        self.records.append(Ho3Evidence(front_id, behind_id, track_id))
         self._columns = None
 
     def columns(self) -> EvidenceColumns:

@@ -69,13 +69,17 @@ def _center_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** 0.5
 
 
-def step(tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = DEFAULT_GATE_PX) -> list[HumanTrack]:
-    """One association round over one frame's ``points``; mutates ``tracks`` in place and returns it.
+def step(
+    tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = DEFAULT_GATE_PX
+) -> list[tuple[int, HumanTrack]]:
+    """One association round over one frame's ``points``; mutates ``tracks`` in place.
 
     Greedy nearest-neighbor on bbox centers, closest pair first, pairs beyond
     ``gate`` pixels left unmatched.  Each matched point is appended to its
     track's history as is; unmatched points spawn tentative tracks with fresh
-    ids (max existing + 1); dead tracks are never rematched.
+    ids (max existing + 1); dead tracks are never rematched.  Returns the
+    ``(index in points, track)`` pairs it matched, in ``tracks`` order; a
+    spawned track is not one of them.
     """
     if not gate > 0:  # NaN fails too
         raise ValueError("gate must be positive")
@@ -88,12 +92,12 @@ def step(tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = D
             if dist <= gate:
                 pairs.append((dist, track.track_id, d_idx, t_idx))
     pairs.sort()
-    used_tracks: set[int] = set()
+    match: dict[int, int] = {}  # alive track -> its point
     used_dets: set[int] = set()
     for dist, _tid, d_idx, t_idx in pairs:
-        if t_idx in used_tracks or d_idx in used_dets:
+        if t_idx in match or d_idx in used_dets:
             continue
-        used_tracks.add(t_idx)
+        match[t_idx] = d_idx
         used_dets.add(d_idx)
         track = alive[t_idx]
         track.history.append(points[d_idx])
@@ -101,8 +105,11 @@ def step(tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = D
         track.consecutive_hits += 1
         if track.state is TrackState.TENTATIVE and track.consecutive_hits >= CONFIRM_HITS:
             track.state = TrackState.CONFIRMED
+    matched = []
     for t_idx, track in enumerate(alive):
-        if t_idx not in used_tracks:
+        if t_idx in match:
+            matched.append((match[t_idx], track))
+        else:
             track.missed_count += 1
             track.consecutive_hits = 0
     next_id = max((t.track_id for t in tracks), default=-1) + 1
@@ -112,7 +119,7 @@ def step(tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = D
         track = HumanTrack(next_id, [point], 0, TrackState.TENTATIVE, 1)
         next_id += 1
         tracks.append(track)
-    return tracks
+    return matched
 
 
 def prune(tracks: list[HumanTrack], max_missed: int = DEFAULT_MAX_MISSED) -> list[HumanTrack]:

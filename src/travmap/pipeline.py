@@ -5,7 +5,7 @@ sensor output, to ``ingest`` with the truth oracles' outputs: the first true
 camera pose, ``truth_calibration`` and ``truth_closures``.  Last, it attaches
 the scene and ground truth to ingest's result and joins the truth once, for the
 diagnostics.  ``ingest`` reads no ground truth and no scene configuration.  It
-runs in two passes, then computes pass-between:
+runs in three stages:
 
 1. the array pass (``_array_pass``), which needs no loop over frames:
    odometry accumulates along every keyframe interval at once; the keyframes
@@ -14,24 +14,24 @@ runs in two passes, then computes pass-between:
    once, with the poses kept before each closure (the closure epochs'); then
    every frame's pose estimate, and every detection's range, map position
    and trail offset in its keyframe's frame, each in one array expression;
-2. the frame loop, which keeps what is sequential:
-   - tracking: each frame's track points go to the tracker, and each
-     matched confirmed track with a range is logged as a position row
-     naming its own detection;
-   - landmarks (keyframes only): the features seen for the first time,
-     found by a mask over feature ids, are anchored to the keyframe and
-     logged as SfM records, which are the landmarks;
-   - trails (kept frames): each such track's precomputed offset is logged
-     as PfH evidence;
-   - pass-between (kept frames after a kept frame): each such track is
-     queued as one job, by frame, detection row, closure epoch and landmark
-     count;
-3. pass-between, after the loop: each closure epoch's landmark table is
-   built once, from its poses, and landmarks are ordered against each job's
-   human in blocks of one epoch's jobs, one numpy pass per block that reads
-   each frame once and projects only the candidates seen in the human's
-   columns or unseen now within its box's rows; straddling pairs are logged
-   as HO3 evidence at the position in the log their frame had.
+2. tracking (``_track_humans``), the one loop over frames: each frame's
+   track points go to the tracker, which returns the tracks it matched; the
+   confirmed ones whose point has a range are the tracking result, one row
+   per (frame, detection, track), and each row is a position row;
+3. the evidence layers, built from the tracking result, then logged at once:
+   - landmarks, one keyframe at a time: the features seen for the first
+     time, found by a mask over feature ids, anchored to the keyframe as SfM
+     records;
+   - trails: each row of a kept frame, its precomputed offset as PfH;
+   - pass-between: each row of a kept frame after a kept frame is one job
+     (frame, detection row, closure epoch, landmark count); each closure
+     epoch's landmark table is built once, from its poses, and landmarks are
+     ordered against each job's human in blocks of one epoch's jobs, one
+     numpy pass per block that reads each frame once and projects only the
+     candidates seen in the human's columns or unseen now within its box's
+     rows; each straddling pair is a pair row, logged as HO3;
+   - the merge (``_log``): the layers go into the log once, sorted by frame,
+     and within a frame SfM, then PfH, then HO3.
 
 Turning frames are not kept: they feed the pose graph and the landmarks,
 but no trail or pass-between evidence.
@@ -51,8 +51,10 @@ from __future__ import annotations
 
 import math
 import pathlib
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby, pairwise
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -401,52 +403,43 @@ def _array_pass(res: PipelineResult, camera: CameraIntrinsics, closures: Sequenc
     )
 
 
-def _track_humans(res: PipelineResult, rows: _Rows, fi: int) -> list[tuple[int, mot.HumanTrack]]:
-    """Tracking stage: feed frame ``fi``'s track points to the tracker.
+def _track_humans(res: PipelineResult, rows: _Rows) -> list[tuple[int, int, int]]:
+    """Tracking stage, ingest's one loop over frames: each frame's track points go to the tracker.
 
-    Returns the confirmed tracks matched in this frame whose point has a
-    range (the only ones the later stages use), each with its detection's
-    row, and logs each as a position row.
+    Returns each confirmed track matched to a point with a range (the only
+    ones the evidence layers use) as (frame, detection row, track id), by
+    frame, then in the tracker's order.
     """
-    lo, hi = rows.first[fi], rows.first[fi + 1]
-    points = rows.points[lo:hi]
-    mot.step(res.tracks, points, res.params.gate_px)
-    mot.prune(res.tracks)
-
-    # ``depth`` and ``world`` are both None exactly when the box has no range.
-    confirmed = (t for t in res.tracks if t.state is mot.TrackState.CONFIRMED)
-    tracked = [t for t in confirmed if t.matched_at(fi) and t.last.depth is not None]
-    if not tracked:
-        return []
-    # Each track's last point is one of this frame's, appended as is: found by identity, as equal boxes are two detections.
-    row = {id(point): lo + d for d, point in enumerate(points)}
-    matched = [(row[id(track.last)], track) for track in tracked]
-    for r, track in matched:
-        res.position_diags.append((fi, track.track_id, r - lo, track.last.world, track.last.depth))
-    return matched
+    tracked = []
+    for fi, (lo, hi) in enumerate(pairwise(rows.first)):
+        for d, track in mot.step(res.tracks, rows.points[lo:hi], res.params.gate_px):
+            # ``depth`` and ``world`` are both None exactly when the box has no range.
+            if track.state is mot.TrackState.CONFIRMED and track.last.depth is not None:
+                tracked.append((fi, lo + d, track.track_id))
+        mot.prune(res.tracks)
+    return tracked
 
 
-def _add_landmarks(
-    res: PipelineResult, camera: CameraIntrinsics, frame: FrameObservation, kf: int, logged: np.ndarray
-) -> None:
-    """Landmark stage: anchor the features first seen at keyframe ``kf`` to it, each logged once as SfM.
+def _landmarks(frames: Sequence[FrameObservation], camera: CameraIntrinsics, stride: int) -> tuple[list, np.ndarray]:
+    """Landmark layer: each feature at its first sighting as (frame, SfM record), and each feature id's row in it.
 
-    ``logged`` marks the feature ids logged so far.  Not gated by turning:
-    the turning filter only withholds human-derived evidence.
+    One keyframe at a time, in keyframe then feature order; the features
+    first seen are the visible ones with no row yet (-1).  Not gated by
+    turning: the turning filter only withholds human-derived evidence.
     """
-    features = frame.features
-    (new,) = np.nonzero(features["visible"] & ~logged[features["feature_id"]])
-    fids = features["feature_id"][new]
-    logged[fids] = True
-    forward, left = camera.floor_offset(features["u"][new], features["depth"][new])
-    for fid, offset in zip(fids.tolist(), zip(forward.tolist(), left.tolist())):
-        res.store.add_sfm(fid, kf, offset)
-
-
-def _add_trails(res: PipelineResult, rows: _Rows, kf: int, matched: Sequence[tuple[int, mot.HumanTrack]]) -> None:
-    """Trail stage: each matched track's position as PfH evidence relative to keyframe ``kf``."""
-    for r, track in matched:
-        res.store.add_pfh(kf, rows.trails[r], track.track_id)
+    # Feature ids 64 frames at a time: one array of all of them raised an I+L+T ablation's peak RSS by 1.4 MB.
+    blocks = (np.concatenate([f.features["feature_id"] for f in frames[i : i + 64]]) for i in range(0, len(frames), 64))
+    row = np.full(1 + max(int(ids.max(initial=-1)) for ids in blocks), -1)
+    layer = []
+    for kf, frame in enumerate(frames[::stride]):
+        features = frame.features
+        (new,) = np.nonzero(features["visible"] & (row[features["feature_id"]] < 0))
+        fids = features["feature_id"][new]
+        row[fids] = np.arange(len(layer), len(layer) + len(fids))
+        forward, left = camera.floor_offset(features["u"][new], features["depth"][new])
+        offsets = zip(forward.tolist(), left.tolist())
+        layer += [(kf * stride, SfmEvidence(fid, kf, offset)) for fid, offset in zip(fids.tolist(), offsets)]
+    return layer, row
 
 
 def _landmark_table(landmarks: Sequence[SfmEvidence], poses: dict[int, Pose2]) -> np.ndarray:
@@ -456,46 +449,32 @@ def _landmark_table(landmarks: Sequence[SfmEvidence], poses: dict[int, Pose2]) -
 
 
 class _PassJob(NamedTuple):
-    """One tracked human's pass-between inputs in one kept frame, recorded in the frame loop and computed after it."""
+    """One tracked human's pass-between inputs in one kept frame."""
 
-    store_pos: int  # length of the evidence log when the frame was ingested: where its HO3 records go
     frame: int  # its frame's index; the frame before it was kept too
     detection: int  # its detection's row: its region's, and its frame's camera pose
     epoch: int  # closure events by its frame: its landmark table is that epoch's
-    n_landmarks: int  # landmarks logged by its frame: the rows of its table it may use
+    n_landmarks: int  # landmarks first seen by its frame: the rows of its table it may use
     track_id: int
 
 
-def _record_pass_between(
-    res: PipelineResult, jobs: list[_PassJob], rows: _Rows, fi: int, matched: Sequence[tuple[int, mot.HumanTrack]]
-) -> None:
-    """Pass-between stage, in the frame loop: queue one job per matched human whose box leaves a region."""
-    at, epoch, n_landmarks = len(res.store.records), rows.epoch[fi], len(res.store.landmarks)
-    for r, track in matched:
-        if rows.passable[r]:
-            jobs.append(_PassJob(at, fi, r, epoch, n_landmarks, track.track_id))
-
-
 def _pass_between(
-    res: PipelineResult, camera: CameraIntrinsics, rows: _Rows, jobs: Sequence[_PassJob], n_ids: int
+    res: PipelineResult, camera: CameraIntrinsics, rows: _Rows, jobs: Sequence[_PassJob], landmarks: list, row: np.ndarray
 ) -> None:
-    """Pass-between stage, after the frame loop: run the queued jobs in blocks of one closure epoch.
+    """Pass-between stage: run the jobs in blocks of one closure epoch.
 
-    Each epoch's landmark table is built once, at its poses
-    (``rows.epoch_poses``), with as many landmarks as its last job may use:
-    landmarks are only appended and poses only move at a closure, so a job's
-    table is the first ``job.n_landmarks`` rows of its epoch's.  Each block
-    is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
+    ``landmarks`` are the SfM records in first-sighting order, and ``row``
+    each feature id's row among them (-1: none).  Each epoch's landmark
+    table is built once, at its poses (``rows.epoch_poses``), with as many
+    landmarks as its last job may use: poses only move at a closure, so a
+    job's table is the first ``job.n_landmarks`` rows of its epoch's.  Each
+    block is at most ``_PASS_BLOCK`` jobs, so its arrays stay small.
     """
-    n_logged = len(res.store.records)
-    landmarks = list(res.store.landmarks.values())
-    row = np.full(n_ids, -1)  # each feature id's landmark row; -1: none
-    row[list(res.store.landmarks)] = np.arange(len(landmarks))
     for epoch, run in groupby(jobs, key=lambda job: job.epoch):
         run = list(run)
         table = (_landmark_table(landmarks[: run[-1].n_landmarks], rows.epoch_poses[epoch]), row)
         for start in range(0, len(run), _PASS_BLOCK):
-            _pass_block(res, camera, run[start : start + _PASS_BLOCK], table, n_logged, rows.poses, rows.regions)
+            _pass_block(res, camera, run[start : start + _PASS_BLOCK], table, rows.poses, rows.regions)
 
 
 def _pass_block(
@@ -503,11 +482,10 @@ def _pass_block(
     camera: CameraIntrinsics,
     jobs: Sequence[_PassJob],
     table: tuple,
-    n_logged: int,
     cams: np.ndarray,
     regions: np.ndarray,
 ) -> None:
-    """Order landmarks against each job's human in one numpy pass; log straddling pairs as HO3.
+    """Order landmarks against each job's human in one numpy pass; append the occlusion and pair rows.
 
     A landmark seen in the job's frame inside the human's box is in front;
     one seen in its previous frame, unseen now and predicted inside the box
@@ -516,12 +494,10 @@ def _pass_block(
     frame that its frame lacks, and projects only the ones that can still be
     in front (seen inside the region's columns) or behind (within its rows),
     from its frame's row of ``cams``; its region is its detection's row of
-    ``regions``.  Records, diagnostics and log positions are as if each job
-    had run in the frame loop: a job's new HO3 records go where its frame's
-    would have, at ``store_pos`` plus the records earlier jobs inserted
-    after the ``n_logged`` the loop logged.
+    ``regions``.  Rows are appended in job order; the log merge turns each
+    straddling pair into an HO3 record.
     """
-    store_pos, fis, detections, _, n_landmarks, track_ids = zip(*jobs)
+    fis, detections, _, n_landmarks, track_ids = zip(*jobs)
     worlds, row = table
     distinct = {fi: i for i, fi in enumerate(dict.fromkeys((*fis, *(fi - 1 for fi in fis))))}
     parts = [res.frames[fi].features for fi in distinct]
@@ -573,11 +549,20 @@ def _pass_block(
     ends = (front_row[paired], behind_row[paired])
     pair_cols = (*ids[:, paired], *(fid[end] for end in ends), *(depth[end] for end in ends), human_depth[paired])
     pairs = list(map(PairDiag, *(col.tolist() for col in pair_cols)))
-    for j, pair in zip(paired.tolist(), pairs):
-        assert pair.front_depth < pair.human_depth < pair.behind_depth, "pass-between pair must straddle the human"
-        at = store_pos[j] + len(res.store.records) - n_logged
-        res.store.add_ho3(pair.front_id, pair.behind_id, pair.track_id, at=at)
+    assert all(p.front_depth < p.human_depth < p.behind_depth for p in pairs), "pass-between pair must straddle the human"
     res.pair_diags.extend(pairs)
+
+
+def _log(store: EvidenceStore, landmarks: Iterable, trails: Iterable, pairs: Iterable[PairDiag]) -> None:
+    """The merge: the layers, each in frame order, into the log at once, by frame, and within a frame SfM, PfH, HO3."""
+    layers = (
+        ((fi, store.add_sfm, (lm.feature_id, lm.keyframe_id, lm.offset)) for fi, lm in landmarks),
+        ((fi, store.add_pfh, args) for fi, args in trails),
+        ((p.frame_index, store.add_ho3, (p.front_id, p.behind_id, p.track_id)) for p in pairs),
+    )
+    # A stable sort by frame of the layers in turn: within a frame, each layer's records keep their order.
+    for _, add, args in sorted(chain(*layers), key=itemgetter(0)):
+        add(*args)
 
 
 def ingest(
@@ -588,7 +573,7 @@ def ingest(
     calibration: ScaleCalibration,
     closures: Sequence[tuple[int, int, Pose2]],
 ) -> PipelineResult:
-    """The array pass, then the frame loop, then pass-between; reads no ground truth and no scene configuration.
+    """The array pass, tracking, then the evidence layers logged at once; reads no ground truth or scene configuration.
 
     What comes from the truth arrives as the oracles' outputs: ``origin``
     anchors keyframe 0, ``calibration`` scales the range model, and a keyframe
@@ -599,27 +584,23 @@ def ingest(
     keep = mot.filter_turning_frames(frames, params.omega_max)
     res = PipelineResult(params, frames, calibration, keep, PoseGraph(origin))
     rows = _array_pass(res, camera, closures)
-    # Feature ids 64 frames at a time: one array of all of them raised an I+L+T ablation's peak RSS by 1.4 MB.
-    blocks = (np.concatenate([f.features["feature_id"] for f in frames[i : i + 64]]) for i in range(0, len(frames), 64))
-    n_ids = 1 + max(int(ids.max(initial=-1)) for ids in blocks)
-    logged = np.zeros(n_ids, dtype=bool)  # the feature ids with a landmark
-    jobs: list[_PassJob] = []
-    prev_kept = False
-    for fi, frame in enumerate(frames):
-        matched = _track_humans(res, rows, fi)
-        kf, offset = divmod(fi, params.keyframe_stride)
-        if offset == 0:
-            _add_landmarks(res, camera, frame, kf, logged)
-        if not keep[fi]:
-            # Turning frame: feeds the pose graph and the feature map, but
-            # contributes no trail or pass-between evidence.
-            prev_kept = False
-            continue
-        _add_trails(res, rows, kf, matched)
-        if res.store.landmarks and prev_kept and matched:
-            _record_pass_between(res, jobs, rows, fi, matched)
-        prev_kept = True
-    _pass_between(res, camera, rows, jobs, n_ids)
+    tracked = _track_humans(res, rows)
+    points = rows.points
+    res.position_diags = [(fi, tid, r - rows.first[fi], points[r].world, points[r].depth) for fi, r, tid in tracked]
+    stride = params.keyframe_stride
+    landmarks, row = _landmarks(frames, camera, stride)
+    # A turning frame feeds the pose graph and the landmarks, but no trail or pass-between evidence.
+    kept = [(fi, r, tid) for fi, r, tid in tracked if keep[fi]]
+    trails = [(fi, (fi // stride, rows.trails[r], tid)) for fi, r, tid in kept]
+    # A pass-between job needs the frame before its own kept, a region that keeps a column, and a landmark by then.
+    first_seen = [fi for fi, _ in landmarks]
+    jobs = []
+    for fi, r, tid in kept:
+        n_landmarks = bisect_right(first_seen, fi)
+        if fi > 0 and keep[fi - 1] and rows.passable[r] and n_landmarks:
+            jobs.append(_PassJob(fi, r, rows.epoch[fi], n_landmarks, tid))
+    _pass_between(res, camera, rows, jobs, [lm for _, lm in landmarks], row)
+    _log(res.store, landmarks, trails, res.pair_diags)
     return res
 
 

@@ -15,6 +15,8 @@ from travmap.evidence import (
     SfmEvidence,
     classify_occlusion,
     infer_pass_pairs,
+    landmark_worlds,
+    pose_table,
 )
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, PairDiag, PipelineResult
@@ -502,7 +504,7 @@ def pass_between_per_frame(
         res.pair_diags.append(PairDiag(fi, track.track_id, ids[i], ids[j], depths[i], depths[j], tp.depth))
 
 
-def ingest_front_end_per_frame(
+def ingest_per_frame(
     frames: Sequence[FrameObservation],
     intr: CameraIntrinsics,
     params,
@@ -510,20 +512,23 @@ def ingest_front_end_per_frame(
     calibration,
     closures: Sequence[tuple[int, int, Pose2]],
 ) -> tuple[PipelineResult, list[tuple], list[dict[int, Pose2]]]:
-    """``pipeline.ingest``'s stages before pass-between as one scalar loop over the frames, as they ran before the array pass.
+    """``pipeline.ingest`` as one scalar loop over the frames, as it ran before the array pass and the log merge.
 
     Per frame: odometry composed onto the running sum, the keyframe and its
     closure, the pose estimate, each detection's range and position, the
-    tracker, then the landmarks (keyframes) and trail offsets (kept frames).
-    Returns the result (no HO3 records or pass-between diagnostics), the
-    pass-between jobs as ``(store_pos, frame, previous frame, camera pose,
-    (closure events, landmarks), track id, region)`` and the poses before
-    each closure and after the last frame.  A position row names its
-    detection by identity, as ``ingest`` does.
+    tracker, then the landmarks (keyframes), trail offsets (kept frames) and
+    pass-between (kept frames after a kept frame), each logged at once.
+    Pass-between runs ``pass_between_per_frame`` on a landmark table built
+    at that frame, from the landmarks so far at the graph's poses then.
+    Returns the result, the pass-between jobs as ``(frame, previous frame,
+    camera pose, (closure events, landmarks), track id, region)`` and the
+    poses before each closure and after the last frame.  A position row
+    names its detection by identity, as ``ingest`` did.
     """
     keep = mot.filter_turning_frames(frames, params.omega_max)
     res = PipelineResult(params, frames, calibration, keep, PoseGraph(origin))
     body_height = 1.70
+    n_ids = 1 + max(int(f.features["feature_id"].max(initial=-1)) for f in frames)
     partners: dict[int, tuple[int, Pose2]] = {}
     for older, newer, rel in closures:
         partners.setdefault(newer, (older, rel))
@@ -580,8 +585,13 @@ def ingest_front_end_per_frame(
                 x_min, x_max = tp.bbox[0] + _REGION_MARGIN_PX, tp.bbox[1] - _REGION_MARGIN_PX
                 if x_min < x_max:
                     region = (x_min, x_max, tp.bbox[2], tp.bbox[3], tp.depth)
-                    job = (len(res.store.records), fi, prev_kept.frame_index, pose_est.as_tuple(), table, track.track_id)
-                    jobs.append((*job, region))
+                    jobs.append((fi, prev_kept.frame_index, pose_est.as_tuple(), table, track.track_id, region))
+            landmarks = list(res.store.landmarks.values())
+            worlds = landmark_worlds(landmarks, pose_table(res.graph.snapshot()))
+            row = np.full(n_ids, -1)
+            row[list(res.store.landmarks)] = np.arange(len(landmarks))
+            worlds = np.column_stack((worlds, np.zeros(len(worlds))))
+            pass_between_per_frame(res, intr, frame, prev_kept, matched, pose_est, (worlds, row))
         prev_kept = frame
     snapshots.append(res.graph.snapshot())
     return res, jobs, snapshots

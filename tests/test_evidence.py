@@ -513,13 +513,13 @@ def test_rebuild_ends_chain_each_track_in_log_order(monkeypatch):
     store.add_sfm(5, 1, (0.9, 0.1))
     store.add_sfm(2, 1, (0.3, -0.6))
     store.add_pfh(0, (0.1, 0.2), track_id=4)
+    store.add_ho3(2, 5, 7)  # mid-log
     store.add_pfh(1, (0.3, 0.1), track_id=7)  # the two tracks interleave
     store.add_pfh(0, (0.5, 0.2), track_id=4)
     store.add_pfh(0, (0.5, 0.2), track_id=4)  # a zero-length step
     store.add_sfm(1, 0, (1.0, 0.5))
     store.add_pfh(1, (0.6, 0.4), track_id=7)
     store.add_ho3(5, 1, 4)
-    store.add_ho3(2, 5, 7, at=3)  # inserted mid-log
     _assert_ends_match_reference(monkeypatch, store, snapshot)
     a, b = _marked_ends(monkeypatch, store, snapshot, ("pfh",))["pfh"]
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])  # each track's first point
@@ -555,22 +555,27 @@ def test_rebuild_names_a_landmarks_unknown_anchor_and_skips_disabled_layers():
 
 def test_rebuild_names_the_first_unresolved_id_in_log_order():
     base = new_map(0, 0, 1, 1, 0.1)
-    store = EvidenceStore()
-    store.add_sfm(3, 0, (0.5, 0.5))
-    store.add_pfh(0, (0.5, 0.5), 0)
-    store.add_ho3(3, 77, 0)  # an unknown feature, logged before the ones below
-    store.add_sfm(88, 5, (0.5, 0.5))  # an unknown anchor
-    store.add_sfm(4, 8, (0.5, 0.5))  # another unknown anchor
-    store.add_pfh(6, (0.0, 0.0), 0)  # an unknown keyframe
+
+    def log(store):
+        store.add_sfm(3, 0, (0.5, 0.5))
+        store.add_pfh(0, (0.5, 0.5), 0)
+        store.add_ho3(3, 77, 0)  # an unknown feature, logged before the ones below
+        store.add_sfm(88, 5, (0.5, 0.5))  # an unknown anchor
+        store.add_sfm(4, 8, (0.5, 0.5))  # another unknown anchor
+        store.add_pfh(6, (0.0, 0.0), 0)  # an unknown keyframe
+        return store
+
+    store = log(EvidenceStore())
     with pytest.raises(EvidenceError, match="unknown feature 77"):
         rebuild_map(store, {0: Pose2()}, base, ALL_LAYERS, TRAILS_ON_TOP, RADII)
     with pytest.raises(EvidenceError, match="landmark 88 anchored to unknown keyframe 5"):
         rebuild_map(store, {0: Pose2()}, base, ("sfm", "pfh"), TRAILS_ON_TOP, RADII)
     with pytest.raises(EvidenceError, match="unknown keyframe 6"):
         rebuild_map(store, {0: Pose2()}, base, ("pfh",), TRAILS_ON_TOP, RADII)
-    store.add_ho3(4, 3, 0, at=0)
+    first = EvidenceStore()
+    first.add_ho3(4, 3, 0)  # logged before all of the above
     with pytest.raises(EvidenceError, match="landmark 4 anchored to unknown keyframe 8"):
-        rebuild_map(store, {0: Pose2()}, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
+        rebuild_map(log(first), {0: Pose2()}, base, ("pfh", "ho3"), TRAILS_ON_TOP, RADII)
 
 
 _ADDS = st.lists(
@@ -578,7 +583,7 @@ _ADDS = st.lists(
         # Repeats log nothing, whatever keyframe and offset they carry.
         st.tuples(st.just("sfm"), st.integers(0, 4), st.integers(0, 3), st.tuples(st.floats(-2, 2), st.floats(-2, 2))),
         st.tuples(st.just("pfh"), st.integers(0, 3), st.tuples(st.floats(-2, 2), st.floats(-2, 2)), st.integers(0, 2)),
-        st.tuples(st.just("ho3"), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2), st.integers(0, 60)),
+        st.tuples(st.just("ho3"), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)),
     ),
     max_size=40,
 )
@@ -619,7 +624,7 @@ def test_store_columns_are_the_log_in_order(adds):
         elif kind == "pfh":
             store.add_pfh(*args)
         elif args[0] != args[1]:
-            store.add_ho3(*args[:3], at=args[3] % (len(store) + 1))
+            store.add_ho3(*args)
         _assert_columns_project_the_log(store)  # derived after each add, so the next add must drop them
 
 
@@ -634,7 +639,7 @@ def test_an_add_after_a_rebuild_shows_in_the_next_rebuild():
         (store.add_ho3, (1, 2, 0)),
         (store.add_pfh, (0, (1.0, 1.5), 0)),  # the trail now crosses the band
         (store.add_sfm, (3, 1, (0.4, -0.2))),
-        (store.add_ho3, (3, 2, 1, 1)),  # inserted mid-log
+        (store.add_ho3, (3, 2, 1)),
         (store.add_pfh, (1, (0.3, 0.3), 1)),
     ]
     orders = (TRAILS_ON_TOP, pipeline.PipelineParams().priority)

@@ -59,6 +59,23 @@ def test_step_greedy_prefers_nearest():
     assert tracks[1].last.bbox == det(195.0).bbox
 
 
+def test_step_returns_its_matches_in_track_order():
+    """The (point index, track) pairs ``step`` matched, in ``tracks`` order; none for a spawned or missed track."""
+    tracks = [seeded_track(0, 100.0), seeded_track(1, 200.0), seeded_track(2, 400.0), seeded_track(3, 400.0)]
+    tracks.append(seeded_track(4, 900.0))  # nothing within its gate: missed
+    twin = det(400.0)
+    points = [det(195.0), det(110.0), twin, TrackPoint(twin.frame_index, twin.bbox), det(650.0)]
+    pairs = step(tracks, points)
+    # The greedy pass matched tracks 2 and 3 (0 px) before 1 (5 px) and 0 (10 px).
+    assert [(d, track.track_id) for d, track in pairs] == [(1, 0), (0, 1), (2, 2), (3, 3)]
+    assert all(track is tracks[i] and track.last is points[d] for i, (d, track) in enumerate(pairs))
+    # The two equal boxes are two detections, each its own track's point.
+    assert points[2] == points[3] and points[2] is not points[3]
+    assert [t.track_id for t in tracks] == [0, 1, 2, 3, 4, 5] and tracks[5].last is points[4]
+    assert tracks[4].missed_count == 1
+    assert step(tracks, []) == []
+
+
 def test_partial_matching_no_double_assignment():
     tracks = [seeded_track(0, 100.0), seeded_track(1, 120.0)]
     step(tracks, [det(110.0)])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import ingest_front_end_per_frame, pass_between_per_frame
+from _oracles import ingest_per_frame
 
 from travmap import pipeline, quality
 from travmap.evidence import (
@@ -394,10 +394,17 @@ def _unranged_first_walker(scene):
     return dataclasses.replace(scene, humans=[first, *scene.humans[1:]], intrinsics=intrinsics)
 
 
-def _pass_between_outputs(run, scene, params=None):
-    """A pipeline run by ``run``, and its evidence log and pass-between diagnostics as text."""
-    res = run(scene, params)
-    return res, (export_evidence_log(res.store), repr(res.occlusion_diags), repr(res.pair_diags))
+def _ingest_inputs(simulated, scene, params):
+    """``ingest``'s arguments for ``scene``: its frames and the truth oracles' outputs, as ``run_pipeline`` gives them."""
+    frames, truth = simulated(scene)
+    closures = pipeline.truth_closures(truth, params) if params.enable_closures else []
+    calibration = pipeline.truth_calibration(frames, truth, scene.intrinsics)
+    return frames, scene.intrinsics, params, Pose2(*truth.camera_poses[0]), calibration, closures
+
+
+def _pass_between_outputs(res):
+    """The evidence log and pass-between diagnostics of ``res`` as text."""
+    return export_evidence_log(res.store), repr(res.occlusion_diags), repr(res.pair_diags)
 
 
 _NOISY_L = dataclasses.replace(builtin_config("L"), rng_seed=3, odom_sigma_trans=0.005, odom_sigma_rot=0.0025)
@@ -419,22 +426,25 @@ _MANY_CLOSURES = pipeline.PipelineParams(closure_min_gap=5)
     ],
     ids=["I", "L", "T", "T-noisy", "example", "T-unranged-walker", "L-noisy-gap5", "T-noisy-gap5"],
 )
-def test_pass_between_blocks_match_per_frame_stage(monkeypatch, simulated, run_shared, scene, params, closes):
-    """The blocked stage logs what the per-frame stage logged in the loop, in the same order, byte for byte.
+def test_pass_between_blocks_match_per_frame_stage(monkeypatch, simulated, scene, params, closes):
+    """Blocked pass-between and the log merge log what the per-frame stage logged in the loop, in order, byte for byte.
 
-    The per-frame reference builds its own landmark table at each frame, at
-    its epoch's poses and of the landmarks logged so far, so it does not
-    share the blocked stage's one table per closure epoch.
+    The per-frame reference (``ingest_per_frame``, which runs
+    ``pass_between_per_frame`` wherever it queues a job) builds its own
+    landmark table at each such frame, at the graph's poses then and of the
+    landmarks logged so far, so it does not share the blocked stage's one
+    table per closure epoch.
     """
+    params = params or pipeline.PipelineParams()
     blocks = collections.Counter()  # blocks per closure epoch
     tables = []
     pass_block, landmark_table = pipeline._pass_block, pipeline._landmark_table
 
-    def spy(result, camera, jobs, table, n_logged, cams, regions):
+    def spy(result, camera, jobs, table, cams, regions):
         epochs = {job.epoch for job in jobs}
         assert len(epochs) == 1 and len(jobs) <= pipeline._PASS_BLOCK
         blocks[epochs.pop()] += 1
-        pass_block(result, camera, jobs, table, n_logged, cams, regions)
+        pass_block(result, camera, jobs, table, cams, regions)
 
     def counted_table(landmarks, poses):
         tables.append(landmark_table(landmarks, poses))
@@ -442,7 +452,8 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, simulated, run_s
 
     monkeypatch.setattr(pipeline, "_pass_block", spy)
     monkeypatch.setattr(pipeline, "_landmark_table", counted_table)
-    res, blocked = _pass_between_outputs(run_shared, scene, params)
+    inputs = _ingest_inputs(simulated, scene, params)
+    res = pipeline.ingest(*inputs)
     # One table per closure epoch at most; one epoch's jobs split over blocks; and, with closures, more than one epoch.
     epochs = len(res.events) + 1
     assert len(tables) <= epochs and len(blocks) <= epochs and max(blocks.values()) > 1
@@ -450,22 +461,9 @@ def test_pass_between_blocks_match_per_frame_stage(monkeypatch, simulated, run_s
     if params is _MANY_CLOSURES:
         assert len(res.events) == 32 and len(blocks) > 16
 
-    frames, _ = simulated(scene)
-    n_ids = 1 + max(int(f.features["feature_id"].max(initial=-1)) for f in frames)
-
-    def per_frame_stage(result, jobs, rows, fi, matched):
-        # The landmarks so far, at this frame's epoch's poses.
-        worlds = landmark_table(list(result.store.landmarks.values()), rows.epoch_poses[rows.epoch[fi]])
-        row = np.full(n_ids, -1)
-        row[list(result.store.landmarks)] = np.arange(len(worlds))
-        tracks = [track for _, track in matched]
-        cam = Pose2(*rows.poses[fi].tolist())
-        pass_between_per_frame(result, scene.intrinsics, frames[fi], frames[fi - 1], tracks, cam, (worlds, row))
-
-    monkeypatch.setattr(pipeline, "_record_pass_between", per_frame_stage)
-    _, per_frame = _pass_between_outputs(run_shared, scene, params)
-    assert "OcclusionDiag" in per_frame[1]
-    assert blocked == per_frame
+    ref, _, _ = ingest_per_frame(*inputs)
+    assert ref.occlusion_diags
+    assert _pass_between_outputs(res) == _pass_between_outputs(ref)
 
 
 #: The builtin scenes draw no noise, so any seed gives seed 0's frames; the noisy ones at seed 3.
@@ -487,38 +485,37 @@ _FRONT_END_PARAMS = {
 @pytest.mark.parametrize("params", _FRONT_END_PARAMS.values(), ids=_FRONT_END_PARAMS.keys())
 @pytest.mark.parametrize("scene", _FRONT_END_SCENES.values(), ids=_FRONT_END_SCENES.keys())
 def test_array_pass_matches_the_per_frame_front_end(monkeypatch, simulated, scene, params):
-    """Up to pass-between, ``ingest`` logs, tracks, optimizes and queues jobs as the scalar per-frame loop did, bit for bit.
+    """``ingest`` logs, tracks, optimizes and queues jobs as the scalar per-frame loop did, bit for bit.
 
     Compared by ``repr``: the graph, the events, the track histories, the
-    position rows, the log before HO3 records go in, the jobs (with their
-    camera poses and regions) and each closure epoch's poses.
+    position rows, the whole evidence log (HO3 records included), the
+    pass-between diagnostics, the jobs (with their camera poses and
+    regions) and each closure epoch's poses.
     """
-    frames, truth = simulated(scene)
-    oracles = (
-        Pose2(*truth.camera_poses[0]),
-        pipeline.truth_calibration(frames, truth, scene.intrinsics),
-        pipeline.truth_closures(truth, params),
-    )
+    inputs = _ingest_inputs(simulated, scene, params)
     seen = {}
     pass_between = pipeline._pass_between
 
-    def spy(res, camera, rows, jobs, n_ids):
-        seen.update(records=repr(res.store.records), rows=rows, jobs=jobs)
-        pass_between(res, camera, rows, jobs, n_ids)
+    def spy(res, camera, rows, jobs, landmarks, row):
+        seen.update(rows=rows, jobs=jobs)
+        pass_between(res, camera, rows, jobs, landmarks, row)
 
     monkeypatch.setattr(pipeline, "_pass_between", spy)
-    res = pipeline.ingest(frames, scene.intrinsics, params, *oracles)
-    ref, ref_jobs, ref_epochs = ingest_front_end_per_frame(frames, scene.intrinsics, params, *oracles)
+    res = pipeline.ingest(*inputs)
+    ref, ref_jobs, ref_epochs = ingest_per_frame(*inputs)
 
     assert res.graph.dumps() == ref.graph.dumps()
     assert repr(res.events) == repr(ref.events)
     assert repr(res.tracks) == repr(ref.tracks)
     assert repr(res.position_diags) == repr(ref.position_diags)
-    assert seen["records"] == repr(ref.store.records)
+    assert any(isinstance(rec, Ho3Evidence) for rec in ref.store.records)
+    assert repr(res.store.records) == repr(ref.store.records)
+    assert repr(res.occlusion_diags) == repr(ref.occlusion_diags)
+    assert repr(res.pair_diags) == repr(ref.pair_diags)
     rows = seen["rows"]
     jobs = [
         (
-            job.store_pos, job.frame, job.frame - 1, tuple(rows.poses[job.frame].tolist()), (job.epoch, job.n_landmarks),
+            job.frame, job.frame - 1, tuple(rows.poses[job.frame].tolist()), (job.epoch, job.n_landmarks),
             job.track_id, tuple(rows.regions[job.detection].tolist()),
         )
         for job in seen["jobs"]
@@ -543,9 +540,9 @@ def test_pass_block_column_bounds_are_inclusive():
     worlds = np.column_stack((np.ones(len(us)), (camera.cx - us) / camera.f, np.zeros(len(us))))
     frames = [prev_frame, frame]
     res = pipeline.PipelineResult(pipeline.PipelineParams(), frames, ScaleCalibration(1.0), [True, True], PoseGraph())
-    job = pipeline._PassJob(0, 1, 0, 0, len(us), 7)
+    job = pipeline._PassJob(1, 0, 0, len(us), 7)
     cams, regions = np.zeros((2, 3)), np.array([(x_min, x_max, 0.0, 720.0, human_depth)])
-    pipeline._pass_block(res, camera, [job], (worlds, np.arange(len(us))), 0, cams, regions)
+    pipeline._pass_block(res, camera, [job], (worlds, np.arange(len(us))), cams, regions)
 
     front, behind = classify_occlusion(us, np.ones(len(us), dtype=bool), (x_min, x_max))
     assert front.tolist() == [True, True, False, False] and not behind.any()

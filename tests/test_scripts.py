@@ -75,7 +75,7 @@ def test_stage_times_prints_every_stage(tmp_path, monkeypatch, capsys):
     _run(monkeypatch, "stage_times.py", str(scene), "--repeats", "1")
     lines = capsys.readouterr().out.splitlines()
     stages = ["simulate", "ground truth", "ingest", "rest of ingest", "poses", "optimize", "detections", "tracking"]
-    stages += ["landmarks", "trails", "pass-between", "queries", "oracle plans", "rebuild", "evaluate", "write"]
+    stages += ["landmarks", "pass-between", "log", "queries", "oracle plans", "rebuild", "evaluate", "write"]
     stages += ["rest of pass", "pass"]
     assert [line[:24].strip() for line in lines[1:]] == stages
     assert all(float(line[24:33]) >= 0.0 for line in lines[1:])  # the example closes no loop: optimize reads 0.0
