@@ -109,7 +109,9 @@ class TraversabilityMap:
         return 0 <= i < self.width and 0 <= j < self.height
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
-        """Cell index containing world point ``(x, y)``; raises when outside the grid."""
+        """Cell index containing world point ``(x, y)``; raises when outside the grid or not finite."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise OutOfBoundsError(f"point ({x}, {y}) is not finite")
         i = math.floor((x - self.origin[0]) / self.resolution)
         j = math.floor((y - self.origin[1]) / self.resolution)
         if not self.in_bounds(i, j):

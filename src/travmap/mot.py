@@ -65,10 +65,6 @@ def _center(bbox: tuple[float, float, float, float]) -> tuple[float, float]:
     return (0.5 * (bbox[0] + bbox[1]), 0.5 * (bbox[2] + bbox[3]))
 
 
-def _center_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return ((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2) ** 0.5
-
-
 def step(
     tracks: list[HumanTrack], points: Sequence[TrackPoint], gate: float = DEFAULT_GATE_PX
 ) -> list[tuple[int, HumanTrack]]:
@@ -84,11 +80,12 @@ def step(
     if not gate > 0:  # NaN fails too
         raise ValueError("gate must be positive")
     alive = [t for t in tracks if t.state is not TrackState.DEAD]
+    centers = [_center(p.bbox) for p in points]
     pairs = []
     for t_idx, track in enumerate(alive):
-        predicted = _center(track.last.bbox)
-        for d_idx, point in enumerate(points):
-            dist = _center_distance(predicted, _center(point.bbox))
+        px, py = _center(track.last.bbox)
+        for d_idx, (cx, cy) in enumerate(centers):
+            dist = ((px - cx) ** 2 + (py - cy) ** 2) ** 0.5
             if dist <= gate:
                 pairs.append((dist, track.track_id, d_idx, t_idx))
     pairs.sort()
@@ -112,13 +109,12 @@ def step(
         else:
             track.missed_count += 1
             track.consecutive_hits = 0
-    next_id = max((t.track_id for t in tracks), default=-1) + 1
-    for d_idx, point in enumerate(points):
-        if d_idx in used_dets:
-            continue
-        track = HumanTrack(next_id, [point], 0, TrackState.TENTATIVE, 1)
-        next_id += 1
-        tracks.append(track)
+    if len(used_dets) < len(points):
+        next_id = max((t.track_id for t in tracks), default=-1) + 1
+        for d_idx, point in enumerate(points):
+            if d_idx not in used_dets:
+                tracks.append(HumanTrack(next_id, [point], 0, TrackState.TENTATIVE, 1))
+                next_id += 1
     return matched
 
 

@@ -41,17 +41,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-# Neighbor order fixed for determinism: straight moves first, then diagonals.
-_NEIGHBORS = (
-    (1, 0, 0, 1),
-    (-1, 0, 0, 1),
-    (0, 1, 0, 1),
-    (0, -1, 0, 1),
-    (1, 1, 1, 0),
-    (1, -1, 1, 0),
-    (-1, 1, 1, 0),
-    (-1, -1, 1, 0),
-)
+# The 8-connected moves as (di, dj).
+_STRAIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_DIAGONAL = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -128,10 +120,16 @@ class QualityReport:
         return "\n".join(lines) + "\n"
 
 
-def _octile_h(di: int, dj: int) -> tuple[int, int]:
-    lo = min(abs(di), abs(dj))
-    hi = max(abs(di), abs(dj))
-    return (hi - lo, lo)
+def _flat_grid(m: TraversabilityMap) -> tuple[bytearray, int, list[int], list[int]]:
+    """``m``'s TRAVERSABLE mask, flat, with a one-cell blocked border; its row length; its moves.
+
+    Cell ``(i, j)`` is node ``(j + 1) * w + i + 1``, so node order is ``(j, i)``
+    order and no move from a free node leaves the grid.  The moves are the
+    node offsets of ``_STRAIGHT`` and of ``_DIAGONAL``.
+    """
+    w = m.width + 2
+    free = bytearray(np.pad(m.cells == int(CellState.TRAVERSABLE), 1).ravel())
+    return free, w, [dj * w + di for di, dj in _STRAIGHT], [dj * w + di for di, dj in _DIAGONAL]
 
 
 def plan_path(
@@ -144,61 +142,68 @@ def plan_path(
     UNKNOWN counts as blocked: a navigating robot cannot commit to unverified
     floor.  Ties on f-value are broken toward lower (j, i), which makes the
     returned path (not just its cost) deterministic.
+
+    A* walks :func:`_flat_grid`'s nodes; its blocked border stands in for
+    bounds checks, and a node leaves the grid's free set once it is closed.  A
+    node's g is kept as (straight, diagonal) step counts beside its value in
+    meters, and ``f = (straight + hs) * res + (diagonal + hd) * diag``, with
+    ``(hs, hd)`` the octile step counts to the goal.
     """
     si, sj = m.world_to_cell(*start)  # raises OutOfBoundsError per precondition
     gi, gj = m.world_to_cell(*goal)
-    cells = m.cells
-    free = cells == int(CellState.TRAVERSABLE)
-    if not (free[sj, si] and free[gj, gi]):
+    # Most unsolvable queries have an end off the free cells: answer them before building the grid.
+    trav = int(CellState.TRAVERSABLE)
+    if not (m.cells[sj, si] == trav and m.cells[gj, gi] == trav):
         return None
+    unclosed, w, straight, diagonal = _flat_grid(m)
+    src = (sj + 1) * w + si + 1
+    dst = (gj + 1) * w + gi + 1
     res = m.resolution
     diag = res * _SQRT2
-
-    def to_m(ns: int, nd: int) -> float:
-        return ns * res + nd * diag
-
-    start_cell = (si, sj)
-    goal_cell = (gi, gj)
-    g_counts: dict[tuple[int, int], tuple[int, int]] = {start_cell: (0, 0)}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    hs, hd = _octile_h(gi - si, gj - sj)
-    open_heap: list[tuple[float, int, int]] = [(to_m(hs, hd), sj, si)]
-    closed: set[tuple[int, int]] = set()
-    width, height = m.width, m.height
+    di = np.abs(np.arange(w) - (gi + 1))
+    dj = np.abs(np.arange(m.height + 2) - (gj + 1))[:, None]
+    lo = np.minimum(di, dj)
+    hs = (np.maximum(di, dj) - lo).ravel().tolist()
+    hd = lo.ravel().tolist()
+    n = len(unclosed)
+    gs = [0] * n
+    gd = [0] * n
+    gm = [math.inf] * n
+    gm[src] = 0.0
+    parent = [src] * n
+    open_heap = [(hs[src] * res + hd[src] * diag, src)]
+    pop, push = heapq.heappop, heapq.heappush
     while open_heap:
-        _, j, i = heapq.heappop(open_heap)
-        node = (i, j)
-        if node in closed:
+        node = pop(open_heap)[1]
+        if not unclosed[node]:
             continue
-        closed.add(node)
-        if node == goal_cell:
+        unclosed[node] = 0
+        if node == dst:
             break
-        ns, nd = g_counts[node]
-        for di, dj, step_d, step_s in _NEIGHBORS:
-            ni, nj = i + di, j + dj
-            if not (0 <= ni < width and 0 <= nj < height) or not free[nj, ni]:
-                continue
-            neighbor = (ni, nj)
-            if neighbor in closed:
-                continue
-            cand = (ns + step_s, nd + step_d)
-            old = g_counts.get(neighbor)
-            if old is not None and to_m(*old) <= to_m(*cand):
-                continue
-            g_counts[neighbor] = cand
-            parent[neighbor] = node
-            hs, hd = _octile_h(gi - ni, gj - nj)
-            f = to_m(cand[0] + hs, cand[1] + hd)
-            heapq.heappush(open_heap, (f, nj, ni))
-    if goal_cell not in closed:
+        ns, nd = gs[node], gd[node]
+        # Every straight move reaches g = (ns + 1, nd), every diagonal one (ns, nd + 1).
+        cs = ns + 1
+        cm = cs * res + nd * diag
+        for offset in straight:
+            nb = node + offset
+            if unclosed[nb] and gm[nb] > cm:
+                gs[nb], gd[nb], gm[nb], parent[nb] = cs, nd, cm, node
+                push(open_heap, ((cs + hs[nb]) * res + (nd + hd[nb]) * diag, nb))
+        cd = nd + 1
+        cm = ns * res + cd * diag
+        for offset in diagonal:
+            nb = node + offset
+            if unclosed[nb] and gm[nb] > cm:
+                gs[nb], gd[nb], gm[nb], parent[nb] = ns, cd, cm, node
+                push(open_heap, ((ns + hs[nb]) * res + (cd + hd[nb]) * diag, nb))
+    if unclosed[dst]:
         return None
-    path_cells = [goal_cell]
-    while path_cells[-1] != start_cell:
-        path_cells.append(parent[path_cells[-1]])
-    path_cells.reverse()
-    ns, nd = g_counts[goal_cell]
-    waypoints = [m.cell_to_world(i, j) for i, j in path_cells]
-    return PathPlan(waypoints, to_m(ns, nd), path_cells)
+    path = [dst]
+    while path[-1] != src:
+        path.append(parent[path[-1]])
+    path.reverse()
+    cells = [(node % w - 1, node // w - 1) for node in path]
+    return PathPlan([m.cell_to_world(i, j) for i, j in cells], gm[dst], cells)
 
 
 def journey_error(oracle: PathPlan, user: PathPlan) -> float:
@@ -259,28 +264,27 @@ def evaluate_map(
 def component_labels(m: TraversabilityMap) -> np.ndarray:
     """Label of each cell's 8-connected component of TRAVERSABLE cells, from 1; 0 elsewhere.
 
-    The flood fill takes ``plan_path``'s moves over ``plan_path``'s free cells,
-    and A* is complete, so two cells share a label iff ``plan_path`` joins them.
+    The flood fill walks ``plan_path``'s :func:`_flat_grid`, and A* is
+    complete, so two cells share a label iff ``plan_path`` joins them.
     """
-    free_cells = m.cells == int(CellState.TRAVERSABLE)
-    free = free_cells.tolist()
-    width, height = m.width, m.height
-    labels = [[0] * width for _ in range(height)]
+    free, w, straight, diagonal = _flat_grid(m)
+    moves = straight + diagonal
+    labels = [0] * len(free)
     n = 0
-    for j, i in np.argwhere(free_cells).tolist():
-        if labels[j][i]:
+    for seed, is_free in enumerate(free):
+        if not is_free or labels[seed]:
             continue
         n += 1
-        labels[j][i] = n
-        stack = [(i, j)]
+        labels[seed] = n
+        stack = [seed]
         while stack:
-            ci, cj = stack.pop()
-            for di, dj, _, _ in _NEIGHBORS:
-                ni, nj = ci + di, cj + dj
-                if 0 <= ni < width and 0 <= nj < height and free[nj][ni] and not labels[nj][ni]:
-                    labels[nj][ni] = n
-                    stack.append((ni, nj))
-    return np.array(labels, dtype=np.int64)
+            node = stack.pop()
+            for offset in moves:
+                nb = node + offset
+                if free[nb] and not labels[nb]:
+                    labels[nb] = n
+                    stack.append(nb)
+    return np.array(labels, dtype=np.int64).reshape(m.height + 2, w)[1:-1, 1:-1]
 
 
 def sample_queries(

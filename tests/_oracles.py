@@ -20,6 +20,7 @@ from travmap.evidence import (
 )
 from travmap.gridmap import CellState
 from travmap.pipeline import _REGION_MARGIN_PX, PairDiag, PipelineResult
+from travmap.quality import PathPlan
 from travmap.posegraph import (
     OptimizationEvent,
     Pose2,
@@ -71,6 +72,86 @@ def dijkstra_cost(m, start, goal):
                     best[(ni, nj)] = cand
                     heapq.heappush(heap, (to_m(*cand), (ni, nj)))
     return None
+
+
+def plan_path_on_cell_tuples(m, start, goal):
+    """The A* ``quality.plan_path`` was before it walked a flat padded grid.
+
+    Kept verbatim (``(i, j)`` tuples, dict costs and parents, a set of closed
+    cells, bounds checked per move) so the flat planner can be compared
+    against it waypoint for waypoint and cost for cost.
+    """
+    si, sj = m.world_to_cell(*start)
+    gi, gj = m.world_to_cell(*goal)
+    cells = m.cells
+    free = cells == int(CellState.TRAVERSABLE)
+    if not (free[sj, si] and free[gj, gi]):
+        return None
+    res = m.resolution
+    diag = res * _SQRT2
+
+    def to_m(ns, nd):
+        return ns * res + nd * diag
+
+    # (di, dj, diagonal steps, straight steps): straight moves first, then diagonals.
+    neighbors = (
+        (1, 0, 0, 1),
+        (-1, 0, 0, 1),
+        (0, 1, 0, 1),
+        (0, -1, 0, 1),
+        (1, 1, 1, 0),
+        (1, -1, 1, 0),
+        (-1, 1, 1, 0),
+        (-1, -1, 1, 0),
+    )
+
+    def octile_h(di, dj):
+        lo = min(abs(di), abs(dj))
+        hi = max(abs(di), abs(dj))
+        return (hi - lo, lo)
+
+    start_cell = (si, sj)
+    goal_cell = (gi, gj)
+    g_counts = {start_cell: (0, 0)}
+    parent = {}
+    hs, hd = octile_h(gi - si, gj - sj)
+    open_heap = [(to_m(hs, hd), sj, si)]
+    closed = set()
+    width, height = m.width, m.height
+    while open_heap:
+        _, j, i = heapq.heappop(open_heap)
+        node = (i, j)
+        if node in closed:
+            continue
+        closed.add(node)
+        if node == goal_cell:
+            break
+        ns, nd = g_counts[node]
+        for di, dj, step_d, step_s in neighbors:
+            ni, nj = i + di, j + dj
+            if not (0 <= ni < width and 0 <= nj < height) or not free[nj, ni]:
+                continue
+            neighbor = (ni, nj)
+            if neighbor in closed:
+                continue
+            cand = (ns + step_s, nd + step_d)
+            old = g_counts.get(neighbor)
+            if old is not None and to_m(*old) <= to_m(*cand):
+                continue
+            g_counts[neighbor] = cand
+            parent[neighbor] = node
+            hs, hd = octile_h(gi - ni, gj - nj)
+            f = to_m(cand[0] + hs, cand[1] + hd)
+            heapq.heappush(open_heap, (f, nj, ni))
+    if goal_cell not in closed:
+        return None
+    path_cells = [goal_cell]
+    while path_cells[-1] != start_cell:
+        path_cells.append(parent[path_cells[-1]])
+    path_cells.reverse()
+    ns, nd = g_counts[goal_cell]
+    waypoints = [m.cell_to_world(i, j) for i, j in path_cells]
+    return PathPlan(waypoints, to_m(ns, nd), path_cells)
 
 
 def mark_band_one_capsule(m, a, b, half_width, state):

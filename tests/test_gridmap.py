@@ -57,6 +57,15 @@ def test_world_to_cell_examples():
         m.world_to_cell(-0.01, 0.5)
 
 
+@pytest.mark.parametrize(
+    "point", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5), (0.5, -math.inf), (math.nan, math.inf)]
+)
+def test_world_to_cell_rejects_non_finite_points(point):
+    m = new_map(0, 0, 3, 6, 0.1)
+    with pytest.raises(OutOfBoundsError, match="not finite"):
+        m.world_to_cell(*point)
+
+
 def test_update_cell():
     m = new_map(0, 0, 3, 6, 0.1)
     m.set_cell(2, 3, T)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import dijkstra_cost
+from _oracles import dijkstra_cost, plan_path_on_cell_tuples
 from travmap.gridmap import CellState, OutOfBoundsError, empty_like, new_map
 from travmap import pipeline
+from travmap.scenesim import builtin_config
 from travmap.quality import (
     COMBINATION_ORDER,
     COMBINATIONS,
@@ -104,6 +105,86 @@ def test_planner_matches_dijkstra_oracle_on_random_maps():
             assert plan.cost == oracle  # exact, same count representation
             solved += 1
     assert solved > 50  # sanity: the ensemble actually exercises the planner
+
+
+def _assert_plans_as_cell_tuple_planner(m, start, goal):
+    """``plan_path`` returns exactly the reference planner's waypoints, cells and cost, or None with it."""
+    plan = plan_path(m, start, goal)
+    ref = plan_path_on_cell_tuples(m, start, goal)
+    if ref is None:
+        assert plan is None, (start, goal)
+    else:
+        assert plan is not None, (start, goal)
+        assert (plan.waypoints, plan.cells, plan.cost) == (ref.waypoints, ref.cells, ref.cost), (start, goal)
+    return ref
+
+
+def _grid_map(rows):
+    """A 0.1 m map from rows of text, the first row at the top (largest j): ``.`` TRAVERSABLE, ``#`` UNTRAVERSABLE, ``?`` UNKNOWN."""
+    code = {".": int(T), "#": int(U), "?": int(CellState.UNKNOWN)}
+    m = new_map(0, 0, len(rows[0]) * 0.1, len(rows) * 0.1, 0.1)
+    m.cells[:, :] = np.array([[code[c] for c in row] for row in reversed(rows)])
+    return m
+
+
+@pytest.mark.parametrize(
+    "rows, start, goal, solvable",
+    [
+        (["."], (0, 0), (0, 0), True),  # 1x1, start is goal
+        (["....."], (0, 0), (4, 0), True),  # one row
+        (["." for _ in range(5)], (0, 4), (0, 0), True),  # one column
+        (["..?.."], (0, 0), (4, 0), False),  # UNKNOWN cuts the row
+        (["." * 7] * 7, (0, 0), (6, 3), True),  # open grid: many equal-cost paths
+        (["." * 7] * 7, (3, 3), (3, 3), True),
+        ([".#.", "##.", "..."], (0, 2), (2, 0), False),  # start walled off
+        ([".?.", "#.#", "..."], (0, 2), (2, 2), True),  # diagonal squeeze through the middle
+    ],
+    ids=["1x1", "row", "column", "unknown-cut", "open", "open-same-cell", "walled", "diagonal"],
+)
+def test_plan_path_matches_cell_tuple_planner_on_pinned_maps(rows, start, goal, solvable):
+    m = _grid_map(rows)
+    ref = _assert_plans_as_cell_tuple_planner(m, m.cell_to_world(*start), m.cell_to_world(*goal))
+    assert (ref is not None) == solvable
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_plan_path_matches_cell_tuple_planner_on_random_maps(data):
+    w = data.draw(st.integers(1, 9), label="w")
+    h = data.draw(st.integers(1, 9), label="h")
+    if data.draw(st.booleans(), label="open"):
+        cells = np.full((h, w), int(T))
+    else:
+        states = st.sampled_from([int(T), int(T), int(T), int(U), int(CellState.UNKNOWN)])
+        cells = np.array(data.draw(st.lists(states, min_size=w * h, max_size=w * h), label="cells")).reshape(h, w)
+    m = new_map(0, 0, w * 0.1, h * 0.1, 0.1)
+    m.cells[:, :] = cells
+    cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+    start = data.draw(cell, label="start")
+    goal = data.draw(st.one_of(st.just(start), cell), label="goal")
+    _assert_plans_as_cell_tuple_planner(m, m.cell_to_world(*start), m.cell_to_world(*goal))
+
+
+@pytest.mark.parametrize("kind", ["I", "L", "T"])
+def test_plan_path_matches_cell_tuple_planner_on_scene_maps(run_shared, kind):
+    res = run_shared(builtin_config(kind))
+    gt = pipeline.ground_truth_map(res.config)
+    maps = [gt] + [pipeline.build_combo_map(res, layers) for layers in COMBINATIONS]
+    solved = 0
+    for seed in range(10):
+        for q in sample_queries(gt, 20, seed):
+            for m in maps:
+                solved += _assert_plans_as_cell_tuple_planner(m, q.start, q.goal) is not None
+    assert solved >= 10 * 20  # every oracle query, at least
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.15), (0.15, math.inf)])
+def test_plan_path_rejects_non_finite_points(point):
+    m = all_free(3, 3)
+    with pytest.raises(OutOfBoundsError):
+        plan_path(m, point, m.cell_to_world(2, 2))
+    with pytest.raises(OutOfBoundsError):
+        plan_path(m, m.cell_to_world(0, 0), point)
 
 
 def _nearest_mean(oracle_pts, user_pts):
